@@ -279,7 +279,7 @@ func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request) {
 		rt.serveLocal(w, r, nil)
 		return
 	}
-	body, err := rt.readBody(w, r)
+	body, err := service.ReadBody(w, r, rt.cfg.MaxBodyBytes)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -374,12 +374,6 @@ func (rt *Router) nodeForJob(id string) string {
 		return ""
 	}
 	return node
-}
-
-// readBody buffers the request body under the router's cap so it can be
-// both hashed for routing and replayed to whichever node computes it.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 }
 
 // serveLocal delegates to the local service handler, replaying the

@@ -11,7 +11,10 @@ import (
 // every rejection is a typed *httpError (so the handler can map it to a
 // 4xx/5xx instead of panicking or leaking a 500), and every acceptance is
 // deterministic: canonicalizing twice yields the same key, and the
-// canonical text is a fixed point of canonicalization.
+// canonical text is a fixed point of canonicalization. The key memo must
+// never change a key or a verdict: an accepted input keyed by SpecKey
+// cold and then from the memo gets canonicalize's key both times, and a
+// rejected input is rejected again, with the same status, every time.
 func FuzzPlanRequest(f *testing.F) {
 	design := testDesign(f, 16, 1)
 	// Seeds cover the interesting request classes: a valid minimal
@@ -42,16 +45,16 @@ func FuzzPlanRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 
-	srv := specServer(4096)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		srv := specServer(4096) // a fresh memo: the first SpecKey is cold
 		req, err := decodePlanRequest(strings.NewReader(string(data)))
-		if err != nil {
-			requireHTTPError(t, err, data)
-			return
+		var spec *planSpec
+		if err == nil {
+			spec, err = srv.canonicalize(req)
 		}
-		spec, err := srv.canonicalize(req)
 		if err != nil {
 			requireHTTPError(t, err, data)
+			requireRejectedAgain(t, srv, err, data)
 			return
 		}
 		if spec.key == "" || spec.canonical == "" || spec.problem == nil {
@@ -73,7 +76,36 @@ func FuzzPlanRequest(f *testing.F) {
 		if fixed.canonical != spec.canonical || fixed.key != spec.key {
 			t.Fatalf("canonical text is not a fixed point (input %q)", data)
 		}
+		// The key memo: the cold call fills it, the second answers from it.
+		for _, pass := range []string{"cold", "memo"} {
+			key, err := srv.SpecKey(data)
+			if err != nil || key != spec.key {
+				t.Fatalf("%s SpecKey = %q, %v; want %s (input %q)", pass, key, err, spec.key, data)
+			}
+			if n := srv.memo.len(); n != 1 {
+				t.Fatalf("%s SpecKey left %d memo entries, want 1 (input %q)", pass, n, data)
+			}
+		}
 	})
+}
+
+// requireRejectedAgain asserts a rejected input stays rejected through
+// SpecKey, with the first rejection's status, on repeated calls — so no
+// failure was memoized.
+func requireRejectedAgain(t *testing.T, srv *Server, first error, input []byte) {
+	t.Helper()
+	var want *httpError
+	errors.As(first, &want)
+	for i := 0; i < 2; i++ {
+		_, err := srv.SpecKey(input)
+		var he *httpError
+		if !errors.As(err, &he) || he.status != want.status {
+			t.Fatalf("SpecKey call %d: %v, want status %d (input %q)", i+1, err, want.status, input)
+		}
+	}
+	if n := srv.memo.len(); n != 0 {
+		t.Fatalf("rejected input left %d memo entries (input %q)", n, input)
+	}
 }
 
 // requireHTTPError asserts a rejection carries a client-mappable status.

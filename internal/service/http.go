@@ -88,22 +88,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// decodeSpec runs the shared decode → canonicalize front half of both
-// plan entry points.
-func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (*planSpec, bool) {
+// decodeSpec runs the shared front half of both plan entry points: read
+// the body once under the byte cap, resolve its cache key (from the key
+// memo when these exact bytes were seen before) and probe the result
+// cache exactly once. A hit returns the cached body and no spec; a miss
+// returns the full spec. A memo hit whose result was evicted re-parses the
+// buffered bytes instead of probing again, so service/cache/hits+misses
+// count validated requests one to one.
+func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planSpec, cached []byte, ok bool) {
 	s.rec.Add("requests/"+r.URL.Path[1:], 1)
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, err := decodePlanRequest(body)
+	raw, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		writeHTTPError(w, classifyDecodeError(err))
+		return nil, nil, false
+	}
+	key, spec, err := s.resolveKey(raw)
 	if err != nil {
 		writeHTTPError(w, err)
-		return nil, false
+		return nil, nil, false
 	}
-	spec, err := s.canonicalize(req)
-	if err != nil {
-		writeHTTPError(w, err)
-		return nil, false
+	if body, hit := s.cache.get(key); hit {
+		return nil, body, true
 	}
-	return spec, true
+	if spec == nil {
+		if spec, err = s.parseSpec(raw); err != nil {
+			writeHTTPError(w, err)
+			return nil, nil, false
+		}
+	}
+	return spec, nil, true
 }
 
 // handlePlan is the synchronous fast path: the plan runs on the request
@@ -117,12 +130,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	spec, ok := s.decodeSpec(w, r)
+	spec, cached, ok := s.decodeSpec(w, r)
 	if !ok {
 		return
 	}
-	if body, hit := s.cache.get(spec.key); hit {
-		s.writePlanBody(w, body, true)
+	if cached != nil {
+		s.writePlanBody(w, cached, true)
 		return
 	}
 	select {
@@ -170,13 +183,13 @@ type submitResponse struct {
 // handleSubmit enqueues an async job. Cache hits skip the queue entirely:
 // the job is born done and polling it returns the cached body.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := s.decodeSpec(w, r)
+	spec, cached, ok := s.decodeSpec(w, r)
 	if !ok {
 		return
 	}
 	var j *job
-	if body, hit := s.cache.get(spec.key); hit {
-		j = newDoneJob(spec, body)
+	if cached != nil {
+		j = newDoneJob(cached)
 		if err := s.registerDone(j); err != nil {
 			s.setQueueHeader(w)
 			errorBody(w, http.StatusServiceUnavailable, "server is shutting down")

@@ -367,6 +367,92 @@ func TestJobLifecycleAndCancel(t *testing.T) {
 	}
 }
 
+// TestCachedAsyncJobsArePruned submits more cache-hit jobs than the
+// retention bound: jobs born done must age out like computed ones, oldest
+// first, or the job map grows without limit under repeated submissions.
+func TestCachedAsyncJobsArePruned(t *testing.T) {
+	const retained, extra = 4, 3
+	s := newTestServer(t, Config{Workers: 1, MaxJobsRetained: retained})
+	body := planBody(t, testDesign(t, 16, 7), RequestOptions{Seed: 5, SkipExchange: true})
+	if resp, data := s.post(t, "/plan", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm plan: %d: %s", resp.StatusCode, data)
+	}
+	var ids []string
+	for i := 0; i < retained+extra; i++ {
+		resp, data := s.post(t, "/jobs", body)
+		var sub submitResponse
+		if err := json.Unmarshal(data, &sub); err != nil || resp.StatusCode != http.StatusAccepted || sub.State != JobDone {
+			t.Fatalf("cached submit %d: %d %v: %s", i, resp.StatusCode, err, data)
+		}
+		ids = append(ids, sub.ID)
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < extra {
+			want = http.StatusNotFound
+		}
+		if resp, _ := s.get(t, "/jobs/"+id); resp.StatusCode != want {
+			t.Errorf("job %s (submitted %d of %d): status %d, want %d", id, i+1, len(ids), resp.StatusCode, want)
+		}
+	}
+}
+
+// TestFinishedJobReleasesContextAndSpec checks that a job reaching a
+// terminal state — computed, canceled while queued, or born done from the
+// cache — no longer holds its parsed problem, and that a computed job's
+// context is canceled rather than left registered under the server's.
+func TestFinishedJobReleasesContextAndSpec(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	defer release()
+	s.svc.testHookJobStart = func() { <-gate }
+	design := testDesign(t, 16, 7)
+	body := planBody(t, design, RequestOptions{Seed: 6, SkipExchange: true})
+
+	submit := func(body string) string {
+		t.Helper()
+		resp, data := s.post(t, "/jobs", body)
+		var sub submitResponse
+		if err := json.Unmarshal(data, &sub); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %v: %s", resp.StatusCode, err, data)
+		}
+		return sub.ID
+	}
+	computed := submit(body)
+	canceled := submit(planBody(t, design, RequestOptions{Seed: 7, SkipExchange: true}))
+	req, _ := http.NewRequest(http.MethodDelete, s.ts.URL+"/jobs/"+canceled, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	release()
+	s.awaitJob(t, computed)
+	cached := submit(body)
+
+	for _, id := range []string{computed, canceled, cached} {
+		j := s.svc.lookup(id)
+		if j == nil {
+			t.Fatalf("job %s forgotten", id)
+		}
+		<-j.done
+		j.mu.Lock()
+		spec := j.spec
+		j.mu.Unlock()
+		if spec != nil {
+			t.Errorf("job %s still holds its parsed problem after finishing", id)
+		}
+		if j.ctx != nil && j.ctx.Err() == nil {
+			t.Errorf("job %s context still live after finishing", id)
+		}
+	}
+	if j := s.svc.lookup(computed); j.ctx == nil {
+		t.Error("computed job has no context")
+	}
+}
+
 func TestGracefulShutdownDrains(t *testing.T) {
 	svc := New(Config{Workers: 1, QueueDepth: 8})
 	ts := httptest.NewServer(svc.Handler())

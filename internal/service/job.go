@@ -24,6 +24,9 @@ func (st JobState) terminal() bool {
 
 // job is one async planning unit. The zero states flow strictly forward;
 // done is closed exactly once, when the job reaches a terminal state.
+// Reaching it also cancels ctx and drops spec: a finished job is polled
+// only for its rendered body, so it must neither pin the parsed problem
+// nor stay registered as a child of the server's base context.
 //
 // A job with runFn set is a func job: an opaque closure (a sweep unit)
 // riding the same bounded queue as plans so both workloads share one
@@ -72,9 +75,8 @@ func newFuncJob(ctx context.Context, fn func(ctx context.Context)) *job {
 }
 
 // newDoneJob builds a job that is terminal at birth — the cache-hit path.
-func newDoneJob(spec *planSpec, body []byte) *job {
+func newDoneJob(body []byte) *job {
 	j := &job{
-		spec:     spec,
 		state:    JobDone,
 		body:     body,
 		status:   200,
@@ -104,9 +106,8 @@ func (j *job) complete(body []byte, status int) {
 	if j.state.terminal() {
 		return
 	}
-	j.state = JobDone
 	j.body, j.status = body, status
-	close(j.done)
+	j.settle(JobDone)
 }
 
 // fail moves the job to failed with an HTTP status and reason.
@@ -116,8 +117,18 @@ func (j *job) fail(status int, msg string) {
 	if j.state.terminal() {
 		return
 	}
-	j.state = JobFailed
 	j.status, j.errMsg = status, msg
+	j.settle(JobFailed)
+}
+
+// settle enters a terminal state: it releases the context and the parsed
+// problem (see job) and wakes waiters. Caller holds j.mu.
+func (j *job) settle(state JobState) {
+	j.state = state
+	j.spec = nil
+	if j.cancel != nil {
+		j.cancel()
+	}
 	close(j.done)
 }
 
@@ -132,9 +143,8 @@ func (j *job) requestCancel() JobState {
 		j.cancel()
 	}
 	if j.state == JobQueued {
-		j.state = JobCanceled
 		j.status, j.errMsg = 409, "job canceled before it started"
-		close(j.done)
+		j.settle(JobCanceled)
 	}
 	return j.state
 }

@@ -97,6 +97,21 @@ type planSpec struct {
 	key       string
 }
 
+// ReadBody buffers a request body under a byte cap, in one allocation
+// sized from Content-Length when the client sent one. An oversized body
+// fails with *http.MaxBytesError before anything decodes it. The plan
+// handlers and the fleet router both read plan bodies through it, then
+// hash and decode the same bytes.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// MinRead of slack lets ReadFrom see EOF without growing.
+		buf.Grow(int(min(n, limit)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
 // decodePlanRequest reads and validates a PlanRequest from an HTTP body.
 // Failures are *httpError values carrying the right status: malformed or
 // oversized input is the client's fault (400/413), a failing transport
@@ -118,7 +133,8 @@ func decodePlanRequest(r io.Reader) (*PlanRequest, error) {
 	return &req, nil
 }
 
-// classifyDecodeError maps a json.Decoder failure to an httpError.
+// classifyDecodeError maps a body read or json.Decoder failure to an
+// httpError.
 func classifyDecodeError(err error) error {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
@@ -240,21 +256,41 @@ func (s *Server) canonicalize(req *PlanRequest) (*planSpec, error) {
 	}, nil
 }
 
-// SpecKey parses, validates and canonicalizes a raw PlanRequest body and
-// returns its content address — the exact key the result cache uses. The
-// fleet router calls this to decide which node owns a request without
+// SpecKey returns the content address of a raw PlanRequest body — the
+// exact key the result cache uses — through the key memo (see resolveKey).
+// The fleet router calls this to decide which node owns a request without
 // running the plan; failures are the same typed *httpError values the
 // HTTP handlers map.
 func (s *Server) SpecKey(body []byte) (string, error) {
+	key, _, err := s.resolveKey(body)
+	return key, err
+}
+
+// resolveKey maps a raw PlanRequest body to its cache key. A body whose
+// exact bytes canonicalized before answers from the key memo with one
+// sha256 and no decode, parse or format, and spec is nil. Any other body
+// takes the full path: decode, canonicalize, memoize the key, and return
+// the spec too. Only successes enter the memo, so a rejected body is
+// re-validated, and rejected the same way, every time it arrives.
+func (s *Server) resolveKey(body []byte) (key string, spec *planSpec, err error) {
+	digest := sha256.Sum256(body)
+	if key, ok := s.memo.get(digest); ok {
+		return key, nil, nil
+	}
+	if spec, err = s.parseSpec(body); err != nil {
+		return "", nil, err
+	}
+	s.memo.put(digest, spec.key)
+	return spec.key, spec, nil
+}
+
+// parseSpec decodes and canonicalizes a raw PlanRequest body.
+func (s *Server) parseSpec(body []byte) (*planSpec, error) {
 	req, err := decodePlanRequest(bytes.NewReader(body))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	spec, err := s.canonicalize(req)
-	if err != nil {
-		return "", err
-	}
-	return spec.key, nil
+	return s.canonicalize(req)
 }
 
 // classifyDesignError maps a design read failure onto HTTP semantics:

@@ -18,7 +18,9 @@
 //     requests that mean the same plan (comment/whitespace differences,
 //     reordered directives that canonicalize identically, default vs
 //     explicit option values) share one cache entry. Partial results are
-//     never cached — they depend on wall-clock timing.
+//     never cached — they depend on wall-clock timing. A key memo keyed
+//     by the raw body's sha256 lets byte-identical repeats skip the
+//     decode and canonicalization that derive the key.
 //
 //   - Determinism survives the service layer. A plan is a pure function
 //     of (canonical design, normalized options); the queue order, worker
@@ -32,6 +34,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,8 +61,9 @@ type Config struct {
 	// SyncConcurrency bounds how many synchronous /plan requests may be
 	// planning at once; excess requests get 429. Default: Workers.
 	SyncConcurrency int
-	// CacheEntries bounds the content-addressed result cache (LRU).
-	// Default 128; negative disables caching.
+	// CacheEntries bounds the content-addressed result cache (LRU) and
+	// the raw-body key memo in front of it. Default 128; negative
+	// disables both.
 	CacheEntries int
 	// MaxBodyBytes bounds the request body (and so the design text).
 	// Default 1 MiB.
@@ -139,7 +143,8 @@ func (c Config) withDefaults() Config {
 // concurrent use.
 type Server struct {
 	cfg   Config
-	cache *resultCache
+	cache *lru[string, []byte]            // canonical key → rendered body
+	memo  *lru[[sha256.Size]byte, string] // sha256(raw body) → canonical key
 
 	metrics *obs.Collector
 	rec     obs.Recorder // metrics under the service/ prefix
@@ -180,6 +185,7 @@ func New(cfg Config) *Server {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.cache = newResultCache(cfg.CacheEntries, s.rec)
+	s.memo = newKeyMemo(cfg.CacheEntries, s.rec)
 	s.sweeps = sweep.NewManager(sweep.Config{
 		NodeID:           cfg.NodeID,
 		MaxSeeds:         cfg.SweepMaxSeeds,
@@ -266,7 +272,7 @@ func (s *Server) submit(j *job) error {
 }
 
 // registerDone registers a job that is already terminal (a cache hit):
-// it never touches the queue.
+// it never touches the queue and enters the retention list at once.
 func (s *Server) registerDone(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,6 +280,7 @@ func (s *Server) registerDone(j *job) error {
 		return errDraining
 	}
 	s.register(j)
+	s.retain(j)
 	s.rec.Add("jobs/submitted", 1)
 	return nil
 }
@@ -296,12 +303,17 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// finish records a job reaching a terminal state and prunes the oldest
-// finished jobs beyond the retention bound so the job map cannot grow
-// without limit under sustained traffic.
+// finish records a queued job reaching a terminal state.
 func (s *Server) finish(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.retain(j)
+}
+
+// retain appends a terminal job to the retention list and prunes the
+// oldest finished jobs beyond the bound, so the job map cannot grow
+// without limit under sustained traffic. Caller holds s.mu.
+func (s *Server) retain(j *job) {
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.MaxJobsRetained {
 		delete(s.jobs, s.finished[0])

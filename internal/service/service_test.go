@@ -32,6 +32,7 @@ func testDesign(t testing.TB, fingers int, seed int64) string {
 func specServer(maxBody int64) *Server {
 	s := &Server{cfg: Config{MaxBodyBytes: maxBody, MaxBudget: 5 * time.Second}.withDefaults()}
 	s.cache = newResultCache(s.cfg.CacheEntries, nil)
+	s.memo = newKeyMemo(s.cfg.CacheEntries, nil)
 	return s
 }
 
