@@ -359,12 +359,12 @@ row irq scl sda en vdd_pll vss_pll -
 			"dfa_density":     fmt.Sprint(dfaOnly.InitialStats.MaxDensity),
 			"final_density":   fmt.Sprint(full.FinalStats.MaxDensity),
 		}, map[string]string{
-			"assignment_hash": "0xc55ee837338c64ab",
-			"bond_len_after":  "0x40a4822e7ba87faf",
+			"assignment_hash": "0x7863b57a10c3b3b3",
+			"bond_len_after":  "0x40a48227b1231a57",
 			"bond_len_before": "0x40a4822d94fd8a62",
 			"dfa_density":     "4",
 			"final_density":   "8",
-			"omega_after":     "28",
+			"omega_after":     "23",
 			"omega_before":    "71",
 		})
 	})

@@ -1,78 +1,18 @@
 package anneal
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// pricedQuadratic is quadratic with the DeltaPricer contract: PriceMove
-// samples the identical move from the same rng stream but defers the
-// mutation to CommitMove.
-type pricedQuadratic struct {
-	quadratic
-	pendIdx int
-	pendVal int
-}
-
-func (q *pricedQuadratic) PriceMove(rng *rand.Rand) (float64, bool) {
-	i := rng.Intn(len(q.x))
-	d := 1
-	if rng.Intn(2) == 0 {
-		d = -1
-	}
-	nv := q.x[i] + d
-	q.pendIdx, q.pendVal = i, nv
-	return float64(nv*nv - q.x[i]*q.x[i]), true
-}
-
-func (q *pricedQuadratic) CommitMove() { q.x[q.pendIdx] = q.pendVal }
-func (q *pricedQuadratic) RejectMove() {}
-
-// TestDeltaPricerMatchesPropose anneals twin targets — one through the
-// legacy Propose path, one through the DeltaPricer fast path — with the
-// same seed and requires identical Stats and identical final states. This
-// is the engine-level half of the determinism contract: a pricer that
-// samples the same moves must see the same acceptance stream.
-func TestDeltaPricerMatchesPropose(t *testing.T) {
-	start := []int{9, -7, 5, 12, -3, 8}
-	legacy := &quadratic{x: append([]int(nil), start...)}
-	priced := &pricedQuadratic{quadratic: quadratic{x: append([]int(nil), start...)}}
-	sched := Schedule{InitialTemp: 50, FinalTemp: 1e-3, Cooling: 0.9, MovesPerTemp: 150}
-
-	stL, err := Minimize(legacy, legacy.cost(), sched, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stP, err := Minimize(priced, priced.cost(), sched, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stL.Priced || !stP.Priced {
-		t.Errorf("Priced flags wrong: legacy %v, priced %v", stL.Priced, stP.Priced)
-	}
-	// The Priced flag is the only permitted divergence between the paths.
-	stP.Priced = stL.Priced
-	if stL != stP {
-		t.Errorf("stats diverge:\nlegacy %+v\npriced %+v", stL, stP)
-	}
-	for i := range legacy.x {
-		if legacy.x[i] != priced.x[i] {
-			t.Errorf("x[%d]: legacy %d, priced %d", i, legacy.x[i], priced.x[i])
-		}
-	}
-	if math.Float64bits(stL.FinalCost) != math.Float64bits(stP.FinalCost) {
-		t.Errorf("FinalCost bits differ: %x vs %x",
-			math.Float64bits(stL.FinalCost), math.Float64bits(stP.FinalCost))
-	}
-}
-
 // TestDeltaPricerInfeasible checks the engine counts a PriceMove ok=false
 // as infeasible and keeps going, without calling Commit or Reject.
 type stubbornPricer struct {
-	pricedQuadratic
+	quadratic
 	refuse  int
 	refused int
+	// resolved counts CommitMove and RejectMove calls.
+	resolved int
 }
 
 func (q *stubbornPricer) PriceMove(rng *rand.Rand) (float64, bool) {
@@ -81,8 +21,11 @@ func (q *stubbornPricer) PriceMove(rng *rand.Rand) (float64, bool) {
 		rng.Intn(2) // consume something so the stream advances
 		return 0, false
 	}
-	return q.pricedQuadratic.PriceMove(rng)
+	return q.quadratic.PriceMove(rng)
 }
+
+func (q *stubbornPricer) CommitMove() { q.resolved++; q.quadratic.CommitMove() }
+func (q *stubbornPricer) RejectMove() { q.resolved++ }
 
 func TestDeltaPricerInfeasible(t *testing.T) {
 	q := &stubbornPricer{refuse: 10}
@@ -96,5 +39,8 @@ func TestDeltaPricerInfeasible(t *testing.T) {
 	}
 	if st.Proposed != 30 {
 		t.Errorf("Proposed = %d, want 30 (2 plateaus × 20 moves − 10 refused)", st.Proposed)
+	}
+	if q.resolved != st.Proposed {
+		t.Errorf("%d commits+rejects for %d priced moves", q.resolved, st.Proposed)
 	}
 }

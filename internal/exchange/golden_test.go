@@ -15,14 +15,14 @@ import (
 )
 
 // TestGoldenResults pins the exchange output bit for bit. The expected
-// values were captured from the pre-optimization code (commit 37b2514,
-// legacy apply/undo proposals with from-scratch Eq 2 recomputation); the
-// O(1) priced path must reproduce the final assignment, every Stats
-// counter, both cost floats and all RestartCosts exactly — same bits, not
-// just close — at any worker count, with or without a Recorder attached.
-// Any divergence means the incremental caches or the rng stream drifted
-// from the legacy semantics, or that instrumentation leaked into the
-// computation. The telemetry snapshot itself must also be byte-identical
+// values were captured from the single price-then-commit annealer
+// contract: a rejected move mutates nothing, and the proxy cache resyncs
+// from scratch on the commit that crosses resyncInterval. A run must
+// reproduce the final assignment, every Stats counter, both cost floats
+// and all RestartCosts exactly — same bits, not just close — at any worker
+// count, with or without a Recorder attached. Any divergence means the
+// incremental caches or the rng stream drifted from those semantics, or
+// that instrumentation leaked into the computation. The telemetry snapshot itself must also be byte-identical
 // across every instrumented cell of the matrix (the exchange emits no
 // wall-clock data, so even the workers=1 and workers=4 snapshots match).
 func TestGoldenResults(t *testing.T) {
@@ -41,47 +41,47 @@ func TestGoldenResults(t *testing.T) {
 		{"c0_t1_quick", 0, 4, 1, Options{Seed: 9, Schedule: quick},
 			0x5225c8c71e9be9d5,
 			anneal.Stats{Plateaus: 39, Proposed: 6050, Infeasible: 1750, Accepted: 3687, Uphill: 1365,
-				FinalCost: math.Float64frombits(0x3ffc9b81d574a166), BestCost: math.Float64frombits(0x3ff0000000000000)},
+				FinalCost: math.Float64frombits(0x3ffc9b81d574a16e), BestCost: math.Float64frombits(0x3ff0000000000000)},
 			0, []uint64{0x3ffc9b81d574a160}},
 		{"c0_t4_quick", 0, 4, 4, Options{Seed: 5, Schedule: quick},
 			0xd3f8873e9624f24f,
 			anneal.Stats{Plateaus: 39, Proposed: 6321, Infeasible: 1479, Accepted: 3223, Uphill: 445,
-				FinalCost: math.Float64frombits(0x400c74c15e2dd917), BestCost: math.Float64frombits(0x3ff6666666666666)},
+				FinalCost: math.Float64frombits(0x400c74c15e2dd914), BestCost: math.Float64frombits(0x3ff6666666666666)},
 			0, []uint64{0x400c74c15e2dd916}},
 		{"c1_t1_full", 1, 3, 1, Options{Seed: 9},
 			0x6e32160134a52817,
 			anneal.Stats{Plateaus: 111, Proposed: 57837, Infeasible: 13203, Accepted: 32020, Uphill: 11923,
-				FinalCost: math.Float64frombits(0x3ffbd4eb49bc1097), BestCost: math.Float64frombits(0x3ff0000000000000)},
+				FinalCost: math.Float64frombits(0x3ffbd4eb49bc1064), BestCost: math.Float64frombits(0x3ff0000000000000)},
 			0, []uint64{0x3ffbd4eb49bc1094}},
 		{"c1_t1_restarts", 1, 3, 1, Options{Seed: 9, Restarts: 3},
 			0x6e32160134a52817,
 			anneal.Stats{Plateaus: 111, Proposed: 57837, Infeasible: 13203, Accepted: 32020, Uphill: 11923,
-				FinalCost: math.Float64frombits(0x3ffbd4eb49bc1097), BestCost: math.Float64frombits(0x3ff0000000000000)},
-			0, []uint64{0x3ffbd4eb49bc1094, 0x4005a4de0848e7fa, 0x3ffbd4eb49bc1094}},
+				FinalCost: math.Float64frombits(0x3ffbd4eb49bc1064), BestCost: math.Float64frombits(0x3ff0000000000000)},
+			0, []uint64{0x3ffbd4eb49bc1094, 0x4005a4de0848e7fa, 0x3ffbdb8c03505ccd}},
 		{"c2_t4_full", 2, 1, 4, Options{Seed: 1},
 			0xeacd4b87b1cf95f5,
 			anneal.Stats{Plateaus: 111, Proposed: 72513, Infeasible: 19839, Accepted: 55520, Uphill: 8346,
 				FinalCost: math.Float64frombits(0x40258349c6578b02), BestCost: math.Float64frombits(0x3ff6666666666666)},
 			0, []uint64{0x40258349c6578b01}},
 		{"c2_t4_restarts4", 2, 1, 4, Options{Seed: 1, Restarts: 4},
-			0xd27d0fe2ac4a8825,
-			anneal.Stats{Plateaus: 111, Proposed: 73116, Infeasible: 19236, Accepted: 57471, Uphill: 8214,
-				FinalCost: math.Float64frombits(0x402579f83ce4dfae), BestCost: math.Float64frombits(0x3ff6666666666666)},
-			3, []uint64{0x40258349c6578b01, 0x4025862a78ea56fe, 0x40257cc95e510a99, 0x402579f83ce4dfa5}},
+			0xd17ae8002bde605d,
+			anneal.Stats{Plateaus: 111, Proposed: 72739, Infeasible: 19613, Accepted: 55984, Uphill: 8311,
+				FinalCost: math.Float64frombits(0x402076f2841fb743), BestCost: math.Float64frombits(0x3ff6666666666666)},
+			2, []uint64{0x40258349c6578b01, 0x4025822b42062e5d, 0x402076f2841fb73d, 0x402579f83ce4dfa5}},
 		{"c2_t4_topline", 2, 1, 4, Options{Seed: 1, TopLineOnly: true},
-			0x856f4223369bc149,
-			anneal.Stats{Plateaus: 111, Proposed: 71235, Infeasible: 21117, Accepted: 55737, Uphill: 8005,
-				FinalCost: math.Float64frombits(0x402078360ea3704b), BestCost: math.Float64frombits(0x3ff64c64c64c64c6)},
-			0, []uint64{0x402078360ea3704c}},
+			0x142618cb07be5ad7,
+			anneal.Stats{Plateaus: 111, Proposed: 71697, Infeasible: 20655, Accepted: 55696, Uphill: 8029,
+				FinalCost: math.Float64frombits(0x40206a3bc0776f41), BestCost: math.Float64frombits(0x3ff64c64c64c64c6)},
+			0, []uint64{0x40206a3bc0776f43}},
 		{"c0_t1_norange", 0, 4, 1, Options{Seed: 1, Schedule: quick, DisableRangeConstraint: true},
-			0x47d4f07c68f9a9c5,
-			anneal.Stats{Plateaus: 39, Proposed: 7615, Infeasible: 185, Accepted: 5400, Uphill: 1902,
-				FinalCost: math.Float64frombits(0x40057a7fa21bdfbf), BestCost: math.Float64frombits(0x3ff0000000000000)},
-			0, []uint64{0x40057a7fa21bdfba}},
+			0x6d216f9c041c5efb,
+			anneal.Stats{Plateaus: 39, Proposed: 7609, Infeasible: 191, Accepted: 5368, Uphill: 1905,
+				FinalCost: math.Float64frombits(0x4005863c2624ad1f), BestCost: math.Float64frombits(0x3ff0000000000000)},
+			0, []uint64{0x4005863c2624ad1d}},
 		{"c3_t2_weights", 3, 5, 2, Options{Seed: 7, Schedule: quick, Lambda: 2, Rho: 0.5, Phi: 1.1},
 			0xa1cdb5d7adc9de03,
 			anneal.Stats{Plateaus: 39, Proposed: 6309, Infeasible: 1491, Accepted: 5365, Uphill: 858,
-				FinalCost: math.Float64frombits(0x401206c56b17015c), BestCost: math.Float64frombits(0x4008cccccccccccd)},
+				FinalCost: math.Float64frombits(0x401206c56b170159), BestCost: math.Float64frombits(0x4008cccccccccccd)},
 			0, []uint64{0x401206c56b17015b}},
 	}
 	for _, tc := range cases {
@@ -174,9 +174,10 @@ func TestGoldenResults(t *testing.T) {
 
 // TestGoldenPortfolioResults extends the golden matrix with portfolio-on
 // cells: two pinned configs, each run at workers 1 and 4 with and without a
-// Recorder. The legacy cells above stay untouched — the nil-Portfolio path
-// never enters the bandit — so together the two tests prove the dispatch is
-// exactly "nil ⇒ legacy, non-nil ⇒ bandit" with both sides bit-stable.
+// Recorder. The fixed-budget cells above never enter the bandit (their
+// Portfolio is nil), so together the two tests prove the dispatch is
+// exactly "nil ⇒ fixed-budget restarts, non-nil ⇒ bandit" with both sides
+// bit-stable.
 func TestGoldenPortfolioResults(t *testing.T) {
 	quick := anneal.Schedule{InitialTemp: 0.5, FinalTemp: 1e-3, Cooling: 0.85, MovesPerTemp: 200}
 	cases := []struct {

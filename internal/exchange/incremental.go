@@ -10,22 +10,16 @@ import (
 	"copack/internal/stack"
 )
 
-// The annealer prices ~10⁵ moves per run, and pricing a move twice per
-// proposal with full recomputation of the pad-gap proxy (O(s log s)) and of
-// ω (O(α)) dominates the runtime. This file maintains both incrementally:
-// an adjacent swap moves at most one supply pad by one ring slot (its rank
-// among supply pads cannot change) and touches at most two ω groups, so
-// each is an O(1) update. Floating-point drift from the proxy deltas is
-// bounded by resyncing the cache from scratch every resyncInterval applies.
-//
-// Two access paths share the caches. The legacy path (apply/moveSupply)
-// mutates on every proposal and undoes rejections by applying the swap
-// again. The priced path (priceSupplyMove + commitSupply/rejectSupply)
-// evaluates a proposal without mutating and only commits on acceptance —
-// but it reproduces the legacy path's floating-point history bit for bit,
-// including the add-then-subtract rounding a rejected apply/undo pair
-// leaves in the proxy cache and the periodic resyncs (which clear it), so
-// a run is byte-identical whichever path the annealer uses.
+// The annealer prices ~10⁵ moves per run, and pricing a move with full
+// recomputation of the pad-gap proxy (O(s log s)) and of ω (O(α)) would
+// dominate the runtime. This file maintains both incrementally: an adjacent
+// swap moves at most one supply pad by one ring slot (its rank among supply
+// pads cannot change) and touches at most two ω groups, so each is an O(1)
+// update. A move is priced without mutating anything (priceSupplyMove,
+// priceTierSwap) and written to the caches only when committed
+// (commitSupply, commitTierSwap), so a rejected move leaves no trace.
+// Floating-point drift from the proxy deltas is bounded by resyncing the
+// cache from scratch on every resyncInterval-th committed supply move.
 
 const resyncInterval = 4096
 
@@ -55,6 +49,7 @@ type tracker struct {
 	omega  int
 	groups int
 
+	// applies counts committed supply-pad moves.
 	applies int
 	// resyncs counts from-scratch proxy recomputations (every
 	// resyncInterval applies, plus the explicit selection-time resync).
@@ -99,29 +94,18 @@ func newTracker(p *core.Problem, a *core.Assignment, isSupply *[bga.NumSides][]b
 	return tr
 }
 
-// resyncProxy recomputes the cached proxy from scratch.
+// resyncProxy recomputes the cached proxy from scratch, into the reusable
+// scratch buffer so a resync inside the hot loop allocates nothing.
 func (tr *tracker) resyncProxy() {
 	tr.resyncs++
-	tr.proxy = tr.resyncCost(-1, 0)
-}
-
-// resyncCost computes the from-scratch proxy into the reusable scratch
-// buffer, reading rank r's pad (when r >= 0) as if it sat at global index
-// g instead — which is how the priced path resyncs at a hypothetical
-// post-move position without mutating supplyIdx.
-func (tr *tracker) resyncCost(r, g int) float64 {
 	ts := tr.tsBuf[:0]
-	for i, gi := range tr.supplyIdx {
-		if i == r {
-			gi = g
-		}
+	for _, gi := range tr.supplyIdx {
 		ts = append(ts, tr.tGlobal[gi])
 	}
 	tr.tsBuf = ts
-	// supplyIdx is sorted by global index, an adjacent move cannot cross
-	// another supply pad, and tGlobal is increasing in global index, so
-	// ts is already sorted.
-	return power.ProxyCost(ts)
+	// supplyIdx is sorted by global index and tGlobal is increasing in
+	// global index, so ts is already sorted.
+	tr.proxy = power.ProxyCost(ts)
 }
 
 // circGap returns the circular distance from a to b going forward.
@@ -133,99 +117,46 @@ func circGap(a, b float64) float64 {
 	return d
 }
 
-// moveSupply updates the proxy for a supply pad moving from global index
-// gi to the adjacent global index gj (the legacy mutating path).
-func (tr *tracker) moveSupply(gi, gj int) {
-	r := tr.rankOf[gi]
-	if r < 0 {
-		return
-	}
-	n := len(tr.supplyIdx)
-	if n == 1 {
-		// A single pad's cost is one full-circle gap regardless of
-		// position.
-		tr.supplyIdx[0] = gj
-		tr.rankOf[gi] = -1
-		tr.rankOf[gj] = 0
-		return
-	}
-	prev := tr.supplyIdx[(r-1+n)%n]
-	next := tr.supplyIdx[(r+1)%n]
-	tOld, tNew := tr.tGlobal[gi], tr.tGlobal[gj]
-	tPrev, tNext := tr.tGlobal[prev], tr.tGlobal[next]
-	oldCost := sq(circGap(tPrev, tOld)) + sq(circGap(tOld, tNext))
-	newCost := sq(circGap(tPrev, tNew)) + sq(circGap(tNew, tNext))
-	tr.proxy += newCost - oldCost
-	tr.supplyIdx[r] = gj
-	tr.rankOf[gi] = -1
-	tr.rankOf[gj] = r
-
-	tr.applies++
-	if tr.applies%resyncInterval == 0 {
-		tr.resyncProxy()
-	}
-}
-
 func sq(v float64) float64 { return v * v }
 
-// supplyPend is a priced supply-pad move. proxyAccept/appliesAccept are
-// the cache values after committing the move; proxyReject/appliesReject
-// after rejecting it. The reject values are not simply "unchanged": the
-// legacy path undoes a rejection with a second apply, whose add-then-
-// subtract leaves (proxy + d) − d rounding in the cache and advances the
-// resync counter by two — reproducing that exactly is what keeps priced
-// runs byte-identical to legacy runs.
+// supplyPend is a priced supply-pad move: the pad of the given rank moves
+// from global index gFrom to gTo, and proxy is the cache value after the
+// move is committed.
 type supplyPend struct {
-	moved       bool
-	gFrom, gTo  int
-	rank        int
-	proxyAccept float64
-	proxyReject float64
-	appliesAcc  int
-	appliesRej  int
+	moved      bool
+	gFrom, gTo int
+	rank       int
+	proxy      float64
 }
 
 // priceSupplyMove prices the supply pad at global index gFrom moving to
-// the adjacent index gTo without mutating anything. O(1) except on a
-// resync boundary, where it recomputes from scratch exactly as the legacy
-// path would (amortized O(1), allocation-free either way).
+// the adjacent index gTo in O(1), without mutating anything.
 func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
 	r := tr.rankOf[gFrom]
 	if r < 0 {
 		return supplyPend{}
 	}
+	sp := supplyPend{moved: true, gFrom: gFrom, gTo: gTo, rank: r, proxy: tr.proxy}
 	n := len(tr.supplyIdx)
 	if n == 1 {
-		// The legacy single-pad branch moves the position without
-		// touching proxy or the resync counter.
-		return supplyPend{moved: true, gFrom: gFrom, gTo: gTo, rank: 0,
-			proxyAccept: tr.proxy, proxyReject: tr.proxy,
-			appliesAcc: tr.applies, appliesRej: tr.applies}
+		// A single pad's cost is one full-circle gap regardless of
+		// position.
+		return sp
 	}
+	// An adjacent move cannot cross another supply pad, so only the two
+	// gaps around the moving pad change.
 	prev := tr.supplyIdx[(r-1+n)%n]
 	next := tr.supplyIdx[(r+1)%n]
 	tOld, tNew := tr.tGlobal[gFrom], tr.tGlobal[gTo]
 	tPrev, tNext := tr.tGlobal[prev], tr.tGlobal[next]
 	oldCost := sq(circGap(tPrev, tOld)) + sq(circGap(tOld, tNext))
 	newCost := sq(circGap(tPrev, tNew)) + sq(circGap(tNew, tNext))
-	pa := tr.proxy + (newCost - oldCost)
-	aa := tr.applies + 1
-	if aa%resyncInterval == 0 {
-		pa = tr.resyncCost(r, gTo)
-	}
-	// The legacy undo recomputes the two gap costs at the swapped
-	// position; those expressions are bit-identical to newCost/oldCost
-	// above, so the undo delta is exactly (oldCost − newCost).
-	pr := pa + (oldCost - newCost)
-	ar := aa + 1
-	if ar%resyncInterval == 0 {
-		pr = tr.resyncCost(-1, 0)
-	}
-	return supplyPend{moved: true, gFrom: gFrom, gTo: gTo, rank: r,
-		proxyAccept: pa, proxyReject: pr, appliesAcc: aa, appliesRej: ar}
+	sp.proxy += newCost - oldCost
+	return sp
 }
 
-// commitSupply applies a priced supply move to the caches.
+// commitSupply applies a priced supply move to the caches, resyncing the
+// proxy from scratch on every resyncInterval-th commit.
 func (tr *tracker) commitSupply(sp supplyPend) {
 	if !sp.moved {
 		return
@@ -233,22 +164,11 @@ func (tr *tracker) commitSupply(sp supplyPend) {
 	tr.supplyIdx[sp.rank] = sp.gTo
 	tr.rankOf[sp.gFrom] = -1
 	tr.rankOf[sp.gTo] = sp.rank
-	tr.proxy = sp.proxyAccept
-	// The priced path resyncs inside priceSupplyMove (resyncCost), which
-	// bypasses resyncProxy; count the boundaries this commit crosses.
-	tr.resyncs += sp.appliesAcc/resyncInterval - tr.applies/resyncInterval
-	tr.applies = sp.appliesAcc
-}
-
-// rejectSupply absorbs the rounding and resync-counter advance a legacy
-// apply/undo pair would have produced, leaving positions untouched.
-func (tr *tracker) rejectSupply(sp supplyPend) {
-	if !sp.moved {
-		return
+	tr.proxy = sp.proxy
+	tr.applies++
+	if tr.applies%resyncInterval == 0 {
+		tr.resyncProxy()
 	}
-	tr.proxy = sp.proxyReject
-	tr.resyncs += sp.appliesRej/resyncInterval - tr.applies/resyncInterval
-	tr.applies = sp.appliesRej
 }
 
 // groupOmega computes the zero-bit count of one ω group.
@@ -288,25 +208,6 @@ func (tr *tracker) groupOmegaSwapped(group, gi, gj int) int {
 	return bits.OnesCount64(full &^ union)
 }
 
-// swapTiers updates ω for a swap of the adjacent global indices gi, gj
-// (the legacy mutating path).
-func (tr *tracker) swapTiers(gi, gj int) {
-	if tr.psi <= 1 {
-		return
-	}
-	ga, gb := gi/tr.psi, gj/tr.psi
-	before := tr.groupOmega(ga)
-	if gb != ga {
-		before += tr.groupOmega(gb)
-	}
-	tr.tiers[gi], tr.tiers[gj] = tr.tiers[gj], tr.tiers[gi]
-	after := tr.groupOmega(ga)
-	if gb != ga {
-		after += tr.groupOmega(gb)
-	}
-	tr.omega += after - before
-}
-
 // priceTierSwap returns the ω value after swapping the adjacent global
 // indices gi, gj, without mutating. A within-group swap cannot change a
 // group's tier union, so only boundary swaps do any work.
@@ -330,24 +231,6 @@ func (tr *tracker) commitTierSwap(gi, gj, omega int) {
 	}
 	tr.tiers[gi], tr.tiers[gj] = tr.tiers[gj], tr.tiers[gi]
 	tr.omega = omega
-}
-
-// apply updates the caches for the swap of slots i and j (1-based) on a
-// side, given the supply flags *after* the state swap was applied (the
-// legacy mutating path; the annealer's fast path prices then commits).
-func (tr *tracker) apply(side bga.Side, i, j int, isSupply []bool) {
-	gi, gj := tr.globalOf[side][i-1], tr.globalOf[side][j-1]
-	// After the swap, isSupply[i-1] holds what was at j and vice versa.
-	supI, supJ := isSupply[i-1], isSupply[j-1]
-	switch {
-	case supI && !supJ:
-		// The pad that is now at i came from j.
-		tr.moveSupply(gj, gi)
-	case supJ && !supI:
-		tr.moveSupply(gi, gj)
-		// Both or neither supply: gaps unchanged.
-	}
-	tr.swapTiers(gi, gj)
 }
 
 // verify recomputes everything from scratch (test hook).

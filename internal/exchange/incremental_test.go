@@ -10,11 +10,11 @@ import (
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/gen"
-	"copack/internal/netlist"
 )
 
-// Drive the tracker with thousands of random legal adjacent swaps and
-// verify its caches against full recomputation throughout.
+// Drive the tracker with thousands of random legal adjacent swaps, priced
+// and committed, and verify its caches against full recomputation
+// throughout.
 func TestTrackerMatchesFullRecompute(t *testing.T) {
 	for _, tiers := range []int{1, 4} {
 		p := gen.MustBuild(gen.Table1()[1], gen.Options{Seed: 2, Tiers: tiers})
@@ -22,20 +22,7 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := &state{p: p, a: a.Clone(), opt: Options{}}
-		for _, side := range bga.Sides() {
-			st.sections[side] = newSectionData(p, side, st.a.Slots[side], false)
-			slots := st.a.Slots[side]
-			if len(slots) >= 2 {
-				st.sides = append(st.sides, side)
-			}
-			sup := make([]bool, len(slots))
-			for i, id := range slots {
-				sup[i] = p.Circuit.Net(id).Class == netlist.Power
-			}
-			st.isSupply[side] = sup
-		}
-		st.trk = newTracker(p, st.a, &st.isSupply)
+		st := newState(p, a, Options{}.withDefaults(p), nil)
 
 		rng := rand.New(rand.NewSource(7))
 		for k := 0; k < 5000; k++ {
@@ -48,7 +35,8 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 			if ba.Y == bb.Y {
 				continue // keep it legal, like the real move generator
 			}
-			st.apply(side, i, j)
+			st.price(side, i, j)
+			st.CommitMove()
 			if k%250 == 0 {
 				wantProxy, wantOmega := st.trk.verify(p, st.a, nil)
 				if math.Abs(st.trk.proxy-wantProxy) > 1e-6*wantProxy+1e-12 {
@@ -106,33 +94,25 @@ func TestTrackerDriftBoundedAfterFullAnneal(t *testing.T) {
 	}
 }
 
-// Applying a swap and immediately reverting it must restore the caches
-// (modulo the bounded proxy drift, which resync clears).
+// Committing a swap and then its inverse must restore the caches (modulo
+// the bounded proxy drift, which resync clears).
 func TestTrackerRevertible(t *testing.T) {
 	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 3, Tiers: 2})
 	a, err := assign.DFA(p, assign.DFAOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &state{p: p, a: a.Clone(), opt: Options{}}
-	for _, side := range bga.Sides() {
-		st.sections[side] = newSectionData(p, side, st.a.Slots[side], false)
-		slots := st.a.Slots[side]
-		sup := make([]bool, len(slots))
-		for i, id := range slots {
-			sup[i] = p.Circuit.Net(id).Class == netlist.Power
-		}
-		st.isSupply[side] = sup
-	}
-	st.trk = newTracker(p, st.a, &st.isSupply)
+	st := newState(p, a, Options{}.withDefaults(p), nil)
 
 	proxy0, omega0 := st.trk.proxy, st.trk.omega
 	rng := rand.New(rand.NewSource(4))
 	for k := 0; k < 200; k++ {
 		side := bga.Sides()[rng.Intn(4)]
 		i := 1 + rng.Intn(len(st.a.Slots[side])-1)
-		st.apply(side, i, i+1)
-		st.apply(side, i, i+1) // revert
+		st.price(side, i, i+1)
+		st.CommitMove()
+		st.price(side, i, i+1) // the inverse swap
+		st.CommitMove()
 		if st.trk.omega != omega0 {
 			t.Fatalf("step %d: omega drifted %d -> %d", k, omega0, st.trk.omega)
 		}

@@ -10,13 +10,10 @@ import (
 	"copack/internal/core"
 )
 
-// This file is the annealer's fast path: anneal.DeltaPricer implemented so
-// that one proposal costs one O(1) evaluation and zero allocations, and a
+// This file implements anneal.Target for the exchange state: pick a pad
+// per Fig 14 (any pad for stacking ICs, a supply pad for 2-D), swap it with
+// a random neighbor, and price the swap in O(1) with zero allocations. A
 // rejected move — the vast majority at low temperature — mutates nothing.
-// The legacy Propose path applies every proposal and undoes rejections
-// with a second apply; both paths sample identical moves from the same
-// rng stream and produce bit-identical cost deltas and caches, which the
-// pricing equivalence tests pin down.
 
 // pendMove is the move priced by the last PriceMove call, held in the
 // state (not a closure) so resolving it allocates nothing.
@@ -30,10 +27,9 @@ type pendMove struct {
 	omega  int // trk.omega after a commit
 }
 
-// PriceMove implements anneal.DeltaPricer: it samples exactly the move
-// Propose would for the same rng stream, but prices it in O(1) without
-// mutating the state. CommitMove or RejectMove must resolve it before the
-// next call.
+// PriceMove implements anneal.Target: it samples a move and prices it
+// without mutating the state. CommitMove or RejectMove must resolve it
+// before the next call.
 func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	side, i, ok := s.pickSlot(rng)
 	if !ok {
@@ -44,15 +40,21 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 		j = i - 1
 	}
 	slots := s.a.Slots[side]
-	na, nb := slots[i-1], slots[j-1]
 	sd := &s.sections[side]
-
-	if !s.opt.DisableRangeConstraint && sd.row(na) == sd.row(nb) {
+	if !s.opt.DisableRangeConstraint && sd.row(slots[i-1]) == sd.row(slots[j-1]) {
 		// Same horizontal line: swapping would invert the via order
 		// (range constraint).
 		return 0, false
 	}
+	return s.price(side, i, j), true
+}
 
+// price returns the cost delta of swapping the adjacent slots i and j
+// (1-based, |i−j| = 1) of one side, computed in O(1) without mutating the
+// state, and holds the swap as the pending move for CommitMove.
+func (s *state) price(side bga.Side, i, j int) float64 {
+	slots := s.a.Slots[side]
+	sd := &s.sections[side]
 	before := s.cost()
 
 	// Eq 2: the swap perturbs at most two sections of one line.
@@ -81,7 +83,7 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	}
 	proxyAcc := s.trk.proxy
 	if sup.moved {
-		proxyAcc = sup.proxyAccept
+		proxyAcc = sup.proxy
 	}
 
 	// ω: at most two tier groups change.
@@ -90,7 +92,7 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	after := s.costWith(side, idAcc, proxyAcc, omegaAcc)
 	s.pend = pendMove{side: side, i: i, j: j, gi: gi, gj: gj,
 		sec: sec, idAcc: idAcc, sup: sup, omega: omegaAcc}
-	return after - before, true
+	return after - before
 }
 
 // CommitMove applies the last priced move to the state and every cache.
@@ -106,13 +108,9 @@ func (s *state) CommitMove() {
 	s.trk.commitTierSwap(p.gi, p.gj, p.omega)
 }
 
-// RejectMove abandons the last priced move. Nothing was mutated, but the
-// proxy cache still absorbs the add-then-subtract rounding (and resync
-// schedule) the legacy apply/undo pair would have produced, so priced runs
-// stay byte-identical to legacy runs.
-func (s *state) RejectMove() {
-	s.trk.rejectSupply(s.pend.sup)
-}
+// RejectMove abandons the last priced move. Pricing mutated nothing, so
+// there is nothing to undo.
+func (s *state) RejectMove() {}
 
 // costWith is cost() with one side's Eq 2 term, the proxy and ω replaced
 // by priced values — the identical arithmetic, so a priced after-cost is

@@ -93,10 +93,11 @@ func checkSections(t *testing.T, st *state, step int) {
 }
 
 // TestSectionsIncrementalMatchesScratch drives 10k random legal adjacent
-// swaps — with interleaved apply/apply undo pairs, like a rejecting
-// annealer — and verifies that the incremental per-line section counts,
-// worst-growth multiset and idCache exactly equal from-scratch
-// sectionData.id throughout. Run under -race in CI.
+// swaps through price + commit — a third of them immediately reversed by
+// pricing and committing the same swap again — and verifies that the
+// incremental per-line section counts, worst-growth multiset and idCache
+// exactly equal from-scratch sectionData.id throughout. Run under -race in
+// CI.
 func TestSectionsIncrementalMatchesScratch(t *testing.T) {
 	configs := []struct {
 		name    string
@@ -124,9 +125,11 @@ func TestSectionsIncrementalMatchesScratch(t *testing.T) {
 				if sameLine && !cfg.opt.DisableRangeConstraint {
 					continue // keep it legal, like the real move generator
 				}
-				st.apply(side, i, j)
+				st.price(side, i, j)
+				st.CommitMove()
 				if rng.Intn(3) == 0 {
-					st.apply(side, i, j) // interleaved undo, like a rejection
+					st.price(side, i, j) // the inverse swap
+					st.CommitMove()
 				}
 				if k%500 == 0 {
 					checkSections(t, st, k)
@@ -188,25 +191,34 @@ func statesEqual(t *testing.T, step int, a, b *state) {
 	}
 }
 
-// TestPriceMoveEquivalentToPropose drives two twin states through the two
-// proposal paths — legacy apply-then-maybe-undo Propose vs mutation-free
-// PriceMove — with identical rng streams and shared accept decisions, and
-// asserts bitwise-equal deltas plus full state equality (slots, idCache,
-// proxy bits, applies counter, omega, supply ranks) after every move. This
-// is the determinism contract the golden test observes end to end, checked
-// at its root.
-func TestPriceMoveEquivalentToPropose(t *testing.T) {
+// TestRejectedMovesAreInvisible drives twin states through the same
+// committed moves; between commits the second twin also prices and rejects
+// extra moves drawn from a separate rng. A rejection must leave no trace,
+// so after every step the twins must agree bit for bit — slots, idCache,
+// proxy bits, applies counter, omega, supply ranks and tiers — including
+// across a resyncInterval boundary.
+func TestRejectedMovesAreInvisible(t *testing.T) {
 	for _, tiers := range []int{1, 4} {
-		st1 := newTestState(t, 2, 1, tiers, Options{})
-		st2 := newTestState(t, 2, 1, tiers, Options{})
+		plain := newTestState(t, 2, 1, tiers, Options{})
+		noisy := newTestState(t, 2, 1, tiers, Options{})
 		rng1 := rand.New(rand.NewSource(17))
 		rng2 := rand.New(rand.NewSource(17))
-		dec := rand.New(rand.NewSource(99)) // shared accept decisions
-
-		moves := 3 * resyncInterval / 2 // cross a resync boundary both ways
-		for k := 0; k < moves; k++ {
-			d1, revert, ok1 := st1.Propose(rng1)
-			d2, ok2 := st2.PriceMove(rng2)
+		extra := rand.New(rand.NewSource(99)) // the rejected moves
+		rejected := 0
+		for k := 0; plain.trk.applies <= resyncInterval+64; k++ {
+			if k > 100*resyncInterval {
+				t.Fatalf("tiers=%d: %d supply moves after %d steps; resync boundary never reached",
+					tiers, plain.trk.applies, k)
+			}
+			for r := extra.Intn(3); r > 0; r-- {
+				if _, ok := noisy.PriceMove(extra); ok {
+					noisy.RejectMove()
+					rejected++
+					statesEqual(t, k, plain, noisy)
+				}
+			}
+			d1, ok1 := plain.PriceMove(rng1)
+			d2, ok2 := noisy.PriceMove(rng2)
 			if ok1 != ok2 {
 				t.Fatalf("tiers=%d step %d: ok %v vs %v", tiers, k, ok1, ok2)
 			}
@@ -217,17 +229,13 @@ func TestPriceMoveEquivalentToPropose(t *testing.T) {
 				t.Fatalf("tiers=%d step %d: delta bits %#016x vs %#016x",
 					tiers, k, math.Float64bits(d1), math.Float64bits(d2))
 			}
-			if dec.Intn(2) == 0 {
-				st2.CommitMove()
-			} else {
-				revert()
-				st2.RejectMove()
-			}
-			if k%97 == 0 || k == moves-1 {
-				statesEqual(t, k, st1, st2)
-			}
+			plain.CommitMove()
+			noisy.CommitMove()
+			statesEqual(t, k, plain, noisy)
 		}
-		statesEqual(t, moves, st1, st2)
+		if rejected == 0 {
+			t.Fatalf("tiers=%d: no move was rejected", tiers)
+		}
 	}
 }
 

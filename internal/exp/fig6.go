@@ -148,9 +148,14 @@ func Fig6(seed int64, quick bool) (*Fig6Result, error) {
 // proxy is hot-spot blind). Moves slide one pad along the perimeter; uphill
 // acceptance lets pads migrate toward the hot spots.
 type padTarget struct {
-	pos  []int // perimeter positions
+	pos  []int   // perimeter positions
+	cur  float64 // solved drop of pos
 	g    power.GridSpec
 	best []int // lowest-drop positions seen (anneal.Snapshotter)
+	// pend and pendDrop are the last priced move: the moved positions and
+	// their solved drop.
+	pend     []int
+	pendDrop float64
 }
 
 // Snapshot implements anneal.Snapshotter: Fig 6's cost is the pure solved
@@ -159,43 +164,49 @@ func (s *padTarget) Snapshot() {
 	s.best = append(s.best[:0], s.pos...)
 }
 
-func (s *padTarget) pads() []power.Pad {
-	out := make([]power.Pad, len(s.pos))
-	for i, p := range s.pos {
+func (s *padTarget) pads(pos []int) []power.Pad {
+	out := make([]power.Pad, len(pos))
+	for i, p := range pos {
 		out[i] = power.BoundaryNode(s.g, p)
 	}
 	return out
 }
 
-func (s *padTarget) drop() (float64, error) {
-	sol, err := power.Solve(s.g, s.pads(), power.SolveOptions{})
+func (s *padTarget) drop(pos []int) (float64, error) {
+	sol, err := power.Solve(s.g, s.pads(pos), power.SolveOptions{})
 	if err != nil {
 		return 0, err
 	}
 	return sol.MaxDrop(), nil
 }
 
-// Propose implements anneal.Target: slide one pad 1-3 boundary nodes.
-func (s *padTarget) Propose(rng *rand.Rand) (float64, func(), bool) {
+// PriceMove implements anneal.Target: slide one pad 1-3 boundary nodes and
+// solve the moved pad set, priced against the cached current drop.
+func (s *padTarget) PriceMove(rng *rand.Rand) (float64, bool) {
 	perim := power.Perimeter(s.g)
 	k := rng.Intn(len(s.pos))
 	step := 1 + rng.Intn(3) // 1..3 nodes per move
 	if rng.Intn(2) == 0 {
 		step = -step
 	}
-	before, err := s.drop()
+	s.pend = append(s.pend[:0], s.pos...)
+	s.pend[k] = ((s.pos[k]+step)%perim + perim) % perim
+	after, err := s.drop(s.pend)
 	if err != nil {
-		return 0, nil, false
+		return 0, false
 	}
-	old := s.pos[k]
-	s.pos[k] = ((old+step)%perim + perim) % perim
-	after, err := s.drop()
-	if err != nil {
-		s.pos[k] = old
-		return 0, nil, false
-	}
-	return after - before, func() { s.pos[k] = old }, true
+	s.pendDrop = after
+	return after - s.cur, true
 }
+
+// CommitMove implements anneal.Target: the priced positions become current.
+func (s *padTarget) CommitMove() {
+	s.pos, s.pend = s.pend, s.pos
+	s.cur = s.pendDrop
+}
+
+// RejectMove implements anneal.Target; pricing mutated nothing.
+func (s *padTarget) RejectMove() {}
 
 // annealPads runs the solver-driven pad-location exchange of Fig 6,
 // starting from the given pad set.
@@ -212,10 +223,11 @@ func annealPads(start []power.Pad, g power.GridSpec, seed int64, movesPerTemp in
 		}
 	}
 	st := &padTarget{pos: pos, g: g}
-	d0, err := st.drop()
+	d0, err := st.drop(pos)
 	if err != nil {
 		return nil, err
 	}
+	st.cur = d0
 	sched := anneal.Schedule{
 		InitialTemp:  0.15 * d0,
 		FinalTemp:    0.002 * d0,
@@ -228,5 +240,5 @@ func annealPads(start []power.Pad, g power.GridSpec, seed int64, movesPerTemp in
 	if st.best != nil {
 		st.pos = st.best
 	}
-	return st.pads(), nil
+	return st.pads(st.pos), nil
 }

@@ -2,8 +2,11 @@ package route
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/core"
 	"copack/internal/gen"
@@ -262,5 +265,72 @@ func TestBallOrderAlwaysLegalProperty(t *testing.T) {
 		if _, err := Evaluate(p, a); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// evaluatorShapes are three package sizes for the Evaluator arena tests.
+func evaluatorShapes() []gen.TestCircuit {
+	return []gen.TestCircuit{
+		{Name: "tiny", Fingers: 16, BallSpace: 1, FingerW: 0.1, FingerH: 0.1, FingerSpace: 0.1},
+		{Name: "mid", Fingers: 64, BallSpace: 1, FingerW: 0.1, FingerH: 0.1, FingerSpace: 0.1},
+		{Name: "big", Fingers: 192, BallSpace: 1, FingerW: 0.1, FingerH: 0.1, FingerSpace: 0.1},
+	}
+}
+
+// The Evaluator arena must reproduce the one-shot Evaluate bit for bit,
+// across repeated evaluations of different assignments.
+func TestEvaluatorMatchesEvaluate(t *testing.T) {
+	var e Evaluator
+	for _, sh := range evaluatorShapes() {
+		p := gen.MustBuild(sh, gen.Options{Seed: 11})
+		rng := rand.New(rand.NewSource(5))
+		orders := make([]*core.Assignment, 0, 3)
+		if a, err := assign.DFA(p, assign.DFAOptions{}); err == nil {
+			orders = append(orders, a)
+		}
+		if a, err := assign.IFA(p); err == nil {
+			orders = append(orders, a)
+		}
+		if a, err := assign.Random(p, rng); err == nil {
+			orders = append(orders, a)
+		}
+		for k, a := range orders {
+			want, err := Evaluate(p, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Evaluate(p, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s order %d: evaluator diverges from Evaluate", sh.Name, k)
+			}
+		}
+	}
+}
+
+// After the first evaluation of a package shape, the arena is warm and an
+// evaluation allocates nothing.
+func TestEvaluatorZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	p := gen.MustBuild(evaluatorShapes()[2], gen.Options{Seed: 2})
+	a, err := assign.DFA(p, assign.DFAOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e Evaluator
+	if _, err := e.Evaluate(p, a); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := e.Evaluate(p, a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("warm evaluator allocates %.2f objects/run, want 0", avg)
 	}
 }
