@@ -208,7 +208,7 @@ func TestSweepGoldenAcrossFleetShapes(t *testing.T) {
 				if got := resp.Header.Get(nodeHeader); got != "a" {
 					t.Errorf("stream served by %q, want coordinator a", got)
 				}
-				var last sweep.Event
+				var last service.Event
 				progress := 0
 				sc := bufio.NewScanner(resp.Body)
 				for sc.Scan() {
@@ -219,11 +219,11 @@ func TestSweepGoldenAcrossFleetShapes(t *testing.T) {
 					if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {
 						t.Fatal(err)
 					}
-					if last.Type == sweep.EventProgress {
+					if last.Type == service.EventProgress {
 						progress++
 					}
 				}
-				if last.Type != sweep.EventDone {
+				if last.Type != service.EventDone {
 					t.Errorf("proxied stream ended with %s, want done", last.Type)
 				}
 				if progress != len(seeds) {

@@ -68,6 +68,13 @@ func writeHTTPError(w http.ResponseWriter, err error) {
 	errorBody(w, http.StatusInternalServerError, err.Error())
 }
 
+// writeDraining refuses work during a drain: 503 plus the queue
+// advertisement, so fleet peers stop sending work here.
+func (s *Server) writeDraining(w http.ResponseWriter) {
+	s.setQueueHeader(w)
+	errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		s.setQueueHeader(w)
@@ -126,8 +133,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planS
 // than stacking goroutines.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
-		s.setQueueHeader(w)
-		errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.writeDraining(w)
 		return
 	}
 	spec, cached, ok := s.decodeSpec(w, r)
@@ -187,28 +193,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var j *job
+	j := newJob(s.baseCtx, planJob)
 	if cached != nil {
-		j = newDoneJob(cached)
-		if err := s.registerDone(j); err != nil {
-			s.setQueueHeader(w)
-			errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
+		j.cacheHit = true
+		j.mu.Lock()
+		j.settle(JobDone, http.StatusOK, cached, "")
+		j.mu.Unlock()
 	} else {
-		j = newJob(s.baseCtx, spec)
-		switch err := s.submit(j); {
-		case errors.Is(err, errQueueFull):
-			s.rec.Add("jobs/rejected", 1)
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
-			s.setQueueHeader(w)
-			errorBody(w, http.StatusTooManyRequests, "job queue full; retry later")
-			return
-		case errors.Is(err, errDraining):
-			s.setQueueHeader(w)
-			errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
+		j.spec = spec
+	}
+	switch err := s.submit(j); {
+	case errors.Is(err, errQueueFull):
+		s.rec.Add("jobs/rejected", 1)
+		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		s.setQueueHeader(w)
+		errorBody(w, http.StatusTooManyRequests, "job queue full; retry later")
+		return
+	case errors.Is(err, errDraining):
+		s.writeDraining(w)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/jobs/"+j.id)
@@ -232,16 +235,22 @@ type statusResponse struct {
 	ResultURL string   `json:"result_url,omitempty"`
 }
 
-func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) *job {
-	j := s.lookup(r.PathValue("id"))
+// jobFromPath looks up the path's job of the given kind, answering 404
+// when there is none.
+func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request, kind jobKind) *job {
+	j := s.lookup(r.PathValue("id"), kind)
 	if j == nil {
-		errorBody(w, http.StatusNotFound, "unknown job id")
+		if kind == sweepJob {
+			errorBody(w, http.StatusNotFound, "unknown sweep id")
+		} else {
+			errorBody(w, http.StatusNotFound, "unknown job id")
+		}
 	}
 	return j
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFromPath(w, r)
+	j := s.jobFromPath(w, r, planJob)
 	if j == nil {
 		return
 	}
@@ -261,7 +270,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFromPath(w, r)
+	j := s.jobFromPath(w, r, planJob)
 	if j == nil {
 		return
 	}
@@ -276,12 +285,16 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// errCanceledByClient is the cancel cause DELETE attaches; a canceled
+// sweep reports it as its reason.
+var errCanceledByClient = errors.New("canceled by client")
+
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFromPath(w, r)
+	j := s.jobFromPath(w, r, planJob)
 	if j == nil {
 		return
 	}
-	state := j.requestCancel()
+	state := j.requestCancel(errCanceledByClient)
 	w.Header().Set("Content-Type", "application/json")
 	body, _ := json.Marshal(statusResponse{ID: j.id, State: state})
 	w.Write(append(body, '\n'))

@@ -433,11 +433,13 @@ func TestFinishedJobReleasesContextAndSpec(t *testing.T) {
 	cached := submit(body)
 
 	for _, id := range []string{computed, canceled, cached} {
-		j := s.svc.lookup(id)
+		j := s.svc.lookup(id, planJob)
 		if j == nil {
 			t.Fatalf("job %s forgotten", id)
 		}
-		<-j.done
+		if err := j.wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		j.mu.Lock()
 		spec := j.spec
 		j.mu.Unlock()
@@ -448,7 +450,7 @@ func TestFinishedJobReleasesContextAndSpec(t *testing.T) {
 			t.Errorf("job %s context still live after finishing", id)
 		}
 	}
-	if j := s.svc.lookup(computed); j.ctx == nil {
+	if j := s.svc.lookup(computed, planJob); j.ctx == nil {
 		t.Error("computed job has no context")
 	}
 }
@@ -507,7 +509,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	// Both jobs are terminal: nothing was lost in the drain.
 	for _, id := range []string{sub1.ID, sub2.ID} {
-		j := svc.lookup(id)
+		j := svc.lookup(id, planJob)
 		if j == nil {
 			t.Fatalf("job %s forgotten during drain", id)
 		}

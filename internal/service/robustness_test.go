@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -66,14 +67,14 @@ func TestRequestBodyCapOverHTTP(t *testing.T) {
 // pressure: base at idle, 5× base when the queue is full.
 func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	s := &Server{cfg: Config{QueueDepth: 8, RetryAfter: 2 * time.Second}.withDefaults()}
-	s.queue = make(chan *job, s.cfg.QueueDepth)
+	s.queue = make(chan func(), s.cfg.QueueDepth)
 
 	fill := func(n int) {
 		for len(s.queue) > 0 {
 			<-s.queue
 		}
 		for i := 0; i < n; i++ {
-			s.queue <- &job{}
+			s.queue <- func() {}
 		}
 	}
 	cases := []struct {
@@ -93,14 +94,15 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 
 	// Sub-second bases round up to 1 so the header is never "0".
 	s2 := &Server{cfg: Config{QueueDepth: 8, RetryAfter: 100 * time.Millisecond}.withDefaults()}
-	s2.queue = make(chan *job, s2.cfg.QueueDepth)
+	s2.queue = make(chan func(), s2.cfg.QueueDepth)
 	if got := s2.retryAfterSeconds(); got != "1" {
 		t.Errorf("sub-second base: Retry-After %s, want 1", got)
 	}
 }
 
-// TestNodeIDPrefixesJobIDs checks both job registration paths stamp the
-// configured node prefix, and that standalone servers keep the bare form.
+// TestNodeIDPrefixesJobIDs checks every job registration path — queued
+// plan, cache-hit plan, sweep — stamps the configured node prefix, and
+// that standalone servers keep the bare form.
 func TestNodeIDPrefixesJobIDs(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 1, NodeID: "alpha"})
 	design := testDesign(t, 24, 2)
@@ -136,6 +138,10 @@ func TestNodeIDPrefixesJobIDs(t *testing.T) {
 	if !strings.HasPrefix(second, "alpha-j") {
 		t.Errorf("cache-hit job id %q lacks the alpha- prefix", second)
 	}
+	sweepID := regexp.MustCompile(`^(alpha-)?s\d{8}$`)
+	if id := submitSweep(t, srv, sweepBody("table2", []int64{1}, 2)); !sweepID.MatchString(id) || !strings.HasPrefix(id, "alpha-") {
+		t.Errorf("sweep id %q, want alpha-sNNNNNNNN", id)
+	}
 
 	plain := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Post(plain.ts.URL+"/jobs", "application/json", strings.NewReader(string(body)))
@@ -151,5 +157,8 @@ func TestNodeIDPrefixesJobIDs(t *testing.T) {
 	}
 	if !strings.HasPrefix(sub.ID, "j") || strings.Contains(sub.ID, "-") {
 		t.Errorf("standalone job id %q, want bare jNNNNNNNN", sub.ID)
+	}
+	if id := submitSweep(t, plain, sweepBody("table2", []int64{1}, 2)); !sweepID.MatchString(id) || strings.Contains(id, "-") {
+		t.Errorf("standalone sweep id %q, want bare sNNNNNNNN", id)
 	}
 }

@@ -28,6 +28,16 @@
 //     yields a byte-identical solution body however it is scheduled. The
 //     golden tests in http_test.go lock this down.
 //
+// Plans (/jobs) and distributed sweeps (/sweeps, computed by
+// internal/sweep) share one job lifecycle: one job type, one registry,
+// one retention list and one drain. Every job keeps an append-only event
+// log. A sweep's log streams as GET /sweeps/{id}/events: one tick per
+// completed unit (units_done strictly increasing), optional log lines
+// from the harness's per-unit progress callbacks, and exactly one
+// terminal event (done, failed or canceled — including on server drain),
+// which is what lets a client tail the stream without ever seeing it end
+// silently.
+//
 // See cmd/fpserved for the binary and DESIGN.md for why determinism holds
 // across queue interleavings.
 package service
@@ -38,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -76,8 +87,9 @@ type Config struct {
 	// independence, so this only trades per-job latency against cross-job
 	// throughput. Default 1 (jobs are the unit of parallelism here).
 	PlanWorkers int
-	// MaxJobsRetained bounds the finished-job history kept for polling;
-	// the oldest finished jobs are forgotten first. Default 1024.
+	// MaxJobsRetained bounds the finished-job history kept for polling,
+	// plans and sweeps in one list; the oldest finished jobs are
+	// forgotten first. Default 1024.
 	MaxJobsRetained int
 	// RetryAfter is the base Retry-After hint attached to 429 responses;
 	// the rendered hint scales up with current queue depth (see
@@ -90,15 +102,6 @@ type Config struct {
 	NodeID string
 	// SweepMaxSeeds caps a sweep's unit count. Default 64.
 	SweepMaxSeeds int
-	// SweepRetained bounds the finished-sweep history kept for polling.
-	// Default 64.
-	SweepRetained int
-	// SweepShardBatch is how many units ride in one forwarded sweep
-	// shard. Default 1 (finest progress granularity).
-	SweepShardBatch int
-	// SweepLocalConcurrency bounds how many of one sweep's units may
-	// occupy the job queue at once. Default 2.
-	SweepLocalConcurrency int
 	// SweepHeartbeat is the idle interval between keep-alive comments on
 	// a sweep event stream. Default 15s.
 	SweepHeartbeat time.Duration
@@ -146,17 +149,18 @@ type Server struct {
 	cache *lru[string, []byte]            // canonical key → rendered body
 	memo  *lru[[sha256.Size]byte, string] // sha256(raw body) → canonical key
 
-	metrics *obs.Collector
-	rec     obs.Recorder // metrics under the service/ prefix
+	metrics  *obs.Collector
+	rec      obs.Recorder // metrics under the service/ prefix
+	sweepRec obs.Recorder // metrics under the sweep/ prefix
 
 	sweeps *sweep.Manager // distributed sweep coordinator (internal/sweep)
 
 	baseCtx    context.Context // canceled on Shutdown: running jobs wind down
 	baseCancel context.CancelFunc
 
-	queue   chan *job
-	syncSem chan struct{} // bounds concurrent synchronous /plan work
-	wg      sync.WaitGroup
+	queue   chan func()    // plans and sweep units, run by the workers
+	syncSem chan struct{}  // bounds concurrent synchronous /plan work
+	wg      sync.WaitGroup // workers and sweep coordinators
 
 	mu       sync.Mutex
 	closed   bool // no new submissions; queue is (being) closed
@@ -176,24 +180,21 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	col := obs.NewCollector()
 	s := &Server{
-		cfg:     cfg,
-		metrics: col,
-		rec:     obs.WithPrefix(col, "service/"),
-		queue:   make(chan *job, cfg.QueueDepth),
-		syncSem: make(chan struct{}, cfg.SyncConcurrency),
-		jobs:    make(map[string]*job),
+		cfg:      cfg,
+		metrics:  col,
+		rec:      obs.WithPrefix(col, "service/"),
+		sweepRec: obs.WithPrefix(col, "sweep/"),
+		queue:    make(chan func(), cfg.QueueDepth),
+		syncSem:  make(chan struct{}, cfg.SyncConcurrency),
+		jobs:     make(map[string]*job),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.cache = newResultCache(cfg.CacheEntries, s.rec)
 	s.memo = newKeyMemo(cfg.CacheEntries, s.rec)
 	s.sweeps = sweep.NewManager(sweep.Config{
-		NodeID:           cfg.NodeID,
-		MaxSeeds:         cfg.SweepMaxSeeds,
-		MaxRetained:      cfg.SweepRetained,
-		ShardBatch:       cfg.SweepShardBatch,
-		LocalConcurrency: cfg.SweepLocalConcurrency,
-		Enqueue:          s.enqueueFunc,
-		Recorder:         obs.WithPrefix(col, "sweep/"),
+		MaxSeeds: cfg.SweepMaxSeeds,
+		Enqueue:  s.enqueueUnit,
+		Recorder: s.sweepRec,
 	})
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -207,12 +208,14 @@ func New(cfg Config) *Server {
 // serves.
 func (s *Server) MetricsSnapshot() obs.Snapshot { return s.metrics.Snapshot() }
 
-// Shutdown drains the server: new submissions are rejected with 503,
-// running jobs are canceled so they finish promptly with their
-// best-so-far Partial results, still-queued jobs run (instantly, under
-// the canceled context) to a terminal state, and the worker pool exits.
-// It returns ctx.Err if the drain outlives ctx, nil otherwise. Shutdown
-// is idempotent.
+// Shutdown drains the server: new submissions are rejected with 503 and
+// the base context is canceled, which reaches every job. Running plans
+// finish promptly with their best-so-far Partial results, still-queued
+// plans and sweep units run (instantly, under the canceled context) to a
+// terminal state, and every sweep ends with a canceled "server draining"
+// event. Shutdown then waits for the workers and sweep coordinators to
+// exit. It returns ctx.Err if the drain outlives ctx, nil otherwise.
+// Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {
@@ -221,15 +224,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	s.baseCancel()
-
-	// Sweep coordinators first: their contexts are children of baseCtx so
-	// they are already winding down; Drain waits until each has emitted
-	// its terminal canceled event. Their queued unit closures still run
-	// (instantly, under the canceled context) because the workers below
-	// drain the closed queue fully before exiting.
-	if err := s.sweeps.Drain(ctx); err != nil {
-		return err
-	}
 
 	done := make(chan struct{})
 	go func() {
@@ -251,60 +245,82 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// submit registers j and enqueues it. It returns errQueueFull when the
-// queue has no room and errDraining once Shutdown began; in both cases
-// the job was not registered.
+// submit admits a new job by its first state: a queued plan goes onto
+// the queue, a sweep starts its coordinator (which joins the drain wait)
+// and a plan born done (a cache hit) goes straight into the retention
+// list. It returns errQueueFull when the queue has no room and
+// errDraining once Shutdown began; either way the job is not registered
+// and its context is released.
 func (s *Server) submit(j *job) error {
+	first := j.state // no other goroutine sees j yet
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errDraining
+	var err error
+	switch {
+	case s.closed:
+		err = errDraining
+	case first == JobQueued:
+		err = s.enqueueLocked(func() { s.runPlan(j) })
 	}
-	select {
-	case s.queue <- j:
-	default:
-		return errQueueFull
+	if err != nil {
+		j.cancel(nil)
+		return err
 	}
-	s.register(j)
-	s.rec.Add("jobs/submitted", 1)
-	s.rec.Set("queue/depth", float64(len(s.queue)))
-	return nil
-}
-
-// registerDone registers a job that is already terminal (a cache hit):
-// it never touches the queue and enters the retention list at once.
-func (s *Server) registerDone(j *job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errDraining
-	}
-	s.register(j)
-	s.retain(j)
-	s.rec.Add("jobs/submitted", 1)
-	return nil
-}
-
-// register assigns an ID and stores the job. Caller holds s.mu.
-func (s *Server) register(j *job) {
 	s.nextID++
 	if s.cfg.NodeID != "" {
-		j.id = fmt.Sprintf("%s-j%08d", s.cfg.NodeID, s.nextID)
+		j.id = fmt.Sprintf("%s-%c%08d", s.cfg.NodeID, j.kind, s.nextID)
 	} else {
-		j.id = fmt.Sprintf("j%08d", s.nextID)
+		j.id = fmt.Sprintf("%c%08d", j.kind, s.nextID)
 	}
 	s.jobs[j.id] = j
+	s.recorder(j.kind).Add("jobs/submitted", 1)
+	switch {
+	case j.kind == sweepJob:
+		s.wg.Add(1)
+		go s.runSweep(j)
+	case first.terminal():
+		s.retain(j)
+	}
+	return nil
 }
 
-// lookup returns the job with the given ID, or nil.
-func (s *Server) lookup(id string) *job {
+// recorder returns where a kind's job counters go: service/ for plans,
+// sweep/ for sweeps.
+func (s *Server) recorder(kind jobKind) obs.Recorder {
+	if kind == sweepJob {
+		return s.sweepRec
+	}
+	return s.rec
+}
+
+// lookup returns the job of the given kind with the given ID, or nil: a
+// sweep ID is unknown under /jobs and a plan ID under /sweeps.
+func (s *Server) lookup(id string, kind jobKind) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
+	if j := s.jobs[id]; j != nil && j.kind == kind {
+		return j
+	}
+	return nil
 }
 
-// finish records a queued job reaching a terminal state.
-func (s *Server) finish(j *job) {
+// outcomeCounters names the jobs/ counter each terminal state counts in.
+var outcomeCounters = map[JobState]string{
+	JobDone:     "jobs/completed",
+	JobFailed:   "jobs/failed",
+	JobCanceled: "jobs/canceled",
+}
+
+// finish is where a queued plan's worker or a sweep's coordinator lets
+// go of its job: it settles the job (the first settle wins, so a plan
+// canceled while queued stays canceled), counts the outcome and enters
+// the job in the retention list.
+func (s *Server) finish(j *job, state JobState, status int, body []byte, msg string) {
+	j.mu.Lock()
+	j.settle(state, status, body, msg)
+	final := j.state
+	j.mu.Unlock()
+	s.recorder(j.kind).Add(outcomeCounters[final], 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.retain(j)
@@ -324,32 +340,37 @@ func (s *Server) retain(j *job) {
 // worker drains the queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
+	for run := range s.queue {
 		s.rec.Set("queue/depth", float64(len(s.queue)))
 		if s.testHookJobStart != nil {
 			s.testHookJobStart()
 		}
-		s.runJob(j)
+		run()
 	}
 }
 
-// enqueueFunc is the sweep manager's path onto the job queue: sweep units
-// compete with plans for the same bounded capacity, so one backpressure
-// budget governs both workloads. Never blocks; the manager owns the
-// retry policy.
-func (s *Server) enqueueFunc(ctx context.Context, fn func(ctx context.Context)) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// enqueueLocked offers run to the queue without blocking. Plans and sweep
+// units share the queue, so one backpressure budget governs both
+// workloads. Caller holds s.mu.
+func (s *Server) enqueueLocked(run func()) error {
 	if s.closed {
-		return sweep.ErrDraining
+		return errDraining
 	}
 	select {
-	case s.queue <- newFuncJob(ctx, fn):
+	case s.queue <- run:
 		s.rec.Set("queue/depth", float64(len(s.queue)))
 		return nil
 	default:
-		return sweep.ErrQueueFull
+		return errQueueFull
 	}
+}
+
+// enqueueUnit is the sweep manager's path onto the job queue (a
+// sweep.Enqueue). It never blocks; the manager owns the retry policy.
+func (s *Server) enqueueUnit(fn func()) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.enqueueLocked(fn)
 }
 
 // QueueInfo reports the job queue's current depth and capacity plus
@@ -362,32 +383,44 @@ func (s *Server) QueueInfo() (depth, capacity int, draining bool) {
 }
 
 // Sweeps exposes the sweep manager so the fleet router can install its
-// dispatcher and serve forwarded shards.
+// dispatcher.
 func (s *Server) Sweeps() *sweep.Manager { return s.sweeps }
 
-// runJob executes one queued job to a terminal state. Func jobs (sweep
-// units) carry their own lifecycle; everything else is a plan.
-func (s *Server) runJob(j *job) {
-	if j.runFn != nil {
-		j.runFn(j.runCtx)
-		return
-	}
+// runPlan executes one queued plan job to a terminal state.
+func (s *Server) runPlan(j *job) {
 	if !j.begin() {
-		// Canceled while queued: terminal already.
-		s.rec.Add("jobs/canceled", 1)
-		s.finish(j)
+		// Canceled while queued: requestCancel settled it already.
+		s.finish(j, JobCanceled, 0, nil, "")
 		return
 	}
 	body, status, errMsg := s.plan(j.ctx, j.spec)
-	switch {
-	case errMsg == "":
-		j.complete(body, status)
-		s.rec.Add("jobs/completed", 1)
-	default:
-		j.fail(status, errMsg)
-		s.rec.Add("jobs/failed", 1)
+	if errMsg != "" {
+		s.finish(j, JobFailed, status, nil, errMsg)
+		return
 	}
-	s.finish(j)
+	s.finish(j, JobDone, status, body, "")
+}
+
+// runSweep is a sweep's coordinator goroutine: it runs the sweep to its
+// end and settles the job. A canceled sweep's reason is its context's
+// cause: "canceled by client" from DELETE, or "server draining" when
+// Shutdown canceled the base context. A unit refused by the closing queue
+// is the same drain, seen just before the base context is canceled.
+func (s *Server) runSweep(j *job) {
+	defer s.wg.Done()
+	body, err := s.sweeps.Run(j.ctx, j.sweep, j)
+	switch {
+	case err == nil:
+		s.finish(j, JobDone, http.StatusOK, body, "")
+	case j.ctx.Err() != nil || errors.Is(err, sweep.ErrDraining):
+		msg := "server draining"
+		if cause := context.Cause(j.ctx); cause != nil && !errors.Is(cause, context.Canceled) {
+			msg = cause.Error()
+		}
+		s.finish(j, JobCanceled, http.StatusConflict, nil, msg)
+	default:
+		s.finish(j, JobFailed, http.StatusInternalServerError, nil, err.Error())
+	}
 }
 
 // plan runs one planning job and renders its response body. On success it
@@ -439,10 +472,11 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 	return body, 200, ""
 }
 
-// sentinel submission outcomes.
+// The queue's two refusals. They are the sweep.Enqueue sentinels because
+// sweep units ride the same queue.
 var (
-	errQueueFull = errors.New("service: job queue full")
-	errDraining  = errors.New("service: shutting down")
+	errQueueFull = sweep.ErrQueueFull
+	errDraining  = sweep.ErrDraining
 )
 
 // retryAfterSeconds renders the Retry-After hint (whole seconds, min 1).

@@ -20,7 +20,7 @@ import (
 // sseEvent is one parsed frame of a text/event-stream body.
 type sseEvent struct {
 	Type string
-	Data sweep.Event
+	Data Event
 }
 
 // readSSE consumes an event stream to EOF, returning the typed frames and
@@ -94,12 +94,12 @@ func TestSweepSSEStreamDeterministicShape(t *testing.T) {
 			t.Errorf("event %d: SSE type %q but data type %q", i, e.Type, e.Data.Type)
 		}
 		switch e.Data.Type {
-		case sweep.EventProgress:
+		case EventProgress:
 			if e.Data.UnitsDone != lastTick+1 {
 				t.Errorf("tick %d -> %d, want strictly increasing by 1", lastTick, e.Data.UnitsDone)
 			}
 			lastTick = e.Data.UnitsDone
-		case sweep.EventDone, sweep.EventFailed, sweep.EventCanceled:
+		case EventDone, EventFailed, EventCanceled:
 			terminals++
 			if i != len(events)-1 {
 				t.Errorf("terminal event at position %d of %d", i, len(events))
@@ -112,7 +112,7 @@ func TestSweepSSEStreamDeterministicShape(t *testing.T) {
 	if terminals != 1 {
 		t.Errorf("%d terminal events, want exactly 1", terminals)
 	}
-	if events[len(events)-1].Data.Type != sweep.EventDone {
+	if events[len(events)-1].Data.Type != EventDone {
 		t.Errorf("stream ended with %s, want done", events[len(events)-1].Data.Type)
 	}
 
@@ -140,10 +140,10 @@ func TestSweepSSEStreamDeterministicShape(t *testing.T) {
 			return false
 		}
 		var st struct {
-			State sweep.State `json:"state"`
+			State JobState `json:"state"`
 		}
 		json.Unmarshal(data, &st)
-		return st.State.Terminal()
+		return st.State.terminal()
 	})
 	_, rbody2 := s.get(t, "/sweeps/"+id2+"/result")
 	if !bytes.Equal(rbody, rbody2) {
@@ -162,6 +162,7 @@ func TestSweepRequestValidation(t *testing.T) {
 		{`{"kind":"table2","num_seeds":2,"typo":true}`, 400},
 		{`{"kind":"table2","num_seeds":5}`, 400}, // over SweepMaxSeeds
 		{`{"kind":"table3","num_seeds":2,"random_tries":3}`, 400},
+		{`{"kind":"table2","seeds":[1],"random_tries":2000000000}`, 400}, // over MaxRandomTries
 		{``, 400},
 	}
 	for _, tc := range cases {
@@ -213,10 +214,10 @@ func TestSweepClientDisconnectLeaksNothing(t *testing.T) {
 	waitFor(t, func() bool {
 		_, data := s.get(t, "/sweeps/"+id)
 		var st struct {
-			State sweep.State `json:"state"`
+			State JobState `json:"state"`
 		}
 		json.Unmarshal(data, &st)
-		return st.State == sweep.StateDone
+		return st.State == JobDone
 	})
 }
 
@@ -264,7 +265,7 @@ func TestSweepDrainEmitsCleanTerminalEvent(t *testing.T) {
 		t.Fatal("drained stream delivered no events")
 	}
 	last := res.events[len(res.events)-1]
-	if last.Data.Type != sweep.EventCanceled {
+	if last.Data.Type != EventCanceled {
 		t.Fatalf("stream ended with %s, want canceled", last.Data.Type)
 	}
 	if last.Data.Error != "server draining" {
@@ -401,7 +402,7 @@ func TestPlanPortfolioOption(t *testing.T) {
 
 // pollSweepState polls GET /sweeps/{id} until the state is terminal and
 // returns the final status body.
-func pollSweepState(t *testing.T, s *testServer, id string) (sweep.State, []byte) {
+func pollSweepState(t *testing.T, s *testServer, id string) (JobState, []byte) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -410,12 +411,12 @@ func pollSweepState(t *testing.T, s *testServer, id string) (sweep.State, []byte
 			t.Fatalf("GET /sweeps/%s: %d: %s", id, resp.StatusCode, data)
 		}
 		var st struct {
-			State sweep.State `json:"state"`
+			State JobState `json:"state"`
 		}
 		if err := json.Unmarshal(data, &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State.Terminal() {
+		if st.State.terminal() {
 			return st.State, data
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -446,8 +447,8 @@ func TestSweepCancelEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st struct {
-		ID    string      `json:"id"`
-		State sweep.State `json:"state"`
+		ID    string   `json:"id"`
+		State JobState `json:"state"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -459,7 +460,7 @@ func TestSweepCancelEndpoint(t *testing.T) {
 
 	close(gate)
 	state, _ := pollSweepState(t, s, id)
-	if state != sweep.StateCanceled {
+	if state != JobCanceled {
 		t.Fatalf("state %s, want canceled", state)
 	}
 	respRes, dataRes := s.get(t, "/sweeps/"+id+"/result")
@@ -470,18 +471,15 @@ func TestSweepCancelEndpoint(t *testing.T) {
 
 func TestSweepResultFailedState(t *testing.T) {
 	// A spec the HTTP validator would reject, submitted straight to the
-	// manager: the result endpoint maps the failed state to a 500.
+	// server: the result endpoint maps the failed state to a 500.
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, SweepHeartbeat: time.Hour})
-	j, err := s.svc.Sweeps().Submit(context.Background(), &sweep.Spec{Kind: "nope", Seeds: []int64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submitSpec(t, s.svc, &sweep.Spec{Kind: "nope", Seeds: []int64{1}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := j.Wait(ctx); err != nil {
+	if err := j.wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp, data := s.get(t, "/sweeps/"+j.ID+"/result")
+	resp, data := s.get(t, "/sweeps/"+j.id+"/result")
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "unknown kind") {
 		t.Fatalf("result of failed sweep: %d %s", resp.StatusCode, data)
 	}
@@ -525,6 +523,7 @@ func TestSweepShardEndpoint(t *testing.T) {
 		{"unknown field", `{"spec":{"kind":"table2","seeds":[1],"random_tries":2},"units":[0],"extra":1}`},
 		{"out-of-range unit", shard(5)},
 		{"empty units", shard()},
+		{"random_tries over cap", `{"spec":{"kind":"table2","seeds":[1],"random_tries":2000000000},"units":[0]}`},
 	} {
 		resp, data := s.post(t, "/sweeps/shard", bad.body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -44,8 +44,7 @@ func (s *Server) writeSweepError(w http.ResponseWriter, err error) {
 	case errors.As(err, &he):
 		errorBody(w, he.Status, he.Msg)
 	case errors.Is(err, sweep.ErrDraining):
-		s.setQueueHeader(w)
-		errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.writeDraining(w)
 	default:
 		errorBody(w, http.StatusInternalServerError, err.Error())
 	}
@@ -53,12 +52,12 @@ func (s *Server) writeSweepError(w http.ResponseWriter, err error) {
 
 // sweepSubmitResponse is the 202 body of POST /sweeps.
 type sweepSubmitResponse struct {
-	ID        string      `json:"id"`
-	State     sweep.State `json:"state"`
-	Units     int         `json:"units"`
-	StatusURL string      `json:"status_url"`
-	EventsURL string      `json:"events_url"`
-	ResultURL string      `json:"result_url"`
+	ID        string   `json:"id"`
+	State     JobState `json:"state"`
+	Units     int      `json:"units"`
+	StatusURL string   `json:"status_url"`
+	EventsURL string   `json:"events_url"`
+	ResultURL string   `json:"result_url"`
 }
 
 // handleSweepSubmit accepts a sweep: decode strictly, normalize, start
@@ -75,12 +74,13 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeSweepError(w, err)
 		return
 	}
-	j, err := s.sweeps.Submit(s.baseCtx, sp)
-	if err != nil {
+	j := newJob(s.baseCtx, sweepJob)
+	j.sweep = sp
+	if err := s.submit(j); err != nil {
 		s.writeSweepError(w, err)
 		return
 	}
-	view := j.Snapshot()
+	view := j.snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/sweeps/"+view.ID)
 	w.WriteHeader(http.StatusAccepted)
@@ -98,23 +98,15 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // sweepStatusResponse is the body of GET /sweeps/{id} and DELETE
 // /sweeps/{id}.
 type sweepStatusResponse struct {
-	ID         string      `json:"id"`
-	State      sweep.State `json:"state"`
-	UnitsDone  int         `json:"units_done"`
-	UnitsTotal int         `json:"units_total"`
-	Error      string      `json:"error,omitempty"`
-	ResultURL  string      `json:"result_url,omitempty"`
+	ID         string   `json:"id"`
+	State      JobState `json:"state"`
+	UnitsDone  int      `json:"units_done"`
+	UnitsTotal int      `json:"units_total"`
+	Error      string   `json:"error,omitempty"`
+	ResultURL  string   `json:"result_url,omitempty"`
 }
 
-func (s *Server) sweepFromPath(w http.ResponseWriter, r *http.Request) *sweep.Job {
-	j := s.sweeps.Lookup(r.PathValue("id"))
-	if j == nil {
-		errorBody(w, http.StatusNotFound, "unknown sweep id")
-	}
-	return j
-}
-
-func sweepStatus(view sweep.View) sweepStatusResponse {
+func sweepStatus(view jobView) sweepStatusResponse {
 	resp := sweepStatusResponse{
 		ID:         view.ID,
 		State:      view.State,
@@ -122,52 +114,52 @@ func sweepStatus(view sweep.View) sweepStatusResponse {
 		UnitsTotal: view.UnitsTotal,
 		Error:      view.ErrMsg,
 	}
-	if view.State == sweep.StateDone {
+	if view.State == JobDone {
 		resp.ResultURL = "/sweeps/" + view.ID + "/result"
 	}
 	return resp
 }
 
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.sweepFromPath(w, r)
+	j := s.jobFromPath(w, r, sweepJob)
 	if j == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	body, _ := json.Marshal(sweepStatus(j.Snapshot()))
+	body, _ := json.Marshal(sweepStatus(j.snapshot()))
 	w.Write(append(body, '\n'))
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	j := s.sweepFromPath(w, r)
+	j := s.jobFromPath(w, r, sweepJob)
 	if j == nil {
 		return
 	}
-	view := j.Snapshot()
+	view := j.snapshot()
 	switch view.State {
-	case sweep.StateDone:
+	case JobDone:
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(view.Body)
-	case sweep.StateFailed:
-		errorBody(w, http.StatusInternalServerError, view.ErrMsg)
-	case sweep.StateCanceled:
-		errorBody(w, http.StatusConflict, "sweep canceled: "+view.ErrMsg)
+	case JobFailed:
+		errorBody(w, view.Status, view.ErrMsg)
+	case JobCanceled:
+		errorBody(w, view.Status, "sweep canceled: "+view.ErrMsg)
 	default:
 		errorBody(w, http.StatusConflict, "sweep not finished; poll /sweeps/"+view.ID+" or stream /sweeps/"+view.ID+"/events")
 	}
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.sweepFromPath(w, r)
+	j := s.jobFromPath(w, r, sweepJob)
 	if j == nil {
 		return
 	}
-	j.Cancel(errors.New("canceled by client"))
+	j.requestCancel(errCanceledByClient)
 	// Cancellation is asynchronous: in-flight units finish, then the
 	// coordinator emits the terminal canceled event. Report the state as
 	// it stands; clients watch the event stream for the terminal event.
 	w.Header().Set("Content-Type", "application/json")
-	body, _ := json.Marshal(sweepStatus(j.Snapshot()))
+	body, _ := json.Marshal(sweepStatus(j.snapshot()))
 	w.Write(append(body, '\n'))
 }
 
@@ -178,7 +170,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 // client disconnects — it holds no server state, so disconnects leak
 // nothing.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.sweepFromPath(w, r)
+	j := s.jobFromPath(w, r, sweepJob)
 	if j == nil {
 		return
 	}
@@ -197,7 +189,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	defer ticker.Stop()
 	idx := 0
 	for {
-		events, changed, terminal := j.EventsSince(idx)
+		events, changed, terminal := j.eventsSince(idx)
 		for _, e := range events {
 			data, _ := json.Marshal(e)
 			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
@@ -229,15 +221,12 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	s.rec.Add("requests/sweeps-shard", 1)
 	if s.draining() {
-		s.setQueueHeader(w)
-		errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.writeDraining(w)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	var sr sweep.ShardRequest
-	if err := dec.Decode(&sr); err != nil {
-		errorBody(w, http.StatusBadRequest, fmt.Sprintf("decoding shard request: %v", err))
+	sr, err := sweep.DecodeShard(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		s.writeSweepError(w, err)
 		return
 	}
 	// The shard obeys both the coordinator (request context: its
@@ -248,7 +237,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	resp, err := s.sweeps.RunShardLocal(ctx, &sr)
+	resp, err := s.sweeps.RunShardLocal(ctx, sr)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.setQueueHeader(w)

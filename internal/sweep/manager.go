@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,22 +12,18 @@ import (
 )
 
 // Enqueue submits fn to the host's bounded execution queue; fn later runs
-// on a queue worker. The sentinel errors tell the manager how to react:
-// ErrQueueFull means back off and retry (the queue sheds load, the sweep
-// absorbs the wait), ErrDraining means the host is shutting down and the
-// sweep should wind down to a canceled terminal event.
-type Enqueue func(ctx context.Context, fn func(ctx context.Context)) error
+// on a queue worker. The sentinel errors tell the coordinator how to
+// react: ErrQueueFull means back off and retry (the queue sheds load, the
+// sweep absorbs the wait), ErrDraining means the host is shutting down:
+// Run winds down and returns an error wrapping it, which the host reports
+// as a canceled sweep.
+type Enqueue func(fn func()) error
 
-// Sentinel outcomes of an Enqueue attempt. The service layer maps its own
-// queue sentinels onto these.
+// Sentinel outcomes of an Enqueue attempt.
 var (
 	ErrQueueFull = errors.New("sweep: execution queue full")
 	ErrDraining  = errors.New("sweep: host draining")
 )
-
-// errServerDraining is the cancel cause Drain attaches, rendered into the
-// terminal canceled event.
-var errServerDraining = errors.New("server draining")
 
 // Dispatcher gives a Manager its fleet: consistent-hash unit placement
 // plus remote shard execution and the fleet-wide admission signal. A nil
@@ -51,25 +46,21 @@ type Dispatcher interface {
 	RunShard(ctx context.Context, node string, sr ShardRequest) (*ShardResponse, error)
 }
 
+// Progress receives a running sweep's completions. Calls arrive
+// concurrently, from whichever goroutine finished the work, and none
+// arrives after Run returns.
+type Progress interface {
+	// Unit reports that unit i finished, computed by node.
+	Unit(i int, node string)
+	// Log forwards one of the harness's per-row progress lines.
+	Log(line string)
+}
+
 // Config tunes a Manager. The zero value of everything but Enqueue is
 // usable standalone.
 type Config struct {
-	// NodeID prefixes sweep job IDs ("a-s00000001") so a fleet router can
-	// route polls and streams to the coordinator. Empty means standalone.
-	NodeID string
 	// MaxSeeds caps a sweep's unit count (400 beyond it). Default 64.
 	MaxSeeds int
-	// MaxRetained bounds the finished-sweep history kept for polling.
-	// Default 64.
-	MaxRetained int
-	// ShardBatch is how many units ride in one forwarded shard request.
-	// Small batches keep progress ticks granular and bound what one dead
-	// peer can delay; default 1.
-	ShardBatch int
-	// LocalConcurrency bounds how many of a sweep's units may sit in the
-	// local execution queue at once, so one sweep cannot monopolize the
-	// queue plans share. Default 2.
-	LocalConcurrency int
 	// Enqueue submits unit closures to the host's bounded queue.
 	// Required.
 	Enqueue Enqueue
@@ -77,54 +68,34 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxSeeds == 0 {
-		c.MaxSeeds = 64
-	}
-	if c.MaxRetained <= 0 {
-		c.MaxRetained = 64
-	}
-	if c.ShardBatch <= 0 {
-		c.ShardBatch = 1
-	}
-	if c.LocalConcurrency <= 0 {
-		c.LocalConcurrency = 2
-	}
-	return c
-}
+// localConcurrency bounds how many of one sweep's (or one shard's) units
+// may sit in the local execution queue at once, so one sweep cannot
+// monopolize the queue plans share.
+const localConcurrency = 2
 
 // enqueueRetryDelay is how long the coordinator waits before re-offering
 // a unit to a full queue. The queue bounds memory, not the sweep: a sweep
 // absorbs backpressure by waiting where plans shed 429s.
 const enqueueRetryDelay = 2 * time.Millisecond
 
-// Manager owns a node's sweep jobs: it accepts specs, runs a coordinator
-// goroutine per job, and serves lookups for the polling/streaming
-// handlers. All methods are safe for concurrent use.
+// Manager is a node's sweep coordinator: it computes sweeps (Run) and the
+// shards peers forward to it (RunShardLocal). It keeps no per-sweep
+// state between calls; the host owns each sweep's lifecycle. All methods
+// are safe for concurrent use.
 type Manager struct {
 	cfg Config
 	rec obs.Recorder
 
 	dispMu sync.RWMutex
 	disp   Dispatcher
-
-	mu       sync.Mutex
-	closed   bool
-	jobs     map[string]*Job
-	nextID   int64
-	finished []string
-
-	wg sync.WaitGroup
 }
 
 // NewManager builds a Manager.
 func NewManager(cfg Config) *Manager {
-	cfg = cfg.withDefaults()
-	return &Manager{
-		cfg:  cfg,
-		rec:  obs.OrNop(cfg.Recorder),
-		jobs: make(map[string]*Job),
+	if cfg.MaxSeeds == 0 {
+		cfg.MaxSeeds = 64
 	}
+	return &Manager{cfg: cfg, rec: obs.OrNop(cfg.Recorder)}
 }
 
 // SetDispatcher installs the fleet dispatcher. Call before serving
@@ -144,241 +115,144 @@ func (m *Manager) dispatcher() Dispatcher {
 // MaxSeeds exposes the unit cap for request normalization.
 func (m *Manager) MaxSeeds() int { return m.cfg.MaxSeeds }
 
-// Submit registers a sweep and starts its coordinator. base should be the
-// host's drain context so Shutdown cancels every sweep.
-func (m *Manager) Submit(base context.Context, sp *Spec) (*Job, error) {
-	j := newJob(base, sp)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrDraining
+// Run computes one sweep: place every unit on the ring, forward each
+// remote unit to its owner, degrade failures to local computation, and
+// reduce in index order. It reports every completed unit and harness log
+// line to progress. Once ctx is canceled it stops scheduling, waits for
+// in-flight units and returns ctx.Err(); a unit error (including
+// ErrDraining from the host queue) fails the sweep with that error.
+func (m *Manager) Run(ctx context.Context, sp *Spec, progress Progress) ([]byte, error) {
+	r := &run{
+		m:        m,
+		ctx:      ctx,
+		sp:       sp,
+		progress: progress,
+		node:     "local",
+		results:  make([]json.RawMessage, len(sp.Seeds)),
+		sem:      make(chan struct{}, localConcurrency),
 	}
-	m.nextID++
-	if m.cfg.NodeID != "" {
-		j.ID = fmt.Sprintf("%s-s%08d", m.cfg.NodeID, m.nextID)
-	} else {
-		j.ID = fmt.Sprintf("s%08d", m.nextID)
-	}
-	m.jobs[j.ID] = j
-	m.wg.Add(1)
-	m.mu.Unlock()
-	m.rec.Add("jobs/submitted", 1)
-	go m.run(j)
-	return j, nil
-}
-
-// Lookup returns the job with the given ID, or nil.
-func (m *Manager) Lookup(id string) *Job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.jobs[id]
-}
-
-// finish records a terminal job and prunes the oldest finished sweeps
-// beyond the retention bound.
-func (m *Manager) finish(j *Job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finished = append(m.finished, j.ID)
-	for len(m.finished) > m.cfg.MaxRetained {
-		delete(m.jobs, m.finished[0])
-		m.finished = m.finished[1:]
-	}
-}
-
-// Drain stops the manager: new submissions are rejected, every running
-// sweep is canceled (its stream gets a clean terminal event naming the
-// drain), and the call waits for the coordinators to wind down or ctx to
-// expire. Idempotent.
-func (m *Manager) Drain(ctx context.Context) error {
-	m.mu.Lock()
-	m.closed = true
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		j.Cancel(errServerDraining)
-	}
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("sweep: drain: %w", ctx.Err())
-	}
-}
-
-// run is the coordinator: place units, fan shards out, degrade failures
-// to local computation, reduce in index order, terminate the event log.
-func (m *Manager) run(j *Job) {
-	defer m.wg.Done()
-	m.execute(j)
-	m.finish(j)
-	switch j.Snapshot().State {
-	case StateDone:
-		m.rec.Add("jobs/completed", 1)
-	case StateFailed:
-		m.rec.Add("jobs/failed", 1)
-	case StateCanceled:
-		m.rec.Add("jobs/canceled", 1)
-	}
-}
-
-// execute runs the placement/fan-out/reduce pipeline for one job.
-func (m *Manager) execute(j *Job) {
-	sp := j.spec
-	n := len(sp.Seeds)
-	results := make([]json.RawMessage, n)
-	var firstErr errOnce
-
 	// Place every unit: owner "" means local (standalone, or the ring
 	// walk starts at self). Grouping preserves unit index order within
-	// each shard; the per-owner goroutine launch order is sorted for tidy
-	// scheduling but is irrelevant to the result.
-	groups := map[string][]int{}
+	// each owner's list; goroutine launch order is irrelevant to the
+	// result.
 	disp := m.dispatcher()
-	if disp == nil {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		groups[""] = all
-	} else {
-		self := disp.Self()
-		for i := 0; i < n; i++ {
-			owner := disp.Preference(sp.UnitKey(i))[0]
-			if owner == self {
-				owner = ""
+	if disp != nil {
+		r.node = disp.Self()
+	}
+	groups := map[string][]int{}
+	for i := range sp.Seeds {
+		owner := ""
+		if disp != nil {
+			if p := disp.Preference(sp.UnitKey(i))[0]; p != r.node {
+				owner = p
 			}
-			groups[owner] = append(groups[owner], i)
 		}
+		groups[owner] = append(groups[owner], i)
 	}
-	peers := make([]string, 0, len(groups))
-	for p := range groups {
-		if p != "" {
-			peers = append(peers, p)
-		}
-	}
-	sort.Strings(peers)
-
-	sem := make(chan struct{}, m.cfg.LocalConcurrency)
 	var wg sync.WaitGroup
-	for _, p := range peers {
-		wg.Add(1)
-		go func(peer string, units []int) {
-			defer wg.Done()
-			m.runPeerShard(j, disp, peer, units, results, sem, &firstErr)
-		}(p, groups[p])
-	}
-	if local := groups[""]; len(local) > 0 {
+	for owner, units := range groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.runUnitsLocal(j, local, results, sem, &firstErr)
+			if owner == "" {
+				r.local(units)
+			} else {
+				r.peer(disp, owner, units)
+			}
 		}()
 	}
 	wg.Wait()
 
-	if j.ctx.Err() != nil {
-		cause := context.Cause(j.ctx)
-		msg := "server draining"
-		if cause != nil && !errors.Is(cause, context.Canceled) {
-			msg = cause.Error()
-		}
-		j.markCanceled(msg)
-		return
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if err := firstErr.get(); err != nil {
-		j.fail(err.Error())
-		return
+	if err := r.firstErr.get(); err != nil {
+		return nil, err
 	}
-	body, err := sp.Reduce(results)
-	if err != nil {
-		j.fail(err.Error())
-		return
-	}
-	j.complete(body)
+	return sp.Reduce(r.results)
 }
 
-// runPeerShard drives one owner's shard in ShardBatch-sized slices:
-// admission check → forward → on any trouble, fail the batch over to
-// local computation so a dead or saturated peer costs latency, never
-// units.
-func (m *Manager) runPeerShard(j *Job, disp Dispatcher, peer string, units []int, results []json.RawMessage, sem chan struct{}, firstErr *errOnce) {
-	for start := 0; start < len(units); start += m.cfg.ShardBatch {
-		if j.ctx.Err() != nil {
+// run is one sweep in flight: what its per-owner goroutines share. Each
+// unit index has exactly one writer into results, so the slice needs no
+// lock.
+type run struct {
+	m        *Manager
+	ctx      context.Context
+	sp       *Spec
+	progress Progress
+	node     string // the label local completions report
+	results  []json.RawMessage
+	sem      chan struct{} // bounds this sweep's units in the local queue
+	firstErr errOnce
+}
+
+// peer drives one owner's units, one unit per shard so progress ticks
+// stay granular and one dead peer delays at most one unit at a time:
+// admission check → forward → on any trouble, run the unit locally, so a
+// dead or saturated peer costs latency, never units.
+func (r *run) peer(disp Dispatcher, peer string, units []int) {
+	for _, u := range units {
+		if r.ctx.Err() != nil {
 			return
 		}
-		end := start + m.cfg.ShardBatch
-		if end > len(units) {
-			end = len(units)
-		}
-		batch := units[start:end]
-		if disp.Saturated(j.ctx, peer) {
-			m.rec.Add("admission/local-fallback", 1)
-			m.runUnitsLocal(j, batch, results, sem, firstErr)
+		if disp.Saturated(r.ctx, peer) {
+			r.m.rec.Add("admission/local-fallback", 1)
+			r.local([]int{u})
 			continue
 		}
-		resp, err := disp.RunShard(j.ctx, peer, ShardRequest{Spec: j.spec.Wire(), Units: batch})
-		if err != nil || len(resp.Results) != len(batch) {
-			if j.ctx.Err() != nil {
+		resp, err := disp.RunShard(r.ctx, peer, ShardRequest{Spec: r.sp.Wire(), Units: []int{u}})
+		if err != nil || len(resp.Results) != 1 {
+			if r.ctx.Err() != nil {
 				return
 			}
-			m.rec.Add("shards/failover-local", 1)
-			m.runUnitsLocal(j, batch, results, sem, firstErr)
+			r.m.rec.Add("shards/failover-local", 1)
+			r.local([]int{u})
 			continue
 		}
-		m.rec.Add("shards/forwarded", 1)
-		for k, u := range batch {
-			results[u] = resp.Results[k]
-			m.rec.Add("units/forwarded", 1)
-			j.tick(u, peer)
-		}
+		r.m.rec.Add("shards/forwarded", 1)
+		r.m.rec.Add("units/forwarded", 1)
+		r.results[u] = resp.Results[0]
+		r.progress.Unit(u, peer)
 	}
 }
 
-// runUnitsLocal executes units through the local bounded queue, at most
-// LocalConcurrency in flight, ticking progress per completion. Each unit
-// index has exactly one writer into results, so the slice needs no lock.
-func (m *Manager) runUnitsLocal(j *Job, units []int, results []json.RawMessage, sem chan struct{}, firstErr *errOnce) {
-	node := m.cfg.NodeID
-	if node == "" {
-		node = "local"
-	}
-	var wg sync.WaitGroup
-	for _, u := range units {
-		if j.ctx.Err() != nil {
-			break
+// local executes units through the host's bounded queue, ticking
+// progress per completion.
+func (r *run) local(units []int) {
+	bounded(r.ctx, r.sem, len(units), func(k int) {
+		u := units[k]
+		res, err := r.m.execUnit(r.ctx, r.sp, u, r.progress.Log)
+		if err != nil {
+			if r.ctx.Err() == nil {
+				r.firstErr.set(fmt.Errorf("unit %d (seed %d): %w", u, r.sp.Seeds[u], err))
+			}
+			return
 		}
+		r.results[u] = res
+		r.m.rec.Add("units/local", 1)
+		r.progress.Unit(u, r.node)
+	})
+}
+
+// bounded calls fn(k) for k = 0..n-1, each on its own goroutine, with at
+// most cap(sem) calls in flight, and starts no more once ctx is canceled.
+// It returns when every started call has returned.
+func bounded(ctx context.Context, sem chan struct{}, n int, fn func(k int)) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for k := 0; k < n && ctx.Err() == nil; k++ {
 		select {
 		case sem <- struct{}{}:
-		case <-j.ctx.Done():
-			wg.Wait()
+		case <-ctx.Done():
 			return
 		}
 		wg.Add(1)
-		go func(u int) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := m.execUnit(j.ctx, j.spec, u, j.logLine)
-			if err != nil {
-				if j.ctx.Err() == nil {
-					firstErr.set(fmt.Errorf("unit %d (seed %d): %w", u, j.spec.Seeds[u], err))
-				}
-				return
-			}
-			results[u] = res
-			m.rec.Add("units/local", 1)
-			j.tick(u, node)
-		}(u)
+			fn(k)
+		}()
 	}
-	wg.Wait()
 }
 
 // execUnit runs one unit on the host's bounded queue: offer the closure,
@@ -391,7 +265,7 @@ func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(s
 		res    json.RawMessage
 		runErr error
 	)
-	fn := func(ctx context.Context) {
+	fn := func() {
 		defer close(done)
 		if err := ctx.Err(); err != nil {
 			runErr = err
@@ -400,7 +274,7 @@ func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(s
 		res, runErr = RunUnit(sp, u, progress)
 	}
 	for {
-		err := m.cfg.Enqueue(ctx, fn)
+		err := m.cfg.Enqueue(fn)
 		if err == nil {
 			break
 		}
@@ -417,49 +291,28 @@ func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(s
 	return res, runErr
 }
 
-// RunShardLocal executes a forwarded shard on this node: normalize the
-// spec exactly like a top-level submission, run the listed units through
-// the bounded queue, and return their canonical results in request
-// order. This is the body of the internal POST /sweeps/shard hop.
+// RunShardLocal executes a forwarded shard on this node: validate it
+// (ShardRequest.Validate), run the listed units through the bounded
+// queue, and return their canonical results in request order. This is
+// the body of the internal POST /sweeps/shard hop.
 func (m *Manager) RunShardLocal(ctx context.Context, sr *ShardRequest) (*ShardResponse, error) {
-	sp, err := sr.Spec.Normalize(m.cfg.MaxSeeds)
+	sp, err := sr.Validate(m.cfg.MaxSeeds)
 	if err != nil {
 		return nil, err
 	}
-	if len(sr.Units) == 0 {
-		return nil, errf(400, "shard lists no units")
-	}
-	for _, u := range sr.Units {
-		if u < 0 || u >= len(sp.Seeds) {
-			return nil, errf(400, "unit index %d outside the %d-seed sweep", u, len(sp.Seeds))
-		}
-	}
 	out := &ShardResponse{Results: make([]json.RawMessage, len(sr.Units))}
-	sem := make(chan struct{}, m.cfg.LocalConcurrency)
-	var (
-		wg       sync.WaitGroup
-		firstErr errOnce
-	)
-	for k, u := range sr.Units {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
-			return nil, ctx.Err()
+	var firstErr errOnce
+	bounded(ctx, make(chan struct{}, localConcurrency), len(sr.Units), func(k int) {
+		res, err := m.execUnit(ctx, sp, sr.Units[k], nil)
+		if err != nil {
+			firstErr.set(err)
+			return
 		}
-		wg.Add(1)
-		go func(k, u int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := m.execUnit(ctx, sp, u, nil)
-			if err != nil {
-				firstErr.set(err)
-				return
-			}
-			out.Results[k] = res
-		}(k, u)
+		out.Results[k] = res
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	if err := firstErr.get(); err != nil {
 		return nil, err
 	}

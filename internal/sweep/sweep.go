@@ -7,8 +7,8 @@
 // seed; a unit is a pure function of the sweep parameters and its seed).
 // The node that accepts a sweep becomes its coordinator: it places every
 // unit on the fleet's consistent-hash ring by the unit's content key,
-// groups the units into per-owner shards, forwards each shard to its
-// owner (subject to fleet-wide admission control — a peer whose
+// groups the units by owner, forwards each unit to its owner as a
+// one-unit shard (subject to fleet-wide admission control — a peer whose
 // advertised queue depth is saturated is skipped before the hop), and
 // runs whatever remains — unowned units, shards whose owner is dead or
 // saturated — through the local node's bounded service queue. Shard
@@ -24,12 +24,9 @@
 // fleet size, shard placement or worker count. The golden and chaos tests
 // in the service and fleet packages lock this down.
 //
-// Progress streams as an append-only event log per job: one tick per
-// completed unit (units_done strictly increasing), optional log lines
-// from the harness's per-unit progress callbacks, and exactly one
-// terminal event (done, failed or canceled — including on server drain),
-// which is what lets a client tail GET /sweeps/{id}/events without ever
-// seeing the stream end silently.
+// The package keeps no job state. Manager.Run computes one sweep and
+// reports each completed unit through a Progress; the host (the service
+// package) owns the sweep's lifecycle, its event log and its ID.
 package sweep
 
 import (
@@ -67,10 +64,16 @@ type Request struct {
 	// NumSeeds asks for seeds 1..N (exp.Seeds). Mutually exclusive with
 	// Seeds.
 	NumSeeds int `json:"num_seeds,omitempty"`
-	// RandomTries is Table 2's random-baseline sample count (default 10).
-	// Rejected for table3, which has no random baseline.
+	// RandomTries is Table 2's random-baseline sample count (default 10,
+	// at most MaxRandomTries). Rejected for table3, which has no random
+	// baseline.
 	RandomTries int `json:"random_tries,omitempty"`
 }
+
+// MaxRandomTries caps random_tries. Each try costs about 0.45 ms per
+// Table 2 unit and a running unit cannot be canceled, so the cap bounds
+// how long one unit can pin a queue worker past a DELETE or a drain.
+const MaxRandomTries = 1000
 
 // HTTPError is a request-layer failure carrying the HTTP status it maps
 // to, mirroring the service package's error discipline.
@@ -106,6 +109,9 @@ func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
 		if sp.RandomTries < 0 {
 			return nil, errf(http.StatusBadRequest, "random_tries must be >= 0, got %d", r.RandomTries)
 		}
+		if sp.RandomTries > MaxRandomTries {
+			return nil, errf(http.StatusBadRequest, "random_tries %d exceeds the cap of %d", r.RandomTries, MaxRandomTries)
+		}
 		if sp.RandomTries == 0 {
 			sp.RandomTries = 10 // the harness default, made explicit for the unit key
 		}
@@ -124,6 +130,9 @@ func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
 		return nil, errf(http.StatusBadRequest, "seeds and num_seeds are mutually exclusive")
 	case len(r.Seeds) > 0:
 		sp.Seeds = append([]int64(nil), r.Seeds...)
+	case maxSeeds > 0 && r.NumSeeds > maxSeeds:
+		// Checked before exp.Seeds materializes the list.
+		return nil, errf(http.StatusBadRequest, "%d seeds exceed the %d-unit cap", r.NumSeeds, maxSeeds)
 	case r.NumSeeds > 0:
 		sp.Seeds = exp.Seeds(r.NumSeeds)
 	case r.NumSeeds < 0:
@@ -267,6 +276,37 @@ func (sp *Spec) Reduce(results []json.RawMessage) ([]byte, error) {
 type ShardRequest struct {
 	Spec  Request `json:"spec"`
 	Units []int   `json:"units"`
+}
+
+// DecodeShard strictly decodes a ShardRequest from an HTTP body: unknown
+// fields are rejected, like a top-level sweep request's.
+func DecodeShard(r io.Reader) (*ShardRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var sr ShardRequest
+	if err := dec.Decode(&sr); err != nil {
+		return nil, errf(http.StatusBadRequest, "decoding shard request: %v", err)
+	}
+	return &sr, nil
+}
+
+// Validate normalizes the shard's spec exactly like a top-level
+// submission and checks its unit list against it: everything
+// RunShardLocal checks before it runs a unit.
+func (sr *ShardRequest) Validate(maxSeeds int) (*Spec, error) {
+	sp, err := sr.Spec.Normalize(maxSeeds)
+	if err != nil {
+		return nil, err
+	}
+	if len(sr.Units) == 0 {
+		return nil, errf(http.StatusBadRequest, "shard lists no units")
+	}
+	for _, u := range sr.Units {
+		if u < 0 || u >= len(sp.Seeds) {
+			return nil, errf(http.StatusBadRequest, "unit index %d outside the %d-seed sweep", u, len(sp.Seeds))
+		}
+	}
+	return sp, nil
 }
 
 // ShardResponse carries the executed units' canonical JSON results, in

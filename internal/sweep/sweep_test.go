@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,28 +16,20 @@ import (
 )
 
 // inlineEnqueue is the simplest host queue: run the closure on a fresh
-// goroutine immediately. Tests that need queue-full or draining behavior
-// substitute their own.
-func inlineEnqueue(ctx context.Context, fn func(ctx context.Context)) error {
-	go fn(ctx)
+// goroutine immediately. Tests that need queue-full behavior substitute
+// their own.
+func inlineEnqueue(fn func()) error {
+	go fn()
 	return nil
 }
 
 func newTestManager(t *testing.T, tweak func(*Config)) *Manager {
 	t.Helper()
-	cfg := Config{Enqueue: inlineEnqueue, LocalConcurrency: 4}
+	cfg := Config{Enqueue: inlineEnqueue}
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	m := NewManager(cfg)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-	return m
+	return NewManager(cfg)
 }
 
 func table2Spec(t *testing.T, seeds ...int64) *Spec {
@@ -47,14 +42,42 @@ func table2Spec(t *testing.T, seeds ...int64) *Spec {
 	return sp
 }
 
-func awaitJob(t *testing.T, j *Job) View {
+// progressLog is a Progress that records what Run reports.
+type progressLog struct {
+	mu    sync.Mutex
+	units map[int]string // unit index → reporting node
+	dups  int            // units reported more than once
+}
+
+func (p *progressLog) Unit(i int, node string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, seen := p.units[i]; seen {
+		p.dups++
+	}
+	p.units[i] = node
+}
+
+func (p *progressLog) Log(string) {}
+
+// runSweep runs sp to its end and returns the body, what progress
+// recorded, and the error.
+func runSweep(t *testing.T, m *Manager, sp *Spec) ([]byte, *progressLog, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := j.Wait(ctx); err != nil {
-		t.Fatalf("job %s did not finish: %v", j.ID, err)
+	p := &progressLog{units: map[int]string{}}
+	body, err := m.Run(ctx, sp, p)
+	return body, p, err
+}
+
+// requireEveryUnitOnce fails unless progress saw each of n units exactly
+// once.
+func requireEveryUnitOnce(t *testing.T, p *progressLog, n int) {
+	t.Helper()
+	if len(p.units) != n || p.dups != 0 {
+		t.Errorf("progress saw %d distinct units (%d repeats), want each of %d once", len(p.units), p.dups, n)
 	}
-	return j.Snapshot()
 }
 
 func TestNormalizeTable(t *testing.T) {
@@ -70,10 +93,13 @@ func TestNormalizeTable(t *testing.T) {
 		{"unknown kind", Request{Kind: "table9", NumSeeds: 2}, "unknown sweep kind"},
 		{"table3 rejects tries", Request{Kind: "table3", NumSeeds: 2, RandomTries: 5}, "applies only to table2"},
 		{"negative tries", Request{Kind: "table2", NumSeeds: 2, RandomTries: -1}, "random_tries must be"},
+		{"tries at cap", Request{Kind: "table2", NumSeeds: 2, RandomTries: MaxRandomTries}, ""},
+		{"tries over cap", Request{Kind: "table2", NumSeeds: 2, RandomTries: MaxRandomTries + 1}, "exceeds the cap of 1000"},
 		{"both seed forms", Request{Kind: "table2", Seeds: []int64{1}, NumSeeds: 2}, "mutually exclusive"},
 		{"no seeds", Request{Kind: "table2"}, "needs seeds or num_seeds"},
 		{"negative num_seeds", Request{Kind: "table2", NumSeeds: -3}, "num_seeds must be"},
 		{"over cap", Request{Kind: "table2", NumSeeds: 65}, "exceed the 64-unit cap"},
+		{"num_seeds far over cap", Request{Kind: "table2", NumSeeds: math.MaxInt32}, "exceed the 64-unit cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,16 +186,18 @@ func TestUnitKeyIsSeedContentAddressed(t *testing.T) {
 func TestStandaloneSweepMatchesHarness(t *testing.T) {
 	m := newTestManager(t, nil)
 	sp := table2Spec(t, 1, 2)
-	j, err := m.Submit(context.Background(), sp)
+	out, p, err := runSweep(t, m, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := awaitJob(t, j)
-	if view.State != StateDone {
-		t.Fatalf("state %s, want done (%s)", view.State, view.ErrMsg)
+	requireEveryUnitOnce(t, p, 2)
+	for u, node := range p.units {
+		if node != "local" {
+			t.Errorf("unit %d reported by %q, want \"local\" without a dispatcher", u, node)
+		}
 	}
 	var body ResultBody
-	if err := json.Unmarshal(view.Body, &body); err != nil {
+	if err := json.Unmarshal(out, &body); err != nil {
 		t.Fatal(err)
 	}
 	// The distributed reduction must agree with the single-process
@@ -188,59 +216,11 @@ func TestStandaloneSweepMatchesHarness(t *testing.T) {
 	}
 }
 
-func TestEventLogDeterministicShape(t *testing.T) {
-	m := newTestManager(t, nil)
-	sp := table2Spec(t, 1, 2, 3)
-	j, err := m.Submit(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitJob(t, j)
-	events, _, terminal := j.EventsSince(0)
-	if !terminal {
-		t.Fatal("log not terminal after Wait")
-	}
-	var ticks, terminals int
-	last := 0
-	for i, e := range events {
-		if e.Seq != i+1 {
-			t.Errorf("event %d has seq %d", i, e.Seq)
-		}
-		if e.UnitsTotal != 3 {
-			t.Errorf("event %d units_total %d", i, e.UnitsTotal)
-		}
-		switch {
-		case e.Type == EventProgress:
-			ticks++
-			if e.UnitsDone != last+1 {
-				t.Errorf("progress tick jumped %d -> %d", last, e.UnitsDone)
-			}
-			last = e.UnitsDone
-			if e.Seed == nil || e.Node == "" {
-				t.Errorf("progress event %d missing seed/node", i)
-			}
-		case e.Terminal():
-			terminals++
-			if i != len(events)-1 {
-				t.Errorf("terminal event at %d of %d", i, len(events))
-			}
-		}
-	}
-	if ticks != 3 {
-		t.Errorf("%d progress ticks, want 3", ticks)
-	}
-	if terminals != 1 {
-		t.Errorf("%d terminal events, want exactly 1", terminals)
-	}
-	if events[len(events)-1].Type != EventDone {
-		t.Errorf("last event %s, want done", events[len(events)-1].Type)
-	}
-}
-
 // blockingDispatcher owns every unit and blocks RunShard until released,
 // so tests can cancel mid-sweep deterministically.
 type blockingDispatcher struct {
 	release chan struct{}
+	entered chan struct{} // when non-nil, signaled as RunShard starts
 	fail    bool
 	runs    int
 	sat     bool
@@ -256,6 +236,9 @@ func (d *blockingDispatcher) Saturated(ctx context.Context, node string) bool {
 
 func (d *blockingDispatcher) RunShard(ctx context.Context, node string, sr ShardRequest) (*ShardResponse, error) {
 	d.runs++
+	if d.entered != nil {
+		d.entered <- struct{}{}
+	}
 	if d.release != nil {
 		select {
 		case <-d.release:
@@ -283,36 +266,33 @@ func (d *blockingDispatcher) RunShard(ctx context.Context, node string, sr Shard
 
 func TestShardFailureFallsBackLocalZeroLostUnits(t *testing.T) {
 	// Reference body from a standalone (dispatcherless) run.
-	ref := newTestManager(t, nil)
-	sp := table2Spec(t, 1, 2, 3)
-	rj, err := ref.Submit(context.Background(), sp)
+	ref, _, err := runSweep(t, newTestManager(t, nil), table2Spec(t, 1, 2, 3))
 	if err != nil {
-		t.Fatal(err)
-	}
-	refView := awaitJob(t, rj)
-	if refView.State != StateDone {
-		t.Fatalf("reference sweep: %s", refView.State)
+		t.Fatalf("reference sweep: %v", err)
 	}
 
 	// Every unit is owned by a peer whose RunShard always fails: the
-	// coordinator must degrade every batch to local computation and the
+	// coordinator must degrade every shard to local computation and the
 	// body must not change by a byte.
 	m := newTestManager(t, nil)
 	d := &blockingDispatcher{fail: true}
 	m.SetDispatcher(d)
-	j, err := m.Submit(context.Background(), table2Spec(t, 1, 2, 3))
+	body, p, err := runSweep(t, m, table2Spec(t, 1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
-	}
-	view := awaitJob(t, j)
-	if view.State != StateDone {
-		t.Fatalf("state %s (%s), want done", view.State, view.ErrMsg)
 	}
 	if d.runs == 0 {
 		t.Error("dispatcher was never consulted")
 	}
-	if !bytes.Equal(view.Body, refView.Body) {
+	if !bytes.Equal(body, ref) {
 		t.Error("failover body differs from standalone body")
+	}
+	// Local completions carry the dispatcher's own node label.
+	requireEveryUnitOnce(t, p, 3)
+	for u, node := range p.units {
+		if node != "self" {
+			t.Errorf("unit %d reported by %q, want the dispatcher's Self()", u, node)
+		}
 	}
 }
 
@@ -320,13 +300,10 @@ func TestSaturatedPeerSkippedBeforeDialing(t *testing.T) {
 	m := newTestManager(t, nil)
 	d := &blockingDispatcher{sat: true}
 	m.SetDispatcher(d)
-	j, err := m.Submit(context.Background(), table2Spec(t, 1, 2))
-	if err != nil {
+	if _, p, err := runSweep(t, m, table2Spec(t, 1, 2)); err != nil {
 		t.Fatal(err)
-	}
-	view := awaitJob(t, j)
-	if view.State != StateDone {
-		t.Fatalf("state %s, want done", view.State)
+	} else {
+		requireEveryUnitOnce(t, p, 2)
 	}
 	if d.runs != 0 {
 		t.Errorf("RunShard called %d times despite saturation", d.runs)
@@ -336,51 +313,31 @@ func TestSaturatedPeerSkippedBeforeDialing(t *testing.T) {
 	}
 }
 
-func TestCancelMidSweepEmitsCanceledTerminal(t *testing.T) {
+func TestCancelMidSweepReturnsCanceled(t *testing.T) {
 	m := newTestManager(t, nil)
-	d := &blockingDispatcher{release: make(chan struct{})}
+	d := &blockingDispatcher{release: make(chan struct{}), entered: make(chan struct{}, 3)}
 	m.SetDispatcher(d)
-	j, err := m.Submit(context.Background(), table2Spec(t, 1, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Cancel(errors.New("canceled by client"))
-	view := awaitJob(t, j)
-	if view.State != StateCanceled {
-		t.Fatalf("state %s, want canceled", view.State)
-	}
-	if view.ErrMsg != "canceled by client" {
-		t.Errorf("cancel reason %q", view.ErrMsg)
-	}
-	events, _, _ := j.EventsSince(0)
-	lastEvent := events[len(events)-1]
-	if lastEvent.Type != EventCanceled {
-		t.Errorf("last event %s, want canceled", lastEvent.Type)
-	}
-}
-
-func TestDrainCancelsRunningSweeps(t *testing.T) {
-	m := NewManager(Config{Enqueue: inlineEnqueue})
-	d := &blockingDispatcher{release: make(chan struct{})}
-	m.SetDispatcher(d)
-	j, err := m.Submit(context.Background(), table2Spec(t, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	sp := table2Spec(t, 1, 2, 3)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := m.Drain(ctx); err != nil {
-		t.Fatal(err)
+	p := &progressLog{units: map[int]string{}}
+	type outcome struct {
+		body []byte
+		err  error
 	}
-	view := j.Snapshot()
-	if view.State != StateCanceled {
-		t.Fatalf("state %s, want canceled", view.State)
+	done := make(chan outcome, 1)
+	go func() {
+		body, err := m.Run(ctx, sp, p)
+		done <- outcome{body, err}
+	}()
+	<-d.entered // the first shard is in flight
+	cancel()
+	got := <-done
+	if !errors.Is(got.err, context.Canceled) || got.body != nil {
+		t.Fatalf("canceled Run: body %q, err %v; want context.Canceled", got.body, got.err)
 	}
-	if view.ErrMsg != "server draining" {
-		t.Errorf("drain reason %q", view.ErrMsg)
-	}
-	if _, err := m.Submit(context.Background(), table2Spec(t, 1)); !errors.Is(err, ErrDraining) {
-		t.Errorf("submit after drain: %v, want ErrDraining", err)
+	if len(p.units) != 0 {
+		t.Errorf("canceled sweep reported %d completed units", len(p.units))
 	}
 }
 
@@ -412,73 +369,39 @@ func TestRunShardLocalValidation(t *testing.T) {
 
 func TestEnqueueBackpressureRetries(t *testing.T) {
 	// The first two offers hit a full queue; the unit must still run.
-	var offers int
-	enq := func(ctx context.Context, fn func(ctx context.Context)) error {
-		offers++
-		if offers <= 2 {
+	var offers atomic.Int32
+	enq := func(fn func()) error {
+		if offers.Add(1) <= 2 {
 			return ErrQueueFull
 		}
-		go fn(ctx)
+		go fn()
 		return nil
 	}
 	m := newTestManager(t, func(c *Config) { c.Enqueue = enq })
-	j, err := m.Submit(context.Background(), table2Spec(t, 1))
-	if err != nil {
+	if _, _, err := runSweep(t, m, table2Spec(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	view := awaitJob(t, j)
-	if view.State != StateDone {
-		t.Fatalf("state %s, want done", view.State)
-	}
-	if offers < 3 {
-		t.Errorf("%d offers, want >= 3", offers)
+	if n := offers.Load(); n < 3 {
+		t.Errorf("%d offers, want >= 3", n)
 	}
 }
 
 func TestManagerAccessors(t *testing.T) {
-	m := newTestManager(t, func(c *Config) { c.MaxSeeds = 7 })
-	if got := m.MaxSeeds(); got != 7 {
+	if got := newTestManager(t, func(c *Config) { c.MaxSeeds = 7 }).MaxSeeds(); got != 7 {
 		t.Fatalf("MaxSeeds = %d, want 7", got)
 	}
-	sp := table2Spec(t, 1)
-	j, err := m.Submit(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
+	if got := newTestManager(t, nil).MaxSeeds(); got != 64 {
+		t.Fatalf("default MaxSeeds = %d, want 64", got)
 	}
-	if m.Lookup(j.ID) != j {
-		t.Fatalf("Lookup(%q) did not return the submitted job", j.ID)
-	}
-	if m.Lookup("nope") != nil {
-		t.Fatal("Lookup of unknown id returned a job")
-	}
-	if j.Spec() != sp {
-		t.Fatal("Spec() did not return the submitted spec")
-	}
-	awaitJob(t, j)
 }
 
 func TestUnknownKindFailsSweep(t *testing.T) {
 	// A spec the normalizer would never produce: the coordinator must
-	// surface the unit error as a failed terminal event, not a hang.
+	// surface the unit error, not hang.
 	m := newTestManager(t, nil)
-	j, err := m.Submit(context.Background(), &Spec{Kind: "nope", Seeds: []int64{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := awaitJob(t, j)
-	if view.State != StateFailed {
-		t.Fatalf("state %s, want failed", view.State)
-	}
-	if !strings.Contains(view.ErrMsg, "unknown kind") {
-		t.Fatalf("error %q does not name the unknown kind", view.ErrMsg)
-	}
-	events, _, terminal := j.EventsSince(0)
-	if !terminal {
-		t.Fatal("log not terminal after failure")
-	}
-	last := events[len(events)-1]
-	if last.Type != EventFailed || last.Error != view.ErrMsg {
-		t.Fatalf("last event %+v, want failed with %q", last, view.ErrMsg)
+	_, _, err := runSweep(t, m, &Spec{Kind: "nope", Seeds: []int64{1, 2}})
+	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
+		t.Fatalf("error %v does not name the unknown kind", err)
 	}
 }
 
@@ -510,17 +433,12 @@ func TestTable3SweepSingleSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTestManager(t, nil)
-	j, err := m.Submit(context.Background(), sp)
+	out, _, err := runSweep(t, newTestManager(t, nil), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := awaitJob(t, j)
-	if view.State != StateDone {
-		t.Fatalf("state %s (%s), want done", view.State, view.ErrMsg)
-	}
 	var body ResultBody
-	if err := json.Unmarshal(view.Body, &body); err != nil {
+	if err := json.Unmarshal(out, &body); err != nil {
 		t.Fatalf("decoding body: %v", err)
 	}
 	if body.Kind != "table3" || body.Table3 == nil || body.Table2 != nil {
