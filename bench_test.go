@@ -206,19 +206,23 @@ func BenchmarkRouteRealize(b *testing.B) {
 	}
 }
 
-// BenchmarkPowerSolve measures the IR-drop solvers on a 48×48 grid.
+// BenchmarkPowerSolve measures the IR-drop solver on the default 49×49
+// chip grid (MGCG) and on the even 48×48 grid, where it falls back to
+// Jacobi CG.
 func BenchmarkPowerSolve(b *testing.B) {
 	p := benchProblem(b, 0)
 	a, err := assign.DFA(p, assign.DFAOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := power.DefaultChipGrid(p)
-	pads := power.PadsForAssignment(p, a, g)
-	for name, m := range map[string]power.Method{"cg": power.CG, "sor": power.SOR} {
-		b.Run(name, func(b *testing.B) {
+	for _, n := range []int{49, 48} {
+		g := power.DefaultChipGrid(p)
+		g.Nx, g.Ny = n, n
+		pads := power.PadsForAssignment(p, a, g)
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := power.Solve(g, pads, power.SolveOptions{Method: m}); err != nil {
+				if _, err := power.Solve(g, pads, power.SolveOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -223,11 +223,10 @@ func defaultSurfaces() ([]benchSurface, error) {
 }
 
 // largeSurfaces is the 100k+-net scaling tier: the 513×513 IR grid solved
-// by CG, multigrid and multigrid-preconditioned CG at the same tolerance
-// (the mg-vs-cg wall-clock ratio is the tier's headline number), and the
-// annealer on the gen.Large circuit. Entry names carry the nominal "512"
-// tier label; the actual grid is 2⁹+1 per side, the vertex-centered size
-// the multigrid hierarchy coarsens all the way down.
+// by the production solver (multigrid-preconditioned CG), and the annealer
+// on the gen.Large circuit. Entry names carry the nominal "512" tier label;
+// the actual grid is 2⁹+1 per side, the vertex-centered size the multigrid
+// hierarchy coarsens all the way down.
 func largeSurfaces() ([]benchSurface, error) {
 	p := gen.MustBuild(benchLargeCircuit(), gen.Options{Seed: 1})
 	dfaA, err := assign.DFA(p, assign.DFAOptions{})
@@ -245,9 +244,9 @@ func largeSurfaces() ([]benchSurface, error) {
 			power.Pad{I: i, J: 0}, power.Pad{I: i, J: n - 1},
 			power.Pad{I: 0, J: i}, power.Pad{I: n - 1, J: i})
 	}
-	mkPower := func(m power.Method) func(int, obs.Recorder) (string, error) {
-		return func(w int, rec obs.Recorder) (string, error) {
-			s, err := power.Solve(g, pads, power.SolveOptions{Method: m, Workers: w, Recorder: rec})
+	return []benchSurface{
+		{"power/mgcg512", func(w int, rec obs.Recorder) (string, error) {
+			s, err := power.Solve(g, pads, power.SolveOptions{Workers: w, Recorder: rec})
 			if err != nil {
 				return "", err
 			}
@@ -255,12 +254,7 @@ func largeSurfaces() ([]benchSurface, error) {
 				return "", fmt.Errorf("solver stopped: %s (residual %.3e)", s.Stopped, s.Residual)
 			}
 			return fingerprintFloats(s.V), nil
-		}
-	}
-	return []benchSurface{
-		{"power/cg512", mkPower(power.CG)},
-		{"power/mg512", mkPower(power.MG)},
-		{"power/mgcg512", mkPower(power.MGCG)},
+		}},
 		{"exchange/largeN", func(w int, rec obs.Recorder) (string, error) {
 			res, err := exchange.Run(p, dfaA, exchange.Options{
 				Seed: 1, Restarts: 4, Workers: w,

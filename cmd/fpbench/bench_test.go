@@ -194,9 +194,9 @@ func shrinkLargeTier(t *testing.T) {
 	t.Cleanup(func() { benchLargeGridN, benchLargeCircuit, benchLargeSchedule = oldN, oldC, oldS })
 }
 
-// The large tier must produce the full surface set — CG, MG and MGCG on
-// the same grid plus the large-N exchange — with the alloc columns filled
-// and the same lossless round-trip as the default tier.
+// The large tier must produce the full surface set — the 513-class IR
+// solve plus the large-N exchange — with the alloc columns filled and the
+// same lossless round-trip as the default tier.
 func TestBenchLargeTierSmoke(t *testing.T) {
 	shrinkBench(t)
 	shrinkLargeTier(t)
@@ -224,9 +224,9 @@ func TestBenchLargeTierSmoke(t *testing.T) {
 	if rep.Size != "large" {
 		t.Errorf("report size %q, want large", rep.Size)
 	}
-	// 6 default + 4 large surfaces per worker count, plus move-pricing, the
+	// 6 default + 2 large surfaces per worker count, plus move-pricing, the
 	// two to-target entries and the fixed/adaptive portfolio pair.
-	wantEntries := 10*len(benchWorkerCounts) + 1 + 2 + 2
+	wantEntries := 8*len(benchWorkerCounts) + 1 + 2 + 2
 	if len(rep.Entries) != wantEntries {
 		t.Errorf("%d entries, want %d", len(rep.Entries), wantEntries)
 	}
@@ -234,7 +234,7 @@ func TestBenchLargeTierSmoke(t *testing.T) {
 	for _, e := range rep.Entries {
 		perSurface[e.Name]++
 	}
-	for _, name := range []string{"power/cg512", "power/mg512", "power/mgcg512", "exchange/largeN"} {
+	for _, name := range []string{"power/mgcg512", "exchange/largeN"} {
 		if perSurface[name] != len(benchWorkerCounts) {
 			t.Errorf("surface %s has %d entries, want %d", name, perSurface[name], len(benchWorkerCounts))
 		}

@@ -142,15 +142,6 @@ const (
 	Left   = bga.Left
 )
 
-// SolveMethod selects the IR-drop linear solver (see Options.Solve).
-type SolveMethod = power.Method
-
-// IR-drop solver methods.
-const (
-	SolveCG  = power.CG
-	SolveSOR = power.SOR
-)
-
 // Algorithm selects the congestion-driven assignment method.
 type Algorithm int
 

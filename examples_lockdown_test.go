@@ -107,9 +107,9 @@ func TestExamplesLockdown(t *testing.T) {
 			"dfa_wirelen":      "0x408ed44a6799b5d2",
 			"final_density":    "5",
 			"final_wirelen":    "0x408ed52e27ddc233",
-			"ir_drop_after":    "0x3f91dfad85874c80",
-			"ir_drop_baseline": "0x3f92bf6f6c922b60",
-			"ir_drop_before":   "0x3f92f03706815ec0",
+			"ir_drop_after":    "0x3f91fbe74b55aa20",
+			"ir_drop_baseline": "0x3f92e7feea7e5940",
+			"ir_drop_before":   "0x3f931f7b9b8f4000",
 		})
 	})
 
@@ -200,8 +200,8 @@ net gnd3 ground
 			"assignment_hash": "0x7a1cf12db7ff0be7",
 			"final_density":   "1",
 			"final_wirelen":   "0x405950db7b1a87e8",
-			"ir_drop_after":   "0x3fb14be127ea2118",
-			"ir_drop_before":  "0x3fb14be127ea2118",
+			"ir_drop_after":   "0x3fb19b7568704850",
+			"ir_drop_before":  "0x3fb19b7568704850",
 		})
 	})
 
@@ -284,8 +284,8 @@ row irq scl sda en vdd_pll vss_pll -
 			"final_density":    "2",
 			"final_wirelen":    "0x405a860e59cb2d48",
 			"improved_density": "2",
-			"ir_drop_after":    "0x3fb9710353108d48",
-			"ir_drop_before":   "0x3fb9710353108d48",
+			"ir_drop_after":    "0x3fb9a42d02af5370",
+			"ir_drop_before":   "0x3fb9a42d02af5370",
 		})
 	})
 
@@ -318,18 +318,18 @@ row irq scl sda en vdd_pll vss_pll -
 			got[plan.name+"_iterations"] = fmt.Sprint(sol.Iterations)
 		}
 		checkPins(t, got, map[string]string{
-			"dfa_avg_drop":         "0x3f835cc5f81533f1",
+			"dfa_avg_drop":         "0x3f835357e96b30fb",
 			"dfa_hash":             "0x8fe985adcc3dc10d",
-			"dfa_iterations":       "143",
-			"dfa_max_drop":         "0x3f90f213af466ae0",
-			"exchanged_avg_drop":   "0x3f80b61d1bbdea06",
+			"dfa_iterations":       "8",
+			"dfa_max_drop":         "0x3f90f27c4de0be20",
+			"exchanged_avg_drop":   "0x3f80e9ae75e6b9df",
 			"exchanged_hash":       "0x9fa9169f9d90dbbd",
-			"exchanged_iterations": "145",
-			"exchanged_max_drop":   "0x3f8f33decb18c200",
-			"random_avg_drop":      "0x3f8393303bde3545",
+			"exchanged_iterations": "7",
+			"exchanged_max_drop":   "0x3f8f6a3308591140",
+			"random_avg_drop":      "0x3f835b4c5338d159",
 			"random_hash":          "0x2e0ff5bfb2cb5775",
-			"random_iterations":    "154",
-			"random_max_drop":      "0x3f91010010a712a0",
+			"random_iterations":    "8",
+			"random_max_drop":      "0x3f90e5254530d380",
 		})
 	})
 

@@ -84,24 +84,30 @@ func (s Spec) BallPitch() float64 { return s.BallDiameter + s.BallSpace }
 // FingerPitch returns the center-to-center finger spacing.
 func (s Spec) FingerPitch() float64 { return s.FingerWidth + s.FingerSpace }
 
-// Validate checks that every dimension is positive and mutually consistent.
+// Validate checks that every dimension is finite, positive and mutually
+// consistent. NaN and ±Inf are rejected explicitly: NaN fails every
+// comparison, so "<= 0" alone would let it through.
 func (s Spec) Validate() error {
 	switch {
-	case s.BallDiameter <= 0:
-		return fmt.Errorf("bga: spec %q: BallDiameter must be positive", s.Name)
-	case s.BallSpace <= 0:
-		return fmt.Errorf("bga: spec %q: BallSpace must be positive", s.Name)
-	case s.ViaDiameter <= 0:
-		return fmt.Errorf("bga: spec %q: ViaDiameter must be positive", s.Name)
+	case !finitePositive(s.BallDiameter):
+		return fmt.Errorf("bga: spec %q: BallDiameter must be finite and positive", s.Name)
+	case !finitePositive(s.BallSpace):
+		return fmt.Errorf("bga: spec %q: BallSpace must be finite and positive", s.Name)
+	case !finitePositive(s.ViaDiameter):
+		return fmt.Errorf("bga: spec %q: ViaDiameter must be finite and positive", s.Name)
+	case !finitePositive(s.FingerWidth) || !finitePositive(s.FingerHeight) || !finitePositive(s.FingerSpace):
+		return fmt.Errorf("bga: spec %q: finger dimensions must be finite and positive", s.Name)
+	case math.IsInf(s.BallPitch(), 0) || math.IsInf(s.FingerPitch(), 0):
+		return fmt.Errorf("bga: spec %q: ball pitch %g or finger pitch %g overflows", s.Name, s.BallPitch(), s.FingerPitch())
 	case s.ViaDiameter >= s.BallPitch():
 		return fmt.Errorf("bga: spec %q: via (%g) does not fit in ball pitch (%g)", s.Name, s.ViaDiameter, s.BallPitch())
-	case s.FingerWidth <= 0 || s.FingerHeight <= 0 || s.FingerSpace <= 0:
-		return fmt.Errorf("bga: spec %q: finger dimensions must be positive", s.Name)
 	case s.Rows <= 0:
 		return fmt.Errorf("bga: spec %q: Rows must be positive", s.Name)
 	}
 	return nil
 }
+
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Row is one horizontal line of ball sites in a quadrant. Sites are indexed
 // x = 1..len(Nets); Nets[x-1] holds the net whose ball occupies site x, or
@@ -280,6 +286,12 @@ func NewPackage(spec Spec, quadrants [NumSides]*Quadrant) (*Package, error) {
 	}
 	p := &Package{Spec: spec, quadrants: quadrants}
 	p.ringHalf = widest/2 + spec.BallPitch()
+	// Finite dimensions can still overflow once multiplied by the site
+	// counts. The ring's diameter sizes the IR grid and the full extent
+	// bounds every drawing, so both must be finite numbers.
+	if ext := 2 * (p.ringHalf + float64(spec.Rows+1)*spec.BallPitch()); math.IsInf(ext, 0) {
+		return nil, fmt.Errorf("bga: package ring overflows (half-width %g)", p.ringHalf)
+	}
 	return p, nil
 }
 

@@ -58,6 +58,19 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.FingerHeight = 0 },
 		func(s *Spec) { s.FingerSpace = 0 },
 		func(s *Spec) { s.Rows = 0 },
+		// Non-finite dimensions: NaN fails every comparison, so a "<= 0"
+		// test alone would accept it.
+		func(s *Spec) { s.BallDiameter = math.NaN() },
+		func(s *Spec) { s.BallDiameter = math.Inf(1) },
+		func(s *Spec) { s.BallSpace = math.NaN() },
+		func(s *Spec) { s.BallSpace = math.Inf(1) },
+		func(s *Spec) { s.ViaDiameter = math.NaN() },
+		func(s *Spec) { s.FingerWidth = math.NaN() },
+		func(s *Spec) { s.FingerHeight = math.Inf(1) },
+		func(s *Spec) { s.FingerSpace = math.NaN() },
+		// Finite dimensions whose pitch overflows.
+		func(s *Spec) { s.BallDiameter, s.BallSpace = 1e308, 1e308 },
+		func(s *Spec) { s.FingerWidth, s.FingerSpace = 1e308, 1e308 },
 	}
 	for i, mut := range bad {
 		s := validSpec()
@@ -237,6 +250,17 @@ func TestNewPackageValidation(t *testing.T) {
 	quads4[Bottom] = qr
 	if _, err := NewPackage(validSpec(), quads4); err == nil {
 		t.Error("mislabeled quadrant accepted")
+	}
+
+	// A valid spec whose ring overflows once multiplied by the site
+	// counts: the ring's diameter must be a finite number.
+	huge := validSpec()
+	huge.BallDiameter, huge.BallSpace = 1e308, 1e306
+	if err := huge.Validate(); err != nil {
+		t.Fatalf("huge but finite spec rejected by Validate: %v", err)
+	}
+	if _, err := NewPackage(huge, mkPackage(t).quadrants); err == nil {
+		t.Error("package with an overflowing ring accepted")
 	}
 }
 

@@ -1,13 +1,18 @@
 package design
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"copack/internal/power"
 )
 
 // FuzzParseDesign checks that no design file — however malformed — can
-// crash or hang the parser, and that every accepted problem round-trips:
-// Parse → Format → Parse yields the same text.
+// crash or hang the parser, that every accepted problem round-trips:
+// Parse → Format → Parse yields the same text, and that every accepted
+// package has a default IR grid that validates, so no non-finite geometry
+// reaches the solver (the committed nonfinite-* seeds).
 func FuzzParseDesign(f *testing.F) {
 	seeds := []string{
 		minimal,
@@ -26,6 +31,12 @@ func FuzzParseDesign(f *testing.F) {
 		p, err := Parse(text)
 		if err != nil {
 			return // rejected input: any error is fine, crashing is not
+		}
+		if rh := p.Pkg.RingHalf(); math.IsNaN(rh) || math.IsInf(rh, 0) {
+			t.Fatalf("accepted design has a non-finite finger ring (half-width %g)", rh)
+		}
+		if err := power.DefaultChipGrid(p).Validate(); err != nil {
+			t.Fatalf("accepted design has an invalid default IR grid: %v", err)
 		}
 		out := Format(p)
 		p2, err := Parse(out)

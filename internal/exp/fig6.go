@@ -42,16 +42,16 @@ func Fig6Chip(seed int64, quick bool) (*core.Problem, power.GridSpec, error) {
 		return nil, power.GridSpec{}, err
 	}
 	g := power.DefaultChipGrid(p)
-	g.Nx, g.Ny = 40, 40
+	g.Nx, g.Ny = 41, 41
 	if quick {
-		g.Nx, g.Ny = 24, 24
+		g.Nx, g.Ny = 25, 25
 	}
 	// Two hot blocks, off-center — think a CPU core and a SERDES block —
 	// expressed as a floorplan in physical die coordinates so every grid
 	// resolution samples the same chip.
 	side := g.Width
 	blk := func(ci, cj, r float64) geom.Rect {
-		s := side / 39 // the reference 40-node pitch
+		s := side / 39 // a fixed physical unit: 1/39 of the die side
 		return geom.R((ci-r-0.25)*s, (cj-r-0.25)*s, (ci+r+0.25)*s, (cj+r+0.25)*s)
 	}
 	fp := &floorplan.Floorplan{

@@ -33,7 +33,7 @@ func FlipChip(padCounts []int) (*FlipChipResult, error) {
 		padCounts = []int{4, 8, 16, 32, 64}
 	}
 	g := power.GridSpec{
-		Nx: 40, Ny: 40,
+		Nx: 41, Ny: 41,
 		Width: 100, Height: 100,
 		RsX: 0.5, RsY: 0.5,
 		Vdd:            1.0,

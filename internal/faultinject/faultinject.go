@@ -27,7 +27,7 @@ const (
 	// (anneal.MinimizeContext). An injected error interrupts the run the
 	// same way a cancelled context does.
 	AnnealPlateau Point = "anneal.plateau"
-	// PowerIteration fires once per solver iteration (CG) or sweep (SOR)
+	// PowerIteration fires once per CG iteration (one V-cycle under MGCG)
 	// in power.SolveContext. An injected error stops the iteration,
 	// yielding a non-converged Solution — forced solver starvation.
 	PowerIteration Point = "power.iteration"

@@ -14,11 +14,19 @@ func testGrid() GridSpec {
 	}
 }
 
-func cornerPads() []Pad { return []Pad{{0, 0}, {23, 23}} }
+// solverShapes are the two solver paths: testGrid's even 24×24 takes the
+// Jacobi CG fallback, the odd 25×25 runs MGCG.
+func solverShapes() map[string]GridSpec {
+	odd := testGrid()
+	odd.Nx, odd.Ny = 25, 25
+	return map[string]GridSpec{"cg": testGrid(), "mgcg": odd}
+}
+
+func corners(g GridSpec) []Pad { return []Pad{{0, 0}, {g.Nx - 1, g.Ny - 1}} }
 
 func TestSolveSetsConverged(t *testing.T) {
-	for _, m := range []Method{CG, SOR} {
-		sol, err := Solve(testGrid(), cornerPads(), SolveOptions{Method: m})
+	for m, g := range solverShapes() {
+		sol, err := Solve(g, corners(g), SolveOptions{})
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
 		}
@@ -33,12 +41,12 @@ func TestSolveSetsConverged(t *testing.T) {
 }
 
 func TestStarvedSolveReportsNonConvergence(t *testing.T) {
-	full, err := Solve(testGrid(), cornerPads(), SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Method{CG, SOR} {
-		sol, err := Solve(testGrid(), cornerPads(), SolveOptions{Method: m, MaxIter: 2})
+	for m, g := range solverShapes() {
+		full, err := Solve(g, corners(g), SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := Solve(g, corners(g), SolveOptions{MaxIter: 2})
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
 		}
@@ -54,7 +62,7 @@ func TestStarvedSolveReportsNonConvergence(t *testing.T) {
 		if sol.Residual <= full.Residual {
 			t.Errorf("method %v: starved residual %g not above converged %g", m, sol.Residual, full.Residual)
 		}
-		if len(sol.V) != 24*24 {
+		if len(sol.V) != g.Nx*g.Ny {
 			t.Errorf("method %v: starved solve returned %d voltages", m, len(sol.V))
 		}
 	}
@@ -63,8 +71,8 @@ func TestStarvedSolveReportsNonConvergence(t *testing.T) {
 func TestSolveContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, m := range []Method{CG, SOR} {
-		sol, err := SolveContext(ctx, testGrid(), cornerPads(), SolveOptions{Method: m})
+	for m, g := range solverShapes() {
+		sol, err := SolveContext(ctx, g, corners(g), SolveOptions{})
 		if err != nil {
 			t.Fatalf("method %v: cancellation became an error: %v", m, err)
 		}
@@ -75,8 +83,8 @@ func TestSolveContextCancelled(t *testing.T) {
 			t.Errorf("method %v: Stopped = %q", m, sol.Stopped)
 		}
 		// The initial iterate (flat Vdd) comes back with its residual.
-		if len(sol.V) != 24*24 || sol.Residual == 0 {
-			t.Errorf("method %v: cancelled solve V=%d residual=%g", m, len(sol.V), sol.Residual)
+		if len(sol.V) != g.Nx*g.Ny || sol.Residual == 0 || sol.Iterations != 0 {
+			t.Errorf("method %v: cancelled solve V=%d residual=%g iterations=%d", m, len(sol.V), sol.Residual, sol.Iterations)
 		}
 	}
 }
@@ -93,7 +101,7 @@ func TestInjectedStarvationStopsSolver(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Reset()
 	faultinject.Arm(faultinject.Fault{Point: faultinject.PowerIteration, After: 3})
-	sol, err := Solve(testGrid(), cornerPads(), SolveOptions{})
+	sol, err := Solve(testGrid(), corners(testGrid()), SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

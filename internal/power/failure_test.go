@@ -8,14 +8,16 @@ import (
 // Failure injection: starved solvers must degrade gracefully — return a
 // solution with an honest (large) residual, never hang, never produce NaN.
 func TestStarvedSolversReportResidual(t *testing.T) {
-	g := baseSpec()
+	odd := baseSpec() // 21×21: MGCG
+	even := baseSpec()
+	even.Nx, even.Ny = 20, 20 // Jacobi CG fallback
 	pads := []Pad{{I: 0, J: 0}}
-	for name, m := range map[string]Method{"cg": CG, "sor": SOR} {
-		sol, err := Solve(g, pads, SolveOptions{Method: m, MaxIter: 1})
+	for name, g := range map[string]GridSpec{"mgcg": odd, "cg": even} {
+		sol, err := Solve(g, pads, SolveOptions{MaxIter: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		full, err := Solve(g, pads, SolveOptions{Method: m})
+		full, err := Solve(g, pads, SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -34,11 +36,9 @@ func TestBadSolveOptionsRejected(t *testing.T) {
 	g := baseSpec()
 	pads := []Pad{{I: 0, J: 0}}
 	bad := []SolveOptions{
-		{Method: SOR, Omega: 2.5},
-		{Method: SOR, Omega: -1},
 		{Tol: -1},
+		{Tol: math.NaN()},
 		{MaxIter: -5},
-		{Method: Method(42)},
 	}
 	for i, opt := range bad {
 		if _, err := Solve(g, pads, opt); err == nil {
@@ -47,23 +47,24 @@ func TestBadSolveOptionsRejected(t *testing.T) {
 	}
 }
 
-// An all-pad grid (every node Dirichlet) is a degenerate but legal input.
+// An all-pad grid (every node Dirichlet) is a degenerate but legal input,
+// on the fallback (3×3) and the multigrid (5×5) shape alike.
 func TestDegenerateAllPadCG(t *testing.T) {
-	g := baseSpec()
-	g.Nx, g.Ny = 3, 3
-	var pads []Pad
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 3; i++ {
-			pads = append(pads, Pad{I: i, J: j})
+	for _, n := range []int{3, 5} {
+		g := baseSpec()
+		g.Nx, g.Ny = n, n
+		var pads []Pad
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				pads = append(pads, Pad{I: i, J: j})
+			}
 		}
-	}
-	for _, m := range []Method{CG, SOR} {
-		sol, err := Solve(g, pads, SolveOptions{Method: m})
+		sol, err := Solve(g, pads, SolveOptions{})
 		if err != nil {
-			t.Fatalf("method %d: %v", m, err)
+			t.Fatalf("%dx%d: %v", n, n, err)
 		}
-		if sol.MaxDrop() != 0 {
-			t.Errorf("method %d: drop %v on all-pad grid", m, sol.MaxDrop())
+		if sol.MaxDrop() != 0 || !sol.Converged {
+			t.Errorf("%dx%d: drop %v (converged %v) on all-pad grid", n, n, sol.MaxDrop(), sol.Converged)
 		}
 	}
 }

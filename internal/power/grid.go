@@ -3,7 +3,7 @@
 // uniform resistive mesh drawing a uniform current density J0, fed with Vdd
 // at the power pad locations on the die boundary. Equation (1) of the paper
 // is the finite-difference form of this model; Solve computes the resulting
-// node voltages with either a conjugate-gradient or an SOR solver, and the
+// node voltages with multigrid-preconditioned conjugate gradients, and the
 // Proxy* functions provide the fast pad-gap estimate the finger/pad
 // exchange uses inside simulated annealing (a full solve per move would
 // dominate the runtime, which is exactly why the paper introduces the
@@ -17,7 +17,6 @@ import (
 
 	"copack/internal/faultinject"
 	"copack/internal/obs"
-	"copack/internal/parallel"
 )
 
 // GridSpec describes the discretized core power grid.
@@ -41,31 +40,44 @@ type GridSpec struct {
 	CurrentMap []float64
 }
 
-// Validate checks the spec.
+// Validate checks the spec: every dimension finite and positive, and the
+// quantities the solver derives from them — the branch conductances and the
+// per-node sink currents — finite too, so no NaN or Inf can reach an
+// iteration.
 func (g GridSpec) Validate() error {
 	switch {
 	case g.Nx < 2 || g.Ny < 2:
 		return fmt.Errorf("power: grid %dx%d too small", g.Nx, g.Ny)
-	case g.Width <= 0 || g.Height <= 0:
-		return fmt.Errorf("power: non-positive die size %gx%g", g.Width, g.Height)
-	case g.RsX <= 0 || g.RsY <= 0:
-		return fmt.Errorf("power: non-positive sheet resistance")
-	case g.Vdd <= 0:
-		return fmt.Errorf("power: non-positive Vdd")
-	case g.CurrentDensity < 0:
-		return fmt.Errorf("power: negative current density")
+	case !finitePositive(g.Width) || !finitePositive(g.Height):
+		return fmt.Errorf("power: die size %gx%g must be finite and positive", g.Width, g.Height)
+	case !finitePositive(g.RsX) || !finitePositive(g.RsY):
+		return fmt.Errorf("power: sheet resistance %g/%g must be finite and positive", g.RsX, g.RsY)
+	case !finitePositive(g.Vdd):
+		return fmt.Errorf("power: Vdd %g must be finite and positive", g.Vdd)
+	case !(g.CurrentDensity >= 0) || math.IsInf(g.CurrentDensity, 1):
+		return fmt.Errorf("power: current density %g must be finite and non-negative", g.CurrentDensity)
 	case g.CurrentMap != nil && len(g.CurrentMap) != g.Nx*g.Ny:
 		return fmt.Errorf("power: current map has %d entries, grid has %d nodes", len(g.CurrentMap), g.Nx*g.Ny)
 	}
-	if g.CurrentMap != nil {
-		for k, c := range g.CurrentMap {
-			if c < 0 || math.IsNaN(c) {
-				return fmt.Errorf("power: current map entry %d is %g", k, c)
-			}
+	if gx, gy := conductances(g); !finitePositive(gx) || !finitePositive(gy) {
+		return fmt.Errorf("power: derived conductances %g/%g must be finite and positive", gx, gy)
+	}
+	base := sinkBase(g)
+	if math.IsNaN(base) || math.IsInf(base, 0) {
+		return fmt.Errorf("power: derived sink current %g is not finite", base)
+	}
+	for k, c := range g.CurrentMap {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("power: current map entry %d is %g", k, c)
+		}
+		if s := base * c; math.IsInf(s, 0) {
+			return fmt.Errorf("power: derived sink current at node %d is %g", k, s)
 		}
 	}
 	return nil
 }
+
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Dx returns the node spacing in x.
 func (g GridSpec) Dx() float64 { return g.Width / float64(g.Nx-1) }
@@ -78,61 +90,30 @@ type Pad struct {
 	I, J int
 }
 
-// Method selects the linear solver.
-type Method int
-
-const (
-	// CG is preconditioned conjugate gradient (Jacobi preconditioner);
-	// the default and usually the fastest on paper-scale grids.
-	CG Method = iota
-	// SOR is successive over-relaxation, kept as an independent
-	// cross-check of CG (the package tests require the two to agree).
-	SOR
-	// MG is geometric multigrid: V-cycles over a coarsened GridSpec
-	// hierarchy with a red-black Gauss-Seidel smoother. Its iteration
-	// count is O(1) in the grid size, so it dominates CG on 512×512+
-	// grids. Grids whose dimensions cannot be coarsened even once (see
-	// multigrid.go) fall back to plain SOR transparently.
-	MG
-	// MGCG is conjugate gradient preconditioned with one multigrid
-	// V-cycle per iteration instead of the Jacobi diagonal — CG's
-	// robustness with MG's mesh-independent convergence. Falls back to
-	// plain (Jacobi) CG when the grid cannot be coarsened.
-	MGCG
-)
-
-// SolveOptions tunes the solver.
+// SolveOptions tunes the solver. The zero value is the production solver:
+// conjugate gradients preconditioned with one multigrid V-cycle per
+// iteration (MGCG, see multigrid.go) on grids that coarsen, and Jacobi CG on
+// grids that cannot (an even side, or fewer than 5 nodes a side).
 type SolveOptions struct {
-	Method Method
-	// Tol is the relative residual target (default 1e-9).
+	// Tol is the relative residual target ‖r‖₂ ≤ Tol·‖b‖₂ on the
+	// pad-eliminated system (default 1e-9).
 	Tol float64
-	// MaxIter bounds the iteration count (default 20·(Nx+Ny) for CG,
-	// 200·(Nx+Ny) for SOR).
+	// MaxIter bounds the CG iteration count (default 20·(Nx+Ny)); under
+	// MGCG each iteration is one V-cycle.
 	MaxIter int
-	// Omega is the SOR relaxation factor (default 1.8). The multigrid
-	// smoother does not use it: plain Gauss-Seidel (ω=1) smooths
-	// high-frequency error, which is all a V-cycle asks of it.
-	Omega float64
-	// CheckEvery is the number of sweeps (SOR) or V-cycles (MG) between
-	// convergence checks. residualNorm costs a full grid pass, so on
-	// large grids checking every sweep doubles the work; 0 takes the
-	// default (8 for SOR — bit-for-bit the historical behavior — and 1
-	// for MG, whose cycles are expensive relative to the check). CG and
-	// MGCG ignore it: their residual norm is a byproduct of the
-	// iteration.
-	CheckEvery int
 	// Workers bounds the solver's concurrency (0 means one per available
 	// CPU). It NEVER changes the result: grids below the parallel
-	// threshold always run the exact legacy sequential scheme, and above
-	// it the red-black/chunked kernels are worker-count independent by
+	// threshold always run the sequential kernels, and above it the
+	// chunked/red-black kernels are worker-count independent by
 	// construction — Workers only decides how their fixed work units are
 	// scheduled (see parallel.go).
 	Workers int
-	// Recorder receives solver telemetry after the solve finishes:
-	// iteration count, final residual, convergence, the worker shard
-	// count and the grid/pad sizes. Nil disables recording; recording
-	// never changes the solve. Callers namespace per solve stage with
-	// obs.WithPrefix (gauges are last-write-wins).
+	// Recorder receives solver telemetry after the solve finishes: the
+	// method that ran (method/mgcg or the method/cg fallback), iteration
+	// count, final residual, convergence, the worker shard count and the
+	// grid/pad sizes. Nil disables recording; recording never changes the
+	// solve. Callers namespace per solve stage with obs.WithPrefix (gauges
+	// are last-write-wins).
 	Recorder obs.Recorder
 }
 
@@ -141,27 +122,7 @@ func (o SolveOptions) withDefaults(g GridSpec) SolveOptions {
 		o.Tol = 1e-9
 	}
 	if o.MaxIter == 0 {
-		switch o.Method {
-		case SOR:
-			o.MaxIter = 200 * (g.Nx + g.Ny)
-		case MG:
-			// MaxIter counts V-cycles; multigrid needs O(1) of them
-			// regardless of grid size, so a flat bound suffices.
-			o.MaxIter = 100
-		default:
-			o.MaxIter = 20 * (g.Nx + g.Ny)
-		}
-	}
-	if o.Omega == 0 {
-		o.Omega = 1.8
-	}
-	if o.CheckEvery == 0 {
-		switch o.Method {
-		case MG:
-			o.CheckEvery = 1
-		default:
-			o.CheckEvery = 8
-		}
+		o.MaxIter = 20 * (g.Nx + g.Ny)
 	}
 	return o
 }
@@ -229,67 +190,25 @@ func Solve(g GridSpec, pads []Pad, opt SolveOptions) (*Solution, error) {
 // cancellation returns the current iterate (Converged=false, Stopped set,
 // Residual computed) instead of an error, so a deadline still yields a
 // best-effort voltage map. Real input errors are still errors.
+//
+// The solve runs out of a pooled workspace (see solve.go): a warm
+// solve allocates only its Solution and V, which the caller owns.
 func SolveContext(ctx context.Context, g GridSpec, pads []Pad, opt SolveOptions) (*Solution, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if len(pads) == 0 {
-		return nil, fmt.Errorf("power: no pads: grid has no supply")
-	}
-	isPad := make([]bool, g.Nx*g.Ny)
-	for _, p := range pads {
-		if p.I < 0 || p.I >= g.Nx || p.J < 0 || p.J >= g.Ny {
-			return nil, fmt.Errorf("power: pad (%d,%d) outside %dx%d grid", p.I, p.J, g.Nx, g.Ny)
-		}
-		isPad[p.J*g.Nx+p.I] = true
-	}
-	opt = opt.withDefaults(g)
-	if opt.Omega <= 0 || opt.Omega >= 2 {
-		return nil, fmt.Errorf("power: SOR relaxation factor %g outside (0,2)", opt.Omega)
-	}
-	if opt.Tol < 0 || opt.MaxIter < 1 {
-		return nil, fmt.Errorf("power: invalid solve options (tol %g, maxIter %d)", opt.Tol, opt.MaxIter)
-	}
-	if opt.CheckEvery < 1 {
-		return nil, fmt.Errorf("power: invalid check interval %d", opt.CheckEvery)
-	}
-	var sol *Solution
-	var err error
-	switch opt.Method {
-	case SOR:
-		sol, err = solveSOR(ctx, g, isPad, opt)
-	case CG:
-		sol, err = solveCG(ctx, g, isPad, opt)
-	case MG:
-		sol, err = solveMG(ctx, g, isPad, opt)
-	case MGCG:
-		sol, err = solveMGCG(ctx, g, isPad, opt)
-	default:
-		return nil, fmt.Errorf("power: unknown method %d", opt.Method)
-	}
-	if err == nil {
-		recordSolve(opt, g, len(pads), sol)
-	}
-	return sol, err
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	return ws.solve(ctx, g, pads, opt)
 }
 
 // recordSolve emits one solve's telemetry. It runs strictly after the
-// numeric work, so recording can never change the solution.
-func recordSolve(opt SolveOptions, g GridSpec, pads int, sol *Solution) {
-	rec := obs.OrNop(opt.Recorder)
+// numeric work, so recording can never change the solution. method is the
+// path that ran: "mgcg", or "cg" when the grid could not coarsen; workers
+// is the shard count the kernels used (1 below the parallel threshold).
+func recordSolve(r obs.Recorder, g GridSpec, pads int, sol *Solution, method string, workers int) {
+	rec := obs.OrNop(r)
 	if _, nop := rec.(obs.NopRecorder); nop {
 		return
 	}
-	switch opt.Method {
-	case SOR:
-		rec.Add("method/sor", 1)
-	case CG:
-		rec.Add("method/cg", 1)
-	case MG:
-		rec.Add("method/mg", 1)
-	case MGCG:
-		rec.Add("method/mgcg", 1)
-	}
+	rec.Add("method/"+method, 1)
 	rec.Add("solves", 1)
 	rec.Add("iterations", int64(sol.Iterations))
 	rec.Set("residual", sol.Residual)
@@ -301,13 +220,6 @@ func recordSolve(opt SolveOptions, g GridSpec, pads int, sol *Solution) {
 	}
 	rec.Set("nodes", float64(g.Nx*g.Ny))
 	rec.Set("pads", float64(pads))
-	// The worker shard count the solve actually used: 1 below the
-	// parallel threshold (legacy sequential scheme), the resolved pool
-	// size above it.
-	workers := 1
-	if g.Nx*g.Ny >= parallelNodeThreshold {
-		workers = parallel.Workers(opt.Workers)
-	}
 	rec.Set("workers", float64(workers))
 }
 
@@ -329,23 +241,25 @@ func conductances(g GridSpec) (gx, gy float64) {
 	return
 }
 
-// sinks returns the per-node sink currents.
-func sinks(g GridSpec) []float64 {
-	base := g.CurrentDensity * g.Dx() * g.Dy()
-	out := make([]float64, g.Nx*g.Ny)
-	for k := range out {
-		out[k] = base
+// sinkBase is the sink current of a node at map weight 1: J0·Δx·Δy.
+func sinkBase(g GridSpec) float64 { return g.CurrentDensity * g.Dx() * g.Dy() }
+
+// sinksInto fills dst (resized to Nx·Ny) with the per-node sink currents.
+func sinksInto(dst []float64, g GridSpec) []float64 {
+	base := sinkBase(g)
+	dst = resize(dst, g.Nx*g.Ny)
+	for k := range dst {
+		dst[k] = base
 		if g.CurrentMap != nil {
-			out[k] *= g.CurrentMap[k]
+			dst[k] *= g.CurrentMap[k]
 		}
 	}
-	return out
+	return dst
 }
 
 // residualNorm returns the max KCL violation over non-pad nodes.
-func residualNorm(g GridSpec, isPad []bool, v []float64) float64 {
+func residualNorm(g GridSpec, isPad []bool, sink, v []float64) float64 {
 	gx, gy := conductances(g)
-	sink := sinks(g)
 	worst := 0.0
 	for j := 0; j < g.Ny; j++ {
 		for i := 0; i < g.Nx; i++ {
@@ -377,265 +291,6 @@ func residualNorm(g GridSpec, isPad []bool, v []float64) float64 {
 		}
 	}
 	return worst
-}
-
-func solveSOR(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*Solution, error) {
-	if g.Nx*g.Ny >= parallelNodeThreshold {
-		// Large grids take the red-black path (worker-count independent;
-		// see parallel.go). Small grids keep the exact legacy sweep.
-		return solveSORRedBlack(ctx, g, isPad, opt)
-	}
-	gx, gy := conductances(g)
-	sink := sinks(g)
-	v := make([]float64, g.Nx*g.Ny)
-	var scale float64
-	for k := range v {
-		v[k] = g.Vdd
-		scale += math.Abs(sink[k])
-	}
-	scale /= float64(len(v)) // mean sink current sets the residual scale
-	if scale == 0 {
-		scale = 1
-	}
-	var res float64
-	sweeps := 0 // completed sweeps: 0 means v is still the flat initial guess
-	converged := false
-	stopped := "max iterations"
-	for it := 0; it < opt.MaxIter; it++ {
-		if err := iterCheck(ctx); err != nil {
-			stopped = err.Error()
-			break
-		}
-		for j := 0; j < g.Ny; j++ {
-			for i := 0; i < g.Nx; i++ {
-				k := j*g.Nx + i
-				if isPad[k] {
-					continue
-				}
-				var sumG, sumGV float64
-				if i > 0 {
-					sumG += gx
-					sumGV += gx * v[k-1]
-				}
-				if i < g.Nx-1 {
-					sumG += gx
-					sumGV += gx * v[k+1]
-				}
-				if j > 0 {
-					sumG += gy
-					sumGV += gy * v[k-g.Nx]
-				}
-				if j < g.Ny-1 {
-					sumG += gy
-					sumGV += gy * v[k+g.Nx]
-				}
-				next := (sumGV - sink[k]) / sumG
-				v[k] += opt.Omega * (next - v[k])
-			}
-		}
-		sweeps++
-		if sweeps%opt.CheckEvery == 0 {
-			res = residualNorm(g, isPad, v)
-			if res <= opt.Tol*scale*float64(g.Nx*g.Ny) {
-				converged = true
-				break
-			}
-		}
-	}
-	res = residualNorm(g, isPad, v)
-	if !converged {
-		// The in-loop test only runs every 8 sweeps; the exit iterate may
-		// already be good enough.
-		converged = res <= opt.Tol*scale*float64(g.Nx*g.Ny)
-	}
-	sol := &Solution{Spec: g, V: v, Iterations: sweeps, Residual: res, Converged: converged}
-	if !converged {
-		sol.Stopped = stopped
-	}
-	return sol, nil
-}
-
-// solveCG solves the Dirichlet-eliminated SPD system with Jacobi-
-// preconditioned conjugate gradients.
-func solveCG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*Solution, error) {
-	return solveCGPre(ctx, g, isPad, opt, nil)
-}
-
-// solveCGPre is the CG engine with a pluggable preconditioner. mkPre, when
-// non-nil, is called once with the unknown index list and the resolved
-// worker count and must return a function computing z ≈ A⁻¹r (r and z are
-// eliminated-system vectors); the operator must be symmetric positive
-// definite for CG's theory to hold. nil mkPre keeps the historical Jacobi
-// (diagonal) preconditioner bit-for-bit.
-func solveCGPre(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions, mkPre func(unknowns []int, workers int) func(r, z []float64)) (*Solution, error) {
-	gx, gy := conductances(g)
-	sink := sinks(g)
-	n := g.Nx * g.Ny
-
-	// Unknown indexing.
-	idx := make([]int, n)
-	var unknowns []int
-	for k := 0; k < n; k++ {
-		if isPad[k] {
-			idx[k] = -1
-			continue
-		}
-		idx[k] = len(unknowns)
-		unknowns = append(unknowns, k)
-	}
-	m := len(unknowns)
-	if m == 0 {
-		v := make([]float64, n)
-		for k := range v {
-			v[k] = g.Vdd
-		}
-		return &Solution{Spec: g, V: v, Iterations: 0, Converged: true}, nil
-	}
-
-	diag := make([]float64, m)
-	b := make([]float64, m)
-	for u, k := range unknowns {
-		i, j := k%g.Nx, k/g.Nx
-		var sumG float64
-		add := func(nk int, cond float64) {
-			sumG += cond
-			if isPad[nk] {
-				b[u] += cond * g.Vdd
-			}
-		}
-		if i > 0 {
-			add(k-1, gx)
-		}
-		if i < g.Nx-1 {
-			add(k+1, gx)
-		}
-		if j > 0 {
-			add(k-g.Nx, gy)
-		}
-		if j < g.Ny-1 {
-			add(k+g.Nx, gy)
-		}
-		diag[u] = sumG
-		b[u] -= sink[k]
-	}
-
-	// Above the node threshold the kernels go parallel: row-sharded
-	// mat-vec (each row writes a disjoint output — identical for any
-	// partition) and fixed-chunk dot products (deterministic summation
-	// order; see parallel.go). Below it, the exact legacy sequential
-	// scheme runs, whatever Workers says.
-	par := m >= parallelNodeThreshold
-	workers := 1
-	if par {
-		workers = parallel.Workers(opt.Workers)
-	}
-	dotf := dot
-	if par {
-		dotf = func(a, b []float64) float64 { return dotChunked(a, b, workers) }
-	}
-
-	// mul computes y = A·x for the eliminated Laplacian.
-	mul := func(x, y []float64) {
-		parallelRange(m, workers, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				k := unknowns[u]
-				i, j := k%g.Nx, k/g.Nx
-				acc := diag[u] * x[u]
-				if i > 0 && idx[k-1] >= 0 {
-					acc -= gx * x[idx[k-1]]
-				}
-				if i < g.Nx-1 && idx[k+1] >= 0 {
-					acc -= gx * x[idx[k+1]]
-				}
-				if j > 0 && idx[k-g.Nx] >= 0 {
-					acc -= gy * x[idx[k-g.Nx]]
-				}
-				if j < g.Ny-1 && idx[k+g.Nx] >= 0 {
-					acc -= gy * x[idx[k+g.Nx]]
-				}
-				y[u] = acc
-			}
-		})
-	}
-
-	x := make([]float64, m) // start from Vdd everywhere
-	for u := range x {
-		x[u] = g.Vdd
-	}
-	r := make([]float64, m)
-	ax := make([]float64, m)
-	mul(x, ax)
-	var bnorm float64
-	for u := range r {
-		r[u] = b[u] - ax[u]
-		bnorm += b[u] * b[u]
-	}
-	bnorm = math.Sqrt(bnorm)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-
-	z := make([]float64, m)
-	p := make([]float64, m)
-	ap := make([]float64, m)
-	precond := func(r, z []float64) {
-		for u := range z {
-			z[u] = r[u] / diag[u]
-		}
-	}
-	if mkPre != nil {
-		if p := mkPre(unknowns, workers); p != nil {
-			precond = p
-		}
-	}
-	precond(r, z)
-	copy(p, z)
-	rz := dotf(r, z)
-
-	var it int
-	converged := false
-	stopped := "max iterations"
-	for it = 0; it < opt.MaxIter; it++ {
-		if math.Sqrt(dotf(r, r)) <= opt.Tol*bnorm {
-			converged = true
-			break
-		}
-		if err := iterCheck(ctx); err != nil {
-			stopped = err.Error()
-			break
-		}
-		mul(p, ap)
-		alpha := rz / dotf(p, ap)
-		for u := range x {
-			x[u] += alpha * p[u]
-			r[u] -= alpha * ap[u]
-		}
-		precond(r, z)
-		rzNext := dotf(r, z)
-		beta := rzNext / rz
-		rz = rzNext
-		for u := range p {
-			p[u] = z[u] + beta*p[u]
-		}
-	}
-
-	if !converged {
-		// MaxIter may have landed exactly on a converged iterate.
-		converged = math.Sqrt(dotf(r, r)) <= opt.Tol*bnorm
-	}
-	v := make([]float64, n)
-	for k := 0; k < n; k++ {
-		if isPad[k] {
-			v[k] = g.Vdd
-		} else {
-			v[k] = x[idx[k]]
-		}
-	}
-	sol := &Solution{Spec: g, V: v, Iterations: it, Residual: residualNorm(g, isPad, v), Converged: converged}
-	if !converged {
-		sol.Stopped = stopped
-	}
-	return sol, nil
 }
 
 func dot(a, b []float64) float64 {

@@ -65,39 +65,46 @@ func TestSolveRequiresPads(t *testing.T) {
 
 // With the whole left edge held at Vdd and uniform draw, the continuum
 // solution is V(x) = Vdd − J0·Rsx·(W·x − x²/2); the maximum drop is
-// J0·Rsx·W²/2 at the far edge.
+// J0·Rsx·W²/2 at the far edge. The production solver and the SOR oracle
+// must both reproduce it.
 func TestSolveMatches1DAnalytic(t *testing.T) {
 	g := baseSpec()
 	g.Nx, g.Ny = 51, 11
-	for _, m := range []Method{CG, SOR} {
-		sol, err := Solve(g, leftEdgePads(g), SolveOptions{Method: m})
+	solvers := map[string]func() (*Solution, error){
+		"default": func() (*Solution, error) { return Solve(g, leftEdgePads(g), SolveOptions{}) },
+		"sor":     func() (*Solution, error) { return SolveSOR(g, leftEdgePads(g), 1e-9) },
+	}
+	for name, solve := range solvers {
+		sol, err := solve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		analytic := g.CurrentDensity * g.RsX * g.Width * g.Width / 2
 		got := sol.MaxDrop()
 		if rel := math.Abs(got-analytic) / analytic; rel > 0.05 {
-			t.Errorf("method %d: MaxDrop = %v, analytic %v (rel err %.3f)", m, got, analytic, rel)
+			t.Errorf("%s: MaxDrop = %v, analytic %v (rel err %.3f)", name, got, analytic, rel)
 		}
 		// Mid-plane profile must match the parabola pointwise.
 		for i := 0; i < g.Nx; i += 10 {
 			x := float64(i) * g.Dx()
 			want := g.Vdd - g.CurrentDensity*g.RsX*(g.Width*x-x*x/2)
 			if diff := math.Abs(sol.At(i, g.Ny/2) - want); diff > 0.05*analytic+1e-12 {
-				t.Errorf("method %d: V(%d) = %v, want %v", m, i, sol.At(i, g.Ny/2), want)
+				t.Errorf("%s: V(%d) = %v, want %v", name, i, sol.At(i, g.Ny/2), want)
 			}
 		}
 	}
 }
 
+// The production solver (MGCG on this odd grid) and the independent SOR
+// oracle must land on the same voltages.
 func TestCGAndSORAgree(t *testing.T) {
 	g := baseSpec()
 	pads := []Pad{{I: 0, J: 0}, {I: 20, J: 7}, {I: 3, J: 20}}
-	cg, err := Solve(g, pads, SolveOptions{Method: CG})
+	cg, err := Solve(g, pads, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sor, err := Solve(g, pads, SolveOptions{Method: SOR})
+	sor, err := SolveSOR(g, pads, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package power
 
-import (
-	"context"
-	"math"
-
-	"copack/internal/parallel"
-)
+import "slices"
 
 // Geometric multigrid for the Eq (1) mesh. The hierarchy is vertex-centered:
 // a fine grid with odd node counts (Nx, Ny ≥ 5) coarsens to ((Nx+1)/2,
@@ -25,9 +20,9 @@ import (
 //
 // Determinism: every kernel below is sharded with parallelRange over
 // index-disjoint outputs — red-black half-sweeps only read the opposite
-// color, residual/restrict/prolong are pure gather-writes — and the only
-// reduction (the convergence check) goes through dotChunked's fixed-chunk
-// summation. Workers therefore never changes a single bit of the result.
+// color, residual/restrict/prolong are pure gather-writes — so Workers never
+// changes a single bit of the result. Below the parallel threshold each
+// kernel runs inline with no closure, so a V-cycle allocates nothing.
 const (
 	// mgMinDim is the smallest odd dimension that still coarsens (to 3).
 	mgMinDim = 5
@@ -64,8 +59,8 @@ type mgLevel struct {
 	gx, gy float64
 	isPad  []bool    // level 0: the real pads; deeper levels: surviving (coincident) pads
 	spring []float64 // diagonal Dirichlet coupling; level 0: all zero (pads are pinned directly)
-	v      []float64 // iterate (level 0) / correction (deeper levels)
-	rhs    []float64 // -sink or CG residual (level 0) / restricted residual
+	v      []float64 // correction: the preconditioned z (level 0) / coarse corrections
+	rhs    []float64 // the CG residual r (level 0) / restricted residuals
 	res    []float64 // residual scratch
 }
 
@@ -76,33 +71,32 @@ func canCoarsen(nx, ny int) bool {
 	return nx >= mgMinDim && ny >= mgMinDim && nx%2 == 1 && ny%2 == 1
 }
 
-// buildHierarchy constructs the level stack for g, finest first (see the
-// mgLevel comment for the hybrid pad/spring coarsening rule). Coarsening
-// stops when the dimensions stop being coarsenable or when the next level
-// would have neither pads nor springs (such a level is singular — red-black
-// sweeps on it could drift the correction by an arbitrary constant). A
-// result of length 1 means the grid cannot be coarsened even once and the
-// caller should fall back to a single-level solver.
-func buildHierarchy(g GridSpec, isPad []bool) []*mgLevel {
-	gx, gy := conductances(g)
-	n := g.Nx * g.Ny
-	fine := &mgLevel{
-		nx: g.Nx, ny: g.Ny, gx: gx, gy: gy, isPad: isPad,
-		spring: make([]float64, n),
-		v:      make([]float64, n), rhs: make([]float64, n), res: make([]float64, n),
+// buildHierarchy fills ws.levels with g's level stack, finest first (see the
+// mgLevel comment for the hybrid pad/spring coarsening rule), reusing the
+// buffers of earlier solves, and reports whether the stack has a coarse
+// level. Coarsening stops when the dimensions stop being coarsenable or when
+// the next level would have neither pads nor springs (such a level is
+// singular — red-black sweeps on it could drift the correction by an
+// arbitrary constant). On false the stack is empty and CG keeps the Jacobi
+// preconditioner.
+func (ws *workspace) buildHierarchy(g GridSpec) bool {
+	ws.levels = ws.levels[:0]
+	if !canCoarsen(g.Nx, g.Ny) {
+		return false
 	}
-	levels := []*mgLevel{fine}
+	gx, gy := ws.gx, ws.gy
+	fine := ws.addLevel(g.Nx, g.Ny)
+	fine.isPad = ws.isPad
+	clear(fine.spring)
+	// A pad survives to the coarse grid iff it coincides with a coarse
+	// node (both coordinates even) — those stay exact Dirichlet pins.
+	survives := func(fi, fj int) bool { return fi%2 == 0 && fj%2 == 0 }
 	for {
-		cur := levels[len(levels)-1]
+		cur := ws.levels[len(ws.levels)-1]
 		if !canCoarsen(cur.nx, cur.ny) {
 			break
 		}
 		cnx, cny := (cur.nx+1)/2, (cur.ny+1)/2
-		cn := cnx * cny
-
-		// A pad survives to the coarse grid iff it coincides with a coarse
-		// node (both coordinates even) — those stay exact Dirichlet pins.
-		survives := func(fi, fj int) bool { return fi%2 == 0 && fj%2 == 0 }
 
 		// seed is the per-free-node coupling the coarse grid must inherit as
 		// diagonal springs: the level's own springs plus the link
@@ -110,12 +104,13 @@ func buildHierarchy(g GridSpec, isPad []bool) []*mgLevel {
 		// surviving pads are excluded — they reappear as real coarse-grid
 		// links to the coarse pad, and counting them twice over-stiffens
 		// the boundary.
-		seed := make([]float64, cur.nx*cur.ny)
-		anyPad := false
+		ws.seed = resize(ws.seed, cur.nx*cur.ny)
+		seed := ws.seed
 		for j := 0; j < cur.ny; j++ {
 			for i := 0; i < cur.nx; i++ {
 				k := j*cur.nx + i
 				if cur.isPad[k] {
+					seed[k] = 0
 					continue
 				}
 				s := cur.spring[k]
@@ -134,31 +129,53 @@ func buildHierarchy(g GridSpec, isPad []bool) []*mgLevel {
 				seed[k] = s
 			}
 		}
-		pad := make([]bool, cn)
-		spring := make([]float64, cn)
+		next := ws.addLevel(cnx, cny)
+		next.isPad = resize(next.isPad, cnx*cny)
+		anyPad := false
 		var total float64
 		for J := 0; J < cny; J++ {
 			for I := 0; I < cnx; I++ {
 				ck := J*cnx + I
 				if cur.isPad[(2*J)*cur.nx+2*I] {
-					pad[ck] = true
+					next.isPad[ck], next.spring[ck] = true, 0
 					anyPad = true
 					continue
 				}
-				spring[ck] = gatherFW(seed, cur.nx, cur.ny, I, J)
-				total += spring[ck]
+				next.isPad[ck] = false
+				next.spring[ck] = gatherFW(seed, cur.nx, cur.ny, I, J)
+				total += next.spring[ck]
 			}
 		}
 		if !anyPad && total == 0 {
+			ws.levels = ws.levels[:len(ws.levels)-1]
 			break
 		}
-		levels = append(levels, &mgLevel{
-			nx: cnx, ny: cny, gx: gx, gy: gy,
-			isPad: pad, spring: spring,
-			v: make([]float64, cn), rhs: make([]float64, cn), res: make([]float64, cn),
-		})
 	}
-	return levels
+	if len(ws.levels) < 2 {
+		ws.levels = ws.levels[:0]
+		return false
+	}
+	return true
+}
+
+// addLevel appends an (nx, ny) level to ws.levels, reusing the buffers an
+// earlier solve left at that depth. The caller sets isPad and spring; v,
+// rhs and res are written before they are read.
+func (ws *workspace) addLevel(nx, ny int) *mgLevel {
+	l := len(ws.levels)
+	ws.levels = slices.Grow(ws.levels, 1)[:l+1] // keeps the pointers past len
+	lv := ws.levels[l]
+	if lv == nil {
+		lv = new(mgLevel)
+		ws.levels[l] = lv
+	}
+	n := nx * ny
+	lv.nx, lv.ny, lv.gx, lv.gy = nx, ny, ws.gx, ws.gy
+	lv.spring = resize(lv.spring, n)
+	lv.v = resize(lv.v, n)
+	lv.rhs = resize(lv.rhs, n)
+	lv.res = resize(lv.res, n)
+	return lv
 }
 
 // gatherFW applies the Pᵀ full-weighting stencil (center 1, edges 1/2,
@@ -200,73 +217,85 @@ func gatherFW(src []float64, fnx, fny, I, J int) float64 {
 // of one color reads only the opposite color, so any row partition produces
 // the same iterate; rows are sharded with parallelRange.
 func rbSweep(lv *mgLevel, color, workers int) {
-	nx, gx, gy := lv.nx, lv.gx, lv.gy
+	if workers <= 1 {
+		rbSweepRows(lv, color, 0, lv.ny)
+		return
+	}
+	parallelRange(lv.ny, workers, func(lo, hi int) { rbSweepRows(lv, color, lo, hi) })
+}
+
+func rbSweepRows(lv *mgLevel, color, jlo, jhi int) {
+	nx, ny, gx, gy := lv.nx, lv.ny, lv.gx, lv.gy
 	v, rhs, isPad, spring := lv.v, lv.rhs, lv.isPad, lv.spring
-	parallelRange(lv.ny, workers, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := (color + j) % 2; i < nx; i += 2 {
-				k := j*nx + i
-				if isPad[k] {
-					continue
-				}
-				sumG := spring[k]
-				var sumGV float64
-				if i > 0 {
-					sumG += gx
-					sumGV += gx * v[k-1]
-				}
-				if i < nx-1 {
-					sumG += gx
-					sumGV += gx * v[k+1]
-				}
-				if j > 0 {
-					sumG += gy
-					sumGV += gy * v[k-nx]
-				}
-				if j < lv.ny-1 {
-					sumG += gy
-					sumGV += gy * v[k+nx]
-				}
-				v[k] = (sumGV + rhs[k]) / sumG
+	for j := jlo; j < jhi; j++ {
+		for i := (color + j) % 2; i < nx; i += 2 {
+			k := j*nx + i
+			if isPad[k] {
+				continue
 			}
+			sumG := spring[k]
+			var sumGV float64
+			if i > 0 {
+				sumG += gx
+				sumGV += gx * v[k-1]
+			}
+			if i < nx-1 {
+				sumG += gx
+				sumGV += gx * v[k+1]
+			}
+			if j > 0 {
+				sumG += gy
+				sumGV += gy * v[k-nx]
+			}
+			if j < ny-1 {
+				sumG += gy
+				sumGV += gy * v[k+nx]
+			}
+			v[k] = (sumGV + rhs[k]) / sumG
 		}
-	})
+	}
 }
 
 // computeResidual fills lv.res with rhs - A·v (zero at pads), row-sharded.
 func computeResidual(lv *mgLevel, workers int) {
-	nx, gx, gy := lv.nx, lv.gx, lv.gy
+	if workers <= 1 {
+		residualRows(lv, 0, lv.ny)
+		return
+	}
+	parallelRange(lv.ny, workers, func(lo, hi int) { residualRows(lv, lo, hi) })
+}
+
+func residualRows(lv *mgLevel, jlo, jhi int) {
+	nx, ny, gx, gy := lv.nx, lv.ny, lv.gx, lv.gy
 	v, rhs, res, isPad, spring := lv.v, lv.rhs, lv.res, lv.isPad, lv.spring
-	parallelRange(lv.ny, workers, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := 0; i < nx; i++ {
-				k := j*nx + i
-				if isPad[k] {
-					res[k] = 0
-					continue
-				}
-				sumG := spring[k]
-				var sumGV float64
-				if i > 0 {
-					sumG += gx
-					sumGV += gx * v[k-1]
-				}
-				if i < nx-1 {
-					sumG += gx
-					sumGV += gx * v[k+1]
-				}
-				if j > 0 {
-					sumG += gy
-					sumGV += gy * v[k-nx]
-				}
-				if j < lv.ny-1 {
-					sumG += gy
-					sumGV += gy * v[k+nx]
-				}
-				res[k] = rhs[k] + sumGV - sumG*v[k]
+	for j := jlo; j < jhi; j++ {
+		for i := 0; i < nx; i++ {
+			k := j*nx + i
+			if isPad[k] {
+				res[k] = 0
+				continue
 			}
+			sumG := spring[k]
+			var sumGV float64
+			if i > 0 {
+				sumG += gx
+				sumGV += gx * v[k-1]
+			}
+			if i < nx-1 {
+				sumG += gx
+				sumGV += gx * v[k+1]
+			}
+			if j > 0 {
+				sumG += gy
+				sumGV += gy * v[k-nx]
+			}
+			if j < ny-1 {
+				sumG += gy
+				sumGV += gy * v[k+nx]
+			}
+			res[k] = rhs[k] + sumGV - sumG*v[k]
 		}
-	})
+	}
 }
 
 // restrict transfers the fine residual to the coarse right-hand side with
@@ -275,15 +304,21 @@ func computeResidual(lv *mgLevel, workers int) {
 // so pads drop out of the gather without a special case. Sharded over coarse
 // rows; each coarse node is a pure gather from the fine residual.
 func restrict(fine, coarse *mgLevel, workers int) {
-	fnx, fny := fine.nx, fine.ny
+	if workers <= 1 {
+		restrictRows(fine, coarse, 0, coarse.ny)
+		return
+	}
+	parallelRange(coarse.ny, workers, func(lo, hi int) { restrictRows(fine, coarse, lo, hi) })
+}
+
+func restrictRows(fine, coarse *mgLevel, Jlo, Jhi int) {
+	fnx, fny, cnx := fine.nx, fine.ny, coarse.nx
 	res, rhs := fine.res, coarse.rhs
-	parallelRange(coarse.ny, workers, func(Jlo, Jhi int) {
-		for J := Jlo; J < Jhi; J++ {
-			for I := 0; I < coarse.nx; I++ {
-				rhs[J*coarse.nx+I] = gatherFW(res, fnx, fny, I, J)
-			}
+	for J := Jlo; J < Jhi; J++ {
+		for I := 0; I < cnx; I++ {
+			rhs[J*cnx+I] = gatherFW(res, fnx, fny, I, J)
 		}
-	})
+	}
 }
 
 // prolong adds the bilinear interpolation of the coarse correction into the
@@ -291,37 +326,43 @@ func restrict(fine, coarse *mgLevel, workers int) {
 // a pull per fine node — each fine node gathers from its 1, 2 or 4 parent
 // coarse nodes and writes only itself — so row sharding is conflict-free.
 func prolong(coarse, fine *mgLevel, workers int) {
-	cnx := coarse.nx
+	if workers <= 1 {
+		prolongRows(coarse, fine, 0, fine.ny)
+		return
+	}
+	parallelRange(fine.ny, workers, func(lo, hi int) { prolongRows(coarse, fine, lo, hi) })
+}
+
+func prolongRows(coarse, fine *mgLevel, jlo, jhi int) {
+	cnx, nx := coarse.nx, fine.nx
 	cv, v, isPad := coarse.v, fine.v, fine.isPad
-	parallelRange(fine.ny, workers, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			J := j / 2
-			for i := 0; i < fine.nx; i++ {
-				k := j*fine.nx + i
-				if isPad[k] {
-					continue
-				}
-				I := i / 2
-				ck := J*cnx + I
-				switch {
-				case i%2 == 0 && j%2 == 0:
-					v[k] += cv[ck]
-				case i%2 == 1 && j%2 == 0:
-					v[k] += 0.5 * (cv[ck] + cv[ck+1])
-				case i%2 == 0 && j%2 == 1:
-					v[k] += 0.5 * (cv[ck] + cv[ck+cnx])
-				default:
-					v[k] += 0.25 * (cv[ck] + cv[ck+1] + cv[ck+cnx] + cv[ck+cnx+1])
-				}
+	for j := jlo; j < jhi; j++ {
+		J := j / 2
+		for i := 0; i < nx; i++ {
+			k := j*nx + i
+			if isPad[k] {
+				continue
+			}
+			I := i / 2
+			ck := J*cnx + I
+			switch {
+			case i%2 == 0 && j%2 == 0:
+				v[k] += cv[ck]
+			case i%2 == 1 && j%2 == 0:
+				v[k] += 0.5 * (cv[ck] + cv[ck+1])
+			case i%2 == 0 && j%2 == 1:
+				v[k] += 0.5 * (cv[ck] + cv[ck+cnx])
+			default:
+				v[k] += 0.25 * (cv[ck] + cv[ck+1] + cv[ck+cnx] + cv[ck+cnx+1])
 			}
 		}
-	})
+	}
 }
 
 // vcycle runs one V-cycle rooted at level l. Pre-smoothing sweeps red then
 // black; post-smoothing black then red; the coarsest level runs symmetric
 // sweep pairs — together that makes the cycle a symmetric operator, which is
-// what lets solveMGCG use it as an SPD preconditioner.
+// what lets CG use it as an SPD preconditioner.
 func vcycle(levels []*mgLevel, l, workers int) {
 	lv := levels[l]
 	if l == len(levels)-1 {
@@ -340,124 +381,11 @@ func vcycle(levels []*mgLevel, l, workers int) {
 	computeResidual(lv, workers)
 	next := levels[l+1]
 	restrict(lv, next, workers)
-	for i := range next.v {
-		next.v[i] = 0
-	}
+	clear(next.v)
 	vcycle(levels, l+1, workers)
 	prolong(next, lv, workers)
 	for s := 0; s < mgPostSweeps; s++ {
 		rbSweep(lv, 1, workers)
 		rbSweep(lv, 0, workers)
 	}
-}
-
-// solveMG is the standalone multigrid driver: V-cycles until the true
-// fine-grid residual meets CG's exact criterion ‖r‖₂ ≤ Tol·‖b‖₂ (b being the
-// eliminated system's right-hand side), so "mg at the same tolerance as cg"
-// means the same mathematical statement, not two different norms. Grids that
-// cannot be coarsened fall back to plain SOR.
-func solveMG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*Solution, error) {
-	levels := buildHierarchy(g, isPad)
-	if len(levels) < 2 {
-		return solveSOR(ctx, g, isPad, opt)
-	}
-	workers := 1
-	if g.Nx*g.Ny >= parallelNodeThreshold {
-		workers = parallel.Workers(opt.Workers)
-	}
-	fine := levels[0]
-	sink := sinks(g)
-	gx, gy := fine.gx, fine.gy
-	// b is the eliminated-system right-hand side scattered onto the full
-	// grid (zero at pads): -sink plus the Dirichlet terms of pad neighbors.
-	// Its 2-norm anchors the relative tolerance exactly as in solveCG.
-	b := make([]float64, g.Nx*g.Ny)
-	for j := 0; j < g.Ny; j++ {
-		for i := 0; i < g.Nx; i++ {
-			k := j*g.Nx + i
-			fine.v[k] = g.Vdd
-			if isPad[k] {
-				continue
-			}
-			fine.rhs[k] = -sink[k]
-			bk := -sink[k]
-			if i > 0 && isPad[k-1] {
-				bk += gx * g.Vdd
-			}
-			if i < g.Nx-1 && isPad[k+1] {
-				bk += gx * g.Vdd
-			}
-			if j > 0 && isPad[k-g.Nx] {
-				bk += gy * g.Vdd
-			}
-			if j < g.Ny-1 && isPad[k+g.Nx] {
-				bk += gy * g.Vdd
-			}
-			b[k] = bk
-		}
-	}
-	bnorm := math.Sqrt(dotChunked(b, b, workers))
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	rnorm := func() float64 {
-		computeResidual(fine, workers)
-		return math.Sqrt(dotChunked(fine.res, fine.res, workers))
-	}
-	cycles := 0
-	converged := rnorm() <= opt.Tol*bnorm
-	stopped := "max iterations"
-	for it := 0; it < opt.MaxIter && !converged; it++ {
-		if err := iterCheck(ctx); err != nil {
-			stopped = err.Error()
-			break
-		}
-		vcycle(levels, 0, workers)
-		cycles++
-		if cycles%opt.CheckEvery == 0 && rnorm() <= opt.Tol*bnorm {
-			converged = true
-		}
-	}
-	if !converged {
-		// The in-loop test only runs every CheckEvery cycles; the exit
-		// iterate may already be good enough.
-		converged = rnorm() <= opt.Tol*bnorm
-	}
-	sol := &Solution{
-		Spec: g, V: fine.v, Iterations: cycles,
-		Residual: residualNormWorkers(g, isPad, fine.v, workers), Converged: converged,
-	}
-	if !converged {
-		sol.Stopped = stopped
-	}
-	return sol, nil
-}
-
-// solveMGCG is conjugate gradient with one V-cycle per iteration as the
-// preconditioner: the cycle is a symmetric positive operator (symmetric
-// smoothing order, matched Pᵀ/P transfers, zero initial correction), so CG's
-// convergence theory applies and the iteration count inherits multigrid's
-// mesh independence. Falls back to Jacobi CG when the grid cannot coarsen.
-func solveMGCG(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*Solution, error) {
-	levels := buildHierarchy(g, isPad)
-	if len(levels) < 2 {
-		return solveCGPre(ctx, g, isPad, opt, nil)
-	}
-	fine := levels[0]
-	mk := func(unknowns []int, workers int) func(r, z []float64) {
-		return func(r, z []float64) {
-			for i := range fine.rhs {
-				fine.rhs[i] = 0
-				fine.v[i] = 0
-			}
-			for u, k := range unknowns {
-				fine.rhs[k] = r[u]
-			}
-			vcycle(levels, 0, workers)
-			for u, k := range unknowns {
-				z[u] = fine.v[k]
-			}
-		}
-	}
-	return solveCGPre(ctx, g, isPad, opt, mk)
 }

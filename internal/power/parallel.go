@@ -2,7 +2,6 @@ package power
 
 import (
 	"context"
-	"math"
 
 	"copack/internal/parallel"
 )
@@ -11,22 +10,22 @@ import (
 // by PROBLEM SIZE ONLY, never by worker count, so a solve's result is
 // byte-identical for every SolveOptions.Workers value.
 //
-//   - Grids below parallelNodeThreshold keep the exact legacy sequential
-//     paths (lexicographic SOR, plain accumulation CG) — nothing changes
-//     for them, ever.
-//   - At or above the threshold, SOR switches to red-black ordering and CG
-//     to fixed-chunk reductions. Both are order-independent by
-//     construction (see DESIGN.md): red and black half-sweeps only read
-//     the opposite color, so any partition of a half-sweep commutes; dot
+//   - Below parallelNodeThreshold every kernel runs inline on the calling
+//     goroutine, whatever Workers says.
+//   - At or above it, CG's mat-vec is row-sharded and its dot products
+//     switch to fixed-chunk reductions, and the multigrid kernels shard
+//     their rows. All of them are order-independent by construction (see
+//     DESIGN.md): mat-vec, residual, restriction and prolongation rows
+//     write disjoint outputs; red and black half-sweeps only read the
+//     opposite color, so any partition of a half-sweep commutes; dot
 //     products accumulate fixed 4096-element partials that are summed in
-//     chunk order regardless of which worker produced them; mat-vec and
-//     residual rows write disjoint outputs. Workers therefore only decides
-//     how the fixed work units are scheduled.
+//     chunk order regardless of which worker produced them. Workers
+//     therefore only decides how the fixed work units are scheduled.
 const (
-	// parallelNodeThreshold is the node count at which the solvers switch
-	// to the parallel (red-black / chunked) schemes. 4096 nodes (64×64)
-	// is safely above every grid the experiments use (48×48 and smaller),
-	// so all published numbers ride the legacy paths bit-for-bit.
+	// parallelNodeThreshold is the node count at which the kernels go
+	// parallel. 4096 nodes (64×64) is safely above every grid the
+	// experiments use (49×49 and smaller), so all published numbers ride
+	// the sequential kernels.
 	parallelNodeThreshold = 4096
 	// dotChunkSize is the fixed reduction granule of chunked dot
 	// products. It never varies with the worker count — that is what
@@ -63,8 +62,9 @@ func parallelRange(n, workers int, fn func(lo, hi int)) {
 
 // dotChunked is the deterministic parallel dot product: fixed-size partial
 // sums, combined in chunk order. For any workers value (including 1) it
-// returns the same bits; it differs from the plain sequential loop only in
-// association, which is why it is gated by problem size, not workers.
+// returns the same bits. Vectors of at most one chunk take the plain
+// sequential loop; longer ones differ from it only in association, so the
+// scheme is picked by length, never by workers.
 func dotChunked(a, b []float64, workers int) float64 {
 	n := len(a)
 	chunks := (n + dotChunkSize - 1) / dotChunkSize
@@ -91,138 +91,4 @@ func dotChunked(a, b []float64, workers int) float64 {
 		s += p
 	}
 	return s
-}
-
-// residualNormWorkers is residualNorm with row sharding. Max-reduction is
-// order-independent, so the result equals the sequential one exactly.
-func residualNormWorkers(g GridSpec, isPad []bool, v []float64, workers int) float64 {
-	if workers <= 1 {
-		return residualNorm(g, isPad, v)
-	}
-	gx, gy := conductances(g)
-	sink := sinks(g)
-	rowMax := make([]float64, g.Ny)
-	parallelRange(g.Ny, workers, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			worst := 0.0
-			for i := 0; i < g.Nx; i++ {
-				k := j*g.Nx + i
-				if isPad[k] {
-					continue
-				}
-				var sumG, sumGV float64
-				if i > 0 {
-					sumG += gx
-					sumGV += gx * v[k-1]
-				}
-				if i < g.Nx-1 {
-					sumG += gx
-					sumGV += gx * v[k+1]
-				}
-				if j > 0 {
-					sumG += gy
-					sumGV += gy * v[k-g.Nx]
-				}
-				if j < g.Ny-1 {
-					sumG += gy
-					sumGV += gy * v[k+g.Nx]
-				}
-				r := sumGV - sumG*v[k] - sink[k]
-				if a := math.Abs(r); a > worst {
-					worst = a
-				}
-			}
-			rowMax[j] = worst
-		}
-	})
-	worst := 0.0
-	for _, m := range rowMax {
-		if m > worst {
-			worst = m
-		}
-	}
-	return worst
-}
-
-// solveSORRedBlack is the large-grid SOR path: red-black ordering, each
-// half-sweep sharded across rows. A red node's stencil touches only black
-// nodes and vice versa, so the updates inside one half-sweep are mutually
-// independent — any row partition produces the same iterate, making the
-// solve worker-count independent. It converges to the same fixed point as
-// the lexicographic sweep (same update equation, same Dirichlet pads),
-// just in a different visit order.
-func solveSORRedBlack(ctx context.Context, g GridSpec, isPad []bool, opt SolveOptions) (*Solution, error) {
-	gx, gy := conductances(g)
-	sink := sinks(g)
-	workers := parallel.Workers(opt.Workers)
-	v := make([]float64, g.Nx*g.Ny)
-	var scale float64
-	for k := range v {
-		v[k] = g.Vdd
-		scale += math.Abs(sink[k])
-	}
-	scale /= float64(len(v)) // mean sink current sets the residual scale
-	if scale == 0 {
-		scale = 1
-	}
-	halfSweep := func(color int) {
-		parallelRange(g.Ny, workers, func(jlo, jhi int) {
-			for j := jlo; j < jhi; j++ {
-				for i := (color + j) % 2; i < g.Nx; i += 2 {
-					k := j*g.Nx + i
-					if isPad[k] {
-						continue
-					}
-					var sumG, sumGV float64
-					if i > 0 {
-						sumG += gx
-						sumGV += gx * v[k-1]
-					}
-					if i < g.Nx-1 {
-						sumG += gx
-						sumGV += gx * v[k+1]
-					}
-					if j > 0 {
-						sumG += gy
-						sumGV += gy * v[k-g.Nx]
-					}
-					if j < g.Ny-1 {
-						sumG += gy
-						sumGV += gy * v[k+g.Nx]
-					}
-					next := (sumGV - sink[k]) / sumG
-					v[k] += opt.Omega * (next - v[k])
-				}
-			}
-		})
-	}
-	var res float64
-	sweeps := 0
-	converged := false
-	stopped := "max iterations"
-	for it := 0; it < opt.MaxIter; it++ {
-		if err := iterCheck(ctx); err != nil {
-			stopped = err.Error()
-			break
-		}
-		halfSweep(0)
-		halfSweep(1)
-		sweeps++
-		if sweeps%opt.CheckEvery == 0 {
-			res = residualNormWorkers(g, isPad, v, workers)
-			if res <= opt.Tol*scale*float64(g.Nx*g.Ny) {
-				converged = true
-				break
-			}
-		}
-	}
-	res = residualNormWorkers(g, isPad, v, workers)
-	if !converged {
-		converged = res <= opt.Tol*scale*float64(g.Nx*g.Ny)
-	}
-	sol := &Solution{Spec: g, V: v, Iterations: sweeps, Residual: res, Converged: converged}
-	if !converged {
-		sol.Stopped = stopped
-	}
-	return sol, nil
 }

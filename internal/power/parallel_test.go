@@ -2,12 +2,13 @@ package power
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 )
 
-// bigSpec is a grid above parallelNodeThreshold, exercising the red-black
-// SOR and chunked CG paths.
+// bigSpec is an even grid above parallelNodeThreshold, exercising the
+// parallel Jacobi CG fallback.
 func bigSpec() GridSpec {
 	return GridSpec{
 		Nx: 70, Ny: 70, // 4900 nodes >= 4096
@@ -30,152 +31,109 @@ func ringPads(g GridSpec) []Pad {
 	return pads
 }
 
+// largeShapes are grids above parallelNodeThreshold on both solver paths:
+// bigSpec's even 70×70 takes the Jacobi CG fallback, mgSpec's odd 65×65
+// runs MGCG.
+func largeShapes() map[string]GridSpec {
+	return map[string]GridSpec{"cg": bigSpec(), "mgcg": mgSpec()}
+}
+
+// sameForWorkers solves g at Workers 1 and at each of the other counts and
+// requires bit-identical results.
+func sameForWorkers(t *testing.T, what string, g GridSpec, pads []Pad, opt SolveOptions, workers ...int) *Solution {
+	t.Helper()
+	opt.Workers = 1
+	ref, err := Solve(g, pads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workers {
+		opt.Workers = w
+		sol, err := Solve(g, pads, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSolution(t, fmt.Sprintf("%s, workers %d", what, w), sol, ref)
+	}
+	return ref
+}
+
 // The whole point of the size-gated scheme selection: a solve's voltages
-// must be bit-for-bit identical for every worker count, both solvers.
+// must be bit-for-bit identical for every worker count, for intermediate
+// iterates (a starved MaxIter) as well as converged ones. This is the
+// Jacobi CG fallback; TestMGDeterministicAcrossWorkers covers MGCG.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	g := bigSpec()
-	pads := ringPads(g)
-	for _, m := range []Method{CG, SOR} {
-		// Cap SOR iterations: determinism must hold for intermediate
-		// iterates, not just converged answers, and it keeps the test fast.
-		opt := SolveOptions{Method: m, Workers: 1}
-		if m == SOR {
-			opt.MaxIter = 120
-			opt.Tol = 1e-6
-		}
-		ref, err := Solve(g, pads, opt)
+	for _, maxIter := range []int{0, 3} {
+		sameForWorkers(t, fmt.Sprintf("maxIter %d", maxIter), g, ringPads(g), SolveOptions{MaxIter: maxIter}, 2, 4, 8)
+	}
+}
+
+// Physics sanity on the parallel kernels: pads pinned at Vdd, every other
+// node strictly below it (the grid only sinks current).
+func TestLargeGridPhysics(t *testing.T) {
+	for m, g := range largeShapes() {
+		pads := ringPads(g)
+		sol, err := Solve(g, pads, SolveOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			opt.Workers = workers
-			sol, err := Solve(g, pads, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Iterations != ref.Iterations || sol.Residual != ref.Residual {
-				t.Errorf("method %d workers %d: iterations/residual %d/%g vs %d/%g",
-					m, workers, sol.Iterations, sol.Residual, ref.Iterations, ref.Residual)
-			}
-			for k := range sol.V {
-				if sol.V[k] != ref.V[k] {
-					t.Fatalf("method %d workers %d: V[%d] = %v, want %v (not bit-identical)",
-						m, workers, k, sol.V[k], ref.V[k])
+		if !sol.Converged {
+			t.Fatalf("%s: did not converge (residual %g after %d iterations)", m, sol.Residual, sol.Iterations)
+		}
+		isPad := make(map[Pad]bool, len(pads))
+		for _, p := range pads {
+			isPad[p] = true
+		}
+		for j := 0; j < g.Ny; j++ {
+			for i := 0; i < g.Nx; i++ {
+				v := sol.At(i, j)
+				if isPad[Pad{I: i, J: j}] {
+					if v != g.Vdd {
+						t.Fatalf("%s: pad (%d,%d) at %v, want Vdd", m, i, j, v)
+					}
+					continue
+				}
+				if v >= g.Vdd || v <= 0 {
+					t.Fatalf("%s: node (%d,%d) voltage %v outside (0, Vdd)", m, i, j, v)
 				}
 			}
 		}
 	}
 }
 
-// Red-black SOR must converge to the same solution as CG on the same grid:
-// same fixed point, different iteration.
-func TestRedBlackSORAgreesWithCG(t *testing.T) {
-	g := bigSpec()
-	pads := ringPads(g)
-	cg, err := Solve(g, pads, SolveOptions{Method: CG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cg.Converged {
-		t.Fatalf("CG did not converge: %+v", cg.Stopped)
-	}
-	sor, err := Solve(g, pads, SolveOptions{Method: SOR, Tol: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sor.Converged {
-		t.Fatalf("red-black SOR did not converge (residual %g after %d sweeps)", sor.Residual, sor.Iterations)
-	}
-	worst := 0.0
-	for k := range cg.V {
-		if d := math.Abs(cg.V[k] - sor.V[k]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-5 {
-		t.Errorf("CG and red-black SOR disagree by %g", worst)
-	}
-	if d := math.Abs(cg.MaxDrop() - sor.MaxDrop()); d > 1e-5 {
-		t.Errorf("max drops disagree: CG %g, SOR %g", cg.MaxDrop(), sor.MaxDrop())
-	}
-}
-
-// Physics sanity on the red-black path: pads pinned at Vdd, every interior
-// node strictly below it (the grid only sinks current).
-func TestRedBlackSORPhysics(t *testing.T) {
-	g := bigSpec()
-	pads := ringPads(g)
-	sol, err := Solve(g, pads, SolveOptions{Method: SOR, Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	isPad := make(map[Pad]bool, len(pads))
-	for _, p := range pads {
-		isPad[p] = true
-	}
-	for j := 0; j < g.Ny; j++ {
-		for i := 0; i < g.Nx; i++ {
-			v := sol.At(i, j)
-			if isPad[Pad{I: i, J: j}] {
-				if v != g.Vdd {
-					t.Fatalf("pad (%d,%d) at %v, want Vdd", i, j, v)
-				}
-				continue
-			}
-			if v >= g.Vdd || v <= 0 {
-				t.Fatalf("node (%d,%d) voltage %v outside (0, Vdd)", i, j, v)
-			}
-		}
-	}
-}
-
-// Cancellation on the red-black path follows the Partial contract: current
+// Cancellation above the threshold follows the Partial contract: current
 // iterate back, Converged=false, Stopped set, no error.
-func TestRedBlackSORCancelled(t *testing.T) {
+func TestLargeGridCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := bigSpec()
-	sol, err := SolveContext(ctx, g, ringPads(g), SolveOptions{Method: SOR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Converged {
-		t.Error("cancelled solve claims convergence")
-	}
-	if sol.Stopped == "" {
-		t.Error("cancelled solve has empty Stopped")
-	}
-	if sol.Iterations != 0 {
-		t.Errorf("cancelled-before-start solve ran %d sweeps", sol.Iterations)
-	}
-	if len(sol.V) != g.Nx*g.Ny {
-		t.Errorf("no iterate returned")
+	for m, g := range largeShapes() {
+		sol, err := SolveContext(ctx, g, ringPads(g), SolveOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Converged {
+			t.Errorf("%s: cancelled solve claims convergence", m)
+		}
+		if sol.Stopped == "" {
+			t.Errorf("%s: cancelled solve has empty Stopped", m)
+		}
+		if sol.Iterations != 0 {
+			t.Errorf("%s: cancelled-before-start solve ran %d iterations", m, sol.Iterations)
+		}
+		if len(sol.V) != g.Nx*g.Ny {
+			t.Errorf("%s: no iterate returned", m)
+		}
 	}
 }
 
-// Below the threshold the legacy sequential scheme runs for any Workers
-// value — the small-grid result must not depend on Workers at all.
+// Below the threshold the sequential kernels run for any Workers value —
+// the small-grid result must not depend on Workers at all. This is the
+// Jacobi CG fallback; TestMGSmallGridIgnoresWorkers covers MGCG.
 func TestSmallGridIgnoresWorkers(t *testing.T) {
-	g := baseSpec() // 21×21 = 441 nodes, far below the threshold
-	pads := leftEdgePads(g)
-	for _, m := range []Method{CG, SOR} {
-		ref, err := Solve(g, pads, SolveOptions{Method: m, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Solve(g, pads, SolveOptions{Method: m, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Iterations != ref.Iterations {
-			t.Errorf("method %d: iterations depend on Workers: %d vs %d", m, got.Iterations, ref.Iterations)
-		}
-		for k := range got.V {
-			if got.V[k] != ref.V[k] {
-				t.Fatalf("method %d: small-grid V[%d] depends on Workers", m, k)
-			}
-		}
-	}
+	g := baseSpec()
+	g.Nx, g.Ny = 20, 20 // 400 nodes, far below the threshold
+	sameForWorkers(t, "20x20", g, leftEdgePads(g), SolveOptions{}, 8)
 }
 
 // The chunked dot product must be bit-identical for every worker count.

@@ -139,17 +139,18 @@ func SolveAssignmentContext(ctx context.Context, p *core.Problem, a *core.Assign
 }
 
 // DefaultChipGrid returns a reasonable grid spec for experiments: a square
-// core whose size matches the package's finger ring, a 48×48 mesh, 0.5 Ω/sq
+// core whose size matches the package's finger ring, a 49×49 mesh (odd, so
+// the multigrid hierarchy coarsens it 49 → 25 → 13 → 7 → 4), 0.5 Ω/sq
 // effective sheet resistance both ways, 1 V supply and a current density
 // calibrated so that well-spread pads see drops in the tens of millivolts
 // (the regime of the paper's Fig 6).
 func DefaultChipGrid(p *core.Problem) GridSpec {
 	side := 2 * p.Pkg.RingHalf()
-	if side <= 0 {
+	if !finitePositive(side) {
 		side = 100
 	}
 	return GridSpec{
-		Nx: 48, Ny: 48,
+		Nx: 49, Ny: 49,
 		Width: side, Height: side,
 		RsX: 0.5, RsY: 0.5,
 		Vdd:            1.0,

@@ -9,8 +9,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -576,6 +578,32 @@ func TestPlanRequestValidationOverHTTP(t *testing.T) {
 				t.Errorf("%s %s: error body %q not JSON {error}", c.name, path, data)
 			}
 		}
+	}
+}
+
+// Non-finite package geometry is an input error: each design is answered
+// 400 on both routes before any job reaches the queue, instead of running
+// both IR solves to their iteration cap on NaN voltages.
+func TestNonFiniteGeometryRejected(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	var started atomic.Int32
+	s.svc.testHookJobStart = func() { started.Add(1) }
+	design := testDesign(t, 24, 7)
+	ball := regexp.MustCompile(`(?m)^spec ball .*$`)
+	if !ball.MatchString(design) {
+		t.Fatal("test design has no spec ball line")
+	}
+	for _, v := range []string{"NaN", "Inf", "1e308"} {
+		body := planBody(t, ball.ReplaceAllString(design, "spec ball "+v+" 2 via 0.1"), RequestOptions{})
+		for _, path := range []string{"/plan", "/jobs"} {
+			resp, data := s.post(t, path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("ball %s %s: %d, want 400 (%s)", v, path, resp.StatusCode, data)
+			}
+		}
+	}
+	if n := started.Load(); n != 0 {
+		t.Errorf("%d jobs reached the queue", n)
 	}
 }
 
