@@ -158,22 +158,28 @@ func BenchmarkAssign(b *testing.B) {
 }
 
 // BenchmarkExchangeMovePricing measures the annealer's O(1) hot loop in
-// isolation: price one adjacent swap, then commit or reject it. Reports
-// ns/move and allocs/move; allocs/move must stay 0 (the same invariant CI
-// asserts via TestPricedMoveZeroAllocs in internal/exchange).
+// isolation: sample a move, price the adjacent swap, then commit or reject
+// it. The psi1 case samples only supply pads (the 2-D exchange), psi4 any
+// pad (a 4-tier stack). Reports ns/move and allocs/move; allocs/move must
+// stay 0 (the same invariant CI asserts via TestPricedMoveZeroAllocs in
+// internal/exchange).
 func BenchmarkExchangeMovePricing(b *testing.B) {
-	p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: 4})
-	dfaA, err := assign.DFA(p, assign.DFAOptions{})
-	if err != nil {
-		b.Fatal(err)
+	for _, tiers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("psi%d", tiers), func(b *testing.B) {
+			p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: tiers})
+			dfaA, err := assign.DFA(p, assign.DFAOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			ps, err := exchange.PricingBench(p, dfaA, exchange.Options{Seed: 1}, b.N)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(ps.NsPerMove, "ns/move")
+			b.ReportMetric(ps.AllocsPerMove, "allocs/move")
+		})
 	}
-	b.ResetTimer()
-	ps, err := exchange.PricingBench(p, dfaA, exchange.Options{Seed: 1}, b.N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(ps.NsPerMove, "ns/move")
-	b.ReportMetric(ps.AllocsPerMove, "allocs/move")
 }
 
 // BenchmarkRouteEvaluate measures the density model.

@@ -100,14 +100,14 @@ func TestExamplesLockdown(t *testing.T) {
 			"ir_drop_before":   f64(res.IRDropBefore),
 			"ir_drop_after":    f64(res.IRDropAfter),
 		}, map[string]string{
-			"assignment_hash":  "0x83ade6b556ff2c7f",
+			"assignment_hash":  "0x39788481cb52c2cb",
 			"baseline_density": "11",
 			"baseline_wirelen": "0x408ee6c3a19f7178",
 			"dfa_density":      "5",
 			"dfa_wirelen":      "0x408ed44a6799b5d2",
 			"final_density":    "5",
-			"final_wirelen":    "0x408ed52e27ddc233",
-			"ir_drop_after":    "0x3f91fbe74b55aa20",
+			"final_wirelen":    "0x408ed54375e3f0f6",
+			"ir_drop_after":    "0x3f9225284e19a3a0",
 			"ir_drop_baseline": "0x3f92e7feea7e5940",
 			"ir_drop_before":   "0x3f931f7b9b8f4000",
 		})
@@ -322,10 +322,10 @@ row irq scl sda en vdd_pll vss_pll -
 			"dfa_hash":             "0x8fe985adcc3dc10d",
 			"dfa_iterations":       "8",
 			"dfa_max_drop":         "0x3f90f27c4de0be20",
-			"exchanged_avg_drop":   "0x3f80e9ae75e6b9df",
-			"exchanged_hash":       "0x9fa9169f9d90dbbd",
+			"exchanged_avg_drop":   "0x3f80e724b63ed899",
+			"exchanged_hash":       "0xbf3b0648f4ed3743",
 			"exchanged_iterations": "7",
-			"exchanged_max_drop":   "0x3f8f6a3308591140",
+			"exchanged_max_drop":   "0x3f8f65134ebb64c0",
 			"random_avg_drop":      "0x3f835b4c5338d159",
 			"random_hash":          "0x2e0ff5bfb2cb5775",
 			"random_iterations":    "8",

@@ -167,17 +167,17 @@ type state struct {
 	// maintained from the O(1) section deltas (see sections.go) so cost
 	// stays O(1) per move.
 	idCache [bga.NumSides]int
-	// sides with at least 2 slots, for move sampling.
+	// sides with at least 2 slots, for stacking-IC move sampling.
 	sides []bga.Side
-	// supply[side][i] reports whether slot i currently holds a net of a
-	// watched class — kept in sync with swaps for ψ=1 move sampling.
-	isSupply [bga.NumSides][]bool
 
 	proxy0, omega0   float64
 	lambda, rho, phi float64
 
 	// trk maintains the proxy and ω incrementally (see incremental.go).
 	trk *tracker
+	// cur is cost() of the current order, refreshed by newState and
+	// CommitMove, so pricing a move does not recompute the before-cost.
+	cur float64
 
 	// pend is the move priced by the last PriceMove call (pricing.go),
 	// awaiting CommitMove or RejectMove.
@@ -204,22 +204,26 @@ func (s *state) cost() float64 {
 	return c
 }
 
-// pickSlot samples the pad to move. For 2-D ICs only supply pads move (the
-// paper's "random choose one power pad"); for stacking ICs any pad moves.
+// pickSlot samples the pad to move. For 2-D ICs only supply pads move: the
+// paper's Fig 14 "randomly chooses one power pad", which is one uniform
+// draw over the tracker's supply list, mapped back to (side, slot). A pad
+// on a side with fewer than 2 slots has no neighbor, so drawing one is an
+// infeasible proposal. For stacking ICs any pad moves: a uniform side with
+// at least 2 slots, then a uniform slot on it.
 func (s *state) pickSlot(rng *rand.Rand) (bga.Side, int, bool) {
+	if s.p.Tiers == 1 {
+		sup := s.trk.supplyIdx
+		if len(sup) == 0 {
+			return 0, 0, false
+		}
+		side, i := s.trk.locate(sup[rng.Intn(len(sup))])
+		return side, i, len(s.a.Slots[side]) >= 2
+	}
 	if len(s.sides) == 0 {
 		return 0, 0, false
 	}
-	for try := 0; try < 16; try++ {
-		side := s.sides[rng.Intn(len(s.sides))]
-		slots := s.a.Slots[side]
-		i := 1 + rng.Intn(len(slots))
-		if s.p.Tiers == 1 && !s.isSupply[side][i-1] {
-			continue
-		}
-		return side, i, true
-	}
-	return 0, 0, false
+	side := s.sides[rng.Intn(len(s.sides))]
+	return side, 1 + rng.Intn(len(s.a.Slots[side])), true
 }
 
 // withDefaults resolves the zero-value option defaults for a problem.
@@ -400,25 +404,16 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 		} else {
 			st.idCache[side] = 0 // the initial assignment scores 0 by definition
 		}
-		slots := st.a.Slots[side]
-		if len(slots) >= 2 {
+		if len(st.a.Slots[side]) >= 2 {
 			st.sides = append(st.sides, side)
 		}
-		match := make(map[netlist.NetClass]bool)
-		if len(opt.Classes) == 0 {
-			match[netlist.Power] = true
-		} else {
-			for _, c := range opt.Classes {
-				match[c] = true
-			}
-		}
-		sup := make([]bool, len(slots))
-		for i, id := range slots {
-			sup[i] = match[p.Circuit.Net(id).Class]
-		}
-		st.isSupply[side] = sup
 	}
-	st.trk = newTracker(p, st.a, &st.isSupply)
+	// The IR term's classes; Power alone when none are set.
+	watched := map[netlist.NetClass]bool{netlist.Power: len(opt.Classes) == 0}
+	for _, c := range opt.Classes {
+		watched[c] = true
+	}
+	st.trk = newTracker(p, st.a, watched)
 	st.proxy0 = power.ProxyForAssignment(p, initial, opt.Classes...)
 	if st.proxy0 <= 0 {
 		st.proxy0 = 1
@@ -427,6 +422,7 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 	if st.omega0 <= 0 {
 		st.omega0 = 1
 	}
+	st.cur = st.cost()
 	return st
 }
 

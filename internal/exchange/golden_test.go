@@ -39,25 +39,25 @@ func TestGoldenResults(t *testing.T) {
 		costs    []uint64 // math.Float64bits of RestartCosts
 	}{
 		{"c0_t1_quick", 0, 4, 1, Options{Seed: 9, Schedule: quick},
-			0x5225c8c71e9be9d5,
-			anneal.Stats{Plateaus: 39, Proposed: 6050, Infeasible: 1750, Accepted: 3687, Uphill: 1365,
-				FinalCost: math.Float64frombits(0x3ffc9b81d574a16e), BestCost: math.Float64frombits(0x3ff0000000000000)},
-			0, []uint64{0x3ffc9b81d574a160}},
+			0x508f750d86c46401,
+			anneal.Stats{Plateaus: 39, Proposed: 6250, Infeasible: 1550, Accepted: 3719, Uphill: 1408,
+				FinalCost: math.Float64frombits(0x3ffc8408cd63069e), BestCost: math.Float64frombits(0x3ff0000000000000)},
+			0, []uint64{0x3ffc8408cd63069a}},
 		{"c0_t4_quick", 0, 4, 4, Options{Seed: 5, Schedule: quick},
 			0xd3f8873e9624f24f,
 			anneal.Stats{Plateaus: 39, Proposed: 6321, Infeasible: 1479, Accepted: 3223, Uphill: 445,
 				FinalCost: math.Float64frombits(0x400c74c15e2dd914), BestCost: math.Float64frombits(0x3ff6666666666666)},
 			0, []uint64{0x400c74c15e2dd916}},
 		{"c1_t1_full", 1, 3, 1, Options{Seed: 9},
-			0x6e32160134a52817,
-			anneal.Stats{Plateaus: 111, Proposed: 57837, Infeasible: 13203, Accepted: 32020, Uphill: 11923,
-				FinalCost: math.Float64frombits(0x3ffbd4eb49bc1064), BestCost: math.Float64frombits(0x3ff0000000000000)},
-			0, []uint64{0x3ffbd4eb49bc1094}},
+			0xeeb25dcb74273453,
+			anneal.Stats{Plateaus: 111, Proposed: 57945, Infeasible: 13095, Accepted: 35135, Uphill: 13296,
+				FinalCost: math.Float64frombits(0x4005a18dab7ec1cf), BestCost: math.Float64frombits(0x3ff0000000000000)},
+			0, []uint64{0x4005a18dab7ec1de}},
 		{"c1_t1_restarts", 1, 3, 1, Options{Seed: 9, Restarts: 3},
-			0x6e32160134a52817,
-			anneal.Stats{Plateaus: 111, Proposed: 57837, Infeasible: 13203, Accepted: 32020, Uphill: 11923,
-				FinalCost: math.Float64frombits(0x3ffbd4eb49bc1064), BestCost: math.Float64frombits(0x3ff0000000000000)},
-			0, []uint64{0x3ffbd4eb49bc1094, 0x4005a4de0848e7fa, 0x3ffbdb8c03505ccd}},
+			0x41c2d602e90e6e77,
+			anneal.Stats{Plateaus: 111, Proposed: 59878, Infeasible: 11162, Accepted: 32604, Uphill: 11924,
+				FinalCost: math.Float64frombits(0x3ffbdb8c03505cdd), BestCost: math.Float64frombits(0x3ff0000000000000)},
+			1, []uint64{0x4005a18dab7ec1de, 0x3ffbdb8c03505cce, 0x3ffbe8cd7678f53e}},
 		{"c2_t4_full", 2, 1, 4, Options{Seed: 1},
 			0xeacd4b87b1cf95f5,
 			anneal.Stats{Plateaus: 111, Proposed: 72513, Infeasible: 19839, Accepted: 55520, Uphill: 8346,
@@ -74,10 +74,10 @@ func TestGoldenResults(t *testing.T) {
 				FinalCost: math.Float64frombits(0x40206a3bc0776f41), BestCost: math.Float64frombits(0x3ff64c64c64c64c6)},
 			0, []uint64{0x40206a3bc0776f43}},
 		{"c0_t1_norange", 0, 4, 1, Options{Seed: 1, Schedule: quick, DisableRangeConstraint: true},
-			0x6d216f9c041c5efb,
-			anneal.Stats{Plateaus: 39, Proposed: 7609, Infeasible: 191, Accepted: 5368, Uphill: 1905,
-				FinalCost: math.Float64frombits(0x4005863c2624ad1f), BestCost: math.Float64frombits(0x3ff0000000000000)},
-			0, []uint64{0x4005863c2624ad1d}},
+			0x4f8abb14256ee89d,
+			anneal.Stats{Plateaus: 39, Proposed: 7800, Infeasible: 0, Accepted: 4775, Uphill: 1768,
+				FinalCost: math.Float64frombits(0x3ffac60d341489e9), BestCost: math.Float64frombits(0x3ff0000000000000)},
+			0, []uint64{0x3ffac60d341489e6}},
 		{"c3_t2_weights", 3, 5, 2, Options{Seed: 7, Schedule: quick, Lambda: 2, Rho: 0.5, Phi: 1.1},
 			0xa1cdb5d7adc9de03,
 			anneal.Stats{Plateaus: 39, Proposed: 6309, Infeasible: 1491, Accepted: 5365, Uphill: 858,
@@ -197,8 +197,8 @@ func TestGoldenPortfolioResults(t *testing.T) {
 				{Name: "legacy"},
 				{Name: "fast", Schedule: anneal.Schedule{Cooling: 0.7}},
 			}},
-			0x84b7751fb2aa9add, 0xe0fc80b4832db1e5,
-			2, []uint64{0x3ffc9b81d574a160, 0x4005e9fe886f7ee6, 0x3ffc8fc5516bd3fd, 0x3ffc8fc5516bd3fd, 0x4005e9fe886f7ee6}},
+			0x508f750d86c46401, 0x2bdbcc502a40d57e,
+			0, []uint64{0x3ffc8408cd63069a, 0x4005e9fe886f7ee6, 0x3ffc9b81d574a160, 0x3ffc9b81d574a160, 0x3ffc9b81d574a160}},
 		{"c1_t4_warm_mix", 1, 3, 4, Options{Seed: 2, Schedule: quick},
 			portfolio.Config{Budget: 6, Arms: []portfolio.Arm{
 				{Name: "cold"},

@@ -25,12 +25,12 @@ const resyncInterval = 4096
 
 // tracker holds the incremental caches of one annealing state.
 type tracker struct {
-	// ringT[side][slot-1] is the fixed perimeter position of a slot.
-	ringT [bga.NumSides][]float64
-	// globalOf[side][slot-1] is the slot's index in the concatenated
-	// ring (bottom, right, top, left).
-	globalOf [bga.NumSides][]int
-	// tGlobal[g] is ringT by global index.
+	// start[side] is the global index of the side's first slot: slots
+	// are numbered along the concatenated ring (bottom, right, top,
+	// left), so four offsets map a slot to its global index and back
+	// (globalOf, locate) with no per-slot table.
+	start [bga.NumSides]int
+	// tGlobal[g] is the fixed perimeter position of global index g.
 	tGlobal []float64
 
 	// Supply bookkeeping: sorted global indices of watched pads and the
@@ -57,22 +57,20 @@ type tracker struct {
 	resyncs int
 }
 
-// newTracker builds the caches from the current assignment.
-func newTracker(p *core.Problem, a *core.Assignment, isSupply *[bga.NumSides][]bool) *tracker {
+// newTracker builds the caches from the current assignment; the pads of
+// the watched classes are the supply pads.
+func newTracker(p *core.Problem, a *core.Assignment, watched map[netlist.NetClass]bool) *tracker {
 	tr := &tracker{psi: p.Tiers}
 	g := 0
 	for _, side := range bga.Sides() {
 		slots := a.Slots[side]
 		n := len(slots)
-		tr.ringT[side] = make([]float64, n)
-		tr.globalOf[side] = make([]int, n)
-		for i := range slots {
-			t := float64(side) + (float64(i+1)-0.5)/float64(n)
-			tr.ringT[side][i] = t
-			tr.globalOf[side][i] = g
-			tr.tGlobal = append(tr.tGlobal, t)
-			tr.tiers = append(tr.tiers, p.Circuit.Net(slots[i]).Tier)
-			if isSupply[side][i] {
+		tr.start[side] = g
+		for i, id := range slots {
+			net := p.Circuit.Net(id)
+			tr.tGlobal = append(tr.tGlobal, float64(side)+(float64(i+1)-0.5)/float64(n))
+			tr.tiers = append(tr.tiers, net.Tier)
+			if watched[net.Class] {
 				tr.supplyIdx = append(tr.supplyIdx, g)
 			}
 			g++
@@ -93,6 +91,24 @@ func newTracker(p *core.Problem, a *core.Assignment, isSupply *[bga.NumSides][]b
 	}
 	return tr
 }
+
+// globalOf returns the global ring index of 1-based slot i of a side.
+func (tr *tracker) globalOf(side bga.Side, i int) int { return tr.start[side] + i - 1 }
+
+// locate is globalOf's inverse: the side and 1-based slot of global index
+// g. Sides are contiguous and in ring order, so g lies on the last side
+// whose start does not exceed it (an empty side shares its successor's
+// start and is stepped over).
+func (tr *tracker) locate(g int) (bga.Side, int) {
+	side := bga.Side(0)
+	for side+1 < bga.NumSides && g >= tr.start[side+1] {
+		side++
+	}
+	return side, g - tr.start[side] + 1
+}
+
+// isSupply reports whether global index g holds a watched pad.
+func (tr *tracker) isSupply(g int) bool { return tr.rankOf[g] >= 0 }
 
 // resyncProxy recomputes the cached proxy from scratch, into the reusable
 // scratch buffer so a resync inside the hot loop allocates nothing.
@@ -130,18 +146,20 @@ type supplyPend struct {
 }
 
 // priceSupplyMove prices the supply pad at global index gFrom moving to
-// the adjacent index gTo in O(1), without mutating anything.
-func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
+// the adjacent index gTo in O(1), without mutating anything but sp, which
+// it fills in place.
+func (tr *tracker) priceSupplyMove(gFrom, gTo int, sp *supplyPend) {
 	r := tr.rankOf[gFrom]
 	if r < 0 {
-		return supplyPend{}
+		sp.moved = false
+		return
 	}
-	sp := supplyPend{moved: true, gFrom: gFrom, gTo: gTo, rank: r, proxy: tr.proxy}
+	sp.moved, sp.gFrom, sp.gTo, sp.rank, sp.proxy = true, gFrom, gTo, r, tr.proxy
 	n := len(tr.supplyIdx)
 	if n == 1 {
 		// A single pad's cost is one full-circle gap regardless of
 		// position.
-		return sp
+		return
 	}
 	// An adjacent move cannot cross another supply pad, so only the two
 	// gaps around the moving pad change.
@@ -152,12 +170,11 @@ func (tr *tracker) priceSupplyMove(gFrom, gTo int) supplyPend {
 	oldCost := sq(circGap(tPrev, tOld)) + sq(circGap(tOld, tNext))
 	newCost := sq(circGap(tPrev, tNew)) + sq(circGap(tNew, tNext))
 	sp.proxy += newCost - oldCost
-	return sp
 }
 
 // commitSupply applies a priced supply move to the caches, resyncing the
 // proxy from scratch on every resyncInterval-th commit.
-func (tr *tracker) commitSupply(sp supplyPend) {
+func (tr *tracker) commitSupply(sp *supplyPend) {
 	if !sp.moved {
 		return
 	}
@@ -209,10 +226,11 @@ func (tr *tracker) groupOmegaSwapped(group, gi, gj int) int {
 }
 
 // priceTierSwap returns the ω value after swapping the adjacent global
-// indices gi, gj, without mutating. A within-group swap cannot change a
-// group's tier union, so only boundary swaps do any work.
+// indices gi, gj, without mutating. Swapping two pads of one tier, or two
+// pads within one group, cannot change any group's tier union, so only a
+// boundary swap of two tiers does any work.
 func (tr *tracker) priceTierSwap(gi, gj int) int {
-	if tr.psi <= 1 {
+	if tr.psi <= 1 || tr.tiers[gi] == tr.tiers[gj] {
 		return tr.omega
 	}
 	ga, gb := gi/tr.psi, gj/tr.psi

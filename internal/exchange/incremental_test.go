@@ -10,11 +10,12 @@ import (
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/gen"
+	"copack/internal/netlist"
 )
 
-// Drive the tracker with thousands of random legal adjacent swaps, priced
-// and committed, and verify its caches against full recomputation
-// throughout.
+// Drive the tracker with 10k random legal adjacent swaps, priced and
+// committed, and verify its caches against full recomputation throughout,
+// the slot ↔ global-index maps and the supply list included.
 func TestTrackerMatchesFullRecompute(t *testing.T) {
 	for _, tiers := range []int{1, 4} {
 		p := gen.MustBuild(gen.Table1()[1], gen.Options{Seed: 2, Tiers: tiers})
@@ -25,7 +26,7 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 		st := newState(p, a, Options{}.withDefaults(p), nil)
 
 		rng := rand.New(rand.NewSource(7))
-		for k := 0; k < 5000; k++ {
+		for k := 0; k < 10000; {
 			side := st.sides[rng.Intn(len(st.sides))]
 			i := 1 + rng.Intn(len(st.a.Slots[side])-1)
 			j := i + 1
@@ -37,7 +38,12 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 			}
 			st.price(side, i, j)
 			st.CommitMove()
+			k++
 			if k%250 == 0 {
+				checkLocate(t, st, k)
+				if math.Float64bits(st.cur) != math.Float64bits(st.cost()) {
+					t.Fatalf("tiers %d, step %d: cached cost %v, cost() %v", tiers, k, st.cur, st.cost())
+				}
 				wantProxy, wantOmega := st.trk.verify(p, st.a, nil)
 				if math.Abs(st.trk.proxy-wantProxy) > 1e-6*wantProxy+1e-12 {
 					t.Fatalf("tiers %d, step %d: proxy cache %v, recompute %v", tiers, k, st.trk.proxy, wantProxy)
@@ -48,12 +54,47 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 			}
 		}
 		// Final exact check.
+		checkLocate(t, st, 10000)
 		wantProxy, wantOmega := st.trk.verify(p, st.a, nil)
 		if math.Abs(st.trk.proxy-wantProxy) > 1e-6*wantProxy+1e-12 {
 			t.Fatalf("tiers %d: final proxy cache %v, recompute %v", tiers, st.trk.proxy, wantProxy)
 		}
 		if tiers > 1 && st.trk.omega != wantOmega {
 			t.Fatalf("tiers %d: final omega cache %d, recompute %d", tiers, st.trk.omega, wantOmega)
+		}
+	}
+}
+
+// checkLocate verifies the tracker's slot ↔ global-index maps and supply
+// list against the current order: locate inverts globalOf on every slot,
+// and the supply list, in rank order, names exactly the slots that hold a
+// power pad (the default watched class).
+func checkLocate(t *testing.T, st *state, step int) {
+	t.Helper()
+	supply := 0
+	for _, side := range bga.Sides() {
+		for i, id := range st.a.Slots[side] {
+			g := st.trk.globalOf(side, i+1)
+			if gs, gi := st.trk.locate(g); gs != side || gi != i+1 {
+				t.Fatalf("step %d: locate(globalOf(%v, %d) = %d) = (%v, %d)", step, side, i+1, g, gs, gi)
+			}
+			power := st.p.Circuit.Net(id).Class == netlist.Power
+			if st.trk.isSupply(g) != power {
+				t.Fatalf("step %d: %v slot %d: isSupply %v, net class power %v", step, side, i+1, st.trk.isSupply(g), power)
+			}
+			if power {
+				supply++
+			}
+		}
+	}
+	if len(st.trk.supplyIdx) != supply {
+		t.Fatalf("step %d: supply list holds %d pads, order has %d", step, len(st.trk.supplyIdx), supply)
+	}
+	for r, g := range st.trk.supplyIdx {
+		side, i := st.trk.locate(g)
+		if id := st.a.Slots[side][i-1]; st.p.Circuit.Net(id).Class != netlist.Power || st.trk.rankOf[g] != r {
+			t.Fatalf("step %d: supply rank %d at global %d = %v slot %d holds net %d (rankOf %d)",
+				step, r, g, side, i, id, st.trk.rankOf[g])
 		}
 	}
 }

@@ -59,7 +59,7 @@ func TestPortfolioSingleArmEquivalence(t *testing.T) {
 // replay run below (circuit1, seed 11, the default arm set, budget 10). It
 // pins the full bandit behavior end to end — every allocation, seed, Eq 3
 // cost bit and annealer counter — across runs, worker counts and GOMAXPROCS.
-const pinnedPortfolioTraceHash uint64 = 0x594b7a2156330a77
+const pinnedPortfolioTraceHash uint64 = 0x40154cb8715b8364
 
 func portfolioReplayRun(t *testing.T, workers int) *Result {
 	t.Helper()

@@ -16,7 +16,8 @@ import (
 // rejected move — the vast majority at low temperature — mutates nothing.
 
 // pendMove is the move priced by the last PriceMove call, held in the
-// state (not a closure) so resolving it allocates nothing.
+// state (not a closure) so resolving it allocates nothing. Pricing fills
+// it in place, field by field, so no move struct is built and copied.
 type pendMove struct {
 	side   bga.Side
 	i, j   int // 1-based slots, |i−j| = 1
@@ -54,58 +55,51 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 // state, and holds the swap as the pending move for CommitMove.
 func (s *state) price(side bga.Side, i, j int) float64 {
 	slots := s.a.Slots[side]
-	sd := &s.sections[side]
-	before := s.cost()
+	pm := &s.pend
+	pm.side, pm.i, pm.j = side, i, j
 
 	// Eq 2: the swap perturbs at most two sections of one line.
-	lo := i
-	if j < i {
-		lo = j
-	}
-	sec := sd.priceSwap(slots[lo-1], slots[lo])
-	idAcc := s.idCache[side]
-	if sec.kind == secDC {
-		idAcc = sec.newMax
-		if idAcc < 0 {
-			idAcc = 0
-		}
+	lo := min(i, j)
+	s.sections[side].priceSwap(slots[lo-1], slots[lo], &pm.sec)
+	pm.idAcc = s.idCache[side]
+	if pm.sec.kind == secDC {
+		pm.idAcc = max(pm.sec.newMax, 0)
 	}
 
 	// Δ_IR proxy: at most one supply pad moves by one ring slot.
-	gi, gj := s.trk.globalOf[side][i-1], s.trk.globalOf[side][j-1]
-	supA, supB := s.isSupply[side][i-1], s.isSupply[side][j-1]
-	var sup supplyPend
+	gi, gj := s.trk.globalOf(side, i), s.trk.globalOf(side, j)
+	pm.gi, pm.gj = gi, gj
+	supA, supB := s.trk.isSupply(gi), s.trk.isSupply(gj)
 	switch {
 	case supB && !supA:
-		sup = s.trk.priceSupplyMove(gj, gi)
+		s.trk.priceSupplyMove(gj, gi, &pm.sup)
 	case supA && !supB:
-		sup = s.trk.priceSupplyMove(gi, gj)
+		s.trk.priceSupplyMove(gi, gj, &pm.sup)
+	default:
+		pm.sup.moved = false
 	}
 	proxyAcc := s.trk.proxy
-	if sup.moved {
-		proxyAcc = sup.proxy
+	if pm.sup.moved {
+		proxyAcc = pm.sup.proxy
 	}
 
 	// ω: at most two tier groups change.
-	omegaAcc := s.trk.priceTierSwap(gi, gj)
+	pm.omega = s.trk.priceTierSwap(gi, gj)
 
-	after := s.costWith(side, idAcc, proxyAcc, omegaAcc)
-	s.pend = pendMove{side: side, i: i, j: j, gi: gi, gj: gj,
-		sec: sec, idAcc: idAcc, sup: sup, omega: omegaAcc}
-	return after - before
+	return s.costWith(side, pm.idAcc, proxyAcc, pm.omega) - s.cur
 }
 
-// CommitMove applies the last priced move to the state and every cache.
+// CommitMove applies the last priced move to the state and every cache,
+// then refreshes the current cost. It calls cost() rather than reusing the
+// priced after-cost because the commit may resync the proxy.
 func (s *state) CommitMove() {
 	p := &s.pend
-	sd := &s.sections[p.side]
-	sd.commitSwap(p.sec)
+	s.sections[p.side].commitSwap(&p.sec)
 	s.idCache[p.side] = p.idAcc
 	s.a.Swap(p.side, p.i, p.j)
-	sup := s.isSupply[p.side]
-	sup[p.i-1], sup[p.j-1] = sup[p.j-1], sup[p.i-1]
-	s.trk.commitSupply(p.sup)
+	s.trk.commitSupply(&p.sup)
 	s.trk.commitTierSwap(p.gi, p.gj, p.omega)
+	s.cur = s.cost()
 }
 
 // RejectMove abandons the last priced move. Pricing mutated nothing, so

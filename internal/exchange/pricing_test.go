@@ -158,11 +158,9 @@ func statesEqual(t *testing.T, step int, a, b *state) {
 		if a.idCache[side] != b.idCache[side] {
 			t.Fatalf("step %d side %v: idCache %d vs %d", step, side, a.idCache[side], b.idCache[side])
 		}
-		for i := range a.isSupply[side] {
-			if a.isSupply[side][i] != b.isSupply[side][i] {
-				t.Fatalf("step %d side %v slot %d: isSupply differs", step, side, i+1)
-			}
-		}
+	}
+	if math.Float64bits(a.cur) != math.Float64bits(b.cur) {
+		t.Fatalf("step %d: cost bits %#016x vs %#016x", step, math.Float64bits(a.cur), math.Float64bits(b.cur))
 	}
 	if math.Float64bits(a.trk.proxy) != math.Float64bits(b.trk.proxy) {
 		t.Fatalf("step %d: proxy bits %#016x vs %#016x", step,
@@ -195,8 +193,8 @@ func statesEqual(t *testing.T, step int, a, b *state) {
 // committed moves; between commits the second twin also prices and rejects
 // extra moves drawn from a separate rng. A rejection must leave no trace,
 // so after every step the twins must agree bit for bit — slots, idCache,
-// proxy bits, applies counter, omega, supply ranks and tiers — including
-// across a resyncInterval boundary.
+// cost and proxy bits, applies counter, omega, supply ranks and tiers —
+// including across a resyncInterval boundary.
 func TestRejectedMovesAreInvisible(t *testing.T) {
 	for _, tiers := range []int{1, 4} {
 		plain := newTestState(t, 2, 1, tiers, Options{})
@@ -276,13 +274,14 @@ func TestSectionDataSparseFallback(t *testing.T) {
 		if dense.row(work[i]) == dense.row(work[i+1]) {
 			continue
 		}
-		pd := dense.priceSwap(work[i], work[i+1])
-		ps := sparse.priceSwap(work[i], work[i+1])
+		var pd, ps secPend
+		dense.priceSwap(work[i], work[i+1], &pd)
+		sparse.priceSwap(work[i], work[i+1], &ps)
 		if pd.kind != ps.kind || pd.dec != ps.dec || pd.inc != ps.inc || pd.newMax != ps.newMax {
 			t.Fatalf("step %d: dense pend %+v, sparse pend %+v", k, pd, ps)
 		}
-		dense.commitSwap(pd)
-		sparse.commitSwap(ps)
+		dense.commitSwap(&pd)
+		sparse.commitSwap(&ps)
 		work[i], work[i+1] = work[i+1], work[i]
 		if dense.worst() != sparse.worst() {
 			t.Fatalf("step %d: dense worst %d, sparse worst %d", k, dense.worst(), sparse.worst())

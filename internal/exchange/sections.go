@@ -252,7 +252,7 @@ const (
 )
 
 // secPend is the priced effect of one adjacent swap on the watched
-// sections: priceSwap computes it without mutating, commitSwap applies it.
+// sections: priceSwap fills it without mutating, commitSwap applies it.
 type secPend struct {
 	kind     secKind
 	line     int        // lines index of the perturbed line (secDC)
@@ -262,16 +262,19 @@ type secPend struct {
 }
 
 // priceSwap prices the swap of the adjacent nets na (earlier finger slot)
-// and nb (the next slot) against the watched sections. O(1), no mutation.
-func (sd *sectionData) priceSwap(na, nb netlist.ID) secPend {
+// and nb (the next slot) against the watched sections into sp, in place.
+// It sets the fields commitSwap reads for sp.kind and leaves the rest
+// stale. O(1), no other mutation.
+func (sd *sectionData) priceSwap(na, nb netlist.ID, sp *secPend) {
 	ra, rb := sd.row(na), sd.row(nb)
 	if ra == rb {
 		// Same line: both delimit, the section between two adjacent
 		// delimiters is empty, so only their ordinals trade places.
+		sp.kind = secNone
 		if sd.lineIdx[ra] >= 0 {
-			return secPend{kind: secDD, na: na, nb: nb}
+			sp.kind, sp.na, sp.nb = secDD, na, nb
 		}
-		return secPend{kind: secNone}
+		return
 	}
 	// Only the higher line is perturbed: there the higher net delimits
 	// and the lower net is counted; on every other line the pair is
@@ -282,7 +285,8 @@ func (sd *sectionData) priceSwap(na, nb netlist.ID) secPend {
 	}
 	k := sd.lineIdx[hi]
 	if k < 0 {
-		return secPend{kind: secNone} // unwatched (TopLineOnly)
+		sp.kind = secNone // unwatched (TopLineOnly)
+		return
 	}
 	m := sd.ord(dNet)
 	var dec, inc int
@@ -308,11 +312,11 @@ func (sd *sectionData) priceSwap(na, nb netlist.ID) secPend {
 	if gInc+1 > newMax {
 		newMax = gInc + 1
 	}
-	return secPend{kind: secDC, line: k, dec: dec, inc: inc, newMax: newMax}
+	sp.kind, sp.line, sp.dec, sp.inc, sp.newMax = secDC, k, dec, inc, newMax
 }
 
 // commitSwap applies a priced swap to the incremental caches.
-func (sd *sectionData) commitSwap(p secPend) {
+func (sd *sectionData) commitSwap(p *secPend) {
 	switch p.kind {
 	case secDC:
 		k := p.line

@@ -313,6 +313,18 @@ func TestRouterErrorPaths(t *testing.T) {
 	if got := resp.Header.Get(nodeHeader); got != "a" {
 		t.Errorf("malformed answered by %q, want a", got)
 	}
+	// A design with no power net is invalid too: the entry node answers
+	// the service's 400 itself instead of forwarding it to an owner.
+	noPower := strings.ReplaceAll(fleetDesign(t), " power\n", " signal\n")
+	for _, path := range []string{"/plan", "/jobs"} {
+		resp, data = f.post(t, "a", path, planBody(t, noPower, 1))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "no power net") {
+			t.Errorf("no power net %s: %d: %s", path, resp.StatusCode, data)
+		}
+		if got := resp.Header.Get(nodeHeader); got != "a" {
+			t.Errorf("no power net %s answered by %q, want a", path, got)
+		}
+	}
 	// Oversized bodies die at the router with 413 before any hashing.
 	resp, data = f.post(t, "a", "/jobs", `{"design": "`+strings.Repeat("x", 8192)+`"}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

@@ -607,6 +607,36 @@ func TestNonFiniteGeometryRejected(t *testing.T) {
 	}
 }
 
+// A design with no power net has no supply for the IR-drop model. It is an
+// input error, answered 400 on both routes and with or without the exchange
+// step, before any job reaches the queue — not a 500 from the IR solve
+// after assignment and routing already ran.
+func TestNoPowerNetRejected(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	var started atomic.Int32
+	s.svc.testHookJobStart = func() { started.Add(1) }
+	design := strings.ReplaceAll(testDesign(t, 24, 7), " power\n", " signal\n")
+	if strings.Contains(design, " power") {
+		t.Fatal("test design still has a power net")
+	}
+	for _, skip := range []bool{false, true} {
+		body := planBody(t, design, RequestOptions{SkipExchange: skip})
+		for _, path := range []string{"/plan", "/jobs"} {
+			resp, data := s.post(t, path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("skip=%v %s: %d, want 400 (%s)", skip, path, resp.StatusCode, data)
+			}
+			var e map[string]string
+			if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e["error"], "no power net") {
+				t.Errorf("skip=%v %s: error body %q does not name the missing power net", skip, path, data)
+			}
+		}
+	}
+	if n := started.Load(); n != 0 {
+		t.Errorf("%d jobs reached the queue", n)
+	}
+}
+
 func TestBudgetedPlanReportsPartialAndSkipsCache(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	// An effectively-zero budget forces a partial result: the planner

@@ -244,6 +244,13 @@ func (s *Server) canonicalize(req *PlanRequest) (*planSpec, error) {
 	if err != nil {
 		return nil, classifyDesignError(err)
 	}
+	if p.Circuit.CountByClass()[copack.Power] == 0 {
+		// Every net sits on a ball, so a power net is a power pad; the
+		// IR-drop model solves against the power pads and has no supply
+		// without one, with or without the exchange step.
+		return nil, httpErrf(http.StatusBadRequest,
+			"invalid design: no power net: the IR-drop model needs at least one power pad")
+	}
 	canonical := copack.FormatDesign(p)
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n%s\n", cacheKeyVersion, opts.optionsKey())
