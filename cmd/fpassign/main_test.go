@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"copack"
 )
 
 func TestRunGeneratedInstance(t *testing.T) {
@@ -70,6 +73,30 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(config{circuit: 0, fingers: 3, alg: "dfa", tiers: 1}); err == nil {
 		t.Error("impossible custom instance accepted")
+	}
+}
+
+// TestRunNoPowerNet: a design file without a power net fails before any
+// planning with copack.ErrNoPowerNet, and the command exits 1.
+func TestRunNoPowerNet(t *testing.T) {
+	dir := t.TempDir()
+	design := filepath.Join(dir, "plan.copack")
+	if err := run(config{circuit: 1, alg: "dfa", tiers: 1, seed: 1, skipExchange: true, out: design}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nopower := filepath.Join(dir, "nopower.copack")
+	if err := os.WriteFile(nopower, []byte(strings.ReplaceAll(string(data), " power\n", " signal\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(config{in: nopower, alg: "dfa"}); !errors.Is(err, copack.ErrNoPowerNet) {
+		t.Errorf("run on a design without a power net: %v, want ErrNoPowerNet", err)
+	}
+	if code := realMain([]string{"-in", nopower}); code != 1 {
+		t.Errorf("realMain exit code %d, want 1", code)
 	}
 }
 

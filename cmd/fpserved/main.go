@@ -103,7 +103,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		queue     = fs.Int("queue", 64, "async job queue depth; beyond it submissions get 429")
 		workers   = fs.Int("workers", 0, "job worker goroutines (0 = one per CPU)")
 		syncConc  = fs.Int("sync", 0, "max concurrent synchronous /plan requests (0 = same as -workers)")
-		cache     = fs.Int("cache", 128, "content-addressed result cache entries (negative disables)")
+		cache     = fs.Int("cache", 128, "entries in each of three LRUs: plan results, raw-body keys, sweep units (negative disables all three)")
 		maxBody   = fs.Int64("max-body", 1<<20, "request body size cap in bytes")
 		maxBudget = fs.Duration("max-budget", 2*time.Minute,
 			"cap on the per-request planning budget (budget_ms)")

@@ -22,6 +22,7 @@ package copack
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -327,6 +328,12 @@ func recoverStage(stage string, err *error) {
 	}
 }
 
+// ErrNoPowerNet reports a design with no power net. Every net sits on a
+// ball, so a power net is a power pad; the IR-drop model solves against
+// the power pads and has no supply without one. PlanContext returns it,
+// wrapped, before any assignment runs; match it with errors.Is.
+var ErrNoPowerNet = errors.New("no power net: the IR-drop model needs at least one power pad")
+
 // Plan runs the paper's two-step flow on a problem: congestion-driven
 // assignment, then the IR-drop- and bonding-aware finger/pad exchange.
 // It is PlanContext with a background context: it never times out, but it
@@ -344,7 +351,8 @@ func Plan(p *Problem, opt Options) (*Result, error) {
 // every anneal move preserves legality, so interruption can only cost
 // optimization quality, never correctness. Cancellation before the initial
 // assignment exists is the one case that returns ctx's error, because
-// there is no state worth returning.
+// there is no state worth returning. A design with no power net fails
+// with ErrNoPowerNet before any work.
 //
 // An uncancelled PlanContext run is byte-for-byte identical to Plan for
 // the same Options: the cancellation checkpoints never touch the random
@@ -353,6 +361,9 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 	defer recoverStage("plan", &err)
 	if p == nil {
 		return nil, fmt.Errorf("copack: nil problem")
+	}
+	if p.Circuit.CountByClass()[Power] == 0 {
+		return nil, fmt.Errorf("copack: %w", ErrNoPowerNet)
 	}
 	if opt.Budget > 0 {
 		var cancel context.CancelFunc

@@ -1,9 +1,37 @@
 package copack
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
+
+// TestNoPowerNetFailsBeforeAssignment: a design without a power net has
+// no supply for the IR-drop model, so PlanContext refuses it with
+// ErrNoPowerNet before the assign phase starts, for every engine and
+// with or without the exchange.
+func TestNoPowerNetFailsBeforeAssignment(t *testing.T) {
+	text := strings.ReplaceAll(FormatDesign(buildTest(t, 1)), " power\n", " signal\n")
+	p, err := ParseDesign(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Circuit.CountByClass()[Power] != 0 {
+		t.Fatal("test design still has a power net")
+	}
+	for _, alg := range []Algorithm{DFA, IFA, RandomAssign, MCMF} {
+		for _, skip := range []bool{false, true} {
+			col := NewMetricsCollector()
+			res, err := Plan(p, Options{Algorithm: alg, SkipExchange: skip, Recorder: col})
+			if !errors.Is(err, ErrNoPowerNet) || res != nil {
+				t.Errorf("%v skip=%v: result %v, error %v; want nil, ErrNoPowerNet", alg, skip, res, err)
+			}
+			if phases := col.Snapshot().Phases; len(phases) != 0 {
+				t.Errorf("%v skip=%v: ran %v before refusing", alg, skip, phases)
+			}
+		}
+	}
+}
 
 func TestDesignRoundTripThroughFacade(t *testing.T) {
 	p := buildTest(t, 4)

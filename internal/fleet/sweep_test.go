@@ -153,7 +153,8 @@ func remoteUnits(t *testing.T, rt *Router, coordinator string, seeds []int64) in
 // the reduced sweep body is byte-identical whether it was computed by a
 // standalone server, a 1-node fleet, or a 3-node fleet, with 1 or 4
 // workers per node — placement and parallelism change where units run,
-// never their bytes.
+// never their bytes. A warm resubmission, answered unit by unit from the
+// owners' unit caches, reduces to the same bytes.
 func TestSweepGoldenAcrossFleetShapes(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	body := sweepReqBody(seeds)
@@ -230,6 +231,29 @@ func TestSweepGoldenAcrossFleetShapes(t *testing.T) {
 					t.Errorf("proxied stream replayed %d progress ticks, want %d", progress, len(seeds))
 				}
 			}
+
+			before := f.counters(t, "a")
+			warm := f.awaitSweep(t, via, f.submitSweep(t, "a", body))
+			if !bytes.Equal(warm, golden) {
+				t.Errorf("%s warm sweep body differs from standalone golden:\n got %s\nwant %s",
+					shape.name, warm, golden)
+			}
+			after := f.counters(t, "a")
+			if got := after["sweep/units/cached"]; got != int64(len(seeds)) {
+				t.Errorf("warm sweep answered %d units from cache, want %d: %v", got, len(seeds), after)
+			}
+			for _, k := range []string{"sweep/units/local", "sweep/units/forwarded"} {
+				if after[k] != before[k] {
+					t.Errorf("warm sweep computed units: %s %d -> %d", k, before[k], after[k])
+				}
+			}
+			var hits int64
+			for _, id := range shape.ids {
+				hits += f.counters(t, id)["sweep/unitcache/hits"]
+			}
+			if hits != int64(len(seeds)) {
+				t.Errorf("owners' unit caches hit %d times, want %d", hits, len(seeds))
+			}
 		})
 	}
 }
@@ -279,6 +303,79 @@ func TestSweepChaosKillNodeMidSweep(t *testing.T) {
 	if c["sweep/shards/failover-local"] == 0 {
 		t.Errorf("kill produced no shard failover: %v", c)
 	}
+}
+
+// TestSweepCoordinatorDeathThenResubmit kills a sweep's coordinator
+// mid-sweep and resubmits the same body to a survivor, the recovery a
+// client performs. Every unit b or c finished for the dead coordinator
+// sits in its owner's unit cache, so the resubmission answers those
+// units from the caches and computes only the rest: a's own units, plus
+// any owner unit that had not finished. The body is the standalone
+// golden.
+func TestSweepCoordinatorDeathThenResubmit(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	body := sweepReqBody(seeds)
+	golden := goldenSweepBody(t, body)
+
+	f := newSweepFleet(t, []string{"a", "b", "c"}, 1)
+	req := sweep.Request{Kind: "table2", Seeds: seeds, RandomTries: 2}
+	sp, err := req.Normalize(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := map[string]int{}
+	for i := range sp.Seeds {
+		owned[f.nodes["a"].rt.Preference(sp.UnitKey(i))[0]]++
+	}
+	if owned["a"] == 0 || owned["b"]+owned["c"] == 0 {
+		t.Fatalf("ring placement %v needs units on a and on its peers; pick other seeds", owned)
+	}
+	// shards/served counts a shard after its unit was cached.
+	served := func() int64 {
+		return f.counters(t, "b")["sweep/shards/served"] + f.counters(t, "c")["sweep/shards/served"]
+	}
+
+	f.submitSweep(t, "a", body)
+	deadline := time.Now().Add(60 * time.Second)
+	for served() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no forwarded unit finished on b or c")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Kill a: nothing reaches it any more, and its sweep state dies with
+	// its drain.
+	faultinject.Arm(faultinject.Fault{Point: faultinject.FleetDial("a"), Repeat: true})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := f.nodes["a"].svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	finished := served()
+	before := map[string]map[string]int64{"b": f.counters(t, "b"), "c": f.counters(t, "c")}
+
+	got := f.awaitSweep(t, "b", f.submitSweep(t, "b", body))
+	if !bytes.Equal(got, golden) {
+		t.Errorf("resubmitted sweep body differs from golden:\n got %s\nwant %s", got, golden)
+	}
+	after := map[string]map[string]int64{"b": f.counters(t, "b"), "c": f.counters(t, "c")}
+	delta := func(node, k string) int64 { return after[node][k] - before[node][k] }
+	hits := delta("b", "sweep/unitcache/hits") + delta("c", "sweep/unitcache/hits")
+	if hits < finished {
+		t.Errorf("owners' unit caches hit %d times, but b and c had finished %d units", hits, finished)
+	}
+	cached := delta("b", "sweep/units/cached")
+	computed := delta("b", "sweep/units/local") + delta("b", "sweep/units/forwarded")
+	if cached != hits || cached+computed != int64(len(seeds)) {
+		t.Errorf("coordinator b counted %d cached + %d computed units, want %d cache hits of %d units",
+			cached, computed, hits, len(seeds))
+	}
+	if computed < int64(owned["a"]) {
+		t.Errorf("computed %d units, fewer than the dead coordinator's %d", computed, owned["a"])
+	}
+	t.Logf("owners %v; %d units finished before the kill; resubmission: %d cached, %d computed",
+		owned, finished, cached, computed)
 }
 
 // TestAdmissionCacheTable pins the admission cache's decision table:

@@ -3,17 +3,20 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/json"
 	"sync"
 
 	"copack/internal/obs"
 )
 
-// lru is a bounded least-recently-used map. The service keeps two: the
-// content-addressed result cache (canonical request key → rendered body)
-// and the key memo in front of it (sha256 of the raw request bytes →
-// canonical key). Values are stored and returned as-is — a result-cache
-// hit replays the exact bytes of the original computation — so callers
-// must never mutate what get returns.
+// lru is a bounded least-recently-used map. The service keeps three: the
+// content-addressed result cache (canonical request key → rendered body),
+// the key memo in front of it (sha256 of the raw request bytes →
+// canonical key) and the sweep unit cache (sweep.UnitKey → the unit's
+// canonical RunUnit JSON; it is the sweep manager's sweep.UnitCache).
+// Values are stored and returned as-is — a hit replays the exact bytes of
+// the original computation — so callers must never mutate what Get
+// returns.
 type lru[K comparable, V any] struct {
 	mu      sync.Mutex
 	max     int
@@ -51,8 +54,14 @@ func newKeyMemo(max int, rec obs.Recorder) *lru[[sha256.Size]byte, string] {
 	return newLRU[[sha256.Size]byte, string](max, rec, "keymemo/")
 }
 
-// get returns the value for key and refreshes its recency.
-func (c *lru[K, V]) get(key K) (V, bool) {
+// newUnitCache builds the sweep unit cache, bounded like the result cache;
+// rec is the sweep/ recorder (sweep/unitcache/hits, sweep/unitcache/misses).
+func newUnitCache(max int, rec obs.Recorder) *lru[string, json.RawMessage] {
+	return newLRU[string, json.RawMessage](max, rec, "unitcache/")
+}
+
+// Get returns the value for key and refreshes its recency.
+func (c *lru[K, V]) Get(key K) (V, bool) {
 	var zero V
 	if c.max < 0 {
 		c.rec.Add("misses", 1)
@@ -70,18 +79,18 @@ func (c *lru[K, V]) get(key K) (V, bool) {
 	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// put inserts (or refreshes) a value, evicting the least recently used
+// Put inserts (or refreshes) a value, evicting the least recently used
 // entries beyond the bound.
-func (c *lru[K, V]) put(key K, val V) {
+func (c *lru[K, V]) Put(key K, val V) {
 	if c.max < 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		// Both users store a pure function of the key (identical requests
-		// recompute identical bodies and keys), so overwriting is a
-		// determinism no-op; refresh recency only.
+		// Every user stores a pure function of the key (identical requests
+		// recompute identical bodies, keys and unit results), so
+		// overwriting is a determinism no-op; refresh recency only.
 		c.order.MoveToFront(el)
 		return
 	}

@@ -114,7 +114,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planS
 		writeHTTPError(w, err)
 		return nil, nil, false
 	}
-	if body, hit := s.cache.get(key); hit {
+	if body, hit := s.cache.Get(key); hit {
 		return nil, body, true
 	}
 	if spec == nil {

@@ -52,9 +52,9 @@ type Event struct {
 	UnitsTotal int       `json:"units_total"`
 	// Seed is the completed unit's seed (progress events).
 	Seed *int64 `json:"seed,omitempty"`
-	// Node names who computed the unit (progress) — diagnostic only,
-	// completion order and placement vary with scheduling; only the
-	// final body is deterministic.
+	// Node names who computed the unit, or answered it from its unit
+	// cache (progress) — diagnostic only, completion order and placement
+	// vary with scheduling; only the final body is deterministic.
 	Node string `json:"node,omitempty"`
 	// Line is a harness progress line (log events).
 	Line string `json:"line,omitempty"`

@@ -73,7 +73,7 @@ func TestKeyMemoHitAfterEviction(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, CacheEntries: 1})
 	body := planBody(t, testDesign(t, 24, 7), RequestOptions{Seed: 4, SkipExchange: true})
 	_, golden := s.post(t, "/plan", body)
-	s.svc.cache.put("an-unrelated-key", []byte("x\n")) // evicts the body
+	s.svc.cache.Put("an-unrelated-key", []byte("x\n")) // evicts the body
 
 	resp, again := s.post(t, "/plan", body)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "miss" {

@@ -245,11 +245,9 @@ func (s *Server) canonicalize(req *PlanRequest) (*planSpec, error) {
 		return nil, classifyDesignError(err)
 	}
 	if p.Circuit.CountByClass()[copack.Power] == 0 {
-		// Every net sits on a ball, so a power net is a power pad; the
-		// IR-drop model solves against the power pads and has no supply
-		// without one, with or without the exchange step.
-		return nil, httpErrf(http.StatusBadRequest,
-			"invalid design: no power net: the IR-drop model needs at least one power pad")
+		// PlanContext refuses it too (copack.ErrNoPowerNet); checking here
+		// answers 400 before the request is queued.
+		return nil, httpErrf(http.StatusBadRequest, "invalid design: %v", copack.ErrNoPowerNet)
 	}
 	canonical := copack.FormatDesign(p)
 	h := sha256.New()
@@ -281,13 +279,13 @@ func (s *Server) SpecKey(body []byte) (string, error) {
 // re-validated, and rejected the same way, every time it arrives.
 func (s *Server) resolveKey(body []byte) (key string, spec *planSpec, err error) {
 	digest := sha256.Sum256(body)
-	if key, ok := s.memo.get(digest); ok {
+	if key, ok := s.memo.Get(digest); ok {
 		return key, nil, nil
 	}
 	if spec, err = s.parseSpec(body); err != nil {
 		return "", nil, err
 	}
-	s.memo.put(digest, spec.key)
+	s.memo.Put(digest, spec.key)
 	return spec.key, spec, nil
 }
 

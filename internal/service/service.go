@@ -20,7 +20,8 @@
 //     explicit option values) share one cache entry. Partial results are
 //     never cached — they depend on wall-clock timing. A key memo keyed
 //     by the raw body's sha256 lets byte-identical repeats skip the
-//     decode and canonicalization that derive the key.
+//     decode and canonicalization that derive the key, and a unit cache
+//     keyed by sweep.UnitKey answers sweep units computed before.
 //
 //   - Determinism survives the service layer. A plan is a pure function
 //     of (canonical design, normalized options); the queue order, worker
@@ -72,9 +73,10 @@ type Config struct {
 	// SyncConcurrency bounds how many synchronous /plan requests may be
 	// planning at once; excess requests get 429. Default: Workers.
 	SyncConcurrency int
-	// CacheEntries bounds the content-addressed result cache (LRU) and
-	// the raw-body key memo in front of it. Default 128; negative
-	// disables both.
+	// CacheEntries bounds each of three LRUs: the content-addressed
+	// result cache, the raw-body key memo in front of it, and the sweep
+	// unit cache (completed sweep units by content address). Default 128;
+	// negative disables all three.
 	CacheEntries int
 	// MaxBodyBytes bounds the request body (and so the design text).
 	// Default 1 MiB.
@@ -194,6 +196,7 @@ func New(cfg Config) *Server {
 	s.sweeps = sweep.NewManager(sweep.Config{
 		MaxSeeds: cfg.SweepMaxSeeds,
 		Enqueue:  s.enqueueUnit,
+		Cache:    newUnitCache(cfg.CacheEntries, s.sweepRec),
 		Recorder: s.sweepRec,
 	})
 	s.wg.Add(cfg.Workers)
@@ -467,7 +470,7 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 		s.rec.Set("portfolio/last_trace_hash_lo", float64(h&0xffffffff))
 	}
 	if !res.Partial {
-		s.cache.put(spec.key, body)
+		s.cache.Put(spec.key, body)
 	}
 	return body, 200, ""
 }

@@ -39,27 +39,27 @@ func specServer(maxBody int64) *Server {
 func TestCacheLRUAndCounters(t *testing.T) {
 	col := obs.NewCollector()
 	c := newResultCache(2, col)
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if body, ok := c.get("a"); !ok || string(body) != "A" {
+	c.Put("a", []byte("A"))
+	c.Put("b", []byte("B"))
+	if body, ok := c.Get("a"); !ok || string(body) != "A" {
 		t.Fatalf("get a = %q, %v", body, ok)
 	}
 	// "a" is now most recent; inserting "c" must evict "b".
-	c.put("c", []byte("C"))
-	if _, ok := c.get("b"); ok {
+	c.Put("c", []byte("C"))
+	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Error("a evicted out of LRU order")
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
 	// Re-putting an existing key must not duplicate it.
-	c.put("a", []byte("A"))
+	c.Put("a", []byte("A"))
 	if c.len() != 2 {
 		t.Errorf("len after re-put = %d, want 2", c.len())
 	}
@@ -75,8 +75,8 @@ func TestCacheLRUAndCounters(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(-1, nil)
-	c.put("k", []byte("v"))
-	if _, ok := c.get("k"); ok {
+	c.Put("k", []byte("v"))
+	if _, ok := c.Get("k"); ok {
 		t.Error("disabled cache returned a hit")
 	}
 	if c.len() != 0 {

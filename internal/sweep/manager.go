@@ -50,10 +50,21 @@ type Dispatcher interface {
 // concurrently, from whichever goroutine finished the work, and none
 // arrives after Run returns.
 type Progress interface {
-	// Unit reports that unit i finished, computed by node.
+	// Unit reports that unit i finished, computed by node or answered
+	// from node's unit cache.
 	Unit(i int, node string)
 	// Log forwards one of the harness's per-row progress lines.
 	Log(line string)
+}
+
+// UnitCache remembers computed unit results by their content address
+// (Spec.UnitKey). A unit's result is a pure function of its key, so a
+// stored result answers every later request for that unit with the same
+// bytes. Implementations must be safe for concurrent use and must not
+// mutate a stored result.
+type UnitCache interface {
+	Get(key string) (json.RawMessage, bool)
+	Put(key string, result json.RawMessage)
 }
 
 // Config tunes a Manager. The zero value of everything but Enqueue is
@@ -64,6 +75,9 @@ type Config struct {
 	// Enqueue submits unit closures to the host's bounded queue.
 	// Required.
 	Enqueue Enqueue
+	// Cache answers units computed before, on this node, without the
+	// queue. Nil caches nothing.
+	Cache UnitCache
 	// Recorder receives the manager's counters (prefix them upstream).
 	Recorder obs.Recorder
 }
@@ -189,7 +203,9 @@ type run struct {
 // peer drives one owner's units, one unit per shard so progress ticks
 // stay granular and one dead peer delays at most one unit at a time:
 // admission check → forward → on any trouble, run the unit locally, so a
-// dead or saturated peer costs latency, never units.
+// dead or saturated peer costs latency, never units. A unit the owner
+// answered from its unit cache counts as cached, not forwarded: the
+// units/ counters count computed units.
 func (r *run) peer(disp Dispatcher, peer string, units []int) {
 	for _, u := range units {
 		if r.ctx.Err() != nil {
@@ -210,7 +226,11 @@ func (r *run) peer(disp Dispatcher, peer string, units []int) {
 			continue
 		}
 		r.m.rec.Add("shards/forwarded", 1)
-		r.m.rec.Add("units/forwarded", 1)
+		if len(resp.Cached) == 1 && resp.Cached[0] {
+			r.m.rec.Add("units/cached", 1)
+		} else {
+			r.m.rec.Add("units/forwarded", 1)
+		}
 		r.results[u] = resp.Results[0]
 		r.progress.Unit(u, peer)
 	}
@@ -221,7 +241,7 @@ func (r *run) peer(disp Dispatcher, peer string, units []int) {
 func (r *run) local(units []int) {
 	bounded(r.ctx, r.sem, len(units), func(k int) {
 		u := units[k]
-		res, err := r.m.execUnit(r.ctx, r.sp, u, r.progress.Log)
+		res, cached, err := r.m.execUnit(r.ctx, r.sp, u, r.progress.Log)
 		if err != nil {
 			if r.ctx.Err() == nil {
 				r.firstErr.set(fmt.Errorf("unit %d (seed %d): %w", u, r.sp.Seeds[u], err))
@@ -229,7 +249,11 @@ func (r *run) local(units []int) {
 			return
 		}
 		r.results[u] = res
-		r.m.rec.Add("units/local", 1)
+		if cached {
+			r.m.rec.Add("units/cached", 1)
+		} else {
+			r.m.rec.Add("units/local", 1)
+		}
 		r.progress.Unit(u, r.node)
 	})
 }
@@ -255,16 +279,22 @@ func bounded(ctx context.Context, sem chan struct{}, n int, fn func(k int)) {
 	}
 }
 
-// execUnit runs one unit on the host's bounded queue: offer the closure,
-// back off briefly while the queue is full, then wait for the worker to
-// finish it. Enqueued closures always run — the host drains its queue on
-// shutdown — so the wait cannot leak.
-func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(string)) (json.RawMessage, error) {
+// execUnit produces one unit's result, and is the only place a unit is
+// computed, for a coordinator's own units and a peer's shard alike. A
+// unit in the cache is answered at once, without the queue (cached is
+// true). Otherwise execUnit offers the computation to the host's bounded
+// queue, backs off briefly while the queue is full, waits for the worker
+// to finish it, and caches a successful result. Enqueued closures always
+// run — the host drains its queue on shutdown — so the wait cannot leak.
+func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(string)) (res json.RawMessage, cached bool, err error) {
+	key := sp.UnitKey(u)
+	if m.cfg.Cache != nil {
+		if hit, ok := m.cfg.Cache.Get(key); ok {
+			return hit, true, nil
+		}
+	}
 	done := make(chan struct{})
-	var (
-		res    json.RawMessage
-		runErr error
-	)
+	var runErr error
 	fn := func() {
 		defer close(done)
 		if err := ctx.Err(); err != nil {
@@ -279,36 +309,46 @@ func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(s
 			break
 		}
 		if !errors.Is(err, ErrQueueFull) {
-			return nil, err
+			return nil, false, err
 		}
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		case <-time.After(enqueueRetryDelay):
 		}
 	}
 	<-done
-	return res, runErr
+	if runErr != nil {
+		return nil, false, runErr
+	}
+	if m.cfg.Cache != nil {
+		m.cfg.Cache.Put(key, res)
+	}
+	return res, false, nil
 }
 
 // RunShardLocal executes a forwarded shard on this node: validate it
-// (ShardRequest.Validate), run the listed units through the bounded
-// queue, and return their canonical results in request order. This is
-// the body of the internal POST /sweeps/shard hop.
+// (ShardRequest.Validate), answer each listed unit from the unit cache or
+// run it through the bounded queue, and return the canonical results in
+// request order, marking the cached ones. This is the body of the
+// internal POST /sweeps/shard hop.
 func (m *Manager) RunShardLocal(ctx context.Context, sr *ShardRequest) (*ShardResponse, error) {
 	sp, err := sr.Validate(m.cfg.MaxSeeds)
 	if err != nil {
 		return nil, err
 	}
-	out := &ShardResponse{Results: make([]json.RawMessage, len(sr.Units))}
+	out := &ShardResponse{
+		Results: make([]json.RawMessage, len(sr.Units)),
+		Cached:  make([]bool, len(sr.Units)),
+	}
 	var firstErr errOnce
 	bounded(ctx, make(chan struct{}, localConcurrency), len(sr.Units), func(k int) {
-		res, err := m.execUnit(ctx, sp, sr.Units[k], nil)
+		res, cached, err := m.execUnit(ctx, sp, sr.Units[k], nil)
 		if err != nil {
 			firstErr.set(err)
 			return
 		}
-		out.Results[k] = res
+		out.Results[k], out.Cached[k] = res, cached
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -11,9 +11,12 @@
 // one-unit shard (subject to fleet-wide admission control — a peer whose
 // advertised queue depth is saturated is skipped before the hop), and
 // runs whatever remains — unowned units, shards whose owner is dead or
-// saturated — through the local node's bounded service queue. Shard
-// placement, worker counts and mid-sweep node deaths change only *where*
-// a unit computes, never its bytes.
+// saturated — through the local node's bounded service queue. Every node
+// keeps the results it computed in a unit cache under the same content
+// key, so a unit computed before, by a resubmitted or overlapping sweep,
+// costs its owner one cache probe instead of a run. Shard placement,
+// worker counts, cache state and mid-sweep node deaths change only
+// *where* a unit computes, never its bytes.
 //
 // Determinism is the package's contract: every unit result is serialized
 // to canonical JSON by the node that computed it, the coordinator stores
@@ -181,8 +184,7 @@ const unitKeyVersion = "copack-sweep-unit-v1"
 // UnitKey is unit i's content address: a pure function of the sweep
 // parameters and the unit's seed (NOT its index or the surrounding seed
 // set), so the same logical unit lands on the same ring owner whichever
-// sweep it appears in — the property that lets a fleet reuse placement
-// the way the plan cache reuses bodies.
+// sweep it appears in, and that owner's unit cache answers it.
 func (sp *Spec) UnitKey(i int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nkind=%s tries=%d\nseed=%d\n", unitKeyVersion, sp.Kind, sp.RandomTries, sp.Seeds[i])
@@ -310,7 +312,10 @@ func (sr *ShardRequest) Validate(maxSeeds int) (*Spec, error) {
 }
 
 // ShardResponse carries the executed units' canonical JSON results, in
-// the order the request listed the units.
+// the order the request listed the units. Cached[k] reports that unit k
+// was answered from the receiving node's unit cache instead of computed,
+// so the coordinator can count computed units apart from cached ones.
 type ShardResponse struct {
 	Results []json.RawMessage `json:"results"`
+	Cached  []bool            `json:"cached"`
 }
