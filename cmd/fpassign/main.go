@@ -131,11 +131,11 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		if planOpt.Portfolio, err = copack.ParsePortfolioConfig(data); err != nil {
+		if planOpt.Exchange.Portfolio, err = copack.ParsePortfolioConfig(data); err != nil {
 			return err
 		}
 	} else if cfg.portBudget > 0 {
-		planOpt.Portfolio = copack.DefaultPortfolio(cfg.portBudget)
+		planOpt.Exchange.Portfolio = copack.DefaultPortfolio(cfg.portBudget)
 	}
 	var collector *copack.MetricsCollector
 	if cfg.metricsPath != "" {
@@ -181,7 +181,7 @@ func run(cfg config) error {
 		fmt.Printf("anneal        : %d proposed, %d accepted, %d uphill\n",
 			res.Exchange.Stats.Proposed, res.Exchange.Stats.Accepted, res.Exchange.Stats.Uphill)
 		if out := res.Exchange.Portfolio; out != nil {
-			winner := planOpt.Portfolio.Arms[out.BestArm]
+			winner := planOpt.Exchange.Portfolio.Arms[out.BestArm]
 			fmt.Printf("portfolio     : %d restarts over %d arms; winner %q (%d pulls), trace %#016x\n",
 				out.Total, len(out.Arms), winner.Name, out.Arms[out.BestArm].Pulls, out.TraceHash())
 		}

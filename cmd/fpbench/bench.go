@@ -97,6 +97,13 @@ type benchSurface struct {
 	run  func(workers int, rec obs.Recorder) (string, error)
 }
 
+// mcmfArm is a portfolio of one arm that warm-starts every restart from
+// the MCMF order.
+func mcmfArm(budget int) *portfolio.Config {
+	return &portfolio.Config{Budget: budget,
+		Arms: []portfolio.Arm{{Name: "mcmf", Engine: portfolio.EngineMCMF}}}
+}
+
 // fingerprintAssignment hashes a full slot assignment.
 func fingerprintAssignment(a *core.Assignment) string {
 	h := fnv.New64a()
@@ -191,13 +198,8 @@ func defaultSurfaces() ([]benchSurface, error) {
 			return strings.Join(fps, "|"), nil
 		}},
 		{"exchange/warmstart", func(w int, rec obs.Recorder) (string, error) {
-			mcmfA, err := assign.MCMF(p, assign.MCMFOptions{})
-			if err != nil {
-				return "", err
-			}
 			res, err := exchange.Run(p, dfaA, exchange.Options{
-				Seed: 1, Restarts: 4, Workers: w, Recorder: rec,
-				Initial: func(int) *core.Assignment { return mcmfA },
+				Seed: 1, Workers: w, Recorder: rec, Portfolio: mcmfArm(4),
 			})
 			if err != nil {
 				return "", err
@@ -376,7 +378,7 @@ func runBench(outDir string, jsonOut bool, tag, size string) error {
 	// target Eq 3 cost; the MCMF-warm-started run then anneals tail
 	// schedules of doubling length until it matches that cost. Both runs
 	// share the DFA order as the Eq 3 baseline, so the costs are directly
-	// comparable (see exchange.Options.Initial).
+	// comparable (see exchange.Score).
 	runtime.ReadMemStats(&ms0)
 	start = time.Now()
 	cold, err := exchange.Run(p, dfaA, exchange.Options{Seed: 1})
@@ -396,13 +398,8 @@ func runBench(outDir string, jsonOut bool, tag, size string) error {
 	fmt.Printf("%-20s %8.3fs  %8d moves to cost %.6f (full schedule)\n",
 		"to-target/dfa-cold", secs, cold.Stats.Proposed, target)
 
-	mcmfA, err := assign.MCMF(p, assign.MCMFOptions{})
-	if err != nil {
-		return err
-	}
 	sched := anneal.Schedule{}.WithDefaults()
-	warmOpt := exchange.Options{Seed: 1,
-		Initial: func(int) *core.Assignment { return mcmfA }}
+	warmOpt := exchange.Options{Seed: 1, Portfolio: mcmfArm(1)}
 	for k := 1; ; k *= 2 {
 		// A k-temperature tail of the cold schedule: same final
 		// temperature and cooling, starting k cooling steps above it.

@@ -166,7 +166,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			Self:           *nodeID,
 			Nodes:          nodes,
 			AttemptTimeout: *maxBudget + 30*time.Second,
-			MaxBodyBytes:   *maxBody,
 			Recorder:       svc.MetricsRecorder(),
 		})
 		if err != nil {

@@ -311,6 +311,32 @@ func TestRealMainSingleNodeFleet(t *testing.T) {
 	}
 }
 
+// TestRealMainNegativeLimits: negative -queue and -sweep-seeds take the
+// service defaults instead of panicking at startup or lifting the seed
+// cap, and the server still drains and exits 0.
+func TestRealMainNegativeLimits(t *testing.T) {
+	base, stop := startServed(t, "-queue", "-1", "-sweep-seeds", "-1")
+	defer stop()
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(servedPlanBody(t, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("submit with -queue -1: %d: %s", resp.StatusCode, data)
+	}
+	resp, err = http.Post(base+"/sweeps", "application/json", strings.NewReader(`{"kind":"table3","num_seeds":65}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("65 seeds with -sweep-seeds -1: %d: %s, want 400", resp.StatusCode, data)
+	}
+}
+
 // TestRealMainDeadPeerDegradesLocal points a node at a peer that was
 // never started: every request — including ones the dead peer owns —
 // must still answer 200 by failing over to local computation.

@@ -112,7 +112,7 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// PortfolioConfig declares an adaptive annealing portfolio: an arm
 	// set, a restart budget and the bandit's exploration coefficient (see
-	// Options.Portfolio and internal/portfolio).
+	// ExchangeOptions.Portfolio and internal/portfolio).
 	PortfolioConfig = portfolio.Config
 	// PortfolioArm is one portfolio member: a schedule variant, a
 	// move-range knob and a warm-start engine.
@@ -156,7 +156,8 @@ const (
 	// MCMF is the min-cost max-flow engine: an exact bipartite
 	// net-to-slot matching under congestion- and IR-aware edge costs,
 	// uncrossed into a monotonic-legal order. It doubles as a warm start
-	// for the exchange step (see ExchangeOptions.Initial).
+	// for the exchange step: a portfolio arm with Engine "mcmf" anneals
+	// from its order (see PortfolioArm).
 	MCMF
 )
 
@@ -222,13 +223,6 @@ type Options struct {
 	// with a caller deadline on PlanContext's ctx — whichever is sooner
 	// wins.
 	Budget time.Duration
-	// Portfolio, when non-nil, replaces the exchange step's fixed-budget
-	// restart loop with the adaptive annealing portfolio: Portfolio.Budget
-	// restarts are allocated across the declared arms by a deterministic
-	// successive-halving bandit (see DefaultPortfolio for the standard arm
-	// set). Nil keeps the legacy path bit-identical. An explicit
-	// Exchange.Portfolio value takes precedence.
-	Portfolio *PortfolioConfig
 	// Workers bounds the concurrency of every parallel path in the plan:
 	// multi-start annealing (Exchange.Restarts) and large-grid IR solves.
 	// 0 means one worker per CPU, 1 forces sequential execution. Workers
@@ -486,9 +480,6 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 	if exOpt.Recorder == nil {
 		// exchange self-namespaces under exchange/ and anneal/.
 		exOpt.Recorder = opt.Recorder
-	}
-	if exOpt.Portfolio == nil {
-		exOpt.Portfolio = opt.Portfolio
 	}
 	endExchange := obs.StartPhase(rec, "exchange")
 	ex, err := exchange.RunContext(ctx, p, initial, exOpt)

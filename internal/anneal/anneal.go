@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"copack/internal/faultinject"
-	"copack/internal/parallel"
 )
 
 // Target is the state being annealed, driven through a price-then-commit
@@ -224,42 +223,3 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 // to a plain Minimize with that seed; higher restarts take consecutive
 // seeds, which rand.NewSource scrambles into unrelated streams.
 func SplitSeed(base int64, k int) int64 { return base + int64(k) }
-
-// MinimizeRestarts runs n independent anneals — restart k anneals the
-// target built by build(k) with a fresh rng seeded SplitSeed(seed, k) — on
-// up to workers concurrent goroutines, and returns the per-restart Stats in
-// restart order. The caller picks the winner (typically the lowest final
-// cost with a tie-break on restart index, so the choice is deterministic).
-//
-// Determinism: every restart always runs — worker count only changes the
-// wall clock, never which restarts exist or what any of them computes. A
-// cancelled ctx reaches every restart (already-running anneals stop at
-// their next poll, not-yet-started ones stop at their first), so each Stats
-// honors the MinimizeContext contract: Interrupted set, best-so-far state
-// kept.
-//
-// build must return independent targets: restarts run concurrently and
-// must not share mutable state.
-func MinimizeRestarts(ctx context.Context, n, workers int, build func(k int) (Target, float64), s Schedule, seed int64) ([]Stats, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		n = 1
-	}
-	out := make([]Stats, n)
-	err := parallel.ForEachErr(ctx, n, workers, func(ctx context.Context, k int) error {
-		t, cost0 := build(k)
-		rng := rand.New(rand.NewSource(SplitSeed(seed, k)))
-		stats, err := MinimizeContext(ctx, t, cost0, s, rng)
-		if err != nil {
-			return err
-		}
-		out[k] = stats
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

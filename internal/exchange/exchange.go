@@ -26,6 +26,7 @@ import (
 	"math/rand"
 
 	"copack/internal/anneal"
+	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/core"
 	"copack/internal/netlist"
@@ -62,24 +63,15 @@ type Options struct {
 	// Bond is the bonding-wire geometry used for reporting; zero value
 	// takes stack.DefaultBondSpec.
 	Bond stack.BondSpec
-	// Initial, when non-nil, supplies a warm-start order per restart:
-	// restart k anneals from Initial(k) instead of the run's initial
-	// argument (a nil return falls back to the initial argument, so a
-	// single hook can warm-start some restarts and not others). Every
-	// Eq 3 baseline — the Eq 2 section counts, the Δ_IR and ω
-	// normalizers, the Before metrics and the interrupted-run fallback —
-	// stays anchored to the initial argument, so restart costs remain
-	// mutually comparable and comparable with a cold run from the same
-	// initial (see Score). Returned orders must be monotonic-legal for
-	// the problem; Run validates them. A nil Initial is the cold path,
-	// bit-identical to the behavior before the hook existed.
-	Initial func(restart int) *core.Assignment
 	// Restarts runs this many independently seeded anneals (restart k
 	// gets seed Seed+k, per anneal.SplitSeed) and keeps the one whose
 	// final order scores the lowest Eq 3 cost, breaking ties toward the
 	// lower restart index. 0 or 1 means a single anneal — the paper's
-	// method exactly. The outcome is a pure function of (problem,
-	// initial, Options): it does not depend on Workers.
+	// method exactly. The restarts run as a one-arm portfolio (a cold arm
+	// with no overrides and Budget = Restarts, so at most the portfolio's
+	// 4096 cap). The outcome is a pure function of (problem, initial,
+	// Options): it does not depend on Workers. Ignored when Portfolio is
+	// set.
 	Restarts int
 	// Workers bounds how many restarts anneal concurrently (0 means one
 	// per available CPU). It only changes the wall clock, never the
@@ -93,17 +85,17 @@ type Options struct {
 	// recorded run is bit-identical to an unrecorded one (enforced by the
 	// golden tests).
 	Recorder obs.Recorder
-	// Portfolio, when non-nil, replaces the fixed-budget restart loop
-	// with the adaptive annealing portfolio (see internal/portfolio and
-	// portfolio.go in this package): Portfolio.Budget restarts are
-	// allocated across the declared arms by a deterministic
-	// successive-halving bandit, Restarts is ignored, and Initial must be
-	// nil (arms own their warm starts). A nil Portfolio is the legacy
-	// path, bit-identical to the behavior before the field existed; a
-	// single-arm portfolio with no overrides is bit-identical to
-	// Restarts=Budget (both enforced by the golden matrix and the
-	// equivalence tests). Portfolio.Seed is overwritten with Options.Seed
-	// so one seed drives the whole run.
+	// Portfolio, when non-nil, declares the arms the restarts run on (see
+	// internal/portfolio): Portfolio.Budget restarts are allocated across
+	// them by a deterministic successive-halving bandit, reported in
+	// Result.Portfolio. An arm's engine is the only warm start: a restart
+	// of an {Engine: "mcmf"} arm anneals from the MCMF order while every
+	// Eq 3 baseline — the Eq 2 section counts, the Δ_IR and ω normalizers,
+	// the Before metrics — stays anchored to the initial argument, so its
+	// cost is comparable with a cold run's (see Score). A single arm with
+	// no overrides is exactly Restarts = Budget, which is how a nil
+	// Portfolio runs. Portfolio.Seed is overwritten with Options.Seed so
+	// one seed drives the whole run.
 	Portfolio *portfolio.Config
 }
 
@@ -138,9 +130,9 @@ type Result struct {
 	// Interrupted reports that the anneal was cut short (context
 	// cancellation or an injected fault; see Stats.Stopped for the
 	// reason). Assignment then holds the annealed-so-far order — or the
-	// initial order, when the cut caught the anneal in a state Eq 3
-	// scores worse than the start — so a partial answer is always legal
-	// under the range constraint and never loses ground.
+	// restart's start order, when the cut caught the anneal in a state
+	// Eq 3 scores worse than the start — so a partial answer is always
+	// legal under the range constraint and never loses ground.
 	Interrupted bool
 	// Restart is the index of the winning restart (0 for single-start
 	// runs); Stats describes that restart's anneal.
@@ -266,90 +258,139 @@ func Run(p *core.Problem, initial *core.Assignment, opt Options) (*Result, error
 // exchange stops, evaluates whatever order the annealer had reached and
 // returns it as a normal Result with Interrupted set — never an error. An
 // uncancelled run is identical to Run for the same seed.
+//
+// Every run has one restart loop: the bandit in internal/portfolio. Plain
+// Restarts run as a one-arm portfolio, whose single round gives pull k
+// restart index k, so all budget lands on the arm in index order. Each
+// pull builds its own state, anneals it with a fresh rng seeded
+// anneal.SplitSeed(Seed, k), and is scored from scratch; the winner is
+// the lowest cost, ties to the lower restart index.
 func RunContext(ctx context.Context, p *core.Problem, initial *core.Assignment, opt Options) (*Result, error) {
 	if err := core.CheckMonotonic(p, initial); err != nil {
 		return nil, fmt.Errorf("exchange: initial assignment: %v", err)
 	}
 	opt = opt.withDefaults(p)
+	cfg := portfolio.Config{Budget: max(opt.Restarts, 1), Arms: []portfolio.Arm{{Name: "fixed"}}}
 	if opt.Portfolio != nil {
-		return runPortfolio(ctx, p, initial, opt)
+		cfg = *opt.Portfolio
 	}
-	sched := opt.Schedule
+	cfg.Seed = opt.Seed // one seed drives the whole run
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	// Build one independent annealing state per restart. The builds are
-	// cheap next to the anneals, and doing them up front (in restart
-	// order) keeps the whole run a pure function of the options.
-	states := make([]*state, restarts)
-	starts := make([]*core.Assignment, restarts) // warm starts; nil = the initial argument
-	startCosts := make([]float64, restarts)
-	for k := range states {
-		if opt.Initial != nil {
-			if w := opt.Initial(k); w != nil {
-				if err := core.CheckMonotonic(p, w); err != nil {
-					return nil, fmt.Errorf("exchange: warm start for restart %d: %v", k, err)
-				}
-				starts[k] = w
+	// Resolve each arm's start order and schedule up front, so a bad arm
+	// fails the run before any budget is spent. An engine's order is a
+	// pure function of the problem, so arms sharing an engine share it.
+	starts := make([]*core.Assignment, len(cfg.Arms)) // nil: the initial argument
+	scheds := make([]anneal.Schedule, len(cfg.Arms))
+	warm := map[portfolio.Engine]*core.Assignment{portfolio.EngineCold: nil}
+	for i, arm := range cfg.Arms {
+		e := arm.Engine
+		if e == portfolio.EngineAuto {
+			e = portfolio.Compute(p).SelectEngine()
+		}
+		w, ok := warm[e]
+		if !ok {
+			var err error
+			if w, err = warmStart(p, e); err != nil {
+				return nil, err
 			}
+			warm[e] = w
 		}
-		states[k] = newState(p, initial, opt, starts[k])
-		// The per-restart floor for the interrupted-run fallback: an
-		// interrupted anneal must never report worse than its start.
-		startCosts[k] = states[k].cost()
+		starts[i] = w
+		scheds[i] = arm.ApplyTo(opt.Schedule).WithDefaults()
+		if err := scheds[i].Validate(); err != nil {
+			return nil, fmt.Errorf("exchange: arm %q: %v", arm.Name, err)
+		}
 	}
 
-	before, err := measure(p, initial, states[0], opt)
+	before, err := measure(p, initial, opt)
 	if err != nil {
 		return nil, err
 	}
 
-	stats, err := anneal.MinimizeRestarts(ctx, restarts, opt.Workers, func(k int) (anneal.Target, float64) {
-		return states[k], states[k].cost()
-	}, sched, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Score every restart's final order from scratch (immune to the
-	// incremental caches' floating-point drift) and keep the best; ties
-	// go to the lower restart index so the choice is deterministic.
-	costs := make([]float64, restarts)
-	terms := make([]eq3Breakdown, restarts)
-	win := 0
-	for k, st := range states {
-		st.trk.resyncProxy() // clear bounded drift before comparing costs
-		if stats[k].Interrupted && st.cost() > startCosts[k] {
-			// The cut caught this anneal mid-high-temperature, in a
-			// state Eq 3 scores worse than its start. The start order
-			// (warm start, or the initial argument) is the better
-			// answer — an interrupted exchange must never lose ground.
-			if starts[k] != nil {
-				st.a = starts[k].Clone()
-			} else {
-				st.a = initial.Clone()
+	// Each pull lands at its global restart index, so the reduction
+	// below is scheduling-independent.
+	runs := make([]restart, cfg.Budget)
+	outcome, err := portfolio.Run(ctx, cfg, opt.Workers, func(ctx context.Context, arm, k int) (float64, anneal.Stats, error) {
+		start := starts[arm]
+		st := newState(p, initial, opt, start)
+		cost0 := st.cost()
+		rng := rand.New(rand.NewSource(anneal.SplitSeed(cfg.Seed, k)))
+		s, err := anneal.MinimizeContext(ctx, st, cost0, scheds[arm], rng)
+		if err != nil {
+			return 0, s, err
+		}
+		st.trk.resyncProxy() // clear bounded drift before scoring
+		if s.Interrupted && st.cost() > cost0 {
+			// The cut caught this anneal in a state Eq 3 scores worse
+			// than its start. The start order is the better answer — an
+			// interrupted exchange must never lose ground.
+			if start == nil {
+				start = initial
 			}
+			st.a = start.Clone()
 		}
-		terms[k] = eq3Terms(p, st, opt)
-		costs[k] = terms[k].Total
-		if costs[k] < costs[win] {
-			win = k
-		}
-	}
-	res, err := finishResult(p, opt, states[win], before, stats[win], win, costs)
+		runs[k] = restart{st: st, arm: arm, stats: s, terms: eq3Terms(p, st, opt)}
+		return runs[k].terms.Total, s, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	recordRun(opt, sched, states, stats, terms, res)
+
+	costs := make([]float64, outcome.Total)
+	for k := range costs {
+		costs[k] = runs[k].terms.Total
+	}
+	res, err := finishResult(p, opt, runs[outcome.BestRestart], before, outcome.BestRestart, costs)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Portfolio != nil {
+		res.Portfolio = outcome
+	}
+	recordRun(opt, scheds, runs, res)
 	return res, nil
 }
 
+// restart is one pull of a run: its annealed state, the arm that ran it,
+// the annealer's stats and the from-scratch Eq 3 terms of its final order.
+type restart struct {
+	st    *state
+	arm   int
+	stats anneal.Stats
+	terms eq3Breakdown
+}
+
+// warmStart builds the start order of a warm-start engine and checks that
+// it is monotonic-legal.
+func warmStart(p *core.Problem, e portfolio.Engine) (*core.Assignment, error) {
+	var (
+		w   *core.Assignment
+		err error
+	)
+	switch e {
+	case portfolio.EngineIFA:
+		w, err = assign.IFA(p)
+	case portfolio.EngineDFA:
+		w, err = assign.DFA(p, assign.DFAOptions{})
+	case portfolio.EngineMCMF:
+		w, err = assign.MCMF(p, assign.MCMFOptions{})
+	}
+	if err == nil {
+		err = core.CheckMonotonic(p, w)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("exchange: warm start %q: %v", e, err)
+	}
+	return w, nil
+}
+
 // finishResult evaluates the winning restart's final order and assembles the
-// Result — the tail shared by the fixed-budget path and the portfolio path
-// (portfolio.go), kept common so both report identically-derived metrics.
-func finishResult(p *core.Problem, opt Options, st *state, before Metrics, winStats anneal.Stats, win int, costs []float64) (*Result, error) {
+// Result.
+func finishResult(p *core.Problem, opt Options, r restart, before Metrics, win int, costs []float64) (*Result, error) {
+	st := r.st
 	legal := core.CheckMonotonic(p, st.a) == nil
 	after := Metrics{
 		Proxy:      power.ProxyForAssignment(p, st.a, opt.Classes...),
@@ -373,9 +414,9 @@ func finishResult(p *core.Problem, opt Options, st *state, before Metrics, winSt
 		Assignment:   st.a,
 		Before:       before,
 		After:        after,
-		Stats:        winStats,
+		Stats:        r.stats,
 		Legal:        legal,
-		Interrupted:  winStats.Interrupted,
+		Interrupted:  r.stats.Interrupted,
 		Restart:      win,
 		RestartCosts: costs,
 	}, nil
@@ -480,22 +521,18 @@ func Score(p *core.Problem, baseline, a *core.Assignment, opt Options) (float64,
 	return eq3Terms(p, st, opt).Total, nil
 }
 
-func measure(p *core.Problem, a *core.Assignment, st *state, opt Options) (Metrics, error) {
+// measure evaluates the initial order's Metrics. Its Eq 2 ID is 0 by
+// definition: the initial order is the growth baseline.
+func measure(p *core.Problem, a *core.Assignment, opt Options) (Metrics, error) {
 	rs, err := route.Evaluate(p, a)
 	if err != nil {
 		return Metrics{}, err
 	}
-	m := Metrics{
+	return Metrics{
 		Proxy:      power.ProxyForAssignment(p, a, opt.Classes...),
 		Omega:      stack.OmegaAssignment(p, a),
 		MaxDensity: rs.MaxDensity,
 		Wirelength: rs.Wirelength,
 		BondLength: stack.TotalBondLength(p, a, opt.Bond),
-	}
-	for _, side := range bga.Sides() {
-		if v := st.sections[side].id(a.Slots[side]); v > m.ID {
-			m.ID = v
-		}
-	}
-	return m, nil
+	}, nil
 }

@@ -174,10 +174,10 @@ func TestGoldenResults(t *testing.T) {
 
 // TestGoldenPortfolioResults extends the golden matrix with portfolio-on
 // cells: two pinned configs, each run at workers 1 and 4 with and without a
-// Recorder. The fixed-budget cells above never enter the bandit (their
-// Portfolio is nil), so together the two tests prove the dispatch is
-// exactly "nil ⇒ fixed-budget restarts, non-nil ⇒ bandit" with both sides
-// bit-stable.
+// Recorder. Every run goes through the one restart loop: the Restarts cells
+// above run as a one-arm portfolio with no overrides and these cells
+// declare their own arms, so together the two tests pin both kinds of arm
+// set bit-stable through the same bandit.
 func TestGoldenPortfolioResults(t *testing.T) {
 	quick := anneal.Schedule{InitialTemp: 0.5, FinalTemp: 1e-3, Cooling: 0.85, MovesPerTemp: 200}
 	cases := []struct {

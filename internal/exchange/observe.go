@@ -15,6 +15,7 @@ import (
 //	exchange/restart<k>/tracker_resyncs                           counter
 //	exchange/restart<k>/cost_ir|cost_id|cost_omega|cost_total     Eq 3 gauges
 //	anneal/restart<k>/...                                         anneal.Stats.Record
+//	portfolio/...                                                 bandit gauges, only when Options.Portfolio is set
 //
 // Everything is emitted once, after the anneals finish, iterating restarts
 // in index order on the calling goroutine — so the recording is
@@ -24,22 +25,14 @@ import (
 // concurrently.
 
 // recordRun emits the whole run's telemetry to opt.Recorder (no-op when
-// nil).
-func recordRun(opt Options, sched anneal.Schedule, states []*state, stats []anneal.Stats, terms []eq3Breakdown, res *Result) {
-	recordRunWith(opt, func(int) anneal.Schedule { return sched }, states, stats, terms, res)
-}
-
-// recordRunWith is recordRun with a per-restart schedule lookup — the
-// portfolio path runs different restarts under different arm schedules, and
-// each anneal's stats must be recorded against the schedule that produced
-// them.
-func recordRunWith(opt Options, schedOf func(k int) anneal.Schedule, states []*state, stats []anneal.Stats, terms []eq3Breakdown, res *Result) {
+// nil). Each restart's anneal is recorded against its arm's schedule.
+func recordRun(opt Options, scheds []anneal.Schedule, runs []restart, res *Result) {
 	rec := obs.OrNop(opt.Recorder)
 	if _, nop := rec.(obs.NopRecorder); nop {
 		return
 	}
 	xr := obs.WithPrefix(rec, "exchange/")
-	xr.Set("restarts", float64(len(states)))
+	xr.Set("restarts", float64(len(runs)))
 	xr.Set("winner_restart", float64(res.Restart))
 	xr.Set("legal", b2f(res.Legal))
 	if res.Interrupted {
@@ -47,19 +40,42 @@ func recordRunWith(opt Options, schedOf func(k int) anneal.Schedule, states []*s
 	}
 	recordMetrics(obs.WithPrefix(xr, "before/"), res.Before)
 	recordMetrics(obs.WithPrefix(xr, "after/"), res.After)
-	for k := range states {
+	for k, r := range runs {
 		kr := obs.WithPrefix(xr, fmt.Sprintf("restart%d/", k))
-		s := stats[k]
+		s := r.stats
 		kr.Add("moves_priced", int64(s.Proposed))
 		kr.Add("moves_committed", int64(s.Accepted))
 		kr.Add("moves_rejected", int64(s.Proposed-s.Accepted))
 		kr.Add("moves_infeasible", int64(s.Infeasible))
-		kr.Add("tracker_resyncs", int64(states[k].trk.resyncs))
-		kr.Set("cost_ir", terms[k].IR)
-		kr.Set("cost_id", terms[k].ID)
-		kr.Set("cost_omega", terms[k].Omega)
-		kr.Set("cost_total", terms[k].Total)
-		s.Record(obs.WithPrefix(rec, fmt.Sprintf("anneal/restart%d/", k)), schedOf(k))
+		kr.Add("tracker_resyncs", int64(r.st.trk.resyncs))
+		kr.Set("cost_ir", r.terms.IR)
+		kr.Set("cost_id", r.terms.ID)
+		kr.Set("cost_omega", r.terms.Omega)
+		kr.Set("cost_total", r.terms.Total)
+		s.Record(obs.WithPrefix(rec, fmt.Sprintf("anneal/restart%d/", k)), scheds[r.arm])
+	}
+	out := res.Portfolio
+	if out == nil {
+		return
+	}
+	// The bandit's own keys: budget, winner, trace hash and per-arm pull /
+	// cost / elimination summaries.
+	pr := obs.WithPrefix(rec, "portfolio/")
+	pr.Set("arms", float64(len(out.Arms)))
+	pr.Set("budget", float64(out.Total))
+	pr.Set("winner_arm", float64(out.BestArm))
+	pr.Set("winner_restart", float64(out.BestRestart))
+	pr.Set("best_cost", out.BestCost)
+	pr.Add("trace_hash", int64(out.TraceHash()))
+	for _, as := range out.Arms {
+		ar := obs.WithPrefix(pr, fmt.Sprintf("arm%d/", as.Arm))
+		ar.Set("pulls", float64(as.Pulls))
+		if as.Pulls > 0 {
+			// A never-pulled arm's best cost is +Inf — meaningless as a
+			// gauge and unrepresentable in a JSON snapshot.
+			ar.Set("best_cost", as.BestCost)
+		}
+		ar.Set("eliminated_round", float64(as.EliminatedRound))
 	}
 }
 

@@ -4,18 +4,20 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/assign"
-	"copack/internal/core"
 	"copack/internal/gen"
+	"copack/internal/obs"
 	"copack/internal/portfolio"
 )
 
 // TestPortfolioSingleArmEquivalence is the equivalence property: a portfolio
-// holding one arm with no overrides must be byte-identical to the legacy
-// fixed-budget path with Restarts = Budget — same winning order, same Stats,
-// and bitwise-equal restart costs — at workers 1 and 4.
+// holding one arm with no overrides must be byte-identical to a plain run
+// with Restarts = Budget — same winning order, same Stats, and
+// bitwise-equal restart costs — at workers 1 and 4.
 func TestPortfolioSingleArmEquivalence(t *testing.T) {
 	p, dfaA, _ := warmProblem(t)
 	for _, workers := range []int{1, 4} {
@@ -52,6 +54,47 @@ func TestPortfolioSingleArmEquivalence(t *testing.T) {
 		if port.Portfolio == nil || port.Portfolio.Total != 4 {
 			t.Errorf("workers=%d: portfolio outcome %+v", workers, port.Portfolio)
 		}
+	}
+}
+
+// TestRestartsOnlyReportsNoPortfolio: plain Restarts run as a one-arm
+// portfolio, but only a caller-passed Portfolio is reported — no
+// Result.Portfolio and no portfolio/ telemetry — so plan bodies and
+// snapshots of Restarts runs keep their bytes.
+func TestRestartsOnlyReportsNoPortfolio(t *testing.T) {
+	p, dfaA, _ := warmProblem(t)
+	col := obs.NewCollector()
+	res, err := Run(p, dfaA, Options{Seed: 3, Restarts: 3, Recorder: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Portfolio != nil {
+		t.Errorf("Restarts-only run reports a portfolio outcome: %+v", res.Portfolio)
+	}
+	snap := col.Snapshot()
+	for _, k := range snap.Keys() {
+		if strings.HasPrefix(k, "portfolio/") {
+			t.Errorf("Restarts-only snapshot holds %q", k)
+		}
+	}
+	if got := snap.Gauges["exchange/restarts"]; got != 3 {
+		t.Errorf("exchange/restarts = %v, want 3", got)
+	}
+}
+
+// TestRunRejectsBadSchedule: a schedule that cannot terminate, or a
+// restart count above the portfolio's budget cap, fails the run before any
+// anneal, for one restart and for several.
+func TestRunRejectsBadSchedule(t *testing.T) {
+	p, dfaA, _ := warmProblem(t)
+	for _, restarts := range []int{1, 2} {
+		_, err := Run(p, dfaA, Options{Seed: 1, Restarts: restarts, Schedule: anneal.Schedule{Cooling: 2}})
+		if err == nil {
+			t.Errorf("restarts=%d: cooling 2 accepted", restarts)
+		}
+	}
+	if _, err := Run(p, dfaA, Options{Seed: 1, Restarts: 5000}); err == nil {
+		t.Error("5000 restarts accepted above the 4096 budget cap")
 	}
 }
 
@@ -119,18 +162,6 @@ func TestPortfolioRunShape(t *testing.T) {
 	}
 	if math.Float64bits(res.RestartCosts[res.Restart]) != math.Float64bits(out.BestCost) {
 		t.Errorf("winner cost %v, outcome best %v", res.RestartCosts[res.Restart], out.BestCost)
-	}
-}
-
-// TestPortfolioRejectsInitialHook: the two warm-start mechanisms must not
-// stack.
-func TestPortfolioRejectsInitialHook(t *testing.T) {
-	p, dfaA, mcmfA := warmProblem(t)
-	_, err := Run(p, dfaA, Options{Seed: 1,
-		Portfolio: &portfolio.Config{Budget: 2, Arms: []portfolio.Arm{{Name: "a"}}},
-		Initial:   func(int) *core.Assignment { return mcmfA }})
-	if err == nil {
-		t.Fatal("Portfolio+Initial accepted")
 	}
 }
 

@@ -2,6 +2,8 @@ package exchange
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"copack/internal/bga"
 	"copack/internal/core"
 	"copack/internal/gen"
+	"copack/internal/portfolio"
 )
 
 func warmProblem(t *testing.T) (*core.Problem, *core.Assignment, *core.Assignment) {
@@ -37,37 +40,6 @@ func sameAssignment(a, b *core.Assignment) bool {
 		}
 	}
 	return true
-}
-
-// TestWarmStartNilHookBitIdentical pins the cold path: a hook that returns
-// nil for every restart must reproduce the no-hook run exactly — same
-// winning order, same restart costs, same stats.
-func TestWarmStartNilHookBitIdentical(t *testing.T) {
-	p, dfaA, _ := warmProblem(t)
-	opt := Options{Seed: 7, Restarts: 3, Workers: 2}
-	cold, err := Run(p, dfaA, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Initial = func(int) *core.Assignment { return nil }
-	hooked, err := Run(p, dfaA, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameAssignment(cold.Assignment, hooked.Assignment) {
-		t.Error("nil-returning hook changed the winning assignment")
-	}
-	if cold.Restart != hooked.Restart {
-		t.Errorf("winning restart %d vs %d", cold.Restart, hooked.Restart)
-	}
-	for k := range cold.RestartCosts {
-		if cold.RestartCosts[k] != hooked.RestartCosts[k] {
-			t.Errorf("restart %d cost %v vs %v", k, cold.RestartCosts[k], hooked.RestartCosts[k])
-		}
-	}
-	if cold.Stats != hooked.Stats {
-		t.Errorf("stats diverged: %+v vs %+v", cold.Stats, hooked.Stats)
-	}
 }
 
 // TestSectionDataReanchor is the differential test for the warm-start
@@ -110,18 +82,56 @@ func TestSectionDataReanchor(t *testing.T) {
 	}
 }
 
-// TestWarmStartRun exercises the hook end to end: the warm run must be
+// mcmfArm is a one-arm portfolio that warm-starts every restart from the
+// MCMF order.
+func mcmfArm(budget int) *portfolio.Config {
+	return &portfolio.Config{Budget: budget,
+		Arms: []portfolio.Arm{{Name: "mcmf", Engine: portfolio.EngineMCMF}}}
+}
+
+// TestMCMFArmReplaysWarmStartHook pins the warm start's migration from the
+// removed per-restart warm-start hook to an engine arm: an {Engine: mcmf}
+// arm with Budget 2 must reproduce, bit for bit, what the hook returning
+// the MCMF order for both restarts of {Seed: 3, Restarts: 2} produced.
+func TestMCMFArmReplaysWarmStartHook(t *testing.T) {
+	p, dfaA, _ := warmProblem(t)
+	res, err := Run(p, dfaA, Options{Seed: 3, Portfolio: mcmfArm(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, side := range bga.Sides() {
+		for _, id := range res.Assignment.Slots[side] {
+			fmt.Fprintf(h, "%d,", id)
+		}
+		fmt.Fprint(h, ";")
+	}
+	if got, want := h.Sum64(), uint64(0x04cff2aa5eb3ac4f); got != want {
+		t.Errorf("assignment hash %#016x, want %#016x", got, want)
+	}
+	if res.Restart != 0 {
+		t.Errorf("winning restart %d, want 0", res.Restart)
+	}
+	want := []uint64{0x4006a2c649fd0a5c, 0x4006a8b1927f4297}
+	if len(res.RestartCosts) != len(want) {
+		t.Fatalf("%d restart costs, want %d", len(res.RestartCosts), len(want))
+	}
+	for k, c := range res.RestartCosts {
+		if math.Float64bits(c) != want[k] {
+			t.Errorf("RestartCosts[%d] = %#016x, want %#016x", k, math.Float64bits(c), want[k])
+		}
+	}
+}
+
+// TestWarmStartRun exercises engine arms end to end: the warm run must be
 // legal, its restart costs must be measured against the shared DFA baseline
-// (so Score reproduces them exactly), and a restart-selective hook works.
+// (so Score reproduces them exactly), and warm and cold arms mix in one
+// run — here restart 0 anneals from the MCMF order and restart 1 cold from
+// dfaA (the never-pulled cold arm survives the halving).
 func TestWarmStartRun(t *testing.T) {
-	p, dfaA, mcmfA := warmProblem(t)
-	opt := Options{Seed: 3, Restarts: 2, Workers: 1,
-		Initial: func(k int) *core.Assignment {
-			if k == 0 {
-				return mcmfA
-			}
-			return nil // restart 1 anneals cold from dfaA
-		}}
+	p, dfaA, _ := warmProblem(t)
+	opt := Options{Seed: 3, Workers: 1, Portfolio: &portfolio.Config{Budget: 2,
+		Arms: []portfolio.Arm{{Name: "warm", Engine: portfolio.EngineMCMF}, {Name: "cold"}}}}
 	res, err := Run(p, dfaA, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +144,11 @@ func TestWarmStartRun(t *testing.T) {
 	}
 	if len(res.RestartCosts) != 2 {
 		t.Fatalf("RestartCosts length %d, want 2", len(res.RestartCosts))
+	}
+	for k, al := range res.Portfolio.Trace {
+		if al.Restart != k || al.Arm != k {
+			t.Errorf("pull %d ran restart %d on arm %d, want restart %d on arm %d", k, al.Restart, al.Arm, k, k)
+		}
 	}
 	got, err := Score(p, dfaA, res.Assignment, opt)
 	if err != nil {
@@ -150,32 +165,16 @@ func TestWarmStartRun(t *testing.T) {
 	}
 }
 
-// TestWarmStartIllegalRejected: the hook's output is validated, not trusted.
-func TestWarmStartIllegalRejected(t *testing.T) {
-	p, dfaA, _ := warmProblem(t)
-	bad := dfaA.Clone()
-	s := bad.Slots[bga.Top]
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-	if core.IsMonotonic(p, bad) {
-		t.Fatal("reversed top quadrant is unexpectedly legal; pick a bigger circuit")
-	}
-	_, err := Run(p, dfaA, Options{Seed: 1, Initial: func(int) *core.Assignment { return bad }})
-	if err == nil {
-		t.Fatal("illegal warm start accepted")
-	}
-}
-
-// TestWarmStartInterruptedKeepsWarmOrder: an anneal cancelled before any
-// move must hand back the warm-start order (never a worse intermediate, and
-// not the cold initial — the fallback is anchored per restart).
+// TestWarmStartInterruptedKeepsWarmOrder: anneals cancelled before any
+// move must hand back the warm-start order (never a worse intermediate,
+// and not the cold initial — the fallback is anchored per restart), so
+// every restart of an MCMF arm scores exactly the MCMF order's cost.
 func TestWarmStartInterruptedKeepsWarmOrder(t *testing.T) {
 	p, dfaA, mcmfA := warmProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, p, dfaA, Options{Seed: 1,
-		Initial: func(int) *core.Assignment { return mcmfA }})
+	opt := Options{Seed: 1, Workers: 2, Portfolio: mcmfArm(3)}
+	res, err := RunContext(ctx, p, dfaA, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +183,14 @@ func TestWarmStartInterruptedKeepsWarmOrder(t *testing.T) {
 	}
 	if !sameAssignment(res.Assignment, mcmfA) {
 		t.Error("interrupted warm run did not return the warm-start order")
+	}
+	want, err := Score(p, dfaA, mcmfA, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, c := range res.RestartCosts {
+		if math.Float64bits(c) != math.Float64bits(want) {
+			t.Errorf("restart %d cost %v, want the MCMF order's %v", k, c, want)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"copack/internal/exchange"
 	"copack/internal/gen"
 	"copack/internal/parallel"
+	"copack/internal/portfolio"
 	"copack/internal/power"
 	"copack/internal/route"
 )
@@ -196,16 +197,12 @@ func warmStartRow(tc gen.TestCircuit, psi int, seed int64) (WarmStartRow, error)
 	if err != nil {
 		return row, err
 	}
-	mcmfA, err := assign.MCMF(p, assign.MCMFOptions{})
-	if err != nil {
-		return row, err
-	}
 	cold, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed})
 	if err != nil {
 		return row, err
 	}
-	warm, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed,
-		Initial: func(int) *core.Assignment { return mcmfA }})
+	warm, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed, Portfolio: &portfolio.Config{
+		Budget: 1, Arms: []portfolio.Arm{{Name: "mcmf", Engine: portfolio.EngineMCMF}}}})
 	if err != nil {
 		return row, err
 	}

@@ -12,7 +12,6 @@ import (
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/core"
-	"copack/internal/exchange"
 	"copack/internal/gen"
 	"copack/internal/power"
 	"copack/internal/route"
@@ -259,34 +258,4 @@ func Fig15(seed int64) (*Fig15Result, error) {
 		out.Wirelen[name] = r.TotalLength()
 	}
 	return out, nil
-}
-
-// --- Stacking bonding-wire summary (abstract's 15.66% claim) -----------------
-
-// BondSummary computes the average bonding improvement over the test
-// circuits at the given ψ, the abstract's "bonding wires reduced by 15.66%
-// if we use stacking chips".
-func BondSummary(seed int64, psi int) (float64, error) {
-	if psi < 2 {
-		return 0, fmt.Errorf("exp: bonding summary needs ψ >= 2")
-	}
-	var sum float64
-	n := 0
-	for _, tc := range gen.Table1() {
-		p, err := gen.Build(tc, gen.Options{Seed: seed, Tiers: psi})
-		if err != nil {
-			return 0, err
-		}
-		dfaA, err := assign.DFA(p, assign.DFAOptions{})
-		if err != nil {
-			return 0, err
-		}
-		res, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed})
-		if err != nil {
-			return 0, err
-		}
-		sum += float64(res.Before.Omega-res.After.Omega) / float64(p.Circuit.NumNets()) * 100
-		n++
-	}
-	return sum / float64(n), nil
 }

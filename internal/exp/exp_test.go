@@ -160,22 +160,6 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestBondSummary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bond summary runs five annealers; skipped with -short")
-	}
-	pct, err := BondSummary(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pct < 5 || pct > 30 {
-		t.Errorf("bond improvement %.2f%% outside the paper's band (15.66%%)", pct)
-	}
-	if _, err := BondSummary(1, 1); err == nil {
-		t.Error("ψ=1 bonding summary accepted")
-	}
-}
-
 func TestRandomBaselinePicksBest(t *testing.T) {
 	// More tries can only improve (or match) the best density.
 	resA, err := Table2(3, 1)

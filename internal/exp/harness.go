@@ -40,44 +40,6 @@ func (h Harness) progressf(mu *sync.Mutex, format string, args ...any) {
 	h.Progress(fmt.Sprintf(format, args...))
 }
 
-// RandomBaselineWith is the parallel random baseline: try i draws from its
-// own rand.New(rand.NewSource(seed+i)), so the tries are independent of
-// scheduling and the result is deterministic for any Workers value. Ties on
-// max density go to the lowest try index. Note the classic RandomBaseline
-// consumes ONE shared rng stream, so the two variants sample different
-// assignments for the same seed; Table 2 keeps the classic sampling to
-// preserve its published numbers.
-func RandomBaselineWith(p *core.Problem, seed int64, tries int, h Harness) (*core.Assignment, *route.Stats, error) {
-	if tries < 1 {
-		tries = 1
-	}
-	as := make([]*core.Assignment, tries)
-	ss := make([]*route.Stats, tries)
-	err := parallel.ForEachErr(context.Background(), tries, h.Workers, func(_ context.Context, i int) error {
-		rng := rand.New(rand.NewSource(seed + int64(i)))
-		a, err := assign.Random(p, rng)
-		if err != nil {
-			return err
-		}
-		s, err := route.Evaluate(p, a)
-		if err != nil {
-			return err
-		}
-		as[i], ss[i] = a, s
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	best := 0
-	for i := 1; i < tries; i++ {
-		if ss[i].MaxDensity < ss[best].MaxDensity {
-			best = i
-		}
-	}
-	return as[best], ss[best], nil
-}
-
 // table2Row runs Table 2's three methods on one circuit. This is the unit
 // of parallelism for Table2With; it is self-contained (its rng is seeded
 // locally), so rows can run in any order.

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"copack/internal/gen"
 )
 
 // The harness only changes wall clock: Table 2 must come back byte-identical
@@ -41,28 +39,6 @@ func TestTable3WithDeterministicAcrossWorkers(t *testing.T) {
 	if !reflect.DeepEqual(res, ref) {
 		t.Errorf("Table3With differs between workers 1 and 4:\n%s\nvs\n%s",
 			res.Format(), ref.Format())
-	}
-}
-
-// The seeded random baseline draws each try from its own stream, so the
-// winner is independent of scheduling.
-func TestRandomBaselineWithDeterministic(t *testing.T) {
-	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 7})
-	refA, refS, err := RandomBaselineWith(p, 7, 12, Harness{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		a, s, err := RandomBaselineWith(p, 7, 12, Harness{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Slots, refA.Slots) {
-			t.Errorf("workers=%d: baseline assignment differs", workers)
-		}
-		if s.MaxDensity != refS.MaxDensity {
-			t.Errorf("workers=%d: baseline density %d vs %d", workers, s.MaxDensity, refS.MaxDensity)
-		}
 	}
 }
 

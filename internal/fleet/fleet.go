@@ -95,10 +95,6 @@ type Config struct {
 	// Seed drives the backoff jitter. Jitter only shapes retry timing,
 	// never results, but seeding it keeps test schedules replayable.
 	Seed int64
-	// MaxBodyBytes bounds the request body the router buffers for
-	// routing; larger bodies get 413. Default 1 MiB — keep it in sync
-	// with the service's own cap.
-	MaxBodyBytes int64
 	// AdmissionTTL is how long a peer's advertised queue depth stays
 	// fresh in the admission cache; within it a saturated peer is skipped
 	// before dialing. Default 1s.
@@ -137,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
@@ -279,7 +272,7 @@ func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request) {
 		rt.serveLocal(w, r, nil)
 		return
 	}
-	body, err := service.ReadBody(w, r, rt.cfg.MaxBodyBytes)
+	body, err := rt.local.ReadBody(w, r)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

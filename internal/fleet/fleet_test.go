@@ -59,10 +59,19 @@ func fastConfig() Config {
 
 func newTestFleet(t *testing.T, ids []string, tweak func(id string, c *Config)) *testFleet {
 	t.Helper()
+	return newTestFleetSvc(t, ids, service.Config{Workers: 1, QueueDepth: 16, SyncConcurrency: 16}, tweak)
+}
+
+// newTestFleetSvc is newTestFleet with every node's service built from
+// svcCfg (NodeID set per node).
+func newTestFleetSvc(t *testing.T, ids []string, svcCfg service.Config, tweak func(id string, c *Config)) *testFleet {
+	t.Helper()
 	f := &testFleet{t: t, nodes: map[string]*testNode{}, order: ids}
 	urls := make(map[string]string, len(ids))
 	for _, id := range ids {
-		svc := service.New(service.Config{Workers: 1, QueueDepth: 16, SyncConcurrency: 16, NodeID: id})
+		sc := svcCfg
+		sc.NodeID = id
+		svc := service.New(sc)
 		sw := &swapHandler{}
 		sw.set(http.NotFoundHandler())
 		ts := httptest.NewServer(sw)
@@ -302,9 +311,9 @@ func TestHopHeaderPreventsReforwarding(t *testing.T) {
 }
 
 func TestRouterErrorPaths(t *testing.T) {
-	f := newTestFleet(t, []string{"a", "b"}, func(id string, c *Config) {
-		c.MaxBodyBytes = 4096
-	})
+	// The router reads plan bodies under the local service's cap.
+	f := newTestFleetSvc(t, []string{"a", "b"},
+		service.Config{Workers: 1, QueueDepth: 16, SyncConcurrency: 16, MaxBodyBytes: 4096}, nil)
 	// Malformed bodies are served locally and get the service's own 400.
 	resp, data := f.post(t, "a", "/plan", "{nope")
 	if resp.StatusCode != http.StatusBadRequest {

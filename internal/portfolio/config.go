@@ -13,9 +13,9 @@ import (
 // Engine names the warm-start engine an arm anneals from. EngineCold keeps
 // the run's initial assignment (the paper's method); the others seed the
 // anneal from the named congestion-driven engine, with every Eq 3 baseline
-// still anchored to the initial argument (see exchange.Options.Initial), so
-// costs stay comparable across arms. EngineAuto resolves per instance from
-// Features.SelectEngine.
+// still anchored to the initial argument (see exchange.Score), so costs
+// stay comparable across arms. Engine arms are the exchange's only warm
+// start. EngineAuto resolves per instance from Features.SelectEngine.
 type Engine string
 
 // Warm-start engines.
@@ -135,8 +135,7 @@ func (c *Config) Validate() error {
 // ApplyTo merges an arm's overrides onto a base schedule: non-zero arm
 // fields replace the base values, then MoveScale rescales the plateau
 // length (never below one move). An all-zero arm returns base unchanged,
-// which is what makes a single default arm replay the legacy fixed-budget
-// run exactly.
+// which is how the exchange runs plain Options.Restarts as one arm.
 func (a Arm) ApplyTo(base anneal.Schedule) anneal.Schedule {
 	s := base
 	if a.Schedule.InitialTemp != 0 {

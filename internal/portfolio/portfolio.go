@@ -14,21 +14,21 @@
 //     from every allocation decision.
 //
 //  2. Every pull is seeded by its global restart index through
-//     anneal.SplitSeed, exactly like anneal.MinimizeRestarts: pull k of a
-//     run seeded s anneals with seed SplitSeed(s, k) regardless of which
-//     arm owns it, so a full run is a pure function of (instance, seed,
-//     arm set) and replays move for move.
+//     anneal.SplitSeed: pull k of a run seeded s anneals with seed
+//     SplitSeed(s, k) regardless of which arm owns it, so a full run is a
+//     pure function of (instance, seed, arm set) and replays move for
+//     move.
 //
 //  3. Rounds are barriers. Pulls inside a round run concurrently through
 //     internal/parallel with index-addressed results; the halving decision
 //     between rounds reduces those results in index order on the calling
 //     goroutine. Worker count changes the wall clock, never the trace.
 //
-// A single-arm portfolio degenerates to plain MinimizeRestarts: all budget
-// lands on the arm in round 0, pulls take restart indices 0..B−1 in order,
-// and the winner is the lowest-cost pull with ties to the lower index —
-// byte-identical to the fixed-budget path (enforced by the exchange
-// equivalence tests).
+// A single-arm portfolio degenerates to plain multi-start annealing: all
+// budget lands on the arm in round 0, pulls take restart indices 0..B−1 in
+// order, and the winner is the lowest-cost pull with ties to the lower
+// index. The exchange runs its plain Options.Restarts this way, so Run is
+// its one restart loop.
 package portfolio
 
 import (
@@ -251,7 +251,9 @@ func Run(ctx context.Context, cfg Config, workers int, run RunFunc) (*Outcome, e
 			if al.Cost < as.BestCost {
 				as.BestCost, as.BestRestart = al.Cost, al.Restart
 			}
-			if al.Cost < out.BestCost {
+			// The first pull always names a winner, so a run whose costs
+			// are all +Inf or NaN still has one.
+			if out.BestRestart < 0 || al.Cost < out.BestCost {
 				out.BestCost, out.BestArm, out.BestRestart = al.Cost, al.Arm, al.Restart
 			}
 			out.Trace = append(out.Trace, *al)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -42,8 +43,8 @@ func TestRounds(t *testing.T) {
 	}
 }
 
-// TestSingleArmDegenerates pins the degenerate case the exchange equivalence
-// tests rely on: one arm gets the whole budget in round 0, pulls take
+// TestSingleArmDegenerates pins the degenerate case the exchange's fixed
+// restarts run as: one arm gets the whole budget in round 0, pulls take
 // restart indices 0..B−1 in order, and each pull's seed is
 // SplitSeed(seed, k).
 func TestSingleArmDegenerates(t *testing.T) {
@@ -85,6 +86,24 @@ func TestWinnerTieBreaksLow(t *testing.T) {
 		}
 		if out.BestRestart != 0 || out.BestArm != 0 {
 			t.Errorf("workers=%d: winner arm %d restart %d, want 0/0", workers, out.BestArm, out.BestRestart)
+		}
+	}
+}
+
+// TestNonFiniteCostsNameFirstPull: when no cost compares below another
+// (all +Inf, or NaN), the winner is still a real pull — the first one —
+// so callers can index their per-restart results with BestRestart.
+func TestNonFiniteCostsNameFirstPull(t *testing.T) {
+	for _, cost := range []float64{math.Inf(1), math.NaN()} {
+		run := func(_ context.Context, _, _ int) (float64, anneal.Stats, error) {
+			return cost, anneal.Stats{Proposed: 1}, nil
+		}
+		out, err := Run(context.Background(), Config{Arms: arms(1), Budget: 3}, 2, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.BestRestart != 0 || out.BestArm != 0 {
+			t.Errorf("cost %v: winner arm %d restart %d, want 0/0", cost, out.BestArm, out.BestRestart)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // count validated requests one to one.
 func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planSpec, cached []byte, ok bool) {
 	s.rec.Add("requests/"+r.URL.Path[1:], 1)
-	raw, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	raw, err := s.ReadBody(w, r)
 	if err != nil {
 		writeHTTPError(w, classifyDecodeError(err))
 		return nil, nil, false

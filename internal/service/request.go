@@ -97,12 +97,14 @@ type planSpec struct {
 	key       string
 }
 
-// ReadBody buffers a request body under a byte cap, in one allocation
-// sized from Content-Length when the client sent one. An oversized body
-// fails with *http.MaxBytesError before anything decodes it. The plan
-// handlers and the fleet router both read plan bodies through it, then
-// hash and decode the same bytes.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// ReadBody buffers a request body under the server's MaxBodyBytes cap, in
+// one allocation sized from Content-Length when the client sent one. An
+// oversized body fails with *http.MaxBytesError before anything decodes
+// it. The plan handlers and the fleet router both read plan bodies
+// through it, then hash and decode the same bytes, so a fleet node has
+// one body cap.
+func (s *Server) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	limit := s.cfg.MaxBodyBytes
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 {
 		// MinRead of slack lets ReadFrom see EOF without growing.

@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// TestRequestBodyCapOverHTTP locks down the MaxBytesReader wiring on both
-// plan entry points: a body over the cap answers a typed 413 with the
-// service's JSON error shape, and a body exactly at the cap still works.
+// TestRequestBodyCapOverHTTP locks down the MaxBytesReader wiring on the
+// plan, sweep and shard entry points: a body over the cap answers a typed
+// 413 with the service's JSON error shape, and a body at the cap still
+// works.
 func TestRequestBodyCapOverHTTP(t *testing.T) {
 	design := testDesign(t, 24, 1)
 	valid, err := json.Marshal(PlanRequest{Design: design,
@@ -33,6 +34,8 @@ func TestRequestBodyCapOverHTTP(t *testing.T) {
 		{"plan oversized", "/plan", oversized, http.StatusRequestEntityTooLarge},
 		{"jobs fits", "/jobs", string(valid), http.StatusAccepted},
 		{"jobs oversized", "/jobs", oversized, http.StatusRequestEntityTooLarge},
+		{"sweep oversized", "/sweeps", oversized, http.StatusRequestEntityTooLarge},
+		{"shard oversized", "/sweeps/shard", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

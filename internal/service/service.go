@@ -65,7 +65,7 @@ import (
 type Config struct {
 	// QueueDepth bounds how many async jobs may wait for a worker;
 	// submissions beyond it are rejected with 429 + Retry-After.
-	// Default 64.
+	// Default (zero or negative) 64.
 	QueueDepth int
 	// Workers is the number of goroutines draining the job queue.
 	// Default: one per CPU (runtime.GOMAXPROCS).
@@ -102,7 +102,8 @@ type Config struct {
 	// the state. Must not contain '-'. Empty means standalone: plain
 	// "j00000042" IDs.
 	NodeID string
-	// SweepMaxSeeds caps a sweep's unit count. Default 64.
+	// SweepMaxSeeds caps a sweep's unit count. Zero or negative takes
+	// sweep.NewManager's default, 64.
 	SweepMaxSeeds int
 	// SweepHeartbeat is the idle interval between keep-alive comments on
 	// a sweep event stream. Default 15s.
@@ -110,7 +111,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueDepth == 0 {
+	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
 	if c.Workers <= 0 {
@@ -437,8 +438,10 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 		Seed:         spec.opts.seed,
 		Budget:       spec.opts.budget,
 		Workers:      s.cfg.PlanWorkers,
-		Exchange:     copack.ExchangeOptions{Restarts: spec.opts.restarts},
-		Portfolio:    spec.opts.portfolio,
+		Exchange: copack.ExchangeOptions{
+			Restarts:  spec.opts.restarts,
+			Portfolio: spec.opts.portfolio,
+		},
 	}
 	var col *obs.Collector
 	if spec.opts.metrics {

@@ -176,6 +176,16 @@ func TestSweepRequestValidation(t *testing.T) {
 			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
 		}
 	}
+
+	// Negative limits take the defaults: the queue holds 64 jobs, and the
+	// seed cap stays on at 64 instead of switching off.
+	neg := newTestServer(t, Config{Workers: 1, QueueDepth: -1, SweepMaxSeeds: -1})
+	if got := cap(neg.svc.queue); got != 64 {
+		t.Errorf("QueueDepth -1: queue capacity %d, want the default 64", got)
+	}
+	if resp, data := neg.post(t, "/sweeps", `{"kind":"table3","num_seeds":65}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("SweepMaxSeeds -1: 65 seeds got %d (%s), want 400", resp.StatusCode, data)
+	}
 }
 
 func TestSweepClientDisconnectLeaksNothing(t *testing.T) {

@@ -15,10 +15,11 @@ const fuzzMaxSeeds = 64
 // FuzzSweepRequest throws arbitrary bytes at the POST /sweeps front half —
 // strict decode, then Normalize under the seed cap — and checks what the
 // HTTP layer relies on: every rejection is a typed *HTTPError with a 4xx
-// status, every accepted spec respects the seed and random_tries caps,
-// and its wire form (what a coordinator ships in shard requests)
-// survives a JSON round trip and re-normalizes to an equal spec with
-// equal unit keys, so both ends of a shard hop agree on every unit.
+// status, every accepted body is exactly one JSON value, every accepted
+// spec respects the seed and random_tries caps, and its wire form (what a
+// coordinator ships in shard requests) survives a JSON round trip and
+// re-normalizes to an equal spec with equal unit keys, so both ends of a
+// shard hop agree on every unit.
 func FuzzSweepRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"kind":"table2","num_seeds":3}`,
@@ -49,6 +50,7 @@ func FuzzSweepRequest(f *testing.F) {
 			requireClientError(t, err, data)
 			return
 		}
+		requireOneValue(t, data)
 		requireWithinCaps(t, sp, data)
 		wire, err := json.Marshal(sp.Wire())
 		if err != nil {
@@ -76,8 +78,9 @@ func FuzzSweepRequest(f *testing.F) {
 // FuzzShardBatch throws arbitrary bytes at the shard hop's front half —
 // DecodeShard, then the Validate step RunShardLocal makes before it runs
 // anything — without ever running a unit. Rejections must be typed 4xx
-// errors; an accepted shard must list at least one unit, every unit must
-// index the spec's seeds, and the spec must respect the caps.
+// errors; an accepted body must hold exactly one JSON value, an accepted
+// shard must list at least one unit, every unit must index the spec's
+// seeds, and the spec must respect the caps.
 func FuzzShardBatch(f *testing.F) {
 	for _, s := range []string{
 		`{"spec":{"kind":"table2","seeds":[1,2],"random_tries":2},"units":[1,0]}`,
@@ -90,6 +93,8 @@ func FuzzShardBatch(f *testing.F) {
 		`{"spec":{"kind":"table2","seeds":[1]},"units":[0],"extra":1}`,
 		`{"spec":{},"units":[0]}`,
 		`{"units":"0"}`,
+		`{"spec":{"kind":"table3","seeds":[1]},"units":[0]}{"units":[9]}`,
+		`{"spec":{"kind":"table3","seeds":[1]},"units":[0]} garbage`,
 		`{nope`,
 		``,
 	} {
@@ -105,6 +110,7 @@ func FuzzShardBatch(f *testing.F) {
 			requireClientError(t, err, data)
 			return
 		}
+		requireOneValue(t, data)
 		requireWithinCaps(t, sp, data)
 		if len(sr.Units) == 0 {
 			t.Fatalf("input %q: accepted a shard with no units", data)
@@ -122,6 +128,15 @@ func requireClientError(t *testing.T, err error, input []byte) {
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status < 400 || he.Status >= 500 {
 		t.Fatalf("input %q: rejection %v (%T) is not a 4xx *HTTPError", input, err, err)
+	}
+}
+
+// requireOneValue fails unless an accepted body is exactly one JSON value:
+// the decoders must reject a second value or trailing garbage.
+func requireOneValue(t *testing.T, input []byte) {
+	t.Helper()
+	if !json.Valid(input) {
+		t.Fatalf("input %q: accepted a body that is not exactly one JSON value", input)
 	}
 }
 

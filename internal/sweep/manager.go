@@ -70,7 +70,8 @@ type UnitCache interface {
 // Config tunes a Manager. The zero value of everything but Enqueue is
 // usable standalone.
 type Config struct {
-	// MaxSeeds caps a sweep's unit count (400 beyond it). Default 64.
+	// MaxSeeds caps a sweep's unit count (400 beyond it). Default (zero
+	// or negative) 64.
 	MaxSeeds int
 	// Enqueue submits unit closures to the host's bounded queue.
 	// Required.
@@ -106,7 +107,7 @@ type Manager struct {
 
 // NewManager builds a Manager.
 func NewManager(cfg Config) *Manager {
-	if cfg.MaxSeeds == 0 {
+	if cfg.MaxSeeds <= 0 {
 		cfg.MaxSeeds = 64
 	}
 	return &Manager{cfg: cfg, rec: obs.OrNop(cfg.Recorder)}

@@ -151,23 +151,39 @@ func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
 
 // DecodeRequest reads and strictly decodes a Request from an HTTP body.
 func DecodeRequest(r io.Reader) (*Request, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req Request
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-		}
-		if errors.Is(err, io.EOF) {
-			return nil, errf(http.StatusBadRequest, "empty request body")
-		}
-		return nil, errf(http.StatusBadRequest, "decoding sweep request: %v", err)
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return nil, errf(http.StatusBadRequest, "request body holds more than one JSON object")
+	if err := decodeBody(r, &req, "sweep request"); err != nil {
+		return nil, err
 	}
 	return &req, nil
+}
+
+// decodeBody strictly decodes one JSON value from an HTTP body into v, for
+// sweep and shard bodies alike: unknown fields and anything after the
+// value are rejected, a body over its http.MaxBytesReader cap is a 413,
+// and an empty body says so.
+func decodeBody(r io.Reader, v any, what string) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	decoded := err == nil
+	if decoded {
+		// v is complete; the body must end here.
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			return nil
+		}
+	}
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		return errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+	case decoded:
+		return errf(http.StatusBadRequest, "request body holds more than one JSON object")
+	case errors.Is(err, io.EOF):
+		return errf(http.StatusBadRequest, "empty request body")
+	default:
+		return errf(http.StatusBadRequest, "decoding %s: %v", what, err)
+	}
 }
 
 // Wire renders the spec back into its canonical Request form — the body a
@@ -280,14 +296,12 @@ type ShardRequest struct {
 	Units []int   `json:"units"`
 }
 
-// DecodeShard strictly decodes a ShardRequest from an HTTP body: unknown
-// fields are rejected, like a top-level sweep request's.
+// DecodeShard strictly decodes a ShardRequest from an HTTP body, exactly
+// like a top-level sweep request.
 func DecodeShard(r io.Reader) (*ShardRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var sr ShardRequest
-	if err := dec.Decode(&sr); err != nil {
-		return nil, errf(http.StatusBadRequest, "decoding shard request: %v", err)
+	if err := decodeBody(r, &sr, "shard request"); err != nil {
+		return nil, err
 	}
 	return &sr, nil
 }

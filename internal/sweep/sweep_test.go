@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,6 +164,46 @@ func TestDecodeRequestStrict(t *testing.T) {
 	}
 	if req.Kind != "table2" || req.NumSeeds != 2 {
 		t.Errorf("decoded %+v", req)
+	}
+}
+
+// TestDecodeShardStrict: a shard body goes through the same strict decoder
+// as a sweep request — unknown fields, a second JSON value and trailing
+// garbage are 400s, an empty body says so, and a body over its
+// MaxBytesReader cap is a 413 on both decoders.
+func TestDecodeShardStrict(t *testing.T) {
+	const valid = `{"spec":{"kind":"table3","seeds":[1]},"units":[0]}`
+	for _, tc := range []struct{ name, body, want string }{
+		{"unknown field", `{"spec":{"kind":"table3","seeds":[1]},"units":[0],"x":1}`, "unknown field"},
+		{"trailing object", valid + `{"units":[9]}`, "more than one JSON object"},
+		{"trailing garbage", valid + ` garbage`, "more than one JSON object"},
+		{"empty body", ``, "empty request body"},
+	} {
+		_, err := DecodeShard(strings.NewReader(tc.body))
+		var he *HTTPError
+		if !errors.As(err, &he) || he.Status != http.StatusBadRequest || !strings.Contains(he.Msg, tc.want) {
+			t.Errorf("%s: got %v, want a 400 naming %q", tc.name, err, tc.want)
+		}
+	}
+	sr, err := DecodeShard(strings.NewReader(valid + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Spec.Kind != "table3" || len(sr.Units) != 1 {
+		t.Errorf("decoded %+v", sr)
+	}
+
+	capped := func(body string) io.Reader {
+		return http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(body)), 16)
+	}
+	for name, decode := range map[string]func(io.Reader) error{
+		"shard": func(r io.Reader) error { _, err := DecodeShard(r); return err },
+		"sweep": func(r io.Reader) error { _, err := DecodeRequest(r); return err },
+	} {
+		var he *HTTPError
+		if err := decode(capped(valid)); !errors.As(err, &he) || he.Status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got %v, want a 413", name, err)
+		}
 	}
 }
 
@@ -392,6 +435,10 @@ func TestManagerAccessors(t *testing.T) {
 	}
 	if got := newTestManager(t, nil).MaxSeeds(); got != 64 {
 		t.Fatalf("default MaxSeeds = %d, want 64", got)
+	}
+	// A negative cap is not "no cap": it takes the default too.
+	if got := newTestManager(t, func(c *Config) { c.MaxSeeds = -1 }).MaxSeeds(); got != 64 {
+		t.Fatalf("MaxSeeds -1 = %d, want the default 64", got)
 	}
 }
 
