@@ -11,10 +11,12 @@ import (
 	"testing"
 
 	"copack"
+	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/exchange"
 	"copack/internal/exp"
 	"copack/internal/gen"
+	"copack/internal/portfolio"
 	"copack/internal/power"
 	"copack/internal/route"
 )
@@ -33,7 +35,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the full density/wirelength comparison.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Table2(1, 10)
+		res, err := exp.Table2(1, 10, exp.Harness{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -450,35 +452,64 @@ func BenchmarkDRC(b *testing.B) {
 
 // --- Parallel speedup (the worker-pool layer) ----------------------------
 
-// BenchmarkParallelSpeedup measures the parallelized surfaces —
-// multi-start exchange, large-grid IR solve, the Table 2 harness and the
-// four-way engine comparison — at
-// 1, 2, 4 and 8 workers. Every variant returns byte-identical results; only
-// the wall clock may change (and only on multi-core hosts: with GOMAXPROCS=1
-// all worker counts degenerate to sequential execution).
-func BenchmarkParallelSpeedup(b *testing.B) {
-	workerCounts := []int{1, 2, 4, 8}
+// workerCounts are the pool sizes every worker-scaling benchmark runs at.
+var workerCounts = []int{1, 2, 4, 8}
 
-	b.Run("exchange", func(b *testing.B) {
+// benchExchange runs one exchange sub-benchmark per worker count. The
+// result is the same at every count (TestMultiStartDeterministicAcrossWorkers
+// and the portfolio replay tests check that); only the wall clock changes.
+func benchExchange(b *testing.B, p *copack.Problem, initial *copack.Assignment, opt exchange.Options) {
+	for _, w := range workerCounts {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			opt.Workers = w
+			for i := 0; i < b.N; i++ {
+				if _, err := exchange.Run(p, initial, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchSolve runs one IR-solve sub-benchmark per worker count.
+func benchSolve(b *testing.B, g power.GridSpec, pads []power.Pad) {
+	for _, w := range workerCounts {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := power.Solve(g, pads, power.SolveOptions{Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkParallelSpeedup measures the parallelized surfaces at 1, 2, 4
+// and 8 workers: multi-start exchange, a 96×96 IR solve, the Table 2
+// harness, the four-way engine comparison, the MCMF warm start and the
+// adaptive portfolio. Every variant returns byte-identical results; only
+// the wall clock may change (and only on multi-core hosts: with
+// GOMAXPROCS=1 all worker counts degenerate to sequential execution).
+func BenchmarkParallelSpeedup(b *testing.B) {
+	// Circuit 3 at ψ = 4, from its DFA order: the instance of every
+	// exchange surface here.
+	exchangeStart := func(b *testing.B) (*copack.Problem, *copack.Assignment) {
 		p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: 4})
 		dfaA, err := assign.DFA(p, assign.DFAOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := exchange.Run(p, dfaA, exchange.Options{Seed: 1, Restarts: 4, Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		return p, dfaA
+	}
+
+	b.Run("exchange", func(b *testing.B) {
+		p, dfaA := exchangeStart(b)
+		benchExchange(b, p, dfaA, exchange.Options{Seed: 1, Restarts: 4})
 	})
 
 	b.Run("power", func(b *testing.B) {
-		// 96×96 = 9216 nodes: above the threshold, so the red-black /
-		// chunked kernels are active and Workers can shard them.
+		// 96×96 = 9216 nodes: above the parallel threshold, and even, so
+		// the Jacobi CG fallback runs and Workers shards its kernels.
 		g := power.GridSpec{
 			Nx: 96, Ny: 96, Width: 100, Height: 100,
 			RsX: 0.05, RsY: 0.05, Vdd: 1.0, CurrentDensity: 1e-5,
@@ -487,22 +518,14 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		for i := 0; i < g.Nx; i += 7 {
 			pads = append(pads, power.Pad{I: i, J: 0}, power.Pad{I: i, J: g.Ny - 1})
 		}
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := power.Solve(g, pads, power.SolveOptions{Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		benchSolve(b, g, pads)
 	})
 
 	b.Run("table2", func(b *testing.B) {
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := exp.Table2With(1, 10, exp.Harness{Workers: w}); err != nil {
+					if _, err := exp.Table2(1, 10, exp.Harness{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -511,17 +534,64 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	})
 
 	b.Run("mcmf", func(b *testing.B) {
-		// The engine comparison fanned over the harness pool — the MCMF
-		// solver is inside each work unit, so this is the CI smoke for the
-		// assign/mcmf bench surface.
+		// The engine comparison fanned over the harness pool: the MCMF
+		// solve runs inside each work unit.
 		for _, w := range workerCounts {
 			b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := exp.CompareAssignWith(1, 3, exp.Harness{Workers: w}); err != nil {
+					if _, err := exp.CompareAssign(1, 3, exp.Harness{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
+	})
+
+	b.Run("warmstart", func(b *testing.B) {
+		// Four restarts, each annealed from the MCMF order.
+		p, dfaA := exchangeStart(b)
+		benchExchange(b, p, dfaA, exchange.Options{Seed: 1, Portfolio: &portfolio.Config{Budget: 4,
+			Arms: []portfolio.Arm{{Name: "mcmf", Engine: portfolio.EngineMCMF}}}})
+	})
+
+	b.Run("portfolio", func(b *testing.B) {
+		// The adaptive bandit over the default arm set, budget 8.
+		p, dfaA := exchangeStart(b)
+		benchExchange(b, p, dfaA, exchange.Options{Seed: 1, Portfolio: portfolio.Default(8)})
+	})
+}
+
+// BenchmarkLargeTier measures the scaling tier at 1, 2, 4 and 8 workers:
+// the production IR solver (MGCG) on a 513×513 grid with a pad every 8
+// nodes round the boundary, and four restarts of the exchange on the
+// 100k+-net gen.Large circuit. 513 = 2⁹+1, so the multigrid hierarchy
+// coarsens all the way down, and every level above 4096 nodes runs the
+// parallel kernels. TestMGDeterministicAcrossWorkers and
+// TestLargeNDeterministicAcrossWorkers check that the worker count never
+// changes these results.
+func BenchmarkLargeTier(b *testing.B) {
+	b.Run("power", func(b *testing.B) {
+		const n = 513
+		g := power.GridSpec{
+			Nx: n, Ny: n, Width: 1000, Height: 1000,
+			RsX: 0.05, RsY: 0.05, Vdd: 1.0, CurrentDensity: 1e-5,
+		}
+		var pads []power.Pad
+		for i := 0; i < n; i += 8 {
+			pads = append(pads,
+				power.Pad{I: i, J: 0}, power.Pad{I: i, J: n - 1},
+				power.Pad{I: 0, J: i}, power.Pad{I: n - 1, J: i})
+		}
+		benchSolve(b, g, pads)
+	})
+
+	b.Run("exchange", func(b *testing.B) {
+		p := gen.MustBuild(gen.Large(), gen.Options{Seed: 1})
+		dfaA, err := assign.DFA(p, assign.DFAOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchExchange(b, p, dfaA, exchange.Options{Seed: 1, Restarts: 4,
+			Schedule: anneal.Schedule{InitialTemp: 0.5, FinalTemp: 1e-2, Cooling: 0.8, MovesPerTemp: 50_000}})
 	})
 }

@@ -9,14 +9,15 @@
 //	fpbench -all -out plots/
 //	fpbench -sweep 20 -workers 4   # Table 2 over 20 seeds on 4 workers
 //	fpbench -compare            # four-way engine table + warm-start comparison
-//	fpbench -bench -json        # time the parallel surfaces, write BENCH_<date>.json
 //	fpbench -table 3 -cpuprofile cpu.out -memprofile mem.out   # pprof evidence
 //
-// -workers bounds the pool used by tables, sweeps and -bench; every output
-// is byte-identical for any value (see DESIGN.md's determinism notes).
+// -workers bounds the pool used by tables and sweeps; every output is
+// byte-identical for any value (see DESIGN.md's determinism notes). Timings
+// live in the root benchmarks (go test -bench .) and in bench/.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -39,23 +40,19 @@ func main() {
 func realMain(args []string) int {
 	fs := flag.NewFlagSet("fpbench", flag.ContinueOnError)
 	var (
-		table     = fs.Int("table", 0, "regenerate a table (1, 2 or 3)")
-		fig       = fs.Int("fig", 0, "regenerate a figure (5, 6, 13 or 15)")
-		all       = fs.Bool("all", false, "regenerate everything")
-		seed      = fs.Int64("seed", 1, "random seed")
-		out       = fs.String("out", ".", "directory for SVG artifacts")
-		quick     = fs.Bool("quick", false, "faster, lower-fidelity Fig 6")
-		sweep     = fs.Int("sweep", 0, "re-run Table 2 over this many seeds and report ratio distributions")
-		sweep3    = fs.Int("sweep3", 0, "re-run Table 3 over this many seeds and report improvement distributions")
-		flipchip  = fs.Bool("flipchip", false, "compare wire-bond vs flip-chip IR-drop (the paper's §2.4 motivation)")
-		compare   = fs.Bool("compare", false, "compare the four assignment engines (Table 2 + MCMF) and cold vs MCMF-warm-started exchange")
-		workers   = fs.Int("workers", runtime.NumCPU(), "worker pool size for tables, sweeps and -bench (results are identical for any value)")
-		bench     = fs.Bool("bench", false, "time the parallel surfaces at 1/2/4/8 workers")
-		jsonOut   = fs.Bool("json", false, "with -bench: also write BENCH_<date>.json to -out")
-		benchTag  = fs.String("benchtag", "", "with -bench -json: suffix the output file BENCH_<date>-<tag>.json")
-		benchSize = fs.String("size", "default", "with -bench: surface tier (default, or large for the 100k-net/513-grid scaling tier)")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
+		table    = fs.Int("table", 0, "regenerate a table (1, 2 or 3)")
+		fig      = fs.Int("fig", 0, "regenerate a figure (5, 6, 13 or 15)")
+		all      = fs.Bool("all", false, "regenerate everything")
+		seed     = fs.Int64("seed", 1, "random seed")
+		out      = fs.String("out", ".", "directory for SVG artifacts")
+		quick    = fs.Bool("quick", false, "faster, lower-fidelity Fig 6")
+		sweep    = fs.Int("sweep", 0, "re-run Table 2 over this many seeds and report ratio distributions")
+		sweep3   = fs.Int("sweep3", 0, "re-run Table 3 over this many seeds and report improvement distributions")
+		flipchip = fs.Bool("flipchip", false, "compare wire-bond vs flip-chip IR-drop (the paper's §2.4 motivation)")
+		compare  = fs.Bool("compare", false, "compare the four assignment engines (Table 2 + MCMF) and cold vs MCMF-warm-started exchange")
+		workers  = fs.Int("workers", runtime.NumCPU(), "worker pool size for tables and sweeps (results are identical for any value)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -121,7 +118,7 @@ func realMain(args []string) int {
 	if *all || *table == 2 {
 		any = true
 		run("table2", func() error {
-			res, err := exp.Table2With(*seed, 10, harness)
+			res, err := exp.Table2(*seed, 10, harness)
 			if err != nil {
 				return err
 			}
@@ -133,7 +130,7 @@ func realMain(args []string) int {
 	if *all || *table == 3 {
 		any = true
 		run("table3", func() error {
-			res, err := exp.Table3With(*seed, harness)
+			res, err := exp.Table3(*seed, harness)
 			if err != nil {
 				return err
 			}
@@ -207,7 +204,7 @@ func realMain(args []string) int {
 	if *sweep > 0 {
 		any = true
 		run("sweep", func() error {
-			res, err := exp.SweepTable2With(exp.Seeds(*sweep), 10, harness)
+			res, err := exp.SweepTable2(context.Background(), exp.Seeds(*sweep), 10, harness)
 			if err != nil {
 				return err
 			}
@@ -219,7 +216,7 @@ func realMain(args []string) int {
 	if *sweep3 > 0 {
 		any = true
 		run("sweep3", func() error {
-			res, err := exp.SweepTable3With(exp.Seeds(*sweep3), harness)
+			res, err := exp.SweepTable3(context.Background(), exp.Seeds(*sweep3), harness)
 			if err != nil {
 				return err
 			}
@@ -243,13 +240,13 @@ func realMain(args []string) int {
 	if *all || *compare {
 		any = true
 		run("compare", func() error {
-			res, err := exp.CompareAssignWith(*seed, 10, harness)
+			res, err := exp.CompareAssign(*seed, 10, harness)
 			if err != nil {
 				return err
 			}
 			fmt.Println("== Assignment engines: random / IFA / DFA / MCMF ==")
 			fmt.Println(res.Format())
-			ws, err := exp.WarmStartWith(*seed, harness)
+			ws, err := exp.WarmStart(*seed, harness)
 			if err != nil {
 				return err
 			}
@@ -257,10 +254,6 @@ func realMain(args []string) int {
 			fmt.Println(ws.Format())
 			return nil
 		})
-	}
-	if *bench {
-		any = true
-		run("bench", func() error { return runBench(*out, *jsonOut, *benchTag, *benchSize) })
 	}
 	if !any {
 		fs.Usage()

@@ -53,6 +53,13 @@ func TestBadFlagRejected(t *testing.T) {
 	if got := realMain([]string{"-table", "pancake"}); got != 2 {
 		t.Errorf("realMain(-table pancake) = %d, want 2", got)
 	}
+	// Timings live in the root benchmarks (go test -bench .), so fpbench
+	// has no timing flags.
+	for _, flag := range []string{"-bench", "-json", "-benchtag=x", "-size=large"} {
+		if got := realMain([]string{flag, "-table", "1"}); got != 2 {
+			t.Errorf("realMain(%s) = %d, want 2", flag, got)
+		}
+	}
 }
 
 func TestTable1(t *testing.T) {

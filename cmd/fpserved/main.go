@@ -106,7 +106,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		cache     = fs.Int("cache", 128, "entries in each of three LRUs: plan results, raw-body keys, sweep units (negative disables all three)")
 		maxBody   = fs.Int64("max-body", 1<<20, "request body size cap in bytes")
 		maxBudget = fs.Duration("max-budget", 2*time.Minute,
-			"cap on the per-request planning budget (budget_ms)")
+			"cap on the per-request planning budget (budget_ms), and the budget of a request that sets none")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second,
 			"how long a shutdown waits for in-flight jobs before giving up")
 		nodeID = fs.String("node-id", "",

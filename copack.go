@@ -291,7 +291,12 @@ type Result struct {
 	// and never worse (by the exchange cost) than the initial one, and
 	// the IR-drop numbers are the solver's best available estimate (its
 	// current iterate, or the previous stage's solve when the cut came
-	// before the first iteration).
+	// before the first iteration). The exchange cost's minimum is the
+	// initial order itself, and an anneal cut part-way nearly always
+	// stands above it, so the exchange then falls back to the initial
+	// order: a Budget that cuts the exchange returns Initial, with none
+	// of the exchange's IR-drop or bonding gain (see DESIGN.md, "What the
+	// exchange's objective ranks").
 	Partial bool
 	// Stopped says where and why a Partial run stopped (for example
 	// "exchange: context deadline exceeded"); empty for a complete run.

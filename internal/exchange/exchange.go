@@ -178,9 +178,9 @@ type state struct {
 
 // Note: state deliberately does NOT implement anneal.Snapshotter. The
 // initial assignment scores ID = 0 by definition, so the minimum of Eq 3
-// is usually the starting point itself; the paper's method (and ours)
-// returns the *final* annealed state, which trades a little ID for the
-// proxy and ω gains the cooling schedule locked in.
+// is the starting point itself (TestBestSeenIsTheStart); the paper's
+// method (and ours) returns the *final* annealed state, which trades a
+// little ID for the proxy and ω gains the cooling schedule locked in.
 
 func (s *state) cost() float64 {
 	idWorst := 0

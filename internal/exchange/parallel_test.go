@@ -13,41 +13,54 @@ import (
 )
 
 // Multi-start output must be byte-identical for any worker count: the same
-// restarts run, the same winner is picked, the same order comes back.
+// restarts run, the same winner is picked, the same order comes back. That
+// holds for cold restarts and for restarts warm-started from the MCMF
+// order alike.
 func TestMultiStartDeterministicAcrossWorkers(t *testing.T) {
+	runs := []struct {
+		name string
+		opt  Options
+	}{
+		{"restarts4", Options{Seed: 5, Restarts: 4}},
+		{"mcmf-warm4", Options{Seed: 5, Portfolio: mcmfArm(4)}},
+	}
 	for _, tiers := range []int{1, 4} {
 		p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 2, Tiers: tiers})
 		initial, err := assign.DFA(p, assign.DFAOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ref *Result
-		for _, workers := range []int{1, 4} {
-			res, err := Run(p, initial, Options{Seed: 5, Restarts: 4, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.RestartCosts) != 4 {
-				t.Fatalf("tiers=%d workers=%d: %d restart costs", tiers, workers, len(res.RestartCosts))
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if !reflect.DeepEqual(res.Assignment.Slots, ref.Assignment.Slots) {
-				t.Errorf("tiers=%d: assignment differs between workers 1 and %d", tiers, workers)
-			}
-			if res.Restart != ref.Restart {
-				t.Errorf("tiers=%d: winner restart %d vs %d", tiers, res.Restart, ref.Restart)
-			}
-			if !reflect.DeepEqual(res.RestartCosts, ref.RestartCosts) {
-				t.Errorf("tiers=%d: restart costs differ: %v vs %v", tiers, res.RestartCosts, ref.RestartCosts)
-			}
-			if res.Stats != ref.Stats {
-				t.Errorf("tiers=%d: winner stats differ: %+v vs %+v", tiers, res.Stats, ref.Stats)
-			}
-			if res.After != ref.After {
-				t.Errorf("tiers=%d: after metrics differ: %+v vs %+v", tiers, res.After, ref.After)
+		for _, r := range runs {
+			var ref *Result
+			for _, workers := range []int{1, 4} {
+				opt := r.opt
+				opt.Workers = workers
+				res, err := Run(p, initial, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.RestartCosts) != 4 {
+					t.Fatalf("%s tiers=%d workers=%d: %d restart costs", r.name, tiers, workers, len(res.RestartCosts))
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if !reflect.DeepEqual(res.Assignment.Slots, ref.Assignment.Slots) {
+					t.Errorf("%s tiers=%d: assignment differs between workers 1 and %d", r.name, tiers, workers)
+				}
+				if res.Restart != ref.Restart {
+					t.Errorf("%s tiers=%d: winner restart %d vs %d", r.name, tiers, res.Restart, ref.Restart)
+				}
+				if !reflect.DeepEqual(res.RestartCosts, ref.RestartCosts) {
+					t.Errorf("%s tiers=%d: restart costs differ: %v vs %v", r.name, tiers, res.RestartCosts, ref.RestartCosts)
+				}
+				if res.Stats != ref.Stats {
+					t.Errorf("%s tiers=%d: winner stats differ: %+v vs %+v", r.name, tiers, res.Stats, ref.Stats)
+				}
+				if res.After != ref.After {
+					t.Errorf("%s tiers=%d: after metrics differ: %+v vs %+v", r.name, tiers, res.After, ref.After)
+				}
 			}
 		}
 	}

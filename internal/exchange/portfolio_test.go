@@ -222,3 +222,58 @@ func TestPortfolioWarmArmUsesEngineOrder(t *testing.T) {
 		t.Errorf("Score %v, RestartCosts[%d] %v", got, res.Restart, res.RestartCosts[res.Restart])
 	}
 }
+
+// TestPortfolioBeatsFixedAtEqualMoves is the portfolio's value gate. On
+// circuit 3, ψ = 4, seed 1, the adaptive bandit over the default arm set
+// (budget 8) must end at an Eq 3 cost no higher than plain restarts
+// topped up until they have proposed at least as many moves. Both runs
+// and the numbers they reach are pinned.
+func TestPortfolioBeatsFixedAtEqualMoves(t *testing.T) {
+	p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: 4})
+	dfaA, err := assign.DFA(p, assign.DFAOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run returns the winner's cost and the moves proposed over all pulls.
+	run := func(cfg *portfolio.Config) (float64, int) {
+		t.Helper()
+		res, err := Run(p, dfaA, Options{Seed: 1, Portfolio: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		moves := 0
+		for _, al := range res.Portfolio.Trace {
+			moves += al.Proposed
+		}
+		return res.RestartCosts[res.Restart], moves
+	}
+	const budget = 8
+	adaptiveCost, adaptiveMoves := run(portfolio.Default(budget))
+
+	// Fixed restarts are a one-arm portfolio with no overrides, exactly
+	// Restarts = Budget (TestPortfolioSingleArmEquivalence). Top them up
+	// from the observed per-restart move rate until they have proposed at
+	// least the adaptive run's moves.
+	fixed := func(restarts int) (float64, int) {
+		return run(&portfolio.Config{Budget: restarts, Arms: []portfolio.Arm{{Name: "fixed"}}})
+	}
+	restarts := budget
+	fixedCost, fixedMoves := fixed(restarts)
+	for try := 0; fixedMoves < adaptiveMoves && try < 3; try++ {
+		per := fixedMoves / restarts
+		restarts += (adaptiveMoves - fixedMoves + per - 1) / per
+		fixedCost, fixedMoves = fixed(restarts)
+	}
+	if fixedMoves < adaptiveMoves {
+		t.Fatalf("fixed restarts proposed %d moves, below the adaptive %d", fixedMoves, adaptiveMoves)
+	}
+	if adaptiveCost > fixedCost {
+		t.Errorf("adaptive cost %.6f exceeds fixed %.6f (%d restarts, %d vs %d moves)",
+			adaptiveCost, fixedCost, restarts, fixedMoves, adaptiveMoves)
+	}
+	checkPinned(t, "adaptive", adaptiveCost, adaptiveMoves, 8.219621, 764536)
+	checkPinned(t, "fixed", fixedCost, fixedMoves, 8.232319, 798366)
+	if restarts != 11 {
+		t.Errorf("fixed run topped up to %d restarts, pinned 11", restarts)
+	}
+}

@@ -145,8 +145,9 @@ type PricingStats struct {
 // annealer, no temperature: it builds one annealing state, prices `moves`
 // adjacent-swap proposals with a deterministic rng, commits the improving
 // ones and rejects the rest, and reports per-move time and allocation
-// rates. It exists so benchmarks (bench_test.go, fpbench -bench) and the
-// CI allocation regression test measure the exact production code path.
+// rates. It exists so BenchmarkExchangeMovePricing (the root
+// bench_test.go) and the CI allocation regression test measure the exact
+// production code path.
 func PricingBench(p *core.Problem, initial *core.Assignment, opt Options, moves int) (PricingStats, error) {
 	if err := core.CheckMonotonic(p, initial); err != nil {
 		return PricingStats{}, fmt.Errorf("exchange: initial assignment: %v", err)

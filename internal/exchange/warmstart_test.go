@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/core"
@@ -192,5 +193,47 @@ func TestWarmStartInterruptedKeepsWarmOrder(t *testing.T) {
 		if math.Float64bits(c) != math.Float64bits(want) {
 			t.Errorf("restart %d cost %v, want the MCMF order's %v", k, c, want)
 		}
+	}
+}
+
+// TestWarmStartTimeToTarget: on circuit 3, ψ = 4, seed 1, the cold
+// DFA-seeded run sets the target, its final Eq 3 cost. An MCMF-warm
+// anneal of just the schedule's last temperature must reach it. Both runs
+// score against the shared DFA baseline (see Score), so the costs compare
+// directly. The move counts and costs are pinned.
+func TestWarmStartTimeToTarget(t *testing.T) {
+	p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: 4})
+	dfaA, err := assign.DFA(p, assign.DFAOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Run(p, dfaA, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := cold.RestartCosts[0]
+
+	// A 1-temperature tail of the default schedule: the cold run's final
+	// temperature and cooling, starting at that temperature.
+	sched := anneal.Schedule{}.WithDefaults()
+	warm, err := Run(p, dfaA, Options{Seed: 1, Portfolio: mcmfArm(1),
+		Schedule: anneal.Schedule{InitialTemp: sched.FinalTemp, FinalTemp: sched.FinalTemp, Cooling: sched.Cooling}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.RestartCosts[0]; got > target {
+		t.Errorf("MCMF-warm tail ends at %.6f, above the cold target %.6f", got, target)
+	}
+	checkPinned(t, "cold", target, cold.Stats.Proposed, 10.756422, 72513)
+	checkPinned(t, "mcmf-warm", warm.RestartCosts[0], warm.Stats.Proposed, 8.544056, 690)
+}
+
+// checkPinned fails unless a run ended at the pinned Eq 3 cost, to the six
+// decimals the docs print, after exactly the pinned number of proposed
+// moves.
+func checkPinned(t *testing.T, name string, cost float64, moves int, wantCost float64, wantMoves int) {
+	t.Helper()
+	if math.Abs(cost-wantCost) > 5e-7 || moves != wantMoves {
+		t.Errorf("%s: cost %.6f over %d moves, pinned %.6f over %d", name, cost, moves, wantCost, wantMoves)
 	}
 }

@@ -91,10 +91,10 @@ func compareRow(tc gen.TestCircuit, seed int64, randomTries int) (CompareRow, er
 	return row, nil
 }
 
-// CompareAssignWith compares random, IFA, DFA and MCMF on the test circuits,
+// CompareAssign compares random, IFA, DFA and MCMF on the test circuits,
 // fanned out over the harness pool. Rows land at their circuit's index, so
 // the result is identical for any Workers value.
-func CompareAssignWith(seed int64, randomTries int, h Harness) (*CompareResult, error) {
+func CompareAssign(seed int64, randomTries int, h Harness) (*CompareResult, error) {
 	if randomTries < 1 {
 		randomTries = 10
 	}
@@ -132,11 +132,6 @@ func CompareAssignWith(seed int64, randomTries int, h Harness) (*CompareResult, 
 	out.AvgWirelenDFA /= n
 	out.AvgWirelenMCMF /= n
 	return out, nil
-}
-
-// CompareAssign is CompareAssignWith run sequentially.
-func CompareAssign(seed int64, randomTries int) (*CompareResult, error) {
-	return CompareAssignWith(seed, randomTries, Harness{Workers: 1})
 }
 
 // Format renders the comparison in Table 2's layout plus the MCMF columns.
@@ -233,9 +228,9 @@ func warmStartRow(tc gen.TestCircuit, psi int, seed int64) (WarmStartRow, error)
 	return row, nil
 }
 
-// WarmStartWith compares cold and MCMF-warm-started exchange runs over the
+// WarmStart compares cold and MCMF-warm-started exchange runs over the
 // test circuits for ψ ∈ {1, 4}, fanned out over the harness pool.
-func WarmStartWith(seed int64, h Harness) (*WarmStartResult, error) {
+func WarmStart(seed int64, h Harness) (*WarmStartResult, error) {
 	type item struct {
 		tc  gen.TestCircuit
 		psi int
@@ -267,11 +262,6 @@ func WarmStartWith(seed int64, h Harness) (*WarmStartResult, error) {
 	}
 	out.AvgCostDelta /= float64(len(rows))
 	return out, nil
-}
-
-// WarmStart is WarmStartWith run sequentially.
-func WarmStart(seed int64) (*WarmStartResult, error) {
-	return WarmStartWith(seed, Harness{Workers: 1})
 }
 
 // Format renders the warm-start comparison.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCompareAssignShape(t *testing.T) {
-	res, err := CompareAssign(1, 3)
+	res, err := CompareAssign(1, 3, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +40,16 @@ func TestCompareAssignShape(t *testing.T) {
 }
 
 func TestCompareAssignDeterministicAcrossWorkers(t *testing.T) {
-	seq, err := CompareAssignWith(2, 3, Harness{Workers: 1})
+	seq, err := CompareAssign(2, 3, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompareAssignWith(2, 3, Harness{Workers: 4})
+	par, err := CompareAssign(2, 3, Harness{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Error("CompareAssignWith differs across worker counts")
+		t.Error("CompareAssign differs across worker counts")
 	}
 }
 
@@ -57,7 +57,7 @@ func TestWarmStartShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-start table runs twenty annealers; skipped with -short")
 	}
-	res, err := WarmStart(1)
+	res, err := WarmStart(1, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

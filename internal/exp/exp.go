@@ -71,14 +71,6 @@ type Table2Result struct {
 	AvgWirelenIFA, AvgWirelenDFA float64
 }
 
-// Table2 reproduces Table 2: max package density and total routed
-// wirelength for the random baseline, IFA and DFA on the five test
-// circuits. It is Table2With run sequentially; the harness variant returns
-// the identical result for any worker count.
-func Table2(seed int64, randomTries int) (*Table2Result, error) {
-	return Table2With(seed, randomTries, Harness{Workers: 1})
-}
-
 // Format renders the table in the paper's layout.
 func (r *Table2Result) Format() string {
 	var b strings.Builder
@@ -128,15 +120,6 @@ func Table3Grid(p *core.Problem) power.GridSpec {
 	g := power.DefaultChipGrid(p)
 	g.Nx, g.Ny = 41, 41
 	return g
-}
-
-// Table3 reproduces Table 3: for every test circuit and ψ ∈ {1, 4}, run
-// DFA, then the finger/pad exchange, and report the density before/after,
-// the solved IR-drop improvement and (for ψ=4) the bonding improvement.
-// It is Table3With run sequentially; the harness variant returns the
-// identical result for any worker count.
-func Table3(seed int64) (*Table3Result, error) {
-	return Table3With(seed, Harness{Workers: 1})
 }
 
 // Format renders the table in the paper's layout.

@@ -15,7 +15,7 @@ func TestTable1Text(t *testing.T) {
 }
 
 func TestTable2ShapeMatchesPaper(t *testing.T) {
-	res, err := Table2(1, 10)
+	res, err := Table2(1, 10, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 3 runs ten annealers; skipped with -short")
 	}
-	res, err := Table3(1)
+	res, err := Table3(1, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 
 func TestRandomBaselinePicksBest(t *testing.T) {
 	// More tries can only improve (or match) the best density.
-	resA, err := Table2(3, 1)
+	resA, err := Table2(3, 1, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := Table2(3, 20)
+	resB, err := Table2(3, 20, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

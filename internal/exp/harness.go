@@ -41,7 +41,7 @@ func (h Harness) progressf(mu *sync.Mutex, format string, args ...any) {
 }
 
 // table2Row runs Table 2's three methods on one circuit. This is the unit
-// of parallelism for Table2With; it is self-contained (its rng is seeded
+// of parallelism for Table2; it is self-contained (its rng is seeded
 // locally), so rows can run in any order.
 func table2Row(tc gen.TestCircuit, seed int64, randomTries int) (Table2Row, error) {
 	var row Table2Row
@@ -93,10 +93,12 @@ func table2Row(tc gen.TestCircuit, seed int64, randomTries int) (Table2Row, erro
 	return row, nil
 }
 
-// Table2With is Table2 with the circuits fanned out over the harness pool.
-// Rows land at their circuit's index and ratios are averaged afterwards in
-// that order, so the result equals the sequential Table2 exactly.
-func Table2With(seed int64, randomTries int, h Harness) (*Table2Result, error) {
+// Table2 reproduces Table 2: max package density and total routed
+// wirelength for the random baseline, IFA and DFA on the five test
+// circuits, fanned out over the harness pool. Rows land at their circuit's
+// index and ratios are averaged afterwards in that order, so the result is
+// identical for any Workers value.
+func Table2(seed int64, randomTries int, h Harness) (*Table2Result, error) {
 	if randomTries < 1 {
 		randomTries = 10
 	}
@@ -170,10 +172,13 @@ func table3Row(tc gen.TestCircuit, psi int, seed int64) (Table3Row, error) {
 	return row, nil
 }
 
-// Table3With is Table3 with its ten (ψ, circuit) instances fanned out over
-// the harness pool. Averages are recomputed from the index-ordered rows, so
-// the result equals the sequential Table3 exactly.
-func Table3With(seed int64, h Harness) (*Table3Result, error) {
+// Table3 reproduces Table 3: for every test circuit and ψ ∈ {1, 4}, run
+// DFA, then the finger/pad exchange, and report the density before/after,
+// the solved IR-drop improvement and (for ψ=4) the bonding improvement.
+// The ten (ψ, circuit) instances fan out over the harness pool; averages
+// are recomputed from the index-ordered rows, so the result is identical
+// for any Workers value.
+func Table3(seed int64, h Harness) (*Table3Result, error) {
 	type item struct {
 		tc  gen.TestCircuit
 		psi int
@@ -219,20 +224,17 @@ func Table3With(seed int64, h Harness) (*Table3Result, error) {
 	return out, nil
 }
 
-// SweepTable2With runs SweepTable2 with the seeds fanned out over the
-// harness pool. Each seed's Table 2 runs sequentially inside its worker
-// (nested pools would oversubscribe), and the aggregation walks the results
-// in seed order, so the summary equals the sequential sweep exactly.
-func SweepTable2With(seeds []int64, randomTries int, h Harness) (*SweepResult, error) {
-	return SweepTable2Context(context.Background(), seeds, randomTries, h)
-}
-
-// SweepTable2Context is SweepTable2With with cancellation: a cancelled ctx
-// stops scheduling new seeds and the call returns the context error. The
-// progress stream is flushed on that path — a final tick reports how many
-// seeds completed before the stop, so a consumer tailing the stream never
-// sees it end silently mid-sweep.
-func SweepTable2Context(ctx context.Context, seeds []int64, randomTries int, h Harness) (*SweepResult, error) {
+// SweepTable2 runs Table 2 for every seed and aggregates the ratios, with
+// the seeds fanned out over the harness pool. Each seed's Table 2 runs
+// sequentially inside its worker (nested pools would oversubscribe), and
+// the aggregation walks the results in seed order, so the summary is
+// identical for any Workers value.
+//
+// A cancelled ctx stops scheduling new seeds and the call returns the
+// context error. The progress stream is flushed on that path — a final
+// tick reports how many seeds completed before the stop, so a consumer
+// tailing the stream never sees it end silently mid-sweep.
+func SweepTable2(ctx context.Context, seeds []int64, randomTries int, h Harness) (*SweepResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("exp: sweep needs at least one seed")
 	}
@@ -243,7 +245,7 @@ func SweepTable2Context(ctx context.Context, seeds []int64, randomTries int, h H
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := Table2With(seeds[i], randomTries, Harness{Workers: 1})
+		res, err := Table2(seeds[i], randomTries, Harness{Workers: 1})
 		if err != nil {
 			return err
 		}
@@ -292,15 +294,10 @@ func ReduceSweep2(seeds []int64, results []*Table2Result) *SweepResult {
 	return out
 }
 
-// SweepTable3With runs SweepTable3 with the seeds fanned out over the
-// harness pool; see SweepTable2With for the determinism argument.
-func SweepTable3With(seeds []int64, h Harness) (*Sweep3Result, error) {
-	return SweepTable3Context(context.Background(), seeds, h)
-}
-
-// SweepTable3Context is SweepTable3With with cancellation; the progress
-// stream gets the same final flush SweepTable2Context documents.
-func SweepTable3Context(ctx context.Context, seeds []int64, h Harness) (*Sweep3Result, error) {
+// SweepTable3 runs Table 3 for every seed and aggregates the
+// improvements, with the seeds fanned out over the harness pool; see
+// SweepTable2 for the determinism argument and the cancellation flush.
+func SweepTable3(ctx context.Context, seeds []int64, h Harness) (*Sweep3Result, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("exp: sweep needs at least one seed")
 	}
@@ -311,7 +308,7 @@ func SweepTable3Context(ctx context.Context, seeds []int64, h Harness) (*Sweep3R
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := Table3With(seeds[i], Harness{Workers: 1})
+		res, err := Table3(seeds[i], Harness{Workers: 1})
 		if err != nil {
 			return err
 		}

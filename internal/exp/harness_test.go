@@ -8,19 +8,19 @@ import (
 )
 
 // The harness only changes wall clock: Table 2 must come back byte-identical
-// to the classic sequential run for every worker count.
+// to the sequential run for every worker count.
 func TestTable2WithDeterministicAcrossWorkers(t *testing.T) {
-	classic, err := Table2(3, 5)
+	classic, err := Table2(3, 5, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		res, err := Table2With(3, 5, Harness{Workers: workers})
+	for _, workers := range []int{2, 4} {
+		res, err := Table2(3, 5, Harness{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, classic) {
-			t.Errorf("workers=%d: Table2With differs from Table2:\n%s\nvs\n%s",
+			t.Errorf("workers=%d: Table2 differs from the sequential run:\n%s\nvs\n%s",
 				workers, res.Format(), classic.Format())
 		}
 	}
@@ -28,16 +28,16 @@ func TestTable2WithDeterministicAcrossWorkers(t *testing.T) {
 
 // Same contract for Table 3's ten (ψ, circuit) instances.
 func TestTable3WithDeterministicAcrossWorkers(t *testing.T) {
-	ref, err := Table3With(2, Harness{Workers: 1})
+	ref, err := Table3(2, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Table3With(2, Harness{Workers: 4})
+	res, err := Table3(2, Harness{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Errorf("Table3With differs between workers 1 and 4:\n%s\nvs\n%s",
+		t.Errorf("Table3 differs between workers 1 and 4:\n%s\nvs\n%s",
 			res.Format(), ref.Format())
 	}
 }
@@ -46,12 +46,12 @@ func TestTable3WithDeterministicAcrossWorkers(t *testing.T) {
 // like the sequential sweep.
 func TestSweepTable2WithProgressAndDeterminism(t *testing.T) {
 	seeds := Seeds(3)
-	classic, err := SweepTable2(seeds, 4)
+	classic, err := SweepTable2(context.Background(), seeds, 4, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lines []string
-	res, err := SweepTable2With(seeds, 4, Harness{
+	res, err := SweepTable2(context.Background(), seeds, 4, Harness{
 		Workers:  2,
 		Progress: func(line string) { lines = append(lines, line) },
 	})
@@ -79,7 +79,7 @@ func TestSweepContextCancelledFlushesProgress(t *testing.T) {
 	cancel()
 	var lines []string
 	h := Harness{Workers: 2, Progress: func(line string) { lines = append(lines, line) }}
-	if _, err := SweepTable2Context(ctx, Seeds(3), 2, h); err == nil {
+	if _, err := SweepTable2(ctx, Seeds(3), 2, h); err == nil {
 		t.Fatal("cancelled sweep returned nil error")
 	}
 	if len(lines) == 0 {
@@ -91,7 +91,7 @@ func TestSweepContextCancelledFlushesProgress(t *testing.T) {
 	}
 
 	lines = nil
-	if _, err := SweepTable3Context(ctx, Seeds(2), h); err == nil {
+	if _, err := SweepTable3(ctx, Seeds(2), h); err == nil {
 		t.Fatal("cancelled sweep3 returned nil error")
 	}
 	if len(lines) == 0 {
@@ -103,18 +103,18 @@ func TestSweepContextCancelledFlushesProgress(t *testing.T) {
 	}
 }
 
-// An uncancelled Context sweep equals the classic sweep bit for bit.
+// A Table 3 sweep on two workers equals the sequential sweep bit for bit.
 func TestSweepTable3ContextMatchesWith(t *testing.T) {
 	seeds := Seeds(2)
-	ref, err := SweepTable3With(seeds, Harness{Workers: 1})
+	ref, err := SweepTable3(context.Background(), seeds, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SweepTable3Context(context.Background(), seeds, Harness{Workers: 2})
+	res, err := SweepTable3(context.Background(), seeds, Harness{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Error("SweepTable3Context differs from SweepTable3With")
+		t.Error("SweepTable3 differs between workers 1 and 2")
 	}
 }

@@ -56,13 +56,6 @@ type SweepResult struct {
 	PerCircuitDensityDFA map[string]Dist
 }
 
-// SweepTable2 runs Table 2 for every seed and aggregates the ratios. It is
-// SweepTable2With run sequentially; the harness variant returns the
-// identical summary for any worker count.
-func SweepTable2(seeds []int64, randomTries int) (*SweepResult, error) {
-	return SweepTable2With(seeds, randomTries, Harness{Workers: 1})
-}
-
 // Format renders the sweep summary.
 func (r *SweepResult) Format() string {
 	var b strings.Builder
@@ -100,13 +93,6 @@ type Sweep3Result struct {
 	BondPct Dist
 	// Density growth (after − before) pooled over all rows.
 	DensityGrowth Dist
-}
-
-// SweepTable3 runs Table 3 for every seed and aggregates the improvements.
-// It is SweepTable3With run sequentially; the harness variant returns the
-// identical summary for any worker count.
-func SweepTable3(seeds []int64) (*Sweep3Result, error) {
-	return SweepTable3With(seeds, Harness{Workers: 1})
 }
 
 // Format renders the Table 3 sweep summary.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func TestSweepTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs table 2 multiple times; skipped with -short")
 	}
-	res, err := SweepTable2(Seeds(3), 5)
+	res, err := SweepTable2(context.Background(), Seeds(3), 5, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSweepTable2(t *testing.T) {
 }
 
 func TestSweepNeedsSeeds(t *testing.T) {
-	if _, err := SweepTable2(nil, 1); err == nil {
+	if _, err := SweepTable2(context.Background(), nil, 1, Harness{Workers: 1}); err == nil {
 		t.Error("empty sweep accepted")
 	}
 }
@@ -71,7 +72,7 @@ func TestSweepTable3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep3 runs many annealers; skipped with -short")
 	}
-	res, err := SweepTable3(Seeds(2))
+	res, err := SweepTable3(context.Background(), Seeds(2), Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSweepTable3(t *testing.T) {
 	if !strings.Contains(res.Format(), "bonding improvement") {
 		t.Errorf("Format: %s", res.Format())
 	}
-	if _, err := SweepTable3(nil); err == nil {
+	if _, err := SweepTable3(context.Background(), nil, Harness{Workers: 1}); err == nil {
 		t.Error("empty sweep accepted")
 	}
 }

@@ -115,6 +115,21 @@ func TestMGDeterministicAcrossWorkers(t *testing.T) {
 	for _, maxIter := range []int{0, 3} {
 		sameForWorkers(t, fmt.Sprintf("maxIter %d", maxIter), g, ringPads(g), SolveOptions{MaxIter: maxIter}, 2, 4, 8)
 	}
+	if testing.Short() {
+		return
+	}
+	// The large tier's solve (BenchmarkLargeTier): 513×513 with a pad
+	// every 8 nodes round the boundary, where every level down to 65×65
+	// runs the parallel kernels.
+	const n = 513
+	big := GridSpec{Nx: n, Ny: n, Width: 1000, Height: 1000, RsX: 0.05, RsY: 0.05, Vdd: 1.0, CurrentDensity: 1e-5}
+	var pads []Pad
+	for i := 0; i < n; i += 8 {
+		pads = append(pads, Pad{I: i, J: 0}, Pad{I: i, J: n - 1}, Pad{I: 0, J: i}, Pad{I: n - 1, J: i})
+	}
+	if sol := sameForWorkers(t, "513x513", big, pads, SolveOptions{}, 2, 4, 8); !sol.Converged {
+		t.Errorf("513x513: solver stopped: %s", sol.Stopped)
+	}
 }
 
 // Grids that cannot be coarsened (an even side) fall back to Jacobi CG, and

@@ -37,6 +37,8 @@ func FuzzPlanRequest(f *testing.F) {
 		`{"design": "x", "options": {"seed": "one"}}`,
 		`{"design": "x", "options": {"budget_ms": -1}}`,
 		`{"design": "x", "options": {"restarts": 1000000}}`,
+		`{"design": ` + quoteJSON(design) + `, "options": {"portfolio": {"arms": [{"name": "a"}], "budget": 65}}}`,
+		`{"design": ` + quoteJSON(design) + `, "options": {"portfolio": {"arms": [{"name": "a", "schedule": {"MovesPerTemp": 1000000000000, "Cooling": 0.9999999}}], "budget": 2}}}`,
 		`{"design": "x", "options": {"algorithm": "greedy"}}`,
 		`{"design": "` + strings.Repeat("x", 5000) + `"}`,
 		`{"design": "circuit c"} {"design": "trailing"}`,
@@ -59,6 +61,9 @@ func FuzzPlanRequest(f *testing.F) {
 		}
 		if spec.key == "" || spec.canonical == "" || spec.problem == nil {
 			t.Fatalf("accepted spec with empty parts: %+v (input %q)", spec, data)
+		}
+		if pc := spec.opts.portfolio; pc != nil && pc.Budget > maxRestarts {
+			t.Fatalf("accepted portfolio budget %d above the cap of %d (input %q)", pc.Budget, maxRestarts, data)
 		}
 		// Same request → same key.
 		again, err := srv.canonicalize(req)

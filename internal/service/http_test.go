@@ -566,6 +566,8 @@ func TestPlanRequestValidationOverHTTP(t *testing.T) {
 		{"bad algorithm", "{\"design\": \"x\", \"options\": {\"algorithm\": \"greedy\"}}", http.StatusBadRequest},
 		{"oversized", planBody(t, design+strings.Repeat("#pad\n", 4096), RequestOptions{}), http.StatusRequestEntityTooLarge},
 		{"budget over cap", planBody(t, design, RequestOptions{BudgetMS: 1 << 40}), http.StatusBadRequest},
+		{"portfolio budget over cap", planBody(t, design, RequestOptions{Portfolio: &copack.PortfolioConfig{
+			Budget: maxRestarts + 1, Arms: []copack.PortfolioArm{{Name: "a"}}}}), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		for _, path := range []string{"/plan", "/jobs"} {
@@ -659,6 +661,32 @@ func TestBudgetedPlanReportsPartialAndSkipsCache(t *testing.T) {
 	// Partial results must not poison the cache.
 	if resp, _ := s.post(t, "/plan", body); resp.Header.Get(cacheHeader) == "hit" {
 		t.Error("partial result was served from cache")
+	}
+}
+
+// A request with no budget_ms still plans under the server's MaxBudget.
+// An arm whose schedule would anneal for hours answers 200 with a partial
+// plan once MaxBudget runs out, and that partial result is not cached.
+func TestRunawayScheduleStopsAtMaxBudget(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, MaxBudget: 50 * time.Millisecond})
+	runaway := &copack.PortfolioConfig{Budget: 2, Arms: []copack.PortfolioArm{{Name: "a",
+		Schedule: copack.Schedule{MovesPerTemp: 1_000_000_000_000, Cooling: 0.9999999}}}}
+	body := planBody(t, testDesign(t, 24, 7), RequestOptions{Portfolio: runaway})
+	for i := 0; i < 2; i++ {
+		resp, data := s.post(t, "/plan", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("runaway plan: %d: %s", resp.StatusCode, data)
+		}
+		var pr PlanResponse
+		if err := json.Unmarshal(data, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if !pr.Partial {
+			t.Error("runaway schedule finished inside MaxBudget")
+		}
+		if got := resp.Header.Get(cacheHeader); got != "miss" {
+			t.Errorf("post %d: %s = %q, want miss", i+1, cacheHeader, got)
+		}
 	}
 }
 

@@ -41,9 +41,11 @@ type RequestOptions struct {
 	Restarts int `json:"restarts,omitempty"`
 	// BudgetMS bounds the planning wall clock in milliseconds; on expiry
 	// the response carries the best-so-far plan with "partial": true.
-	// Capped by the server's Config.MaxBudget. Note that a budgeted run
-	// is timing-dependent, so its result is excluded from both the cache
-	// and the byte-identity guarantee.
+	// Capped by the server's Config.MaxBudget, which is also the budget of
+	// a request that sets none. A cut exchange returns the congestion-
+	// driven order (see copack.Result.Partial). A partial result depends on
+	// timing, so it is never cached and carries no byte-identity
+	// guarantee; a run that finishes inside its budget is cached as usual.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
 	// Metrics asks for the run's obs telemetry snapshot in the response.
 	// Snapshot durations are wall-clock measurements, so a metrics=true
@@ -52,13 +54,14 @@ type RequestOptions struct {
 	// Portfolio declares an adaptive annealing portfolio for the exchange
 	// step (arms + restart budget; see copack.PortfolioConfig). When set,
 	// restarts is ignored and the portfolio's bandit owns the restart
-	// loop. The config's seed field is ignored — the run's seed drives
+	// loop; its budget has the same cap as restarts. The config's seed field is ignored — the run's seed drives
 	// the bandit, so one seed governs the whole plan.
 	Portfolio *copack.PortfolioConfig `json:"portfolio,omitempty"`
 }
 
-// maxRestarts caps the per-request anneal fan-out so one request cannot
-// monopolize the box.
+// maxRestarts caps the per-request anneal fan-out, restarts or a
+// portfolio's budget, so one request cannot monopolize the box. The
+// server's MaxBudget bounds each anneal's length.
 const maxRestarts = 64
 
 // httpError carries the status a request-layer failure maps to.
@@ -219,6 +222,9 @@ func (o RequestOptions) normalize(maxBudget time.Duration) (normOptions, error) 
 		cfg.Seed = 0
 		if err := cfg.Validate(); err != nil {
 			return n, httpErrf(http.StatusBadRequest, "invalid portfolio: %v", err)
+		}
+		if cfg.Budget > maxRestarts {
+			return n, httpErrf(http.StatusBadRequest, "portfolio budget %d exceeds the cap of %d", cfg.Budget, maxRestarts)
 		}
 		n.portfolio = &cfg
 		// The bandit owns the restart loop; normalize restarts away so

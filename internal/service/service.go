@@ -82,13 +82,10 @@ type Config struct {
 	// Default 1 MiB.
 	MaxBodyBytes int64
 	// MaxBudget caps the per-job planning budget a request may ask for;
-	// larger budget_ms values are rejected with 400. Default 2 minutes.
+	// larger budget_ms values are rejected with 400. A request that sets
+	// no budget_ms plans under MaxBudget, so no plan runs unbounded.
+	// Default 2 minutes.
 	MaxBudget time.Duration
-	// PlanWorkers is copack.Options.Workers for every job: the
-	// parallelism inside one plan. The planner guarantees worker-count
-	// independence, so this only trades per-job latency against cross-job
-	// throughput. Default 1 (jobs are the unit of parallelism here).
-	PlanWorkers int
 	// MaxJobsRetained bounds the finished-job history kept for polling,
 	// plans and sweeps in one list; the oldest finished jobs are
 	// forgotten first. Default 1024.
@@ -128,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBudget <= 0 {
 		c.MaxBudget = 2 * time.Minute
-	}
-	if c.PlanWorkers <= 0 {
-		c.PlanWorkers = 1
 	}
 	if c.MaxJobsRetained <= 0 {
 		c.MaxJobsRetained = 1024
@@ -431,13 +425,19 @@ func (s *Server) runSweep(j *job) {
 // returns (body, 200, ""); on failure (nil, status, message). Successful
 // complete (non-Partial) results are inserted into the cache.
 func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status int, errMsg string) {
+	budget := spec.opts.budget
+	if budget == 0 {
+		// No budget_ms: the server cap bounds the plan. The cache key
+		// keeps the request's own value.
+		budget = s.cfg.MaxBudget
+	}
 	opt := copack.Options{
 		Algorithm:    spec.opts.alg,
 		DFACut:       spec.opts.cut,
 		SkipExchange: spec.opts.skip,
 		Seed:         spec.opts.seed,
-		Budget:       spec.opts.budget,
-		Workers:      s.cfg.PlanWorkers,
+		Budget:       budget,
+		Workers:      1, // jobs are the unit of parallelism here
 		Exchange: copack.ExchangeOptions{
 			Restarts:  spec.opts.restarts,
 			Portfolio: spec.opts.portfolio,

@@ -216,13 +216,13 @@ func RunUnit(sp *Spec, i int, progress func(line string)) (json.RawMessage, erro
 	h := exp.Harness{Workers: 1, Progress: progress}
 	switch sp.Kind {
 	case KindTable2:
-		res, err := exp.Table2With(sp.Seeds[i], sp.RandomTries, h)
+		res, err := exp.Table2(sp.Seeds[i], sp.RandomTries, h)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(res)
 	case KindTable3:
-		res, err := exp.Table3With(sp.Seeds[i], h)
+		res, err := exp.Table3(sp.Seeds[i], h)
 		if err != nil {
 			return nil, err
 		}

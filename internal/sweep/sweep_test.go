@@ -245,14 +245,14 @@ func TestStandaloneSweepMatchesHarness(t *testing.T) {
 	}
 	// The distributed reduction must agree with the single-process
 	// harness sweep: same seeds, same aggregation.
-	want, err := exp.SweepTable2With(sp.Seeds, sp.RandomTries, exp.Harness{Workers: 1})
+	want, err := exp.SweepTable2(context.Background(), sp.Seeds, sp.RandomTries, exp.Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, _ := json.Marshal(body.Table2)
 	ref, _ := json.Marshal(want)
 	if !bytes.Equal(got, ref) {
-		t.Errorf("sweep body diverges from exp.SweepTable2With:\n got %s\nwant %s", got, ref)
+		t.Errorf("sweep body diverges from exp.SweepTable2:\n got %s\nwant %s", got, ref)
 	}
 	if body.Summary != want.Format() {
 		t.Error("summary diverges from the harness rendering")
