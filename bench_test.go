@@ -471,25 +471,13 @@ func benchExchange(b *testing.B, p *copack.Problem, initial *copack.Assignment, 
 	}
 }
 
-// benchSolve runs one IR-solve sub-benchmark per worker count.
-func benchSolve(b *testing.B, g power.GridSpec, pads []power.Pad) {
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := power.Solve(g, pads, power.SolveOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelSpeedup measures the parallelized surfaces at 1, 2, 4
-// and 8 workers: multi-start exchange, a 96×96 IR solve, the Table 2
-// harness, the four-way engine comparison, the MCMF warm start and the
-// adaptive portfolio. Every variant returns byte-identical results; only
-// the wall clock may change (and only on multi-core hosts: with
-// GOMAXPROCS=1 all worker counts degenerate to sequential execution).
+// and 8 workers: multi-start exchange, the Table 2 harness, the four-way
+// engine comparison, the MCMF warm start and the adaptive portfolio —
+// plus one row for a 96×96 IR solve, which runs in sequence. Every variant
+// returns byte-identical results; only the wall clock may change (and only
+// on multi-core hosts: with GOMAXPROCS=1 all worker counts degenerate to
+// sequential execution).
 func BenchmarkParallelSpeedup(b *testing.B) {
 	// Circuit 3 at ψ = 4, from its DFA order: the instance of every
 	// exchange surface here.
@@ -508,8 +496,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	})
 
 	b.Run("power", func(b *testing.B) {
-		// 96×96 = 9216 nodes: above the parallel threshold, and even, so
-		// the Jacobi CG fallback runs and Workers shards its kernels.
+		// 96×96 = 9216 nodes, and even, so the Jacobi CG fallback runs.
 		g := power.GridSpec{
 			Nx: 96, Ny: 96, Width: 100, Height: 100,
 			RsX: 0.05, RsY: 0.05, Vdd: 1.0, CurrentDensity: 1e-5,
@@ -518,7 +505,11 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		for i := 0; i < g.Nx; i += 7 {
 			pads = append(pads, power.Pad{I: i, J: 0}, power.Pad{I: i, J: g.Ny - 1})
 		}
-		benchSolve(b, g, pads)
+		for i := 0; i < b.N; i++ {
+			if _, err := power.Solve(g, pads, power.SolveOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 
 	b.Run("table2", func(b *testing.B) {
@@ -561,14 +552,13 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	})
 }
 
-// BenchmarkLargeTier measures the scaling tier at 1, 2, 4 and 8 workers:
-// the production IR solver (MGCG) on a 513×513 grid with a pad every 8
-// nodes round the boundary, and four restarts of the exchange on the
-// 100k+-net gen.Large circuit. 513 = 2⁹+1, so the multigrid hierarchy
-// coarsens all the way down, and every level above 4096 nodes runs the
-// parallel kernels. TestMGDeterministicAcrossWorkers and
-// TestLargeNDeterministicAcrossWorkers check that the worker count never
-// changes these results.
+// BenchmarkLargeTier measures the scaling tier: the production IR solver
+// (MGCG) on a 513×513 grid with a pad every 8 nodes round the boundary, in
+// sequence, and four restarts of the exchange on the 100k+-net gen.Large
+// circuit at 1, 2, 4 and 8 workers. 513 = 2⁹+1, so the multigrid hierarchy
+// coarsens all the way down. TestLargeGridFingerprints pins the solve's
+// bits, and TestLargeNDeterministicAcrossWorkers checks that the worker
+// count never changes the exchange's result.
 func BenchmarkLargeTier(b *testing.B) {
 	b.Run("power", func(b *testing.B) {
 		const n = 513
@@ -582,7 +572,11 @@ func BenchmarkLargeTier(b *testing.B) {
 				power.Pad{I: i, J: 0}, power.Pad{I: i, J: n - 1},
 				power.Pad{I: 0, J: i}, power.Pad{I: n - 1, J: i})
 		}
-		benchSolve(b, g, pads)
+		for i := 0; i < b.N; i++ {
+			if _, err := power.Solve(g, pads, power.SolveOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 
 	b.Run("exchange", func(b *testing.B) {

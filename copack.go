@@ -204,13 +204,17 @@ type Options struct {
 	// SkipExchange stops after the congestion-driven step.
 	SkipExchange bool
 	// Exchange tunes the annealing step; the zero value uses the
-	// defaults of the exchange package.
+	// defaults of the exchange package. Exchange.Workers bounds how many
+	// restarts anneal at once (0 means one per CPU), the plan's only
+	// concurrency; it never changes the result.
 	Exchange ExchangeOptions
 	// Seed drives every random choice (baseline assignment and
 	// annealing).
 	Seed int64
 	// Grid is the IR-drop model used for reporting; the zero value uses
-	// a default sized to the package.
+	// a default sized to the package. The exchange ranks pad moves with
+	// the uniform ring-gap proxy (power.ProxyCost), which never reads
+	// Grid.CurrentMap: a hot-spot map changes only the reported IR drops.
 	Grid GridSpec
 	// Solve tunes the IR-drop solver used for reporting; the zero value
 	// uses the power package defaults. A deliberately starved solver
@@ -223,13 +227,6 @@ type Options struct {
 	// with a caller deadline on PlanContext's ctx — whichever is sooner
 	// wins.
 	Budget time.Duration
-	// Workers bounds the concurrency of every parallel path in the plan:
-	// multi-start annealing (Exchange.Restarts) and large-grid IR solves.
-	// 0 means one worker per CPU, 1 forces sequential execution. Workers
-	// NEVER changes the result — every parallel scheme is worker-count
-	// independent by construction (see DESIGN.md) — only the wall clock.
-	// Explicit Exchange.Workers / Solve.Workers values take precedence.
-	Workers int
 	// Recorder receives the plan's telemetry: phase spans for every
 	// pipeline stage, routing density histograms (route/initial/...,
 	// route/final/...), IR solver internals (power/ir-before/...,
@@ -425,13 +422,9 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 	if grid.Nx == 0 || grid.Ny == 0 {
 		grid = power.DefaultChipGrid(p)
 	}
-	solveOpt := opt.Solve
-	if solveOpt.Workers == 0 {
-		solveOpt.Workers = opt.Workers
-	}
 	solveDrop := func(a *Assignment, stage string, prev float64) (float64, error) {
 		defer obs.StartPhase(rec, stage)()
-		stageOpt := solveOpt
+		stageOpt := opt.Solve
 		if stageOpt.Recorder == nil {
 			stageOpt.Recorder = obs.WithPrefix(rec, "power/"+stage+"/")
 		}
@@ -478,9 +471,6 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 	exOpt := opt.Exchange
 	if exOpt.Seed == 0 {
 		exOpt.Seed = opt.Seed
-	}
-	if exOpt.Workers == 0 {
-		exOpt.Workers = opt.Workers
 	}
 	if exOpt.Recorder == nil {
 		// exchange self-namespaces under exchange/ and anneal/.

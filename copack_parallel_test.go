@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// Options.Workers must only change the wall clock: a multi-start plan is
+// Exchange.Workers must only change the wall clock: a multi-start plan is
 // byte-identical whether the restarts run on one worker or four.
 func TestPlanWorkersDeterministic(t *testing.T) {
 	opts := func(workers int) Options {
 		o := quickOpts()
 		o.Seed = 2
 		o.Exchange.Restarts = 3
-		o.Workers = workers
+		o.Exchange.Workers = workers
 		return o
 	}
 	var ref *Result
@@ -64,7 +64,7 @@ func TestPlanWorkersDeadlineStaysPartialAndLegal(t *testing.T) {
 	}
 	opt := slowOpts()
 	opt.Exchange.Restarts = 3
-	opt.Workers = 4
+	opt.Exchange.Workers = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	res, err := PlanContext(ctx, p, opt)

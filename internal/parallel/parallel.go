@@ -1,6 +1,7 @@
 // Package parallel is the repo's bounded worker pool. Every concurrent hot
-// path (multi-start annealing, sharded IR solves, the experiment harness)
-// fans out through it, so the concurrency rules live in one place:
+// path (the exchange's restarts through internal/portfolio, the experiment
+// harness) fans out through ForEachErr, so the concurrency rules live in
+// one place:
 //
 //   - Work is identified by index. Results must be written into
 //     caller-owned, index-addressed storage, never appended, so the output
@@ -55,34 +56,18 @@ func (p Panic) Unwrap() error {
 	return nil
 }
 
-// ForEach invokes fn(ctx, i) exactly once for every i in [0, n), running at
-// most workers items concurrently. It returns after every item finished.
-// The caller's ctx is passed through to each item; ForEach itself never
-// aborts on cancellation (see the package comment). With workers <= 1 the
-// items run in index order on the calling goroutine.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int)) {
-	err := forEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		fn(ctx, i)
-		return nil
-	}, false)
-	if err != nil {
-		// fn never returns an error here; unreachable.
-		panic(err)
-	}
-}
-
-// ForEachErr is ForEach for fallible items. Error selection is
-// deterministic: the lowest-index error wins, matching what a sequential
-// loop over the items would have reported first. With workers <= 1 the loop
-// stops at the first error exactly like the sequential code it replaces;
-// with more workers the remaining items still run (their results are
-// discarded by the caller along with everything else when an error is
+// ForEachErr invokes fn(ctx, i) for every i in [0, n), running at most
+// workers items concurrently, and returns after every started item
+// finished. The caller's ctx is passed through to each item; ForEachErr
+// itself never aborts on cancellation (see the package comment). Error
+// selection is deterministic: the lowest-index error wins, matching what a
+// sequential loop over the items would have reported first. With
+// workers <= 1 the items run in index order on the calling goroutine and
+// the loop stops at the first error, exactly like the sequential code it
+// replaces; with more workers the remaining items still run (their results
+// are discarded by the caller along with everything else when an error is
 // returned).
 func ForEachErr(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	return forEach(ctx, n, workers, fn, true)
-}
-
-func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error, stopSeqOnErr bool) error {
 	if n <= 0 {
 		return nil
 	}
@@ -91,18 +76,12 @@ func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		workers = n
 	}
 	if workers <= 1 {
-		var first error
 		for i := 0; i < n; i++ {
 			if err := fn(ctx, i); err != nil {
-				if stopSeqOnErr {
-					return err
-				}
-				if first == nil {
-					first = err
-				}
+				return err
 			}
 		}
-		return first
+		return nil
 	}
 
 	var (

@@ -29,10 +29,13 @@ func TestForEachRunsEveryItemOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 200} {
 		counts := make([]int32, n)
 		out := make([]int, n)
-		ForEach(context.Background(), n, workers, func(_ context.Context, i int) {
+		if err := ForEachErr(context.Background(), n, workers, func(_ context.Context, i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			out[i] = i * i
-		})
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range counts {
 			if counts[i] != 1 {
 				t.Fatalf("workers=%d: item %d ran %d times", workers, i, counts[i])
@@ -45,15 +48,14 @@ func TestForEachRunsEveryItemOnce(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	ran := false
-	ForEach(context.Background(), 0, 4, func(_ context.Context, _ int) { ran = true })
-	if ran {
-		t.Error("fn ran for n=0")
-	}
-	if err := ForEachErr(context.Background(), -3, 4, func(_ context.Context, _ int) error {
-		return errors.New("boom")
-	}); err != nil {
-		t.Errorf("negative n returned %v", err)
+	for _, n := range []int{0, -3} {
+		ran := false
+		if err := ForEachErr(context.Background(), n, 4, func(_ context.Context, _ int) error {
+			ran = true
+			return errors.New("boom")
+		}); err != nil || ran {
+			t.Errorf("n=%d: returned %v, fn ran %v", n, err, ran)
+		}
 	}
 }
 
@@ -61,7 +63,7 @@ func TestForEachZeroItems(t *testing.T) {
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const n, workers = 64, 3
 	var cur, peak atomic.Int32
-	ForEach(context.Background(), n, workers, func(_ context.Context, _ int) {
+	_ = ForEachErr(context.Background(), n, workers, func(_ context.Context, _ int) error {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -71,6 +73,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 		}
 		time.Sleep(200 * time.Microsecond)
 		cur.Add(-1)
+		return nil
 	})
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak concurrency %d exceeds %d workers", p, workers)
@@ -124,8 +127,9 @@ func TestForEachPropagatesContext(t *testing.T) {
 		for i := range sawDone {
 			sawDone[i] = false
 		}
-		ForEach(ctx, n, workers, func(c context.Context, i int) {
+		_ = ForEachErr(ctx, n, workers, func(c context.Context, i int) error {
 			sawDone[i] = c.Err() != nil
+			return nil
 		})
 		for i, ok := range sawDone {
 			if !ok {
@@ -158,10 +162,11 @@ func TestForEachRethrowsPanics(t *testing.T) {
 					}
 				}
 			}()
-			ForEach(context.Background(), 20, workers, func(_ context.Context, i int) {
+			_ = ForEachErr(context.Background(), 20, workers, func(_ context.Context, i int) error {
 				if i == 5 {
 					panic("kaboom")
 				}
+				return nil
 			})
 		}()
 	}
@@ -175,10 +180,11 @@ func TestForEachPanicLowestIndex(t *testing.T) {
 			t.Fatalf("recovered %+v, want index 2", p)
 		}
 	}()
-	ForEach(context.Background(), 30, 8, func(_ context.Context, i int) {
+	_ = ForEachErr(context.Background(), 30, 8, func(_ context.Context, i int) error {
 		if i == 2 || i == 20 {
 			panic(i)
 		}
+		return nil
 	})
 }
 

@@ -36,7 +36,10 @@ type GridSpec struct {
 	// (row-major, length Nx·Ny): node (i,j) draws
 	// CurrentDensity·CurrentMap[j*Nx+i]·Δx·Δy. The paper's model assumes
 	// a uniform map; hot-spot maps let the Fig 6 experiment model a chip
-	// whose power draw is not uniform.
+	// whose power draw is not uniform. Only the solver reads the map: the
+	// exchange ranks pad moves with the uniform ring-gap proxy
+	// (ProxyCost), so a hot-spot map changes the reported IR drops, not
+	// which pad order the exchange picks.
 	CurrentMap []float64
 }
 
@@ -101,19 +104,17 @@ type SolveOptions struct {
 	// MaxIter bounds the CG iteration count (default 20·(Nx+Ny)); under
 	// MGCG each iteration is one V-cycle.
 	MaxIter int
-	// Workers bounds the solver's concurrency (0 means one per available
-	// CPU). It NEVER changes the result: grids below the parallel
-	// threshold always run the sequential kernels, and above it the
-	// chunked/red-black kernels are worker-count independent by
-	// construction — Workers only decides how their fixed work units are
-	// scheduled (see parallel.go).
+	// Workers is ignored: every solve runs in sequence on the caller's
+	// goroutine.
+	//
+	// Deprecated: nothing reads Workers; leave it unset.
 	Workers int
 	// Recorder receives solver telemetry after the solve finishes: the
 	// method that ran (method/mgcg or the method/cg fallback), iteration
-	// count, final residual, convergence, the worker shard count and the
-	// grid/pad sizes. Nil disables recording; recording never changes the
-	// solve. Callers namespace per solve stage with obs.WithPrefix (gauges
-	// are last-write-wins).
+	// count, final residual, convergence and the grid/pad sizes. Nil
+	// disables recording; recording never changes the solve. Callers
+	// namespace per solve stage with obs.WithPrefix (gauges are
+	// last-write-wins).
 	Recorder obs.Recorder
 }
 
@@ -201,9 +202,8 @@ func SolveContext(ctx context.Context, g GridSpec, pads []Pad, opt SolveOptions)
 
 // recordSolve emits one solve's telemetry. It runs strictly after the
 // numeric work, so recording can never change the solution. method is the
-// path that ran: "mgcg", or "cg" when the grid could not coarsen; workers
-// is the shard count the kernels used (1 below the parallel threshold).
-func recordSolve(r obs.Recorder, g GridSpec, pads int, sol *Solution, method string, workers int) {
+// path that ran: "mgcg", or "cg" when the grid could not coarsen.
+func recordSolve(r obs.Recorder, g GridSpec, pads int, sol *Solution, method string) {
 	rec := obs.OrNop(r)
 	if _, nop := rec.(obs.NopRecorder); nop {
 		return
@@ -220,7 +220,6 @@ func recordSolve(r obs.Recorder, g GridSpec, pads int, sol *Solution, method str
 	}
 	rec.Set("nodes", float64(g.Nx*g.Ny))
 	rec.Set("pads", float64(pads))
-	rec.Set("workers", float64(workers))
 }
 
 // iterCheck polls the fault-injection site and the context once per solver
@@ -297,6 +296,22 @@ func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		s += a[i] * b[i]
+	}
+	return s
+}
+
+// dotChunkSize is dotChunked's fixed summation granule.
+const dotChunkSize = 4096
+
+// dotChunked is CG's dot product: the plain sum of each 4096-element chunk,
+// added in chunk order. A vector of at most one chunk gets dot's bits. The
+// grouping is pinned because the large-grid fingerprints
+// (TestLargeGridFingerprints) were recorded with it.
+func dotChunked(a, b []float64) float64 {
+	var s float64
+	for lo := 0; lo < len(a); lo += dotChunkSize {
+		hi := min(lo+dotChunkSize, len(a))
+		s += dot(a[lo:hi], b[lo:hi])
 	}
 	return s
 }

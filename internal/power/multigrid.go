@@ -18,11 +18,8 @@ import "slices"
 // the coarse correction comes back 4× too small and the V-cycle degenerates
 // to little better than smoothing.
 //
-// Determinism: every kernel below is sharded with parallelRange over
-// index-disjoint outputs — red-black half-sweeps only read the opposite
-// color, residual/restrict/prolong are pure gather-writes — so Workers never
-// changes a single bit of the result. Below the parallel threshold each
-// kernel runs inline with no closure, so a V-cycle allocates nothing.
+// Every kernel below runs in sequence on the caller's goroutine and writes
+// only the level buffers, so a V-cycle allocates nothing.
 const (
 	// mgMinDim is the smallest odd dimension that still coarsens (to 3).
 	mgMinDim = 5
@@ -214,20 +211,12 @@ func gatherFW(src []float64, fnx, fny, I, J int) float64 {
 // rbSweep runs one half-sweep of plain Gauss-Seidel (ω=1 — a smoother wants
 // to kill high-frequency error, over-relaxation only helps the low
 // frequencies the coarse grids already handle) over the given color. A node
-// of one color reads only the opposite color, so any row partition produces
-// the same iterate; rows are sharded with parallelRange.
-func rbSweep(lv *mgLevel, color, workers int) {
-	if workers <= 1 {
-		rbSweepRows(lv, color, 0, lv.ny)
-		return
-	}
-	parallelRange(lv.ny, workers, func(lo, hi int) { rbSweepRows(lv, color, lo, hi) })
-}
-
-func rbSweepRows(lv *mgLevel, color, jlo, jhi int) {
+// of one color reads only the opposite color, so the half-sweep's result
+// does not depend on the order it visits nodes in.
+func rbSweep(lv *mgLevel, color int) {
 	nx, ny, gx, gy := lv.nx, lv.ny, lv.gx, lv.gy
 	v, rhs, isPad, spring := lv.v, lv.rhs, lv.isPad, lv.spring
-	for j := jlo; j < jhi; j++ {
+	for j := 0; j < ny; j++ {
 		for i := (color + j) % 2; i < nx; i += 2 {
 			k := j*nx + i
 			if isPad[k] {
@@ -256,19 +245,11 @@ func rbSweepRows(lv *mgLevel, color, jlo, jhi int) {
 	}
 }
 
-// computeResidual fills lv.res with rhs - A·v (zero at pads), row-sharded.
-func computeResidual(lv *mgLevel, workers int) {
-	if workers <= 1 {
-		residualRows(lv, 0, lv.ny)
-		return
-	}
-	parallelRange(lv.ny, workers, func(lo, hi int) { residualRows(lv, lo, hi) })
-}
-
-func residualRows(lv *mgLevel, jlo, jhi int) {
+// computeResidual fills lv.res with rhs - A·v (zero at pads).
+func computeResidual(lv *mgLevel) {
 	nx, ny, gx, gy := lv.nx, lv.ny, lv.gx, lv.gy
 	v, rhs, res, isPad, spring := lv.v, lv.rhs, lv.res, lv.isPad, lv.spring
-	for j := jlo; j < jhi; j++ {
+	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			k := j*nx + i
 			if isPad[k] {
@@ -301,20 +282,11 @@ func residualRows(lv *mgLevel, jlo, jhi int) {
 // restrict transfers the fine residual to the coarse right-hand side with
 // R = Pᵀ full weighting (center 1, edges 1/2, corners 1/4 — see the package
 // comment for why the weights sum to 4, not 1). Fine pad residuals are zero,
-// so pads drop out of the gather without a special case. Sharded over coarse
-// rows; each coarse node is a pure gather from the fine residual.
-func restrict(fine, coarse *mgLevel, workers int) {
-	if workers <= 1 {
-		restrictRows(fine, coarse, 0, coarse.ny)
-		return
-	}
-	parallelRange(coarse.ny, workers, func(lo, hi int) { restrictRows(fine, coarse, lo, hi) })
-}
-
-func restrictRows(fine, coarse *mgLevel, Jlo, Jhi int) {
+// so pads drop out of the gather without a special case.
+func restrict(fine, coarse *mgLevel) {
 	fnx, fny, cnx := fine.nx, fine.ny, coarse.nx
 	res, rhs := fine.res, coarse.rhs
-	for J := Jlo; J < Jhi; J++ {
+	for J := 0; J < coarse.ny; J++ {
 		for I := 0; I < cnx; I++ {
 			rhs[J*cnx+I] = gatherFW(res, fnx, fny, I, J)
 		}
@@ -322,21 +294,12 @@ func restrictRows(fine, coarse *mgLevel, Jlo, Jhi int) {
 }
 
 // prolong adds the bilinear interpolation of the coarse correction into the
-// fine iterate, skipping fine pads (pinned Dirichlet values). Formulated as
-// a pull per fine node — each fine node gathers from its 1, 2 or 4 parent
-// coarse nodes and writes only itself — so row sharding is conflict-free.
-func prolong(coarse, fine *mgLevel, workers int) {
-	if workers <= 1 {
-		prolongRows(coarse, fine, 0, fine.ny)
-		return
-	}
-	parallelRange(fine.ny, workers, func(lo, hi int) { prolongRows(coarse, fine, lo, hi) })
-}
-
-func prolongRows(coarse, fine *mgLevel, jlo, jhi int) {
+// fine iterate, skipping fine pads (pinned Dirichlet values): each fine
+// node gathers from its 1, 2 or 4 parent coarse nodes.
+func prolong(coarse, fine *mgLevel) {
 	cnx, nx := coarse.nx, fine.nx
 	cv, v, isPad := coarse.v, fine.v, fine.isPad
-	for j := jlo; j < jhi; j++ {
+	for j := 0; j < fine.ny; j++ {
 		J := j / 2
 		for i := 0; i < nx; i++ {
 			k := j*nx + i
@@ -363,29 +326,29 @@ func prolongRows(coarse, fine *mgLevel, jlo, jhi int) {
 // black; post-smoothing black then red; the coarsest level runs symmetric
 // sweep pairs — together that makes the cycle a symmetric operator, which is
 // what lets CG use it as an SPD preconditioner.
-func vcycle(levels []*mgLevel, l, workers int) {
+func vcycle(levels []*mgLevel, l int) {
 	lv := levels[l]
 	if l == len(levels)-1 {
 		for s := 0; s < mgCoarsestSweeps; s++ {
-			rbSweep(lv, 0, workers)
-			rbSweep(lv, 1, workers)
-			rbSweep(lv, 1, workers)
-			rbSweep(lv, 0, workers)
+			rbSweep(lv, 0)
+			rbSweep(lv, 1)
+			rbSweep(lv, 1)
+			rbSweep(lv, 0)
 		}
 		return
 	}
 	for s := 0; s < mgPreSweeps; s++ {
-		rbSweep(lv, 0, workers)
-		rbSweep(lv, 1, workers)
+		rbSweep(lv, 0)
+		rbSweep(lv, 1)
 	}
-	computeResidual(lv, workers)
+	computeResidual(lv)
 	next := levels[l+1]
-	restrict(lv, next, workers)
+	restrict(lv, next)
 	clear(next.v)
-	vcycle(levels, l+1, workers)
-	prolong(next, lv, workers)
+	vcycle(levels, l+1)
+	prolong(next, lv)
 	for s := 0; s < mgPostSweeps; s++ {
-		rbSweep(lv, 1, workers)
-		rbSweep(lv, 0, workers)
+		rbSweep(lv, 1)
+		rbSweep(lv, 0)
 	}
 }

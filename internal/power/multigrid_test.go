@@ -2,7 +2,6 @@ package power
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,11 +11,11 @@ import (
 	"copack/internal/obs"
 )
 
-// mgSpec is an odd-dimension grid above parallelNodeThreshold that coarsens
-// through several levels (65 → 33 → 17 → 9 → 5 → 3).
+// mgSpec is an odd-dimension grid of more than one dotChunkSize of
+// unknowns that coarsens through several levels (65 → 33 → 17 → 9 → 5 → 3).
 func mgSpec() GridSpec {
 	return GridSpec{
-		Nx: 65, Ny: 65, // 4225 nodes >= 4096
+		Nx: 65, Ny: 65, // 4225 nodes
 		Width: 100, Height: 100,
 		RsX: 0.05, RsY: 0.05,
 		Vdd:            1.0,
@@ -107,36 +106,11 @@ func TestMGCycleCountIsSmall(t *testing.T) {
 	}
 }
 
-// Worker-count independence extends to the multigrid kernels: every kernel
-// is sharded over index-disjoint outputs and the only reduction is the
-// fixed-chunk dot product — for starved iterates as well as converged ones.
-func TestMGDeterministicAcrossWorkers(t *testing.T) {
-	g := mgSpec()
-	for _, maxIter := range []int{0, 3} {
-		sameForWorkers(t, fmt.Sprintf("maxIter %d", maxIter), g, ringPads(g), SolveOptions{MaxIter: maxIter}, 2, 4, 8)
-	}
-	if testing.Short() {
-		return
-	}
-	// The large tier's solve (BenchmarkLargeTier): 513×513 with a pad
-	// every 8 nodes round the boundary, where every level down to 65×65
-	// runs the parallel kernels.
-	const n = 513
-	big := GridSpec{Nx: n, Ny: n, Width: 1000, Height: 1000, RsX: 0.05, RsY: 0.05, Vdd: 1.0, CurrentDensity: 1e-5}
-	var pads []Pad
-	for i := 0; i < n; i += 8 {
-		pads = append(pads, Pad{I: i, J: 0}, Pad{I: i, J: n - 1}, Pad{I: 0, J: i}, Pad{I: n - 1, J: i})
-	}
-	if sol := sameForWorkers(t, "513x513", big, pads, SolveOptions{}, 2, 4, 8); !sol.Converged {
-		t.Errorf("513x513: solver stopped: %s", sol.Stopped)
-	}
-}
-
 // Grids that cannot be coarsened (an even side) fall back to Jacobi CG, and
 // that fallback is the historical CG bit for bit: the fingerprints below
 // were recorded from the CG solver before MGCG became the default, on the
 // 48×48 chip grid the planner used then and on fpbench's 96×96 solve
-// surface at 1 and 4 workers. The recorder must name the path that ran.
+// surface. The recorder must name the path that ran.
 func TestMGSingleLevelFallback(t *testing.T) {
 	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 1})
 	a, err := assign.DFA(p, assign.DFAOptions{})
@@ -157,17 +131,15 @@ func TestMGSingleLevelFallback(t *testing.T) {
 		name       string
 		g          GridSpec
 		pads       []Pad
-		workers    int
 		iterations int
 		want       string
 	}{
-		{"48x48", chip, PadsForAssignment(p, a, chip), 1, 170, "b00380b23ad40647"},
-		{"96x96/workers1", surface, surfacePads, 1, 221, "6b5b30232e6f5968"},
-		{"96x96/workers4", surface, surfacePads, 4, 221, "6b5b30232e6f5968"},
+		{"48x48", chip, PadsForAssignment(p, a, chip), 170, "b00380b23ad40647"},
+		{"96x96", surface, surfacePads, 221, "6b5b30232e6f5968"},
 	}
 	for _, c := range cases {
 		rec := obs.NewCollector()
-		sol, err := Solve(c.g, c.pads, SolveOptions{Workers: c.workers, Recorder: rec})
+		sol, err := Solve(c.g, c.pads, SolveOptions{Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,6 +160,49 @@ func TestMGSingleLevelFallback(t *testing.T) {
 	}
 	if counters := rec.Snapshot().Counters; counters["method/mgcg"] != 1 || counters["method/cg"] != 0 {
 		t.Errorf("odd grid: method counters %v, want only method/mgcg", counters)
+	}
+}
+
+// The large solves keep their bits: 65×65 (MGCG) and the even 70×70
+// (Jacobi CG) with ringPads, converged and starved at MaxIter 3, and the
+// 513×513 solve BenchmarkLargeTier times (outside -short). The
+// fingerprints were recorded while these grids still ran row-sharded
+// kernels; the sequential kernels must reproduce them bit for bit.
+func TestLargeGridFingerprints(t *testing.T) {
+	const n = 513
+	large := GridSpec{Nx: n, Ny: n, Width: 1000, Height: 1000, RsX: 0.05, RsY: 0.05, Vdd: 1.0, CurrentDensity: 1e-5}
+	var largePads []Pad
+	for i := 0; i < n; i += 8 {
+		largePads = append(largePads, Pad{I: i, J: 0}, Pad{I: i, J: n - 1}, Pad{I: 0, J: i}, Pad{I: n - 1, J: i})
+	}
+	cases := []struct {
+		name       string
+		g          GridSpec
+		pads       []Pad
+		maxIter    int
+		iterations int
+		want       string
+	}{
+		{"65x65", mgSpec(), ringPads(mgSpec()), 0, 6, "d8b234baf51f705f"},
+		{"65x65/maxiter3", mgSpec(), ringPads(mgSpec()), 3, 3, "a85969a370cc460d"},
+		{"70x70", bigSpec(), ringPads(bigSpec()), 0, 114, "4adac28c8104c3de"},
+		{"70x70/maxiter3", bigSpec(), ringPads(bigSpec()), 3, 3, "0142c85f91938345"},
+		{"513x513", large, largePads, 0, 8, "dc676a89888652a5"},
+	}
+	for _, c := range cases {
+		if c.g.Nx == n && testing.Short() {
+			continue
+		}
+		sol, err := Solve(c.g, c.pads, SolveOptions{MaxIter: c.maxIter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Iterations != c.iterations {
+			t.Errorf("%s: %d iterations, want %d", c.name, sol.Iterations, c.iterations)
+		}
+		if got := fingerprint(sol); got != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
@@ -331,14 +346,5 @@ func TestGridSpecValidateTable(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.wantErr)
 			}
 		})
-	}
-}
-
-// The small-grid gate applies to the multigrid kernels too: below
-// parallelNodeThreshold they run sequentially for any Workers value.
-func TestMGSmallGridIgnoresWorkers(t *testing.T) {
-	g := baseSpec() // 21×21: odd dims, coarsenable, below the threshold
-	if ref := sameForWorkers(t, "21x21", g, leftEdgePads(g), SolveOptions{}, 8); !ref.Converged {
-		t.Fatal("MGCG did not converge on the small grid")
 	}
 }

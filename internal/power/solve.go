@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"copack/internal/parallel"
 )
 
 // workspace holds one solve's scratch: the pad mask, the sink currents, the
@@ -15,9 +13,8 @@ import (
 // earlier solve — of any shape — leaves no trace in the next one, and a warm
 // solve allocates only its Solution and V.
 type workspace struct {
-	nx, ny  int
-	gx, gy  float64
-	workers int // resolved shard count; 1 below parallelNodeThreshold
+	nx, ny int
+	gx, gy float64
 
 	isPad    []bool
 	sink     []float64
@@ -67,16 +64,12 @@ func (ws *workspace) solve(ctx context.Context, g GridSpec, pads []Pad, opt Solv
 		return nil, fmt.Errorf("power: invalid solve options (tol %g, maxIter %d)", opt.Tol, opt.MaxIter)
 	}
 	ws.eliminate(g)
-	ws.workers = 1
-	if len(ws.unknowns) >= parallelNodeThreshold {
-		ws.workers = parallel.Workers(opt.Workers)
-	}
 	method := "cg"
 	if ws.buildHierarchy(g) {
 		method = "mgcg"
 	}
 	sol := ws.cg(ctx, g, opt)
-	recordSolve(opt.Recorder, g, len(pads), sol, method, ws.workers)
+	recordSolve(opt.Recorder, g, len(pads), sol, method)
 	return sol, nil
 }
 
@@ -136,12 +129,8 @@ func (ws *workspace) eliminate(g GridSpec) {
 
 // cg runs preconditioned conjugate gradients on the eliminated system from a
 // flat Vdd start until ‖r‖₂ ≤ Tol·‖b‖₂. The preconditioner is one V-cycle
-// when the level stack is built, else the Jacobi diagonal.
-//
-// Above the node threshold the kernels go parallel: row-sharded mat-vec
-// (each row writes a disjoint output — identical for any partition) and
-// fixed-chunk dot products (deterministic summation order; see parallel.go).
-// Below it, everything runs inline on one goroutine, whatever Workers says.
+// when the level stack is built, else the Jacobi diagonal. Dot products sum
+// in fixed-size chunks (dotChunked).
 func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solution {
 	m := len(ws.unknowns)
 	v := make([]float64, g.Nx*g.Ny)
@@ -151,7 +140,6 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 		}
 		return &Solution{Spec: g, V: v, Iterations: 0, Converged: true}
 	}
-	w := ws.workers
 	ws.x, ws.r, ws.z = resize(ws.x, m), resize(ws.r, m), resize(ws.z, m)
 	ws.p, ws.ap = resize(ws.p, m), resize(ws.ap, m)
 	x, r, z, p, ap, b := ws.x, ws.r, ws.z, ws.p, ws.ap, ws.b
@@ -171,13 +159,13 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 	}
 	ws.precondition(r, z)
 	copy(p, z)
-	rz := dotChunked(r, z, w)
+	rz := dotChunked(r, z)
 
 	var it int
 	converged := false
 	stopped := "max iterations"
 	for it = 0; it < opt.MaxIter; it++ {
-		if math.Sqrt(dotChunked(r, r, w)) <= opt.Tol*bnorm {
+		if math.Sqrt(dotChunked(r, r)) <= opt.Tol*bnorm {
 			converged = true
 			break
 		}
@@ -186,13 +174,13 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 			break
 		}
 		ws.mul(p, ap)
-		alpha := rz / dotChunked(p, ap, w)
+		alpha := rz / dotChunked(p, ap)
 		for u := range x {
 			x[u] += alpha * p[u]
 			r[u] -= alpha * ap[u]
 		}
 		ws.precondition(r, z)
-		rzNext := dotChunked(r, z, w)
+		rzNext := dotChunked(r, z)
 		beta := rzNext / rz
 		rz = rzNext
 		for u := range p {
@@ -201,7 +189,7 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 	}
 	if !converged {
 		// MaxIter may have landed exactly on a converged iterate.
-		converged = math.Sqrt(dotChunked(r, r, w)) <= opt.Tol*bnorm
+		converged = math.Sqrt(dotChunked(r, r)) <= opt.Tol*bnorm
 	}
 	for k, i := range ws.idx {
 		if i < 0 {
@@ -219,19 +207,9 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 
 // mul computes y = A·x for the eliminated Laplacian.
 func (ws *workspace) mul(x, y []float64) {
-	m := len(ws.unknowns)
-	if ws.workers <= 1 {
-		ws.mulRows(x, y, 0, m)
-		return
-	}
-	parallelRange(m, ws.workers, func(lo, hi int) { ws.mulRows(x, y, lo, hi) })
-}
-
-func (ws *workspace) mulRows(x, y []float64, lo, hi int) {
 	nx, ny, gx, gy := ws.nx, ws.ny, ws.gx, ws.gy
-	idx, unknowns, diag := ws.idx, ws.unknowns, ws.diag
-	for u := lo; u < hi; u++ {
-		k := unknowns[u]
+	idx, diag := ws.idx, ws.diag
+	for u, k := range ws.unknowns {
 		i, j := k%nx, k/nx
 		acc := diag[u] * x[u]
 		if i > 0 && idx[k-1] >= 0 {
@@ -267,7 +245,7 @@ func (ws *workspace) precondition(r, z []float64) {
 	for u, k := range ws.unknowns {
 		rhs[k] = r[u]
 	}
-	vcycle(ws.levels, 0, ws.workers)
+	vcycle(ws.levels, 0)
 	for u, k := range ws.unknowns {
 		z[u] = v[k]
 	}

@@ -437,10 +437,10 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 		SkipExchange: spec.opts.skip,
 		Seed:         spec.opts.seed,
 		Budget:       budget,
-		Workers:      1, // jobs are the unit of parallelism here
 		Exchange: copack.ExchangeOptions{
 			Restarts:  spec.opts.restarts,
 			Portfolio: spec.opts.portfolio,
+			Workers:   1, // jobs are the unit of parallelism here
 		},
 	}
 	var col *obs.Collector
