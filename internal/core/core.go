@@ -131,28 +131,9 @@ func CheckMonotonic(p *Problem, a *Assignment) error {
 
 // CheckMonotonicQuadrant is CheckMonotonic for a single quadrant order.
 func CheckMonotonicQuadrant(q *bga.Quadrant, order []netlist.ID) error {
-	var s MonotonicScratch
-	return s.CheckQuadrant(q, order)
-}
-
-// MonotonicScratch reuses the monotonic check's per-line bookkeeping across
-// calls, so evaluation hot loops can re-validate orders without allocating.
-// The zero value is ready to use; a scratch is not safe for concurrent use.
-type MonotonicScratch struct {
-	lastX []int
-}
-
-// CheckQuadrant is CheckMonotonicQuadrant using the scratch's buffer.
-func (s *MonotonicScratch) CheckQuadrant(q *bga.Quadrant, order []netlist.ID) error {
 	// lastX[y] tracks the ball x of the most recent (in finger order) net
 	// terminating on line y.
-	if cap(s.lastX) < q.NumRows()+1 {
-		s.lastX = make([]int, q.NumRows()+1)
-	}
-	lastX := s.lastX[:q.NumRows()+1]
-	for i := range lastX {
-		lastX[i] = 0
-	}
+	lastX := make([]int, q.NumRows()+1)
 	for slot, id := range order {
 		b, ok := q.Ball(id)
 		if !ok {

@@ -1,12 +1,40 @@
 package exchange
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"copack/internal/assign"
 	"copack/internal/gen"
 )
+
+// hotLoopState builds the annealing state both hot-loop checks below
+// drive: circuit 3's DFA order at the given tier count.
+func hotLoopState(tb testing.TB, tiers int) *state {
+	tb.Helper()
+	p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: tiers})
+	a, err := assign.DFA(p, assign.DFAOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return newState(p, a, Options{Seed: 1}.withDefaults(p), nil)
+}
+
+// proposeOnce is one hot-loop proposal without an annealer: sample and
+// price a move, then commit it if it does not raise the cost and reject
+// it otherwise.
+func proposeOnce(st *state, rng *rand.Rand) {
+	delta, ok := st.PriceMove(rng)
+	if !ok {
+		return
+	}
+	if delta <= 0 {
+		st.CommitMove()
+	} else {
+		st.RejectMove()
+	}
+}
 
 // TestPricedMoveZeroAllocs is the CI regression tooth for the O(1) hot
 // loop: pricing a move — and committing or rejecting it — must allocate
@@ -17,36 +45,33 @@ func TestPricedMoveZeroAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	for _, tiers := range []int{1, 4} {
-		p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: tiers})
-		a, err := assign.DFA(p, assign.DFAOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := newState(p, a, Options{Seed: 1}.withDefaults(p), nil)
+		st := hotLoopState(t, tiers)
 		rng := rand.New(rand.NewSource(1))
 		// Warm up past lazy initialization and across a resync boundary.
 		for k := 0; k < 2*resyncInterval; k++ {
-			if delta, ok := st.PriceMove(rng); ok {
-				if delta <= 0 {
-					st.CommitMove()
-				} else {
-					st.RejectMove()
-				}
-			}
+			proposeOnce(st, rng)
 		}
-		avg := testing.AllocsPerRun(1000, func() {
-			delta, ok := st.PriceMove(rng)
-			if !ok {
-				return
-			}
-			if delta <= 0 {
-				st.CommitMove()
-			} else {
-				st.RejectMove()
-			}
-		})
+		avg := testing.AllocsPerRun(1000, func() { proposeOnce(st, rng) })
 		if avg != 0 {
 			t.Errorf("tiers=%d: priced move allocates %.2f objects/move, want 0", tiers, avg)
 		}
+	}
+}
+
+// BenchmarkMovePricing measures the hot loop in isolation, one proposal
+// per op. psi1 samples only supply pads (the 2-D exchange), psi4 any pad
+// (a 4-tier stack). allocs/op must stay 0, as TestPricedMoveZeroAllocs
+// asserts.
+func BenchmarkMovePricing(b *testing.B) {
+	for _, tiers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("psi%d", tiers), func(b *testing.B) {
+			st := hotLoopState(b, tiers)
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				proposeOnce(st, rng)
+			}
+		})
 	}
 }

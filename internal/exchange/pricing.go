@@ -1,13 +1,9 @@
 package exchange
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"copack/internal/bga"
-	"copack/internal/core"
 )
 
 // This file implements anneal.Target for the exchange state: pick a pad
@@ -42,7 +38,7 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	}
 	slots := s.a.Slots[side]
 	sd := &s.sections[side]
-	if !s.opt.DisableRangeConstraint && sd.row(slots[i-1]) == sd.row(slots[j-1]) {
+	if !s.opt.DisableRangeConstraint && sd.row[slots[i-1]] == sd.row[slots[j-1]] {
 		// Same horizontal line: swapping would invert the via order
 		// (range constraint).
 		return 0, false
@@ -124,64 +120,4 @@ func (s *state) costWith(side bga.Side, idSide int, proxy float64, omega int) fl
 		c += s.phi * float64(omega) / s.omega0
 	}
 	return c
-}
-
-// PricingStats reports what a PricingBench run measured.
-type PricingStats struct {
-	// Priced and Infeasible partition the proposals: Priced moves were
-	// evaluated (and committed when improving), Infeasible ones were
-	// rejected before evaluation (range constraint or no movable pad).
-	Priced     int
-	Infeasible int
-	// NsPerMove and AllocsPerMove are averaged over every proposal;
-	// BytesPerMove is the matching heap-byte rate. A healthy hot loop
-	// reports AllocsPerMove == 0 (asserted in CI).
-	NsPerMove     float64
-	AllocsPerMove float64
-	BytesPerMove  float64
-}
-
-// PricingBench drives the O(1) move-pricing hot loop directly — no
-// annealer, no temperature: it builds one annealing state, prices `moves`
-// adjacent-swap proposals with a deterministic rng, commits the improving
-// ones and rejects the rest, and reports per-move time and allocation
-// rates. It exists so BenchmarkExchangeMovePricing (the root
-// bench_test.go) and the CI allocation regression test measure the exact
-// production code path.
-func PricingBench(p *core.Problem, initial *core.Assignment, opt Options, moves int) (PricingStats, error) {
-	if err := core.CheckMonotonic(p, initial); err != nil {
-		return PricingStats{}, fmt.Errorf("exchange: initial assignment: %v", err)
-	}
-	if moves < 1 {
-		return PricingStats{}, fmt.Errorf("exchange: PricingBench needs at least 1 move, got %d", moves)
-	}
-	opt = opt.withDefaults(p)
-	st := newState(p, initial, opt, nil)
-	rng := rand.New(rand.NewSource(opt.Seed))
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var ps PricingStats
-	for k := 0; k < moves; k++ {
-		delta, ok := st.PriceMove(rng)
-		if !ok {
-			ps.Infeasible++
-			continue
-		}
-		ps.Priced++
-		if delta <= 0 {
-			st.CommitMove()
-		} else {
-			st.RejectMove()
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	ps.NsPerMove = float64(elapsed.Nanoseconds()) / float64(moves)
-	ps.AllocsPerMove = float64(after.Mallocs-before.Mallocs) / float64(moves)
-	ps.BytesPerMove = float64(after.TotalAlloc-before.TotalAlloc) / float64(moves)
-	return ps, nil
 }

@@ -1,12 +1,14 @@
 package exchange
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"copack/internal/assign"
 	"copack/internal/bga"
+	"copack/internal/core"
 	"copack/internal/gen"
 	"copack/internal/netlist"
 )
@@ -44,11 +46,11 @@ func checkSections(t *testing.T, st *state, step int) {
 			}
 		}
 		// Delimiter ordinals: walking the order must reproduce them.
-		seen := make(map[int]int)
+		seen := make(map[int32]int32)
 		for _, id := range order {
-			if y := sd.row(id); y > 0 && y < len(sd.lineIdx) && sd.lineIdx[y] >= 0 {
+			if y := sd.row[id]; y > 0 && int(y) < len(sd.lineIdx) && sd.lineIdx[y] >= 0 {
 				seen[y]++
-				if got := sd.ord(id); got != seen[y] {
+				if got := sd.ord[id]; got != seen[y] {
 					t.Fatalf("step %d side %v: net %d ordinal = %d, want %d",
 						step, side, id, got, seen[y])
 				}
@@ -121,7 +123,7 @@ func TestSectionsIncrementalMatchesScratch(t *testing.T) {
 				i := 1 + rng.Intn(len(st.a.Slots[side])-1)
 				j := i + 1
 				sd := &st.sections[side]
-				sameLine := sd.row(st.a.Slots[side][i-1]) == sd.row(st.a.Slots[side][j-1])
+				sameLine := sd.row[st.a.Slots[side][i-1]] == sd.row[st.a.Slots[side][j-1]]
 				if sameLine && !cfg.opt.DisableRangeConstraint {
 					continue // keep it legal, like the real move generator
 				}
@@ -237,57 +239,86 @@ func TestRejectedMovesAreInvisible(t *testing.T) {
 	}
 }
 
-// TestSectionDataSparseFallback forces the sparse-ID maps and checks the
-// dense and sparse section caches agree move for move.
-func TestSectionDataSparseFallback(t *testing.T) {
-	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 2})
+// skewedProblem builds a 100-net design whose quadrants hold 32, 32, 32
+// and 4 nets, built the way gen.Build builds a Table 1 circuit (a
+// trapezoid of ball lines with one spare site each, a seeded net-to-ball
+// permutation, every 5th net power and every 7th ground). The left
+// quadrant's four nets are declared last, so its net IDs reach 99 while it
+// holds only four of them: the most skewed ID span a quadrant can have.
+func skewedProblem(t *testing.T) *core.Problem {
+	t.Helper()
+	c := netlist.New("skewed")
+	for i := 0; i < 100; i++ {
+		class := netlist.Signal
+		switch {
+		case i%5 == 0:
+			class = netlist.Power
+		case i%7 == 0:
+			class = netlist.Ground
+		}
+		c.MustAddNet(netlist.Net{Name: fmt.Sprintf("N%d", i), Class: class, Tier: 1})
+	}
+	rng := rand.New(rand.NewSource(1))
+	var quads [bga.NumSides]*bga.Quadrant
+	base := 0
+	for _, side := range bga.Sides() {
+		widths := []int{5, 7, 9, 11} // top line first, 32 nets
+		if side == bga.Left {
+			widths = []int{1, 1, 1, 1}
+		}
+		n := 0
+		for _, w := range widths {
+			n += w
+		}
+		perm := rng.Perm(n)
+		rows := make([]bga.Row, len(widths))
+		for r, w := range widths {
+			rows[r].Nets = make([]netlist.ID, w+1)
+			for x := 0; x < w; x++ {
+				rows[r].Nets[x] = netlist.ID(base + perm[0])
+				perm = perm[1:]
+			}
+			rows[r].Nets[w] = bga.NoNet
+		}
+		q, err := bga.NewQuadrant(side, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quads[side] = q
+		base += n
+	}
+	tc := gen.Table1()[0]
+	pkg, err := bga.NewPackage(bga.Spec{Name: "skewed", BallDiameter: 0.2, BallSpace: tc.BallSpace,
+		ViaDiameter: 0.1, FingerWidth: tc.FingerW, FingerHeight: tc.FingerH, FingerSpace: tc.FingerSpace,
+		Rows: 4}, quads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProblem(c, pkg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSkewedQuadrantGolden pins the exchange on skewedProblem bit for bit.
+// The values were recorded when a quadrant whose ID span exceeded four
+// times its net count plus 64 still kept its section caches in maps; the
+// dense per-net slices must anneal the same design identically.
+func TestSkewedQuadrantGolden(t *testing.T) {
+	p := skewedProblem(t)
 	a, err := assign.DFA(p, assign.DFAOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	side := bga.Bottom
-	order := a.Slots[side]
-	dense := newSectionData(p, side, order, false)
-	if dense.rowSparse != nil {
-		t.Skip("IDs sparse already; nothing to compare")
+	res, err := Run(p, a, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sparse := newSectionData(p, side, order, false)
-	// Degrade to the map fallback by hand and rebuild its lookups.
-	sparse.rowSparse = make(map[netlist.ID]int)
-	sparse.delimSparse = make(map[netlist.ID]int)
-	for id, y := range sparse.rowDense {
-		if y != 0 {
-			sparse.rowSparse[netlist.ID(id)] = int(y)
-		}
+	if got, want := math.Float64bits(res.RestartCosts[0]), uint64(0x3ffe0ed1de0ed1de); got != want {
+		t.Errorf("RestartCosts[0] = %#016x, want %#016x", got, want)
 	}
-	for id, m := range sparse.delimOrd {
-		if m != 0 {
-			sparse.delimSparse[netlist.ID(id)] = int(m)
-		}
-	}
-	sparse.rowDense, sparse.delimOrd = nil, nil
-
-	work := append([]netlist.ID(nil), order...)
-	rng := rand.New(rand.NewSource(3))
-	for k := 0; k < 2000; k++ {
-		i := rng.Intn(len(work) - 1)
-		if dense.row(work[i]) == dense.row(work[i+1]) {
-			continue
-		}
-		var pd, ps secPend
-		dense.priceSwap(work[i], work[i+1], &pd)
-		sparse.priceSwap(work[i], work[i+1], &ps)
-		if pd.kind != ps.kind || pd.dec != ps.dec || pd.inc != ps.inc || pd.newMax != ps.newMax {
-			t.Fatalf("step %d: dense pend %+v, sparse pend %+v", k, pd, ps)
-		}
-		dense.commitSwap(&pd)
-		sparse.commitSwap(&ps)
-		work[i], work[i+1] = work[i+1], work[i]
-		if dense.worst() != sparse.worst() {
-			t.Fatalf("step %d: dense worst %d, sparse worst %d", k, dense.worst(), sparse.worst())
-		}
-	}
-	if got, want := sparse.worst(), sparse.id(work); got != want {
-		t.Fatalf("sparse worst = %d, from-scratch id = %d", got, want)
+	if got, want := res.Stats.Proposed, 39427; got != want {
+		t.Errorf("proposed moves = %d, want %d", got, want)
 	}
 }

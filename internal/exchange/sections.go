@@ -34,12 +34,10 @@ import (
 // sections of every line (the TopLineOnly option restores the paper's exact
 // Eq 2 — the ablation bench shows the difference).
 type sectionData struct {
-	// rowDense[id] is the ball line of net id, 0 when the net is not in
-	// this quadrant. Net IDs are dense in practice, so a slice replaces
-	// the old per-lookup map; rowSparse is the fallback guard for designs
-	// whose IDs are too sparse to index densely.
-	rowDense  []int32
-	rowSparse map[netlist.ID]int
+	// row[id] is the ball line of net id, 0 when the net is not in this
+	// quadrant. Net IDs are dense (netlist.AddNet numbers them 0…N−1), so
+	// both per-net caches are slices of the circuit's net count.
+	row []int32
 
 	// lines lists the line indices being watched (highest first);
 	// lineIdx[y] is y's index in lines, -1 for unwatched lines.
@@ -51,11 +49,10 @@ type sectionData struct {
 	initial [][]int
 	cur     [][]int
 
-	// delimOrd[id] is the 1-based ordinal of net id among its watched
-	// line's delimiters in the current finger order (0 for nets that
-	// delimit no watched line); delimSparse is the sparse-ID fallback.
-	delimOrd    []int32
-	delimSparse map[netlist.ID]int
+	// ord[id] is the 1-based ordinal of net id among its watched line's
+	// delimiters in the current finger order (0 for nets that delimit no
+	// watched line).
+	ord []int32
 
 	// Count-of-counts multiset over the growth (cur − initial) of every
 	// watched section: bucket[g+off] is the number of sections currently
@@ -67,30 +64,11 @@ type sectionData struct {
 
 func newSectionData(p *core.Problem, side bga.Side, order []netlist.ID, topOnly bool) sectionData {
 	q := p.Pkg.Quadrant(side)
-	sd := sectionData{}
-	maxID, nets := netlist.ID(-1), 0
-	for y := 1; y <= q.NumRows(); y++ {
-		for _, id := range q.Row(y).Nets {
-			if id == bga.NoNet {
-				continue
-			}
-			nets++
-			if id > maxID {
-				maxID = id
-			}
-		}
-	}
-	if span := int(maxID) + 1; span <= 4*nets+64 {
-		sd.rowDense = make([]int32, span)
-		sd.delimOrd = make([]int32, span)
-	} else {
-		sd.rowSparse = make(map[netlist.ID]int, nets)
-		sd.delimSparse = make(map[netlist.ID]int, nets)
-	}
+	sd := sectionData{row: make([]int32, p.Circuit.NumNets()), ord: make([]int32, p.Circuit.NumNets())}
 	for y := 1; y <= q.NumRows(); y++ {
 		for _, id := range q.Row(y).Nets {
 			if id != bga.NoNet {
-				sd.setRow(id, y)
+				sd.row[id] = int32(y)
 			}
 		}
 	}
@@ -116,11 +94,11 @@ func newSectionData(p *core.Problem, side bga.Side, order []netlist.ID, topOnly 
 		sections += len(c)
 	}
 	// Delimiter ordinals, in one walk of the order.
-	seen := make([]int, q.NumRows()+1)
+	seen := make([]int32, q.NumRows()+1)
 	for _, id := range order {
-		if y := sd.row(id); y > 0 && sd.lineIdx[y] >= 0 {
+		if y := sd.row[id]; y > 0 && sd.lineIdx[y] >= 0 {
 			seen[y]++
-			sd.setOrd(id, seen[y])
+			sd.ord[id] = seen[y]
 		}
 	}
 	// Every section starts at its initial count, so every growth is 0. A
@@ -156,48 +134,13 @@ func (sd *sectionData) reanchor(order []netlist.ID) {
 		}
 	}
 	sd.msMax = max
-	seen := make([]int, len(sd.lineIdx))
+	seen := make([]int32, len(sd.lineIdx))
 	for _, id := range order {
-		if y := sd.row(id); y > 0 && sd.lineIdx[y] >= 0 {
+		if y := sd.row[id]; y > 0 && sd.lineIdx[y] >= 0 {
 			seen[y]++
-			sd.setOrd(id, seen[y])
+			sd.ord[id] = seen[y]
 		}
 	}
-}
-
-// row returns the ball line of a net (0 if absent from the quadrant).
-func (sd *sectionData) row(id netlist.ID) int {
-	if sd.rowSparse != nil {
-		return sd.rowSparse[id]
-	}
-	if id >= 0 && int(id) < len(sd.rowDense) {
-		return int(sd.rowDense[id])
-	}
-	return 0
-}
-
-func (sd *sectionData) setRow(id netlist.ID, y int) {
-	if sd.rowSparse != nil {
-		sd.rowSparse[id] = y
-		return
-	}
-	sd.rowDense[id] = int32(y)
-}
-
-// ord returns the 1-based delimiter ordinal of a watched-line net.
-func (sd *sectionData) ord(id netlist.ID) int {
-	if sd.delimSparse != nil {
-		return sd.delimSparse[id]
-	}
-	return int(sd.delimOrd[id])
-}
-
-func (sd *sectionData) setOrd(id netlist.ID, m int) {
-	if sd.delimSparse != nil {
-		sd.delimSparse[id] = m
-		return
-	}
-	sd.delimOrd[id] = int32(m)
 }
 
 // counts returns, for one line, the number of wires crossing each of its
@@ -207,7 +150,7 @@ func (sd *sectionData) setOrd(id netlist.ID, m int) {
 func (sd *sectionData) counts(order []netlist.ID, y int) []int {
 	counts := make([]int, 1, 8)
 	for _, id := range order {
-		switch r := sd.row(id); {
+		switch r := int(sd.row[id]); {
 		case r == y:
 			counts = append(counts, 0)
 		case r < y:
@@ -266,7 +209,7 @@ type secPend struct {
 // It sets the fields commitSwap reads for sp.kind and leaves the rest
 // stale. O(1), no other mutation.
 func (sd *sectionData) priceSwap(na, nb netlist.ID, sp *secPend) {
-	ra, rb := sd.row(na), sd.row(nb)
+	ra, rb := sd.row[na], sd.row[nb]
 	if ra == rb {
 		// Same line: both delimit, the section between two adjacent
 		// delimiters is empty, so only their ordinals trade places.
@@ -288,7 +231,7 @@ func (sd *sectionData) priceSwap(na, nb netlist.ID, sp *secPend) {
 		sp.kind = secNone // unwatched (TopLineOnly)
 		return
 	}
-	m := sd.ord(dNet)
+	m := int(sd.ord[dNet])
 	var dec, inc int
 	if dFirst {
 		// Delimiter m then counted net: the wire crosses left,
@@ -330,8 +273,6 @@ func (sd *sectionData) commitSwap(p *secPend) {
 		sd.bucket[gInc+1+sd.off]++
 		sd.msMax = p.newMax
 	case secDD:
-		ma, mb := sd.ord(p.na), sd.ord(p.nb)
-		sd.setOrd(p.na, mb)
-		sd.setOrd(p.nb, ma)
+		sd.ord[p.na], sd.ord[p.nb] = sd.ord[p.nb], sd.ord[p.na]
 	}
 }

@@ -71,9 +71,9 @@ func TestSectionDataReanchor(t *testing.T) {
 		// Delimiter ordinals must match a fresh walk of the warm order.
 		fresh := newSectionData(p, side, warm, false)
 		for _, id := range warm {
-			if sd.ord(id) != fresh.ord(id) {
+			if sd.ord[id] != fresh.ord[id] {
 				t.Errorf("%v: net %d ordinal %d after reanchor, fresh build says %d",
-					side, id, sd.ord(id), fresh.ord(id))
+					side, id, sd.ord[id], fresh.ord[id])
 			}
 		}
 		sd.reanchor(base)

@@ -3,27 +3,23 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 
 	"copack/internal/assign"
-	"copack/internal/core"
 	"copack/internal/exchange"
 	"copack/internal/gen"
-	"copack/internal/parallel"
 	"copack/internal/portfolio"
-	"copack/internal/power"
 	"copack/internal/route"
 )
 
 // --- Four-way assignment comparison (Table 2 + MCMF column) ------------------
 
-// CompareRow is one circuit's comparison of the four assignment engines.
+// CompareRow is one circuit's comparison of the four assignment engines:
+// Table 2's row plus the MCMF columns.
 type CompareRow struct {
-	Circuit                                            string
-	RandomDensity, IFADensity, DFADensity, MCMFDensity int
-	RandomWirelen, IFAWirelen, DFAWirelen, MCMFWirelen float64
+	Table2Row
+	MCMFDensity int
+	MCMFWirelen float64
 }
 
 // CompareResult extends the Table 2 comparison with the network-flow engine.
@@ -34,103 +30,50 @@ type CompareResult struct {
 	AvgWirelenIFA, AvgWirelenDFA, AvgWirelenMCMF float64
 }
 
-// compareRow runs the four engines on one circuit; self-contained like
-// table2Row, so rows can complete in any order.
-func compareRow(tc gen.TestCircuit, seed int64, randomTries int) (CompareRow, error) {
-	var row CompareRow
-	p, err := gen.Build(tc, gen.Options{Seed: seed})
-	if err != nil {
-		return row, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	randA, randS, err := RandomBaseline(p, rng, randomTries)
-	if err != nil {
-		return row, err
-	}
-	ifaA, err := assign.IFA(p)
-	if err != nil {
-		return row, err
-	}
-	dfaA, err := assign.DFA(p, assign.DFAOptions{})
-	if err != nil {
-		return row, err
-	}
-	mcmfA, err := assign.MCMF(p, assign.MCMFOptions{})
-	if err != nil {
-		return row, err
-	}
-	wl := func(a *core.Assignment) (float64, error) {
+// CompareAssign compares random, IFA, DFA and MCMF on the test circuits,
+// one circuit per work unit. The random, IFA and DFA columns and their
+// averages are Table 2's, computed by the same code.
+func CompareAssign(seed int64, randomTries int, h Harness) (*CompareResult, error) {
+	circuits := gen.Table1()
+	rows, _, err := fanOut(context.Background(), h, len(circuits), func(i int) (CompareRow, error) {
+		p, err := gen.Build(circuits[i], gen.Options{Seed: seed})
+		if err != nil {
+			return CompareRow{}, err
+		}
+		row, _, err := table2Row(p, circuits[i].Name, seed, randomTries)
+		if err != nil {
+			return CompareRow{}, err
+		}
+		a, err := assign.MCMF(p, assign.MCMFOptions{})
+		if err != nil {
+			return CompareRow{}, err
+		}
 		r, err := route.Realize(p, a)
 		if err != nil {
-			return 0, err
+			return CompareRow{}, err
 		}
-		return r.TotalLength(), nil
-	}
-	row = CompareRow{Circuit: tc.Name, RandomDensity: randS.MaxDensity}
-	for _, e := range []struct {
-		a    *core.Assignment
-		dens *int
-		wire *float64
-	}{
-		{ifaA, &row.IFADensity, &row.IFAWirelen},
-		{dfaA, &row.DFADensity, &row.DFAWirelen},
-		{mcmfA, &row.MCMFDensity, &row.MCMFWirelen},
-	} {
-		s, err := route.Evaluate(p, e.a)
-		if err != nil {
-			return row, err
-		}
-		*e.dens = s.MaxDensity
-		if *e.wire, err = wl(e.a); err != nil {
-			return row, err
-		}
-	}
-	if row.RandomWirelen, err = wl(randA); err != nil {
-		return row, err
-	}
-	return row, nil
-}
-
-// CompareAssign compares random, IFA, DFA and MCMF on the test circuits,
-// fanned out over the harness pool. Rows land at their circuit's index, so
-// the result is identical for any Workers value.
-func CompareAssign(seed int64, randomTries int, h Harness) (*CompareResult, error) {
-	if randomTries < 1 {
-		randomTries = 10
-	}
-	circuits := gen.Table1()
-	rows := make([]CompareRow, len(circuits))
-	var mu sync.Mutex
-	err := parallel.ForEachErr(context.Background(), len(circuits), h.Workers, func(_ context.Context, i int) error {
-		row, err := compareRow(circuits[i], seed, randomTries)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		h.progressf(&mu, "compare %s: density %d/%d/%d/%d (random/IFA/DFA/MCMF)",
+		return CompareRow{Table2Row: row, MCMFDensity: r.Stats.MaxDensity, MCMFWirelen: r.TotalLength()}, nil
+	}, func(_, _ int, row CompareRow) string {
+		return fmt.Sprintf("compare %s: density %d/%d/%d/%d (random/IFA/DFA/MCMF)",
 			row.Circuit, row.RandomDensity, row.IFADensity, row.DFADensity, row.MCMFDensity)
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &CompareResult{Rows: rows}
-	for _, row := range rows {
-		rd, rw := float64(row.RandomDensity), row.RandomWirelen
-		out.AvgDensityIFA += float64(row.IFADensity) / rd
-		out.AvgDensityDFA += float64(row.DFADensity) / rd
-		out.AvgDensityMCMF += float64(row.MCMFDensity) / rd
-		out.AvgWirelenIFA += row.IFAWirelen / rw
-		out.AvgWirelenDFA += row.DFAWirelen / rw
-		out.AvgWirelenMCMF += row.MCMFWirelen / rw
+	t2 := Table2Result{Rows: make([]Table2Row, len(rows))}
+	for i, row := range rows {
+		t2.Rows[i] = row.Table2Row
 	}
-	n := float64(len(rows))
-	out.AvgDensityIFA /= n
-	out.AvgDensityDFA /= n
-	out.AvgDensityMCMF /= n
-	out.AvgWirelenIFA /= n
-	out.AvgWirelenDFA /= n
-	out.AvgWirelenMCMF /= n
+	t2.average()
+	out := &CompareResult{Rows: rows,
+		AvgDensityIFA: t2.AvgDensityIFA, AvgDensityDFA: t2.AvgDensityDFA,
+		AvgWirelenIFA: t2.AvgWirelenIFA, AvgWirelenDFA: t2.AvgWirelenDFA}
+	for _, row := range rows {
+		out.AvgDensityMCMF += float64(row.MCMFDensity) / float64(row.RandomDensity)
+		out.AvgWirelenMCMF += row.MCMFWirelen / row.RandomWirelen
+	}
+	out.AvgDensityMCMF /= float64(len(rows))
+	out.AvgWirelenMCMF /= float64(len(rows))
 	return out, nil
 }
 
@@ -180,78 +123,43 @@ type WarmStartResult struct {
 	AvgCostDelta float64
 }
 
-// warmStartRow runs one (circuit, ψ) instance cold and warm. Self-contained,
-// hence order-independent under the harness pool.
-func warmStartRow(tc gen.TestCircuit, psi int, seed int64) (WarmStartRow, error) {
-	var row WarmStartRow
-	p, err := gen.Build(tc, gen.Options{Seed: seed, Tiers: psi})
+// warmStartRow runs one (ψ, circuit) instance of Table 3 and, from the
+// same DFA order, the MCMF-warm-started exchange.
+func warmStartRow(it table3Item, seed int64) (WarmStartRow, error) {
+	in, err := runInstance(it, seed)
 	if err != nil {
-		return row, err
+		return WarmStartRow{}, err
 	}
-	dfaA, err := assign.DFA(p, assign.DFAOptions{})
-	if err != nil {
-		return row, err
-	}
-	cold, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed})
-	if err != nil {
-		return row, err
-	}
-	warm, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed, Portfolio: &portfolio.Config{
+	warm, err := exchange.Run(in.p, in.dfa, exchange.Options{Seed: seed, Portfolio: &portfolio.Config{
 		Budget: 1, Arms: []portfolio.Arm{{Name: "mcmf", Engine: portfolio.EngineMCMF}}}})
 	if err != nil {
-		return row, err
+		return WarmStartRow{}, err
 	}
-	g := Table3Grid(p)
-	base, err := power.SolveAssignment(p, dfaA, g, power.SolveOptions{})
-	if err != nil {
-		return row, err
-	}
-	irPct := func(a *core.Assignment) (float64, error) {
-		s, err := power.SolveAssignment(p, a, g, power.SolveOptions{})
-		if err != nil {
-			return 0, err
-		}
-		return (base.MaxDrop() - s.MaxDrop()) / base.MaxDrop() * 100, nil
-	}
-	row = WarmStartRow{
-		Circuit: tc.Name, Psi: psi,
+	cold := in.cold
+	row := WarmStartRow{
+		Circuit: it.tc.Name, Psi: it.psi,
 		ColdCost: cold.RestartCosts[cold.Restart], WarmCost: warm.RestartCosts[warm.Restart],
 		ColdMoves: cold.Stats.Proposed, WarmMoves: warm.Stats.Proposed,
 		ColdDensity: cold.After.MaxDensity, WarmDensity: warm.After.MaxDensity,
 	}
-	if row.ColdIRPct, err = irPct(cold.Assignment); err != nil {
-		return row, err
+	if row.ColdIRPct, err = in.irPct(cold.Assignment); err != nil {
+		return WarmStartRow{}, err
 	}
-	if row.WarmIRPct, err = irPct(warm.Assignment); err != nil {
-		return row, err
+	if row.WarmIRPct, err = in.irPct(warm.Assignment); err != nil {
+		return WarmStartRow{}, err
 	}
 	return row, nil
 }
 
-// WarmStart compares cold and MCMF-warm-started exchange runs over the
-// test circuits for ψ ∈ {1, 4}, fanned out over the harness pool.
+// WarmStart compares cold and MCMF-warm-started exchange runs over Table
+// 3's (ψ, circuit) instances, one instance per work unit.
 func WarmStart(seed int64, h Harness) (*WarmStartResult, error) {
-	type item struct {
-		tc  gen.TestCircuit
-		psi int
-	}
-	var items []item
-	for _, psi := range []int{1, 4} {
-		for _, tc := range gen.Table1() {
-			items = append(items, item{tc: tc, psi: psi})
-		}
-	}
-	rows := make([]WarmStartRow, len(items))
-	var mu sync.Mutex
-	err := parallel.ForEachErr(context.Background(), len(items), h.Workers, func(_ context.Context, i int) error {
-		row, err := warmStartRow(items[i].tc, items[i].psi, seed)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		h.progressf(&mu, "warmstart %s ψ=%d: cost cold %.4f warm %.4f",
+	items := table3Items()
+	rows, _, err := fanOut(context.Background(), h, len(items), func(i int) (WarmStartRow, error) {
+		return warmStartRow(items[i], seed)
+	}, func(_, _ int, row WarmStartRow) string {
+		return fmt.Sprintf("warmstart %s ψ=%d: cost cold %.4f warm %.4f",
 			row.Circuit, row.Psi, row.ColdCost, row.WarmCost)
-		return nil
 	})
 	if err != nil {
 		return nil, err

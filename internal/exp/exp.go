@@ -207,22 +207,14 @@ type Fig15Result struct {
 }
 
 // Fig15 reproduces the routing plots of circuit 2 under the three
-// assignment methods.
+// assignment methods: the routings behind its Table 2 row.
 func Fig15(seed int64) (*Fig15Result, error) {
-	p, err := gen.Build(gen.Table1()[1], gen.Options{Seed: seed})
+	tc := gen.Table1()[1]
+	p, err := gen.Build(tc, gen.Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	randA, _, err := RandomBaseline(p, rng, 10)
-	if err != nil {
-		return nil, err
-	}
-	ifaA, err := assign.IFA(p)
-	if err != nil {
-		return nil, err
-	}
-	dfaA, err := assign.DFA(p, assign.DFAOptions{})
+	_, rs, err := table2Row(p, tc.Name, seed, 10)
 	if err != nil {
 		return nil, err
 	}
@@ -231,14 +223,10 @@ func Fig15(seed int64) (*Fig15Result, error) {
 		Density: make(map[string]int),
 		Wirelen: make(map[string]float64),
 	}
-	for name, a := range map[string]*core.Assignment{"random": randA, "ifa": ifaA, "dfa": dfaA} {
-		r, err := route.Realize(p, a)
-		if err != nil {
-			return nil, err
-		}
-		out.SVG[name] = svgplot.Routing(p, r, "circuit2 "+name)
-		out.Density[name] = r.Stats.MaxDensity
-		out.Wirelen[name] = r.TotalLength()
+	for k, name := range []string{"random", "ifa", "dfa"} {
+		out.SVG[name] = svgplot.Routing(p, rs[k], tc.Name+" "+name)
+		out.Density[name] = rs[k].Stats.MaxDensity
+		out.Wirelen[name] = rs[k].TotalLength()
 	}
 	return out, nil
 }

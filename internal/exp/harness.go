@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"copack/internal/assign"
 	"copack/internal/core"
@@ -30,175 +29,213 @@ type Harness struct {
 	Progress func(line string)
 }
 
-// progressf emits a formatted progress line under the harness's lock.
-func (h Harness) progressf(mu *sync.Mutex, format string, args ...any) {
-	if h.Progress == nil {
-		return
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	h.Progress(fmt.Sprintf(format, args...))
+// fanOut is the one place exp runs work in parallel. It runs unit(i) for
+// every i in [0, n) over h's pool and returns the results at their
+// indices, so anything reduced from them in index order is identical for
+// any Workers value. Each completed unit counts itself and hands
+// line(i, done, result) to h.Progress under one lock, so the done counts
+// print as 1…n in order. A unit is not started once ctx is cancelled: it
+// fails with ctx's error, and done is the number of units that completed.
+func fanOut[T any](ctx context.Context, h Harness, n int, unit func(i int) (T, error), line func(i, done int, r T) string) ([]T, int, error) {
+	out := make([]T, n)
+	var mu sync.Mutex
+	done := 0
+	err := parallel.ForEachErr(ctx, n, h.Workers, func(ctx context.Context, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r, err := unit(i)
+		if err != nil {
+			return err
+		}
+		out[i] = r
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if h.Progress != nil {
+			h.Progress(line(i, done, r))
+		}
+		return nil
+	})
+	return out, done, err
 }
 
-// table2Row runs Table 2's three methods on one circuit. This is the unit
-// of parallelism for Table2; it is self-contained (its rng is seeded
-// locally), so rows can run in any order.
-func table2Row(tc gen.TestCircuit, seed int64, randomTries int) (Table2Row, error) {
-	var row Table2Row
-	p, err := gen.Build(tc, gen.Options{Seed: seed})
-	if err != nil {
-		return row, err
+// table2Row computes one circuit's Table 2 columns on the built problem p:
+// the best of tries random orders (10 when tries < 1; the rng is seeded
+// locally, so rows can run in any order), IFA and DFA. Each order is
+// realized once; the paper computes wirelength on the realized routing,
+// where detoured paths cost extra, and the routing's Stats carry the
+// order's densities. The three routings (random, IFA, DFA) are returned
+// for Fig 15's plots.
+func table2Row(p *core.Problem, name string, seed int64, tries int) (Table2Row, [3]*route.Routing, error) {
+	var rs [3]*route.Routing
+	if tries < 1 {
+		tries = 10
 	}
-	rng := rand.New(rand.NewSource(seed))
-	randA, randS, err := RandomBaseline(p, rng, randomTries)
+	randA, _, err := RandomBaseline(p, rand.New(rand.NewSource(seed)), tries)
 	if err != nil {
-		return row, err
+		return Table2Row{}, rs, err
 	}
 	ifaA, err := assign.IFA(p)
 	if err != nil {
-		return row, err
+		return Table2Row{}, rs, err
 	}
 	dfaA, err := assign.DFA(p, assign.DFAOptions{})
 	if err != nil {
-		return row, err
+		return Table2Row{}, rs, err
 	}
-	// The paper computes wirelength on the realized routing, where detoured
-	// paths cost extra.
-	wl := func(a *core.Assignment) (float64, error) {
-		r, err := route.Realize(p, a)
-		if err != nil {
-			return 0, err
+	for k, a := range []*core.Assignment{randA, ifaA, dfaA} {
+		if rs[k], err = route.Realize(p, a); err != nil {
+			return Table2Row{}, rs, err
 		}
-		return r.TotalLength(), nil
 	}
-	ifaS, err := route.Evaluate(p, ifaA)
-	if err != nil {
-		return row, err
-	}
-	dfaS, err := route.Evaluate(p, dfaA)
-	if err != nil {
-		return row, err
-	}
-	row = Table2Row{Circuit: tc.Name,
-		RandomDensity: randS.MaxDensity, IFADensity: ifaS.MaxDensity, DFADensity: dfaS.MaxDensity}
-	if row.RandomWirelen, err = wl(randA); err != nil {
-		return row, err
-	}
-	if row.IFAWirelen, err = wl(ifaA); err != nil {
-		return row, err
-	}
-	if row.DFAWirelen, err = wl(dfaA); err != nil {
-		return row, err
-	}
-	return row, nil
+	return Table2Row{Circuit: name,
+		RandomDensity: rs[0].Stats.MaxDensity, IFADensity: rs[1].Stats.MaxDensity, DFADensity: rs[2].Stats.MaxDensity,
+		RandomWirelen: rs[0].TotalLength(), IFAWirelen: rs[1].TotalLength(), DFAWirelen: rs[2].TotalLength(),
+	}, rs, nil
 }
 
 // Table2 reproduces Table 2: max package density and total routed
 // wirelength for the random baseline, IFA and DFA on the five test
-// circuits, fanned out over the harness pool. Rows land at their circuit's
-// index and ratios are averaged afterwards in that order, so the result is
-// identical for any Workers value.
+// circuits, one circuit per work unit.
 func Table2(seed int64, randomTries int, h Harness) (*Table2Result, error) {
-	if randomTries < 1 {
-		randomTries = 10
-	}
 	circuits := gen.Table1()
-	rows := make([]Table2Row, len(circuits))
-	var mu sync.Mutex
-	err := parallel.ForEachErr(context.Background(), len(circuits), h.Workers, func(_ context.Context, i int) error {
-		row, err := table2Row(circuits[i], seed, randomTries)
+	rows, _, err := fanOut(context.Background(), h, len(circuits), func(i int) (Table2Row, error) {
+		p, err := gen.Build(circuits[i], gen.Options{Seed: seed})
 		if err != nil {
-			return err
+			return Table2Row{}, err
 		}
-		rows[i] = row
-		h.progressf(&mu, "table2 %s: density %d/%d/%d (random/IFA/DFA)",
+		row, _, err := table2Row(p, circuits[i].Name, seed, randomTries)
+		return row, err
+	}, func(_, _ int, row Table2Row) string {
+		return fmt.Sprintf("table2 %s: density %d/%d/%d (random/IFA/DFA)",
 			row.Circuit, row.RandomDensity, row.IFADensity, row.DFADensity)
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := &Table2Result{Rows: rows}
-	var dIFA, dDFA, wIFA, wDFA float64
-	for _, row := range rows {
-		dIFA += float64(row.IFADensity) / float64(row.RandomDensity)
-		dDFA += float64(row.DFADensity) / float64(row.RandomDensity)
-		wIFA += row.IFAWirelen / row.RandomWirelen
-		wDFA += row.DFAWirelen / row.RandomWirelen
-	}
-	n := float64(len(rows))
-	out.AvgDensityIFA, out.AvgDensityDFA = dIFA/n, dDFA/n
-	out.AvgWirelenIFA, out.AvgWirelenDFA = wIFA/n, wDFA/n
+	out.average()
 	return out, nil
 }
 
-// table3Row runs one (circuit, ψ) instance of Table 3: DFA, exchange, and
-// the before/after IR solves. Self-contained, hence order-independent.
-func table3Row(tc gen.TestCircuit, psi int, seed int64) (Table3Row, error) {
-	var row Table3Row
-	p, err := gen.Build(tc, gen.Options{Seed: seed, Tiers: psi})
+// average sets Table 2's last row: the IFA and DFA ratios versus the
+// random baseline, averaged over the rows in order.
+func (r *Table2Result) average() {
+	for _, row := range r.Rows {
+		r.AvgDensityIFA += float64(row.IFADensity) / float64(row.RandomDensity)
+		r.AvgDensityDFA += float64(row.DFADensity) / float64(row.RandomDensity)
+		r.AvgWirelenIFA += row.IFAWirelen / row.RandomWirelen
+		r.AvgWirelenDFA += row.DFAWirelen / row.RandomWirelen
+	}
+	n := float64(len(r.Rows))
+	r.AvgDensityIFA /= n
+	r.AvgDensityDFA /= n
+	r.AvgWirelenIFA /= n
+	r.AvgWirelenDFA /= n
+}
+
+// table3Item is one (ψ, circuit) instance of Table 3.
+type table3Item struct {
+	tc  gen.TestCircuit
+	psi int
+}
+
+// table3Items lists Table 3's instances in its row order: every Table 1
+// circuit at ψ = 1, then every one at ψ = 4. The warm-start comparison
+// runs the same list.
+func table3Items() []table3Item {
+	var items []table3Item
+	for _, psi := range []int{1, 4} {
+		for _, tc := range gen.Table1() {
+			items = append(items, table3Item{tc: tc, psi: psi})
+		}
+	}
+	return items
+}
+
+// instance is one Table 3 instance after the paper's flow: DFA, then the
+// cold exchange from the DFA order. Self-contained (built from its item
+// and seed alone), so instances can run in any order.
+type instance struct {
+	p    *core.Problem
+	dfa  *core.Assignment
+	cold *exchange.Result
+	grid power.GridSpec
+	// base is the DFA order's solved max IR drop on grid, the baseline
+	// of every IR improvement.
+	base float64
+}
+
+// runInstance builds it for seed, runs DFA and the cold exchange, and
+// solves the DFA order on Table3Grid.
+func runInstance(it table3Item, seed int64) (*instance, error) {
+	p, err := gen.Build(it.tc, gen.Options{Seed: seed, Tiers: it.psi})
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	dfaA, err := assign.DFA(p, assign.DFAOptions{})
+	dfa, err := assign.DFA(p, assign.DFAOptions{})
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	res, err := exchange.Run(p, dfaA, exchange.Options{Seed: seed})
+	cold, err := exchange.Run(p, dfa, exchange.Options{Seed: seed})
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	g := Table3Grid(p)
-	before, err := power.SolveAssignment(p, dfaA, g, power.SolveOptions{})
+	in := &instance{p: p, dfa: dfa, cold: cold, grid: Table3Grid(p)}
+	base, err := power.SolveAssignment(p, dfa, in.grid, power.SolveOptions{})
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	after, err := power.SolveAssignment(p, res.Assignment, g, power.SolveOptions{})
+	in.base = base.MaxDrop()
+	return in, nil
+}
+
+// irPct solves a on the instance's grid and returns its IR-drop
+// improvement over the DFA order, in percent.
+func (in *instance) irPct(a *core.Assignment) (float64, error) {
+	s, err := power.SolveAssignment(in.p, a, in.grid, power.SolveOptions{})
 	if err != nil {
-		return row, err
+		return 0, err
 	}
-	row = Table3Row{
-		Circuit:              tc.Name,
-		Psi:                  psi,
-		DensityAfterDFA:      res.Before.MaxDensity,
-		DensityAfterExchange: res.After.MaxDensity,
-		IRImprovedPct:        (before.MaxDrop() - after.MaxDrop()) / before.MaxDrop() * 100,
-		OmegaBefore:          res.Before.Omega,
-		OmegaAfter:           res.After.Omega,
+	return (in.base - s.MaxDrop()) / in.base * 100, nil
+}
+
+// table3Row runs one (ψ, circuit) instance of Table 3.
+func table3Row(it table3Item, seed int64) (Table3Row, error) {
+	in, err := runInstance(it, seed)
+	if err != nil {
+		return Table3Row{}, err
 	}
-	if psi > 1 {
-		row.BondImprovedPct = float64(row.OmegaBefore-row.OmegaAfter) / float64(p.Circuit.NumNets()) * 100
+	ir, err := in.irPct(in.cold.Assignment)
+	if err != nil {
+		return Table3Row{}, err
+	}
+	row := Table3Row{
+		Circuit:              it.tc.Name,
+		Psi:                  it.psi,
+		DensityAfterDFA:      in.cold.Before.MaxDensity,
+		DensityAfterExchange: in.cold.After.MaxDensity,
+		IRImprovedPct:        ir,
+		OmegaBefore:          in.cold.Before.Omega,
+		OmegaAfter:           in.cold.After.Omega,
+	}
+	if it.psi > 1 {
+		row.BondImprovedPct = float64(row.OmegaBefore-row.OmegaAfter) / float64(in.p.Circuit.NumNets()) * 100
 	}
 	return row, nil
 }
 
 // Table3 reproduces Table 3: for every test circuit and ψ ∈ {1, 4}, run
 // DFA, then the finger/pad exchange, and report the density before/after,
-// the solved IR-drop improvement and (for ψ=4) the bonding improvement.
-// The ten (ψ, circuit) instances fan out over the harness pool; averages
-// are recomputed from the index-ordered rows, so the result is identical
-// for any Workers value.
+// the solved IR-drop improvement and (for ψ=4) the bonding improvement,
+// one (ψ, circuit) instance per work unit.
 func Table3(seed int64, h Harness) (*Table3Result, error) {
-	type item struct {
-		tc  gen.TestCircuit
-		psi int
-	}
-	var items []item
-	for _, psi := range []int{1, 4} {
-		for _, tc := range gen.Table1() {
-			items = append(items, item{tc: tc, psi: psi})
-		}
-	}
-	rows := make([]Table3Row, len(items))
-	var mu sync.Mutex
-	err := parallel.ForEachErr(context.Background(), len(items), h.Workers, func(_ context.Context, i int) error {
-		row, err := table3Row(items[i].tc, items[i].psi, seed)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		h.progressf(&mu, "table3 %s ψ=%d: IR improved %.2f%%", row.Circuit, row.Psi, row.IRImprovedPct)
-		return nil
+	items := table3Items()
+	rows, _, err := fanOut(context.Background(), h, len(items), func(i int) (Table3Row, error) {
+		return table3Row(items[i], seed)
+	}, func(_, _ int, row Table3Row) string {
+		return fmt.Sprintf("table3 %s ψ=%d: IR improved %.2f%%", row.Circuit, row.Psi, row.IRImprovedPct)
 	})
 	if err != nil {
 		return nil, err
@@ -224,37 +261,42 @@ func Table3(seed int64, h Harness) (*Table3Result, error) {
 	return out, nil
 }
 
-// SweepTable2 runs Table 2 for every seed and aggregates the ratios, with
-// the seeds fanned out over the harness pool. Each seed's Table 2 runs
-// sequentially inside its worker (nested pools would oversubscribe), and
-// the aggregation walks the results in seed order, so the summary is
-// identical for any Workers value.
+// sweep runs table for every seed, one seed per work unit. Each seed's
+// table runs sequentially inside its worker (nested pools would
+// oversubscribe), and results[i] belongs to seeds[i], so a reduction
+// walking them in order is identical for any Workers value. name prefixes
+// the progress lines.
 //
 // A cancelled ctx stops scheduling new seeds and the call returns the
 // context error. The progress stream is flushed on that path — a final
 // tick reports how many seeds completed before the stop, so a consumer
 // tailing the stream never sees it end silently mid-sweep.
-func SweepTable2(ctx context.Context, seeds []int64, randomTries int, h Harness) (*SweepResult, error) {
+func sweep[R any](ctx context.Context, name string, seeds []int64, h Harness, table func(seed int64) (R, error)) ([]R, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("exp: sweep needs at least one seed")
 	}
-	results := make([]*Table2Result, len(seeds))
-	var mu sync.Mutex
-	var done atomic.Int64
-	err := parallel.ForEachErr(ctx, len(seeds), h.Workers, func(ctx context.Context, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := Table2(seeds[i], randomTries, Harness{Workers: 1})
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		h.progressf(&mu, "sweep seed %d done (%d/%d)", seeds[i], done.Add(1), len(seeds))
-		return nil
+	results, done, err := fanOut(ctx, h, len(seeds), func(i int) (R, error) {
+		return table(seeds[i])
+	}, func(i, done int, _ R) string {
+		return fmt.Sprintf("%s seed %d done (%d/%d)", name, seeds[i], done, len(seeds))
 	})
 	if err != nil {
-		h.progressf(&mu, "sweep stopped: %v (%d/%d seeds done)", err, done.Load(), len(seeds))
+		if h.Progress != nil {
+			h.Progress(fmt.Sprintf("%s stopped: %v (%d/%d seeds done)", name, err, done, len(seeds)))
+		}
+		return nil, err
+	}
+	return results, nil
+}
+
+// SweepTable2 runs Table 2 for every seed and aggregates the ratios, with
+// the seeds fanned out over the harness pool; see sweep for the
+// determinism argument and the cancellation flush.
+func SweepTable2(ctx context.Context, seeds []int64, randomTries int, h Harness) (*SweepResult, error) {
+	results, err := sweep(ctx, "sweep", seeds, h, func(seed int64) (*Table2Result, error) {
+		return Table2(seed, randomTries, Harness{Workers: 1})
+	})
+	if err != nil {
 		return nil, err
 	}
 	return ReduceSweep2(seeds, results), nil
@@ -296,28 +338,12 @@ func ReduceSweep2(seeds []int64, results []*Table2Result) *SweepResult {
 
 // SweepTable3 runs Table 3 for every seed and aggregates the
 // improvements, with the seeds fanned out over the harness pool; see
-// SweepTable2 for the determinism argument and the cancellation flush.
+// sweep for the determinism argument and the cancellation flush.
 func SweepTable3(ctx context.Context, seeds []int64, h Harness) (*Sweep3Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("exp: sweep needs at least one seed")
-	}
-	results := make([]*Table3Result, len(seeds))
-	var mu sync.Mutex
-	var done atomic.Int64
-	err := parallel.ForEachErr(ctx, len(seeds), h.Workers, func(ctx context.Context, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := Table3(seeds[i], Harness{Workers: 1})
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		h.progressf(&mu, "sweep3 seed %d done (%d/%d)", seeds[i], done.Add(1), len(seeds))
-		return nil
+	results, err := sweep(ctx, "sweep3", seeds, h, func(seed int64) (*Table3Result, error) {
+		return Table3(seed, Harness{Workers: 1})
 	})
 	if err != nil {
-		h.progressf(&mu, "sweep3 stopped: %v (%d/%d seeds done)", err, done.Load(), len(seeds))
 		return nil, err
 	}
 	return ReduceSweep3(seeds, results), nil

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -116,5 +117,23 @@ func TestSweepTable3ContextMatchesWith(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, ref) {
 		t.Error("SweepTable3 differs between workers 1 and 2")
+	}
+}
+
+// The done counts in a parallel sweep's progress lines print in order,
+// 1…n: a unit counts itself under the lock that prints its line.
+func TestSweepProgressCountsInOrder(t *testing.T) {
+	var lines []string
+	h := Harness{Workers: 3, Progress: func(line string) { lines = append(lines, line) }}
+	if _, err := SweepTable2(context.Background(), Seeds(6), 1, h); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 6 {
+		t.Fatalf("got %d progress lines, want 6: %q", len(lines), lines)
+	}
+	for k, line := range lines {
+		if want := fmt.Sprintf("(%d/6)", k+1); !strings.HasSuffix(line, want) {
+			t.Errorf("line %d = %q, want it to end %q", k, line, want)
+		}
 	}
 }

@@ -65,37 +65,16 @@ type Stats struct {
 // assignment. It returns an error if the assignment violates the via-order
 // rule (no legal monotonic routing exists).
 func Evaluate(p *core.Problem, a *core.Assignment) (*Stats, error) {
-	var e Evaluator
-	return e.Evaluate(p, a)
-}
-
-// Evaluator is an arena for repeated full evaluations: it owns the Stats
-// buffers (per-line segment loads included) and reuses them on every call,
-// so after the first evaluation of a given package shape an evaluation
-// allocates nothing. The returned *Stats aliases the Evaluator's storage
-// and is valid until the next Evaluate call on the same Evaluator. The
-// zero value is ready to use; an Evaluator is not safe for concurrent use.
-type Evaluator struct {
-	mono  core.MonotonicScratch
-	stats Stats
-}
-
-// Evaluate is the package function Evaluate with the arena's reused
-// buffers; the results are identical.
-func (e *Evaluator) Evaluate(p *core.Problem, a *core.Assignment) (*Stats, error) {
-	for _, side := range bga.Sides() {
-		if err := e.mono.CheckQuadrant(p.Pkg.Quadrant(side), a.Slots[side]); err != nil {
-			return nil, err
-		}
+	if err := core.CheckMonotonic(p, a); err != nil {
+		return nil, err
 	}
-	out := &e.stats
-	out.MaxDensity, out.Wirelength = 0, 0
+	out := &Stats{}
 	for _, side := range bga.Sides() {
-		q := p.Pkg.Quadrant(side)
-		qs := &out.Quadrants[side]
-		if err := evaluateQuadrantInto(p, q, a.Slots[side], qs); err != nil {
+		qs, err := evaluateQuadrant(p, p.Pkg.Quadrant(side), a.Slots[side], nil)
+		if err != nil {
 			return nil, err
 		}
+		out.Quadrants[side] = qs
 		if qs.MaxDensity > out.MaxDensity {
 			out.MaxDensity = qs.MaxDensity
 		}
@@ -111,69 +90,35 @@ func EvaluateQuadrant(p *core.Problem, side bga.Side, order []netlist.ID) (Quadr
 	if err := core.CheckMonotonicQuadrant(q, order); err != nil {
 		return QuadrantStats{}, err
 	}
-	return evaluateQuadrant(p, q, order)
+	return evaluateQuadrant(p, q, order, nil)
 }
 
-func evaluateQuadrant(p *core.Problem, q *bga.Quadrant, order []netlist.ID) (QuadrantStats, error) {
-	var qs QuadrantStats
-	if err := evaluateQuadrantInto(p, q, order, &qs); err != nil {
-		return QuadrantStats{}, err
-	}
-	return qs, nil
-}
-
-// evaluateQuadrantInto is evaluateQuadrant writing into qs, reusing its
-// Lines slice and each line's SegmentLoad buffer when they are big enough.
-func evaluateQuadrantInto(p *core.Problem, q *bga.Quadrant, order []netlist.ID, qs *QuadrantStats) error {
-	rows := q.NumRows()
-	// Growing through append([:cap], ...) keeps the existing elements, and
-	// with them the SegmentLoad buffers lineStatInto will reuse.
-	for cap(qs.Lines) < rows {
-		qs.Lines = append(qs.Lines[:cap(qs.Lines)], LineStat{})
-	}
-	qs.Side, qs.Lines, qs.MaxDensity = q.Side, qs.Lines[:rows], 0
-	for y := 1; y <= rows; y++ {
-		ls := &qs.Lines[y-1]
-		if err := lineStatInto(q, order, y, nil, ls); err != nil {
-			return err
+// evaluateQuadrant computes the stats of one quadrant order under a via
+// plan (nil: every via at its ball's default site). The caller has checked
+// the order's legality.
+func evaluateQuadrant(p *core.Problem, q *bga.Quadrant, order []netlist.ID, plan ViaPlan) (QuadrantStats, error) {
+	qs := QuadrantStats{Side: q.Side, Lines: make([]LineStat, q.NumRows())}
+	for y := 1; y <= q.NumRows(); y++ {
+		ls, err := lineStat(q, order, y, plan)
+		if err != nil {
+			return QuadrantStats{}, err
 		}
+		qs.Lines[y-1] = ls
 		if ls.Max > qs.MaxDensity {
 			qs.MaxDensity = ls.Max
 		}
 	}
-	qs.Wirelength = wirelength(p, q, order)
-	return nil
+	qs.Wirelength = wirelength(p, q, order, plan)
+	return qs, nil
 }
 
 // lineStat computes the balanced segment loads on the via line of ball row
 // y. Wires crossing the line are the nets with ball row < y; nets with ball
-// row == y terminate at their via site (1-based site index = ball x).
-func lineStat(q *bga.Quadrant, order []netlist.ID, y int) (LineStat, error) {
-	return lineStatVias(q, order, y, nil)
-}
-
-// lineStatVias is lineStat with an explicit via plan: plan[id] overrides
-// the default bottom-left via site of a net terminating on this line.
-func lineStatVias(q *bga.Quadrant, order []netlist.ID, y int, plan ViaPlan) (LineStat, error) {
-	var ls LineStat
-	if err := lineStatInto(q, order, y, plan, &ls); err != nil {
-		return LineStat{}, err
-	}
-	return ls, nil
-}
-
-// lineStatInto is lineStatVias writing into ls, reusing its SegmentLoad
-// buffer when big enough. It is closure-free so the hot evaluation path
-// stays allocation-free on reuse.
-func lineStatInto(q *bga.Quadrant, order []netlist.ID, y int, plan ViaPlan, ls *LineStat) error {
+// row == y terminate at their via site: plan[id] when the plan has one,
+// else the default bottom-left site (1-based site index = ball x).
+func lineStat(q *bga.Quadrant, order []netlist.ID, y int, plan ViaPlan) (LineStat, error) {
 	sites := q.Row(y).Sites()
-	seg := ls.SegmentLoad
-	if cap(seg) < sites+1 {
-		seg = make([]int, sites+1)
-	}
-	// Every segment is written by exactly one flush below, so the reused
-	// buffer needs no zeroing.
-	*ls = LineStat{Y: y, SegmentLoad: seg[:sites+1]}
+	ls := LineStat{Y: y, SegmentLoad: make([]int, sites+1)}
 
 	// Walk the fingers left to right, collecting runs of passing wires
 	// between consecutive pinned vias.
@@ -182,7 +127,7 @@ func lineStatInto(q *bga.Quadrant, order []netlist.ID, y int, plan ViaPlan, ls *
 	for slot, id := range order {
 		b, ok := q.Ball(id)
 		if !ok {
-			return fmt.Errorf("route: %v slot %d: net %d not in quadrant", q.Side, slot+1, id)
+			return LineStat{}, fmt.Errorf("route: %v slot %d: net %d not in quadrant", q.Side, slot+1, id)
 		}
 		switch {
 		case b.Y == y: // terminates here: pin at its via site
@@ -191,10 +136,10 @@ func lineStatInto(q *bga.Quadrant, order []netlist.ID, y int, plan ViaPlan, ls *
 				site = s
 			}
 			if site < 1 || site > sites {
-				return fmt.Errorf("route: %v line %d: net %d via site %d outside 1..%d", q.Side, y, id, site, sites)
+				return LineStat{}, fmt.Errorf("route: %v line %d: net %d via site %d outside 1..%d", q.Side, y, id, site, sites)
 			}
-			if err := flushRun(ls, q.Side, &prevVia, &run, site); err != nil {
-				return err
+			if err := flushRun(&ls, q.Side, &prevVia, &run, site); err != nil {
+				return LineStat{}, err
 			}
 			ls.Terminating++
 		case b.Y < y: // passes through
@@ -202,7 +147,10 @@ func lineStatInto(q *bga.Quadrant, order []netlist.ID, y int, plan ViaPlan, ls *
 		}
 	}
 	// Final run spreads over segments prevVia..sites.
-	return flushRun(ls, q.Side, &prevVia, &run, sites+1)
+	if err := flushRun(&ls, q.Side, &prevVia, &run, sites+1); err != nil {
+		return LineStat{}, err
+	}
+	return ls, nil
 }
 
 // flushRun spreads the pending run of passing wires evenly over the
@@ -229,17 +177,22 @@ func flushRun(ls *LineStat, side bga.Side, prevVia, run *int, nextVia int) error
 	return nil
 }
 
-// wirelength sums the flyline lengths: finger center to via site on Layer 1
-// plus via site to ball center on Layer 2.
-func wirelength(p *core.Problem, q *bga.Quadrant, order []netlist.ID) float64 {
+// wirelength sums the flyline lengths under a via plan (nil: default
+// sites): finger center to via site on Layer 1 plus via site to ball
+// center on Layer 2.
+func wirelength(p *core.Problem, q *bga.Quadrant, order []netlist.ID, plan ViaPlan) float64 {
 	var total float64
 	for slot, id := range order {
 		b, ok := q.Ball(id)
 		if !ok {
 			continue
 		}
+		site := b.X
+		if s, ok := plan[id]; ok {
+			site = s
+		}
 		f := p.Pkg.FingerCenter(q, slot+1)
-		v := p.Pkg.ViaSite(q, b.X, b.Y)
+		v := p.Pkg.ViaSite(q, site, b.Y)
 		ball := p.Pkg.BallCenter(q, b.X, b.Y)
 		total += f.Dist(v) + v.Dist(ball)
 	}

@@ -39,19 +39,7 @@ func EvaluateQuadrantVias(p *core.Problem, side bga.Side, order []netlist.ID, pl
 	if err := checkViaPlan(q, order, plan); err != nil {
 		return QuadrantStats{}, err
 	}
-	qs := QuadrantStats{Side: side, Lines: make([]LineStat, q.NumRows())}
-	for y := 1; y <= q.NumRows(); y++ {
-		ls, err := lineStatVias(q, order, y, plan)
-		if err != nil {
-			return QuadrantStats{}, err
-		}
-		qs.Lines[y-1] = ls
-		if ls.Max > qs.MaxDensity {
-			qs.MaxDensity = ls.Max
-		}
-	}
-	qs.Wirelength = wirelengthVias(p, q, order, plan)
-	return qs, nil
+	return evaluateQuadrant(p, q, order, plan)
 }
 
 // checkViaPlan verifies per-line uniqueness and finger-order consistency.
@@ -81,25 +69,6 @@ func checkViaPlan(q *bga.Quadrant, order []netlist.ID, plan ViaPlan) error {
 		lastSite[b.Y] = site
 	}
 	return nil
-}
-
-func wirelengthVias(p *core.Problem, q *bga.Quadrant, order []netlist.ID, plan ViaPlan) float64 {
-	var total float64
-	for slot, id := range order {
-		b, ok := q.Ball(id)
-		if !ok {
-			continue
-		}
-		site := b.X
-		if s, ok := plan[id]; ok {
-			site = s
-		}
-		f := p.Pkg.FingerCenter(q, slot+1)
-		v := p.Pkg.ViaSite(q, site, b.Y)
-		ball := p.Pkg.BallCenter(q, b.X, b.Y)
-		total += f.Dist(v) + v.Dist(ball)
-	}
-	return total
 }
 
 // ImproveVias greedily shifts vias, one site at a time, while that strictly
