@@ -101,7 +101,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks one)")
 		queue     = fs.Int("queue", 64, "async job queue depth; beyond it submissions get 429")
-		workers   = fs.Int("workers", 0, "job worker goroutines (0 = one per CPU)")
+		workers   = fs.Int("workers", 0, "jobs that run at once (0 = one per CPU); a job's own fan-out still uses every CPU")
 		syncConc  = fs.Int("sync", 0, "max concurrent synchronous /plan requests (0 = same as -workers)")
 		cache     = fs.Int("cache", 128, "entries in each of three LRUs: plan results, raw-body keys, sweep units (negative disables all three)")
 		maxBody   = fs.Int64("max-body", 1<<20, "request body size cap in bytes")

@@ -42,6 +42,7 @@ import (
 	"copack/internal/gen"
 	"copack/internal/netlist"
 	"copack/internal/obs"
+	"copack/internal/parallel"
 	"copack/internal/portfolio"
 	"copack/internal/power"
 	"copack/internal/route"
@@ -320,7 +321,14 @@ func (e *PanicError) Error() string {
 // *PanicError. Use as: defer recoverStage("plan", &err).
 func recoverStage(stage string, err *error) {
 	if r := recover(); r != nil {
-		*err = &PanicError{Stage: stage, Value: r, Stack: debug.Stack()}
+		pe := &PanicError{Stage: stage, Value: r, Stack: debug.Stack()}
+		// A panic in a pooled item (a restart on its own goroutine) comes
+		// back re-raised by the pool: report the item's value and stack,
+		// as a run on this goroutine would.
+		if p, ok := r.(parallel.Panic); ok {
+			pe.Value, pe.Stack = p.Value, p.Stack
+		}
+		*err = pe
 	}
 }
 

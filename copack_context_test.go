@@ -219,6 +219,31 @@ func TestPlanRecoversMidAnnealPanic(t *testing.T) {
 	}
 }
 
+// A restart that panics on a pool goroutine reports what it would on the
+// plan goroutine: its own panic value, and a stack that holds the anneal
+// frames where it panicked.
+func TestPlanRestartPanicSameAtAnyWorkers(t *testing.T) {
+	defer faultinject.Reset()
+	for _, workers := range []int{1, 2} {
+		faultinject.Reset()
+		faultinject.Arm(faultinject.Fault{Point: faultinject.AnnealPlateau, After: 2, PanicValue: "anneal invariant broke"})
+		opt := quickOpts()
+		opt.Exchange.Restarts = 2
+		opt.Exchange.Workers = workers
+		_, err := Plan(buildTest(t, 1), opt)
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Stage != "plan" {
+			t.Fatalf("workers %d: Plan returned %v, want a *PanicError from stage plan", workers, err)
+		}
+		if pe.Value != "anneal invariant broke" {
+			t.Errorf("workers %d: Value %v, want the restart's own panic value", workers, pe.Value)
+		}
+		if !strings.Contains(string(pe.Stack), "copack/internal/anneal.") {
+			t.Errorf("workers %d: Stack lacks the anneal frames:\n%s", workers, pe.Stack)
+		}
+	}
+}
+
 func TestPlanStageFaultBecomesError(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Reset()

@@ -173,10 +173,11 @@ func (tr *tracker) priceSupplyMove(gFrom, gTo int, sp *supplyPend) {
 }
 
 // commitSupply applies a priced supply move to the caches, resyncing the
-// proxy from scratch on every resyncInterval-th commit.
-func (tr *tracker) commitSupply(sp *supplyPend) {
+// proxy from scratch on every resyncInterval-th commit. It reports whether
+// it resynced, so the proxy may differ from the priced one.
+func (tr *tracker) commitSupply(sp *supplyPend) bool {
 	if !sp.moved {
-		return
+		return false
 	}
 	tr.supplyIdx[sp.rank] = sp.gTo
 	tr.rankOf[sp.gFrom] = -1
@@ -185,7 +186,9 @@ func (tr *tracker) commitSupply(sp *supplyPend) {
 	tr.applies++
 	if tr.applies%resyncInterval == 0 {
 		tr.resyncProxy()
+		return true
 	}
+	return false
 }
 
 // groupOmega computes the zero-bit count of one ω group.

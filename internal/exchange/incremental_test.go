@@ -13,10 +13,14 @@ import (
 	"copack/internal/netlist"
 )
 
-// Drive the tracker with 10k random legal adjacent swaps, priced and
-// committed, and verify its caches against full recomputation throughout,
-// the slot ↔ global-index maps and the supply list included.
+// Drive the tracker with 30k random legal adjacent swaps, priced and
+// committed (about 10k supply moves, so the proxy resyncs twice), and
+// verify its caches against full recomputation throughout, the slot ↔
+// global-index maps and the supply list included. CommitMove keeps the
+// priced after-cost unless the commit resynced the proxy, so the cached
+// cost must equal cost() bit for bit after every commit.
 func TestTrackerMatchesFullRecompute(t *testing.T) {
+	const steps = 30000
 	for _, tiers := range []int{1, 4} {
 		p := gen.MustBuild(gen.Table1()[1], gen.Options{Seed: 2, Tiers: tiers})
 		a, err := assign.DFA(p, assign.DFAOptions{})
@@ -26,7 +30,7 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 		st := newState(p, a, Options{}.withDefaults(p), nil)
 
 		rng := rand.New(rand.NewSource(7))
-		for k := 0; k < 10000; {
+		for k := 0; k < steps; {
 			side := st.sides[rng.Intn(len(st.sides))]
 			i := 1 + rng.Intn(len(st.a.Slots[side])-1)
 			j := i + 1
@@ -39,11 +43,11 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 			st.price(side, i, j)
 			st.CommitMove()
 			k++
+			if math.Float64bits(st.cur) != math.Float64bits(st.cost()) {
+				t.Fatalf("tiers %d, step %d: cached cost %v, cost() %v", tiers, k, st.cur, st.cost())
+			}
 			if k%250 == 0 {
 				checkLocate(t, st, k)
-				if math.Float64bits(st.cur) != math.Float64bits(st.cost()) {
-					t.Fatalf("tiers %d, step %d: cached cost %v, cost() %v", tiers, k, st.cur, st.cost())
-				}
 				wantProxy, wantOmega := st.trk.verify(p, st.a, nil)
 				if math.Abs(st.trk.proxy-wantProxy) > 1e-6*wantProxy+1e-12 {
 					t.Fatalf("tiers %d, step %d: proxy cache %v, recompute %v", tiers, k, st.trk.proxy, wantProxy)
@@ -54,7 +58,7 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 			}
 		}
 		// Final exact check.
-		checkLocate(t, st, 10000)
+		checkLocate(t, st, steps)
 		wantProxy, wantOmega := st.trk.verify(p, st.a, nil)
 		if math.Abs(st.trk.proxy-wantProxy) > 1e-6*wantProxy+1e-12 {
 			t.Fatalf("tiers %d: final proxy cache %v, recompute %v", tiers, st.trk.proxy, wantProxy)

@@ -21,7 +21,8 @@ type pendMove struct {
 	sec    secPend
 	idAcc  int // idCache[side] after a commit
 	sup    supplyPend
-	omega  int // trk.omega after a commit
+	omega  int     // trk.omega after a commit
+	cost   float64 // the state's cost after a commit
 }
 
 // PriceMove implements anneal.Target: it samples a move and prices it
@@ -82,20 +83,25 @@ func (s *state) price(side bga.Side, i, j int) float64 {
 	// ω: at most two tier groups change.
 	pm.omega = s.trk.priceTierSwap(gi, gj)
 
-	return s.costWith(side, pm.idAcc, proxyAcc, pm.omega) - s.cur
+	pm.cost = s.costWith(side, pm.idAcc, proxyAcc, pm.omega)
+	return pm.cost - s.cur
 }
 
 // CommitMove applies the last priced move to the state and every cache,
-// then refreshes the current cost. It calls cost() rather than reusing the
-// priced after-cost because the commit may resync the proxy.
+// then takes the priced after-cost as the current cost. costWith is cost()'s
+// arithmetic on the committed values, so the two are bit-equal, except when
+// the commit resynced the proxy: then cost() is recomputed.
 func (s *state) CommitMove() {
 	p := &s.pend
 	s.sections[p.side].commitSwap(&p.sec)
 	s.idCache[p.side] = p.idAcc
 	s.a.Swap(p.side, p.i, p.j)
-	s.trk.commitSupply(&p.sup)
+	resynced := s.trk.commitSupply(&p.sup)
 	s.trk.commitTierSwap(p.gi, p.gj, p.omega)
-	s.cur = s.cost()
+	s.cur = p.cost
+	if resynced {
+		s.cur = s.cost()
+	}
 }
 
 // RejectMove abandons the last priced move. Pricing mutated nothing, so

@@ -19,9 +19,10 @@ import (
 // clock: every experiment is reduced in fixed index order, so its result is
 // byte-identical for any Workers value.
 type Harness struct {
-	// Workers bounds the concurrency of the experiment's independent work
-	// units (circuits, (ψ, circuit) instances, seeds). 0 means one per CPU;
-	// 1 runs sequentially.
+	// Workers bounds the concurrency of each of the experiment's pools:
+	// its independent work units (circuits, (ψ, circuit) instances,
+	// seeds) and, in a sweep, each seed's table as well. 0 means one per
+	// CPU; 1 runs sequentially.
 	Workers int
 	// Progress, when non-nil, receives one line per completed work unit.
 	// Calls are serialized; completion order (not line content) may vary
@@ -262,10 +263,10 @@ func Table3(seed int64, h Harness) (*Table3Result, error) {
 }
 
 // sweep runs table for every seed, one seed per work unit. Each seed's
-// table runs sequentially inside its worker (nested pools would
-// oversubscribe), and results[i] belongs to seeds[i], so a reduction
-// walking them in order is identical for any Workers value. name prefixes
-// the progress lines.
+// table fans its own rows out again over h.Workers (DESIGN.md, "Nested
+// pools"), and results[i] belongs to seeds[i], so a reduction walking them
+// in order is identical for any Workers value. name prefixes the progress
+// lines.
 //
 // A cancelled ctx stops scheduling new seeds and the call returns the
 // context error. The progress stream is flushed on that path — a final
@@ -294,7 +295,7 @@ func sweep[R any](ctx context.Context, name string, seeds []int64, h Harness, ta
 // determinism argument and the cancellation flush.
 func SweepTable2(ctx context.Context, seeds []int64, randomTries int, h Harness) (*SweepResult, error) {
 	results, err := sweep(ctx, "sweep", seeds, h, func(seed int64) (*Table2Result, error) {
-		return Table2(seed, randomTries, Harness{Workers: 1})
+		return Table2(seed, randomTries, Harness{Workers: h.Workers})
 	})
 	if err != nil {
 		return nil, err
@@ -341,7 +342,7 @@ func ReduceSweep2(seeds []int64, results []*Table2Result) *SweepResult {
 // sweep for the determinism argument and the cancellation flush.
 func SweepTable3(ctx context.Context, seeds []int64, h Harness) (*Sweep3Result, error) {
 	results, err := sweep(ctx, "sweep3", seeds, h, func(seed int64) (*Table3Result, error) {
-		return Table3(seed, Harness{Workers: 1})
+		return Table3(seed, Harness{Workers: h.Workers})
 	})
 	if err != nil {
 		return nil, err

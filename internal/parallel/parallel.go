@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -36,10 +37,12 @@ func Workers(n int) int {
 }
 
 // item panics are re-raised on the caller's goroutine wrapped in a Panic,
-// preserving the original value for API-boundary recover handlers.
+// preserving the original value and the panicking goroutine's stack for
+// API-boundary recover handlers.
 type Panic struct {
 	Index int
 	Value any
+	Stack []byte // taken in the item's goroutine, where the panic happened
 }
 
 // Error renders the captured panic (Panic is rethrown via panic(), not
@@ -90,15 +93,14 @@ func ForEachErr(ctx context.Context, n, workers int, fn func(ctx context.Context
 		mu    sync.Mutex
 		errAt = -1 // lowest index that errored
 		err   error
-		pncAt = -1 // lowest index that panicked
-		pnc   any
+		pnc   *Panic // the lowest-index panic
 	)
-	record := func(i int, e error, p any, panicked bool) {
+	record := func(i int, e error, p *Panic) {
 		mu.Lock()
 		defer mu.Unlock()
-		if panicked {
-			if pncAt < 0 || i < pncAt {
-				pncAt, pnc = i, p
+		if p != nil {
+			if pnc == nil || i < pnc.Index {
+				pnc = p
 			}
 			return
 		}
@@ -109,10 +111,10 @@ func ForEachErr(ctx context.Context, n, workers int, fn func(ctx context.Context
 	run := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				record(i, nil, r, true)
+				record(i, nil, &Panic{Index: i, Value: r, Stack: debug.Stack()})
 			}
 		}()
-		record(i, fn(ctx, i), nil, false)
+		record(i, fn(ctx, i), nil)
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -128,8 +130,8 @@ func ForEachErr(ctx context.Context, n, workers int, fn func(ctx context.Context
 		}()
 	}
 	wg.Wait()
-	if pncAt >= 0 {
-		panic(Panic{Index: pncAt, Value: pnc})
+	if pnc != nil {
+		panic(*pnc)
 	}
 	return err
 }

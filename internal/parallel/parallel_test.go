@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,6 +157,9 @@ func TestForEachRethrowsPanics(t *testing.T) {
 					}
 					if p.Index != 5 || p.Value != "kaboom" {
 						t.Fatalf("workers=%d: recovered %+v", workers, p)
+					}
+					if !strings.Contains(string(p.Stack), "TestForEachRethrowsPanics") {
+						t.Errorf("workers=%d: Stack lacks the item's frames:\n%s", workers, p.Stack)
 					}
 					if p.Error() == "" {
 						t.Error("empty Panic.Error")

@@ -158,6 +158,11 @@ func TestSolveWarmAllocs(t *testing.T) {
 	// A collection could empty the pool between runs and charge a cold
 	// workspace to the measurement.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// sync.Pool keeps a returned workspace in the current P's private
+	// slot, which a Get from another P cannot see: a goroutine that
+	// migrates between runs would build a cold workspace. One P pins the
+	// pool to one slot.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 1})
 	a, err := assign.DFA(p, assign.DFAOptions{})
 	if err != nil {

@@ -67,8 +67,10 @@ type Config struct {
 	// submissions beyond it are rejected with 429 + Retry-After.
 	// Default (zero or negative) 64.
 	QueueDepth int
-	// Workers is the number of goroutines draining the job queue.
-	// Default: one per CPU (runtime.GOMAXPROCS).
+	// Workers is the number of goroutines draining the job queue: it
+	// bounds how many jobs run at once, not how many CPUs they use. A
+	// job's own fan-out (a plan's restarts, a sweep unit's rows) runs over
+	// one worker per CPU. Default: one per CPU (runtime.GOMAXPROCS).
 	Workers int
 	// SyncConcurrency bounds how many synchronous /plan requests may be
 	// planning at once; excess requests get 429. Default: Workers.
@@ -440,7 +442,6 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 		Exchange: copack.ExchangeOptions{
 			Restarts:  spec.opts.restarts,
 			Portfolio: spec.opts.portfolio,
-			Workers:   1, // jobs are the unit of parallelism here
 		},
 	}
 	var col *obs.Collector

@@ -208,12 +208,13 @@ func (sp *Spec) UnitKey(i int) string {
 }
 
 // RunUnit executes unit i of the sweep and returns its result as
-// canonical JSON. It is a pure function of (spec, seed): the harness runs
-// single-worker inside a unit (units are the parallel grain; nested pools
-// would oversubscribe), and progress, when non-nil, receives the
-// harness's per-row progress lines.
+// canonical JSON. It is a pure function of (spec, seed). The unit's rows
+// (Table 2's circuits, Table 3's (ψ, circuit) instances) fan out over one
+// worker per CPU, whatever bounds how many units run at once (DESIGN.md,
+// "Nested pools"). progress, when non-nil, receives the harness's per-row
+// progress lines, in completion order.
 func RunUnit(sp *Spec, i int, progress func(line string)) (json.RawMessage, error) {
-	h := exp.Harness{Workers: 1, Progress: progress}
+	h := exp.Harness{Progress: progress}
 	switch sp.Kind {
 	case KindTable2:
 		res, err := exp.Table2(sp.Seeds[i], sp.RandomTries, h)
