@@ -6,6 +6,7 @@
 package copack_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -382,7 +383,7 @@ func BenchmarkAblationViaShift(b *testing.B) {
 			var after int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, err := route.ImproveViasAll(p, a, 8)
+				_, st, _, err := route.ImproveViasAllContext(context.Background(), p, a, 8)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -163,10 +163,9 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			return 2
 		}
 		rt, err := fleet.New(svc, fleet.Config{
-			Self:           *nodeID,
-			Nodes:          nodes,
-			AttemptTimeout: *maxBudget + 30*time.Second,
-			Recorder:       svc.MetricsRecorder(),
+			Self:     *nodeID,
+			Nodes:    nodes,
+			Recorder: svc.MetricsRecorder(),
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "fpserved: %v\n", err)

@@ -23,13 +23,9 @@ import (
 // bit-identical across platforms and GOMAXPROCS values.
 const mcmfScale = 1024
 
-// mcmfInf is the cost of an edge outside the rank window: far above any
-// finite path cost, far below int64 overflow once potentials shift it.
+// mcmfInf is the solver's infinity: far above any path cost, far below
+// int64 overflow once potentials shift it.
 const mcmfInf = int64(1) << 50
-
-// mcmfDefaultClasses is the default supply-class set of the IR term
-// (package-level so warm solves do not allocate it per call).
-var mcmfDefaultClasses = []netlist.NetClass{netlist.Power}
 
 // MCMFOptions tunes the min-cost max-flow assignment.
 type MCMFOptions struct {
@@ -39,20 +35,11 @@ type MCMFOptions struct {
 	// far the slot sits from the ball's proportional position along the
 	// ring, which is the number of sections the wire sweeps sideways and
 	// hence the pressure Eq 2's sections accumulate) and Lambda the IR
-	// term (distance from a supply net's slot to the nearest
+	// term (distance from a power net's slot to the nearest
 	// evenly-spread ring target, the configuration the compact pad-gap
 	// proxy scores best). Zero means the default weight 1; negative
 	// values disable the term.
 	Lambda, Rho float64
-	// Classes are the supply classes the IR term watches; default Power
-	// only, matching the exchange step.
-	Classes []netlist.NetClass
-	// Window, when positive, keeps only edges with |rank − slot| ≤
-	// Window (rank = the net's position in ball order). The identity
-	// matching lies inside every window, so the network stays feasible;
-	// a window trades assignment freedom for solver speed on big
-	// quadrants. 0 means unbounded.
-	Window int
 }
 
 // MCMFScratch is reusable working memory for MCMFQuadrantScratch. The zero
@@ -63,7 +50,7 @@ type MCMFScratch struct {
 	fx   []float64    // fx[j]: finger slot j position, in slot units (1-based)
 	vx   []float64    // vx[i]: rank-i ball's lateral fraction mapped to slot units
 	mul  []float64    // mul[i]: Rho·mcmfScale·(lines crossed)
-	sup  []bool       // sup[i]: rank i carries a watched supply class
+	sup  []bool       // sup[i]: rank i carries a power net
 	ir   []int64      // ir[j]: Lambda·mcmfScale·(slot j → nearest spread target)
 	line []int32      // line[i]: ball line of rank i
 	nets []netlist.ID // nets[i]: net of rank i (ball order, grouped by line)
@@ -74,8 +61,7 @@ type MCMFScratch struct {
 	way        []int32
 	used       []bool
 
-	window int
-	m      int
+	m int
 }
 
 // grow returns s with length n, reallocating only when the capacity is too
@@ -91,10 +77,6 @@ func grow[T any](s []T, n int) []T {
 func (s *MCMFScratch) prepare(p *core.Problem, q *bga.Quadrant, opt MCMFOptions) {
 	m := q.NumNets()
 	s.m = m
-	s.window = opt.Window
-	if s.window < 0 {
-		s.window = 0
-	}
 	lambda, rho := opt.Lambda, opt.Rho
 	if lambda == 0 {
 		lambda = 1
@@ -123,10 +105,6 @@ func (s *MCMFScratch) prepare(p *core.Problem, q *bga.Quadrant, opt MCMFOptions)
 	// proportional ring position — so both sides are mapped to [0, m].
 	for j := 1; j <= m; j++ {
 		s.fx[j] = float64(j)
-	}
-	classes := opt.Classes
-	if len(classes) == 0 {
-		classes = mcmfDefaultClasses
 	}
 	// below counts the nets on lines 1..y−1 — the wires that pass line y
 	// and whose run spreading depends on line y's delimiters sitting at
@@ -164,21 +142,14 @@ func (s *MCMFScratch) prepare(p *core.Problem, q *bga.Quadrant, opt MCMFOptions)
 			s.line[rank] = int32(y)
 			s.vx[rank] = (float64(x) + 0.5) / sites * float64(m)
 			s.mul[rank] = w
-			cl := p.Circuit.Net(id).Class
-			isSup := false
-			for _, c := range classes {
-				if c == cl {
-					isSup = true
-					break
-				}
-			}
+			isSup := p.Circuit.Net(id).Class == netlist.Power
 			s.sup[rank] = isSup
 			if isSup {
 				supplies++
 			}
 		}
 	}
-	// IR spread targets: S supply nets want the S evenly-spread ring
+	// IR spread targets: S power nets want the S evenly-spread ring
 	// positions g_k = (k − ½)·m/S — the per-quadrant shadow of the
 	// pad-gap proxy's optimum. ir[j] is slot j's distance (in slots) to
 	// the nearest target; the scan point and the target ladder both move
@@ -203,11 +174,6 @@ func (s *MCMFScratch) prepare(p *core.Problem, q *bga.Quadrant, opt MCMFOptions)
 
 // edge is the integerized cost of assigning the rank-i net to slot j.
 func (s *MCMFScratch) edge(i, j int) int64 {
-	if s.window > 0 {
-		if d := i - j; d > s.window || -d > s.window {
-			return mcmfInf
-		}
-	}
 	c := int64(s.mul[i]*math.Abs(s.fx[j]-s.vx[i]) + 0.5)
 	if s.sup[i] {
 		c += s.ir[j]

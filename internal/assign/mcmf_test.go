@@ -22,15 +22,13 @@ func tinyCircuit() gen.TestCircuit {
 // TestMCMFFeasibleLegal is the feasibility property test: on every Table 1
 // circuit and a spread of generator seeds, MCMF must assign each net exactly
 // one slot (a permutation of the quadrant's nets) and the order must be
-// monotonic-legal — for the default blend, a congestion-only blend, an
-// IR-only blend and a banded window.
+// monotonic-legal — for the default blend, a congestion-only blend and an
+// IR-only blend.
 func TestMCMFFeasibleLegal(t *testing.T) {
 	opts := []MCMFOptions{
 		{},
 		{Lambda: -1}, // congestion only
 		{Rho: -1},    // IR only
-		{Window: 3},  // banded edges
-		{Lambda: 2.5, Rho: 1, Classes: []netlist.NetClass{netlist.Power, netlist.Ground}},
 	}
 	for _, tc := range gen.Table1() {
 		for _, seed := range []int64{1, 7} {

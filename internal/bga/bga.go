@@ -386,19 +386,3 @@ func (p *Package) Bounds() geom.Rect {
 	ext := p.ringHalf + (float64(p.Spec.Rows)+1)*p.Spec.BallPitch()
 	return geom.R(-ext, -ext, ext, ext)
 }
-
-// MaxExtent returns the largest distance from the package center to any
-// ball, a convenient scale for plotting.
-func (p *Package) MaxExtent() float64 {
-	var m float64
-	for _, side := range Sides() {
-		q := p.quadrants[side]
-		for y := 1; y <= q.NumRows(); y++ {
-			for x := 1; x <= q.Row(y).Sites(); x++ {
-				g := p.ToGlobal(side, p.BallCenter(q, x, y))
-				m = math.Max(m, math.Max(math.Abs(g.X), math.Abs(g.Y)))
-			}
-		}
-	}
-	return m
-}

@@ -348,15 +348,23 @@ func TestToGlobalPreservesDistances(t *testing.T) {
 	}
 }
 
+// Every ball lies outside the finger ring and inside Bounds.
 func TestBoundsAndExtent(t *testing.T) {
 	p := mkPackage(t)
-	ext := p.MaxExtent()
-	if ext <= p.RingHalf() {
-		t.Errorf("MaxExtent %v should exceed ring half %v", ext, p.RingHalf())
-	}
 	bb := p.Bounds()
-	if !bb.Contains(geom.P(ext, 0)) || !bb.Contains(geom.P(0, -ext)) {
-		t.Error("Bounds does not contain extreme balls")
+	for _, side := range Sides() {
+		q := p.Quadrant(side)
+		for y := 1; y <= q.NumRows(); y++ {
+			for x := 1; x <= q.Row(y).Sites(); x++ {
+				g := p.ToGlobal(side, p.BallCenter(q, x, y))
+				if math.Max(math.Abs(g.X), math.Abs(g.Y)) <= p.RingHalf() {
+					t.Errorf("%v ball (%d,%d) at %v inside ring half %v", side, x, y, g, p.RingHalf())
+				}
+				if !bb.Contains(g) {
+					t.Errorf("Bounds %v does not contain %v ball (%d,%d) at %v", bb, side, x, y, g)
+				}
+			}
+		}
 	}
 }
 

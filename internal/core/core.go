@@ -147,6 +147,3 @@ func CheckMonotonicQuadrant(q *bga.Quadrant, order []netlist.ID) error {
 	}
 	return nil
 }
-
-// IsMonotonic reports whether the assignment satisfies the via-order rule.
-func IsMonotonic(p *Problem, a *Assignment) bool { return CheckMonotonic(p, a) == nil }

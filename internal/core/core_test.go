@@ -224,9 +224,6 @@ func TestCheckMonotonicRejectsViolations(t *testing.T) {
 	if !strings.Contains(err.Error(), "monotonic") {
 		t.Errorf("unhelpful error: %v", err)
 	}
-	if IsMonotonic(p, a) {
-		t.Error("IsMonotonic disagrees with CheckMonotonic")
-	}
 }
 
 func TestCheckMonotonicQuadrantForeignNet(t *testing.T) {

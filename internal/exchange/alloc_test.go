@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,19 +22,27 @@ func hotLoopState(tb testing.TB, tiers int) *state {
 	return newState(p, a, Options{Seed: 1}.withDefaults(p), nil)
 }
 
+// proposeTemp is the fixed temperature proposeOnce accepts uphill moves
+// at: the annealer's default initial temperature. Every move from the DFA
+// start is uphill, so a greedy rule would commit nothing; at this
+// temperature most moves commit, as on an anneal's early plateaus, and
+// the commit path is measured too.
+const proposeTemp = 1.0
+
 // proposeOnce is one hot-loop proposal without an annealer: sample and
-// price a move, then commit it if it does not raise the cost and reject
-// it otherwise.
-func proposeOnce(st *state, rng *rand.Rand) {
+// price a move, then commit or reject it by the Metropolis rule at
+// proposeTemp. It reports whether the move committed.
+func proposeOnce(st *state, rng *rand.Rand) bool {
 	delta, ok := st.PriceMove(rng)
 	if !ok {
-		return
+		return false
 	}
-	if delta <= 0 {
+	if delta <= 0 || rng.Float64() < math.Exp(-delta/proposeTemp) {
 		st.CommitMove()
-	} else {
-		st.RejectMove()
+		return true
 	}
+	st.RejectMove()
+	return false
 }
 
 // TestPricedMoveZeroAllocs is the CI regression tooth for the O(1) hot
@@ -59,19 +68,23 @@ func TestPricedMoveZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkMovePricing measures the hot loop in isolation, one proposal
-// per op. psi1 samples only supply pads (the 2-D exchange), psi4 any pad
-// (a 4-tier stack). allocs/op must stay 0, as TestPricedMoveZeroAllocs
-// asserts.
+// per op, and reports the share of ops that commit (commits/op). psi1
+// samples only supply pads (the 2-D exchange), psi4 any pad (a 4-tier
+// stack). allocs/op must stay 0, as TestPricedMoveZeroAllocs asserts.
 func BenchmarkMovePricing(b *testing.B) {
 	for _, tiers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("psi%d", tiers), func(b *testing.B) {
 			st := hotLoopState(b, tiers)
 			rng := rand.New(rand.NewSource(1))
+			commits := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				proposeOnce(st, rng)
+				if proposeOnce(st, rng) {
+					commits++
+				}
 			}
+			b.ReportMetric(float64(commits)/float64(b.N), "commits/op")
 		})
 	}
 }

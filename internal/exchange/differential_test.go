@@ -58,7 +58,7 @@ func TestIncrementalCostMatchesFromScratch(t *testing.T) {
 				}
 			}
 
-			freshProxy := power.ProxyForAssignment(st.p, st.a, st.opt.Classes...)
+			freshProxy := power.ProxyForAssignment(st.p, st.a)
 			if relErr(st.trk.proxy, freshProxy) > 1e-9 {
 				t.Fatalf("tiers=%d move %d: tracker proxy %v, from-scratch %v",
 					tiers, moves, st.trk.proxy, freshProxy)

@@ -29,7 +29,6 @@ import (
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/core"
-	"copack/internal/netlist"
 	"copack/internal/obs"
 	"copack/internal/portfolio"
 	"copack/internal/power"
@@ -49,9 +48,6 @@ type Options struct {
 	Schedule anneal.Schedule
 	// Seed makes the run deterministic.
 	Seed int64
-	// Classes are the net classes whose pads the IR term watches;
-	// default is Power only, matching the paper's 2-D exchange.
-	Classes []netlist.NetClass
 	// DisableRangeConstraint removes the same-line rejection (an
 	// ablation: the resulting order usually loses monotonic
 	// routability, which Result.Legal reports).
@@ -60,9 +56,6 @@ type Options struct {
 	// the highest line's sections; the default watches every line (see
 	// sectionData).
 	TopLineOnly bool
-	// Bond is the bonding-wire geometry used for reporting; zero value
-	// takes stack.DefaultBondSpec.
-	Bond stack.BondSpec
 	// Restarts runs this many independently seeded anneals (restart k
 	// gets seed Seed+k, per anneal.SplitSeed) and keeps the one whose
 	// final order scores the lowest Eq 3 cost, breaking ties toward the
@@ -235,9 +228,6 @@ func (opt Options) withDefaults(p *core.Problem) Options {
 	if opt.Phi == 0 {
 		opt.Phi = 0.4
 	}
-	if (opt.Bond == stack.BondSpec{}) {
-		opt.Bond = stack.DefaultBondSpec(p)
-	}
 	if opt.Schedule.MovesPerTemp == 0 {
 		// Scale the plateau length with the ring size so larger
 		// circuits search proportionally.
@@ -305,7 +295,7 @@ func RunContext(ctx context.Context, p *core.Problem, initial *core.Assignment, 
 		}
 	}
 
-	before, err := measure(p, initial, opt)
+	before, err := measure(p, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +322,7 @@ func RunContext(ctx context.Context, p *core.Problem, initial *core.Assignment, 
 			}
 			st.a = start.Clone()
 		}
-		runs[k] = restart{st: st, arm: arm, stats: s, terms: eq3Terms(p, st, opt)}
+		runs[k] = restart{st: st, arm: arm, stats: s, terms: eq3Terms(p, st)}
 		return runs[k].terms.Total, s, nil
 	})
 	if err != nil {
@@ -343,7 +333,7 @@ func RunContext(ctx context.Context, p *core.Problem, initial *core.Assignment, 
 	for k := range costs {
 		costs[k] = runs[k].terms.Total
 	}
-	res, err := finishResult(p, opt, runs[outcome.BestRestart], before, outcome.BestRestart, costs)
+	res, err := finishResult(p, runs[outcome.BestRestart], before, outcome.BestRestart, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -389,13 +379,13 @@ func warmStart(p *core.Problem, e portfolio.Engine) (*core.Assignment, error) {
 
 // finishResult evaluates the winning restart's final order and assembles the
 // Result.
-func finishResult(p *core.Problem, opt Options, r restart, before Metrics, win int, costs []float64) (*Result, error) {
+func finishResult(p *core.Problem, r restart, before Metrics, win int, costs []float64) (*Result, error) {
 	st := r.st
 	legal := core.CheckMonotonic(p, st.a) == nil
 	after := Metrics{
-		Proxy:      power.ProxyForAssignment(p, st.a, opt.Classes...),
+		Proxy:      power.ProxyForAssignment(p, st.a),
 		Omega:      stack.OmegaAssignment(p, st.a),
-		BondLength: stack.TotalBondLength(p, st.a, opt.Bond),
+		BondLength: stack.TotalBondLength(p, st.a, stack.DefaultBondSpec(p)),
 	}
 	for _, side := range bga.Sides() {
 		if v := st.sections[side].id(st.a.Slots[side]); v > after.ID {
@@ -449,13 +439,8 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 			st.sides = append(st.sides, side)
 		}
 	}
-	// The IR term's classes; Power alone when none are set.
-	watched := map[netlist.NetClass]bool{netlist.Power: len(opt.Classes) == 0}
-	for _, c := range opt.Classes {
-		watched[c] = true
-	}
-	st.trk = newTracker(p, st.a, watched)
-	st.proxy0 = power.ProxyForAssignment(p, initial, opt.Classes...)
+	st.trk = newTracker(p, st.a)
+	st.proxy0 = power.ProxyForAssignment(p, initial)
 	if st.proxy0 <= 0 {
 		st.proxy0 = 1
 	}
@@ -468,9 +453,8 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 }
 
 // eq3Breakdown is Eq 3 split into its three weighted terms: Total is
-// always IR + ID (+ Omega for stacking), computed with the exact
-// floating-point operation order the pre-breakdown selectionCost used, so
-// the selection stays bit-identical.
+// always IR + ID (+ Omega for stacking), summed in that order, which the
+// restart-selection goldens pin bit for bit.
 type eq3Breakdown struct {
 	IR, ID, Omega float64
 	Total         float64
@@ -479,7 +463,7 @@ type eq3Breakdown struct {
 // eq3Terms recomputes Eq 3 for a state's current order from scratch.
 // Restart selection goes through this, never through the incremental
 // caches, so bounded floating-point drift can not flip a winner.
-func eq3Terms(p *core.Problem, st *state, opt Options) eq3Breakdown {
+func eq3Terms(p *core.Problem, st *state) eq3Breakdown {
 	idWorst := 0
 	for _, side := range bga.Sides() {
 		if v := st.sections[side].id(st.a.Slots[side]); v > idWorst {
@@ -487,7 +471,7 @@ func eq3Terms(p *core.Problem, st *state, opt Options) eq3Breakdown {
 		}
 	}
 	var b eq3Breakdown
-	b.IR = st.lambda * power.ProxyForAssignment(p, st.a, opt.Classes...) / st.proxy0
+	b.IR = st.lambda * power.ProxyForAssignment(p, st.a) / st.proxy0
 	b.ID = st.rho * float64(idWorst)
 	b.Total = b.IR + b.ID
 	if p.Tiers > 1 {
@@ -495,11 +479,6 @@ func eq3Terms(p *core.Problem, st *state, opt Options) eq3Breakdown {
 		b.Total += b.Omega
 	}
 	return b
-}
-
-// selectionCost is eq3Terms' total (kept for the drift tests).
-func selectionCost(p *core.Problem, st *state, opt Options) float64 {
-	return eq3Terms(p, st, opt).Total
 }
 
 // Score recomputes the Eq 3 cost of order a in the frame anchored at
@@ -518,21 +497,21 @@ func Score(p *core.Problem, baseline, a *core.Assignment, opt Options) (float64,
 	}
 	opt = opt.withDefaults(p)
 	st := newState(p, baseline, opt, a)
-	return eq3Terms(p, st, opt).Total, nil
+	return eq3Terms(p, st).Total, nil
 }
 
 // measure evaluates the initial order's Metrics. Its Eq 2 ID is 0 by
 // definition: the initial order is the growth baseline.
-func measure(p *core.Problem, a *core.Assignment, opt Options) (Metrics, error) {
+func measure(p *core.Problem, a *core.Assignment) (Metrics, error) {
 	rs, err := route.Evaluate(p, a)
 	if err != nil {
 		return Metrics{}, err
 	}
 	return Metrics{
-		Proxy:      power.ProxyForAssignment(p, a, opt.Classes...),
+		Proxy:      power.ProxyForAssignment(p, a),
 		Omega:      stack.OmegaAssignment(p, a),
 		MaxDensity: rs.MaxDensity,
 		Wirelength: rs.Wirelength,
-		BondLength: stack.TotalBondLength(p, a, opt.Bond),
+		BondLength: stack.TotalBondLength(p, a, stack.DefaultBondSpec(p)),
 	}, nil
 }

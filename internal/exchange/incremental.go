@@ -33,7 +33,7 @@ type tracker struct {
 	// tGlobal[g] is the fixed perimeter position of global index g.
 	tGlobal []float64
 
-	// Supply bookkeeping: sorted global indices of watched pads and the
+	// Supply bookkeeping: sorted global indices of power pads and the
 	// rank of each (rankOf[g] is -1 for non-supply slots; a dense slice,
 	// since global indices are dense by construction).
 	supplyIdx []int
@@ -57,9 +57,9 @@ type tracker struct {
 	resyncs int
 }
 
-// newTracker builds the caches from the current assignment; the pads of
-// the watched classes are the supply pads.
-func newTracker(p *core.Problem, a *core.Assignment, watched map[netlist.NetClass]bool) *tracker {
+// newTracker builds the caches from the current assignment; the power pads
+// are the supply pads.
+func newTracker(p *core.Problem, a *core.Assignment) *tracker {
 	tr := &tracker{psi: p.Tiers}
 	g := 0
 	for _, side := range bga.Sides() {
@@ -70,7 +70,7 @@ func newTracker(p *core.Problem, a *core.Assignment, watched map[netlist.NetClas
 			net := p.Circuit.Net(id)
 			tr.tGlobal = append(tr.tGlobal, float64(side)+(float64(i+1)-0.5)/float64(n))
 			tr.tiers = append(tr.tiers, net.Tier)
-			if watched[net.Class] {
+			if net.Class == netlist.Power {
 				tr.supplyIdx = append(tr.supplyIdx, g)
 			}
 			g++
@@ -107,7 +107,7 @@ func (tr *tracker) locate(g int) (bga.Side, int) {
 	return side, g - tr.start[side] + 1
 }
 
-// isSupply reports whether global index g holds a watched pad.
+// isSupply reports whether global index g holds a power pad.
 func (tr *tracker) isSupply(g int) bool { return tr.rankOf[g] >= 0 }
 
 // resyncProxy recomputes the cached proxy from scratch, into the reusable
@@ -255,6 +255,6 @@ func (tr *tracker) commitTierSwap(gi, gj, omega int) {
 }
 
 // verify recomputes everything from scratch (test hook).
-func (tr *tracker) verify(p *core.Problem, a *core.Assignment, classes []netlist.NetClass) (proxy float64, omega int) {
-	return power.ProxyForAssignment(p, a, classes...), stack.OmegaAssignment(p, a)
+func (tr *tracker) verify(p *core.Problem, a *core.Assignment) (proxy float64, omega int) {
+	return power.ProxyForAssignment(p, a), stack.OmegaAssignment(p, a)
 }

@@ -48,7 +48,7 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 			}
 			if k%250 == 0 {
 				checkLocate(t, st, k)
-				wantProxy, wantOmega := st.trk.verify(p, st.a, nil)
+				wantProxy, wantOmega := st.trk.verify(p, st.a)
 				if math.Abs(st.trk.proxy-wantProxy) > 1e-6*wantProxy+1e-12 {
 					t.Fatalf("tiers %d, step %d: proxy cache %v, recompute %v", tiers, k, st.trk.proxy, wantProxy)
 				}
@@ -59,7 +59,7 @@ func TestTrackerMatchesFullRecompute(t *testing.T) {
 		}
 		// Final exact check.
 		checkLocate(t, st, steps)
-		wantProxy, wantOmega := st.trk.verify(p, st.a, nil)
+		wantProxy, wantOmega := st.trk.verify(p, st.a)
 		if math.Abs(st.trk.proxy-wantProxy) > 1e-6*wantProxy+1e-12 {
 			t.Fatalf("tiers %d: final proxy cache %v, recompute %v", tiers, st.trk.proxy, wantProxy)
 		}
@@ -128,7 +128,7 @@ func TestTrackerDriftBoundedAfterFullAnneal(t *testing.T) {
 		if stats.Proposed < 1000 {
 			t.Fatalf("tiers=%d: anneal too short to measure drift (%d proposals)", tiers, stats.Proposed)
 		}
-		wantProxy, wantOmega := st.trk.verify(p, st.a, opt.Classes)
+		wantProxy, wantOmega := st.trk.verify(p, st.a)
 		if drift := math.Abs(st.trk.proxy - wantProxy); drift > 1e-9 {
 			t.Errorf("tiers=%d: incremental proxy drifted %.3g from recompute after %d applies (interval %d too long)",
 				tiers, drift, st.trk.applies, resyncInterval)

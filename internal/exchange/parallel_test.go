@@ -151,7 +151,7 @@ func TestMultiStartDeadlineMidRunStaysLegalAndMonotonic(t *testing.T) {
 	// Score the initial order once: the partial result must never be
 	// worse than this.
 	probe := newState(p, initial, Options{Lambda: 1, Rho: 1, Phi: 0.4}, nil)
-	cost0 := selectionCost(p, probe, Options{})
+	cost0 := eq3Terms(p, probe).Total
 
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()

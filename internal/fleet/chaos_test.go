@@ -25,10 +25,10 @@ import (
 // flows to it again and it answers the same bytes.
 func TestChaosKillOneOfThreeMidLoad(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	f := newTestFleet(t, []string{"a", "b", "c"}, func(id string, c *Config) {
+	f := newTestFleet(t, []string{"a", "b", "c"}, func(r *retryPolicy) {
 		// A short cooldown lets the post-restart probe happen promptly; the
 		// healing loop below polls, so no assertion depends on elapsed time.
-		c.BreakerCooldown = time.Millisecond
+		r.breakerCooldown = time.Millisecond
 	})
 	design := fleetDesign(t)
 

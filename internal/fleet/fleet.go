@@ -72,78 +72,56 @@ type Config struct {
 	// Nodes maps every fleet member's ID to its base URL
 	// ("http://host:port"). Self's URL is unused and may be empty.
 	Nodes map[string]string
-	// Replicas is the number of virtual ring points per node; more points
-	// smooth the key distribution. Default 64.
-	Replicas int
-	// Attempts bounds how many times one peer is tried per request
-	// before failing over. Default 3.
-	Attempts int
-	// RetryBase and RetryMax bound the exponential backoff between
-	// attempts: the delay before attempt n is base·2^(n-1) capped at max,
-	// halved and re-filled with seeded jitter. Defaults 25ms and 1s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// AttemptTimeout bounds each forwarded attempt's wall clock.
-	// Default 60s; raise it above the service's MaxBudget so long plans
-	// can finish remotely.
-	AttemptTimeout time.Duration
-	// BreakerThreshold is how many consecutive failures open a peer's
-	// circuit breaker; BreakerCooldown is how long it stays open before
-	// admitting a half-open probe. Defaults 5 and 10s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Seed drives the backoff jitter. Jitter only shapes retry timing,
 	// never results, but seeding it keeps test schedules replayable.
 	Seed int64
-	// AdmissionTTL is how long a peer's advertised queue depth stays
-	// fresh in the admission cache; within it a saturated peer is skipped
-	// before dialing. Default 1s.
-	AdmissionTTL time.Duration
-	// AdmissionTimeout bounds the GET /queuez probe sweep dispatch sends
-	// when the admission cache is stale. Default 2s.
-	AdmissionTimeout time.Duration
-	// Transport is the base RoundTripper for peer traffic (default
-	// http.DefaultTransport). The router wraps it with the faultinject
-	// network points.
-	Transport http.RoundTripper
 	// Recorder receives the router's counters under the fleet/ prefix.
 	// Wire the service's MetricsRecorder here so retry/failover/breaker
 	// activity shows up in the node's own /metrics.
 	Recorder obs.Recorder
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 25 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = time.Second
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 60 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.Transport == nil {
-		c.Transport = http.DefaultTransport
-	}
-	if c.AdmissionTTL <= 0 {
-		c.AdmissionTTL = time.Second
-	}
-	if c.AdmissionTimeout <= 0 {
-		c.AdmissionTimeout = 2 * time.Second
-	}
-	return c
+const (
+	// replicas is the number of virtual ring points per node. Every node
+	// must use the same count, or the nodes disagree on owners.
+	replicas = 64
+	// admissionTTL is how long a peer's advertised queue depth stays
+	// fresh in the admission cache; within it a saturated peer is skipped
+	// before dialing.
+	admissionTTL = time.Second
+	// admissionTimeout bounds the GET /queuez probe sweep dispatch sends
+	// when the admission cache is stale.
+	admissionTimeout = 2 * time.Second
+	// attemptSlack is how far past the fronted service's MaxBudget a
+	// forwarded attempt may run. A peer plans a request under the same
+	// MaxBudget, so an attempt outlives the slowest in-budget plan and
+	// its reply.
+	attemptSlack = 30 * time.Second
+)
+
+// retryPolicy bounds the retries and breakers of peer traffic. New uses
+// defaultRetry; tests shorten it through newRouter.
+type retryPolicy struct {
+	// attempts bounds how many times one peer is tried per request
+	// before failing over.
+	attempts int
+	// base and max bound the exponential backoff between attempts: the
+	// delay before attempt n is base·2^(n-1) capped at max, halved and
+	// re-filled with seeded jitter.
+	base, max time.Duration
+	// breakerThreshold consecutive failures open a peer's circuit
+	// breaker; it stays open breakerCooldown before admitting a
+	// half-open probe.
+	breakerThreshold int
+	breakerCooldown  time.Duration
+}
+
+var defaultRetry = retryPolicy{
+	attempts:         3,
+	base:             25 * time.Millisecond,
+	max:              time.Second,
+	breakerThreshold: 5,
+	breakerCooldown:  10 * time.Second,
 }
 
 // ValidNodeID reports whether id is usable as a fleet node ID: non-empty
@@ -164,14 +142,17 @@ func ValidNodeID(id string) error {
 // failover logic. Create one with New and mount Handler in place of the
 // service's own handler. All methods are safe for concurrent use.
 type Router struct {
-	cfg       Config
-	local     *service.Server
-	localH    http.Handler
-	ring      *ring
-	breakers  map[string]*breaker
-	clients   map[string]*http.Client
-	rec       obs.Recorder
-	admission *admissionCache
+	cfg   Config
+	retry retryPolicy
+	// attemptTimeout bounds each forwarded attempt's wall clock.
+	attemptTimeout time.Duration
+	local          *service.Server
+	localH         http.Handler
+	ring           *ring
+	breakers       map[string]*breaker
+	clients        map[string]*http.Client
+	rec            obs.Recorder
+	admission      *admissionCache
 
 	mu  sync.Mutex // guards rng
 	rng *rand.Rand
@@ -179,9 +160,13 @@ type Router struct {
 	now func() time.Time // breaker clock; replaced in tests
 }
 
-// New validates cfg and builds the router over the local service.
+// New validates cfg and builds the router over the local service. A
+// forwarded attempt may run the service's MaxBudget plus 30 s.
 func New(local *service.Server, cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
+	return newRouter(local, cfg, defaultRetry)
+}
+
+func newRouter(local *service.Server, cfg Config, retry retryPolicy) (*Router, error) {
 	if err := ValidNodeID(cfg.Self); err != nil {
 		return nil, err
 	}
@@ -192,15 +177,17 @@ func New(local *service.Server, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("fleet: self %q is not in Nodes", cfg.Self)
 	}
 	rt := &Router{
-		cfg:       cfg,
-		local:     local,
-		localH:    local.Handler(),
-		breakers:  make(map[string]*breaker, len(cfg.Nodes)),
-		clients:   make(map[string]*http.Client, len(cfg.Nodes)),
-		rec:       obs.WithPrefix(obs.OrNop(cfg.Recorder), "fleet/"),
-		admission: newAdmissionCache(cfg.AdmissionTTL),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		now:       time.Now,
+		cfg:            cfg,
+		retry:          retry,
+		attemptTimeout: local.MaxBudget() + attemptSlack,
+		local:          local,
+		localH:         local.Handler(),
+		breakers:       make(map[string]*breaker, len(cfg.Nodes)),
+		clients:        make(map[string]*http.Client, len(cfg.Nodes)),
+		rec:            obs.WithPrefix(obs.OrNop(cfg.Recorder), "fleet/"),
+		admission:      newAdmissionCache(),
+		rng:            rand.New(rand.NewSource(cfg.Seed)),
+		now:            time.Now,
 	}
 	ids := make([]string, 0, len(cfg.Nodes))
 	for id, base := range cfg.Nodes {
@@ -215,12 +202,10 @@ func New(local *service.Server, cfg Config) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("fleet: peer %q URL %q is not an absolute URL", id, base)
 		}
-		rt.breakers[id] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, func() time.Time { return rt.now() })
-		rt.clients[id] = &http.Client{
-			Transport: &faultTransport{peer: id, base: cfg.Transport},
-		}
+		rt.breakers[id] = newBreaker(retry.breakerThreshold, retry.breakerCooldown, func() time.Time { return rt.now() })
+		rt.clients[id] = &http.Client{Transport: faultTransport{peer: id}}
 	}
-	rt.ring = newRing(ids, cfg.Replicas)
+	rt.ring = newRing(ids, replicas)
 	rt.rec.Set("nodes", float64(len(ids)))
 	// The router is the local service's sweep dispatcher: sweep units
 	// place on the same ring as plan keys and forward through the same
@@ -427,7 +412,7 @@ func (rt *Router) forward(ctx context.Context, node, method, path string, body [
 		if br.failure() {
 			rt.rec.Add("breaker/opened", 1)
 		}
-		if errors.Is(err, errUnavailable) || attempt >= rt.cfg.Attempts || ctx.Err() != nil {
+		if errors.Is(err, errUnavailable) || attempt >= rt.retry.attempts || ctx.Err() != nil {
 			return nil, lastErr
 		}
 		rt.rec.Add("retries", 1)
@@ -440,7 +425,7 @@ func (rt *Router) forward(ctx context.Context, node, method, path string, body [
 // attempt performs one forwarded exchange under the per-attempt timeout
 // and buffers the full response.
 func (rt *Router) attempt(ctx context.Context, node, method, path string, body []byte, contentType string) (*peerResponse, error) {
-	actx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, rt.attemptTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -478,9 +463,9 @@ func (rt *Router) attempt(ctx context.Context, node, method, path string, body [
 // retry attempt+1: base·2^(attempt-1) capped at max, then half fixed and
 // half jitter so synchronized clients desynchronize.
 func (rt *Router) backoff(ctx context.Context, attempt int) error {
-	d := rt.cfg.RetryBase << (attempt - 1)
-	if d > rt.cfg.RetryMax || d <= 0 {
-		d = rt.cfg.RetryMax
+	d := rt.retry.base << (attempt - 1)
+	if d > rt.retry.max || d <= 0 {
+		d = rt.retry.max
 	}
 	rt.mu.Lock()
 	jitter := time.Duration(rt.rng.Int63n(int64(d)/2 + 1))
@@ -499,21 +484,19 @@ func (rt *Router) backoff(ctx context.Context, attempt int) error {
 // truncation fault lets through before the simulated connection drop.
 const truncateAfterBytes = 16
 
-// faultTransport wraps the base transport with the deterministic network
-// fault points, fired in connection order: dial, latency, truncation.
-type faultTransport struct {
-	peer string
-	base http.RoundTripper
-}
+// faultTransport wraps http.DefaultTransport with the deterministic
+// network fault points, fired in connection order: dial, latency,
+// truncation.
+type faultTransport struct{ peer string }
 
-func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (ft faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := faultinject.Fire(faultinject.FleetDial(ft.peer)); err != nil {
 		return nil, fmt.Errorf("dial %s: connection refused (injected): %w", ft.peer, err)
 	}
 	if err := faultinject.Fire(faultinject.FleetLatency(ft.peer)); err != nil {
 		return nil, fmt.Errorf("request to %s: %w (injected: %v)", ft.peer, context.DeadlineExceeded, err)
 	}
-	resp, err := ft.base.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil || resp == nil {
 		return resp, err
 	}

@@ -43,28 +43,35 @@ type testFleet struct {
 	order []string
 }
 
-// fastConfig is the test tuning: nanosecond backoff (no real waiting),
+// fastRetry is the test tuning: nanosecond backoff (no real waiting),
 // two attempts, a hair-trigger breaker that stays open for the test's
 // lifetime unless a tweak lowers the cooldown.
-func fastConfig() Config {
-	return Config{
-		Attempts:         2,
-		RetryBase:        time.Nanosecond,
-		RetryMax:         time.Nanosecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Seed:             7,
-	}
+var fastRetry = retryPolicy{
+	attempts:         2,
+	base:             time.Nanosecond,
+	max:              time.Nanosecond,
+	breakerThreshold: 2,
+	breakerCooldown:  time.Hour,
 }
 
-func newTestFleet(t *testing.T, ids []string, tweak func(id string, c *Config)) *testFleet {
+// newTestRouter builds node id's router over svc with the test tuning.
+func newTestRouter(t *testing.T, svc *service.Server, id string, urls map[string]string, retry retryPolicy) *Router {
+	t.Helper()
+	rt, err := newRouter(svc, Config{Self: id, Nodes: urls, Seed: 7, Recorder: svc.MetricsRecorder()}, retry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+func newTestFleet(t *testing.T, ids []string, tweak func(r *retryPolicy)) *testFleet {
 	t.Helper()
 	return newTestFleetSvc(t, ids, service.Config{Workers: 1, QueueDepth: 16, SyncConcurrency: 16}, tweak)
 }
 
 // newTestFleetSvc is newTestFleet with every node's service built from
 // svcCfg (NodeID set per node).
-func newTestFleetSvc(t *testing.T, ids []string, svcCfg service.Config, tweak func(id string, c *Config)) *testFleet {
+func newTestFleetSvc(t *testing.T, ids []string, svcCfg service.Config, tweak func(r *retryPolicy)) *testFleet {
 	t.Helper()
 	f := &testFleet{t: t, nodes: map[string]*testNode{}, order: ids}
 	urls := make(map[string]string, len(ids))
@@ -86,18 +93,12 @@ func newTestFleetSvc(t *testing.T, ids []string, svcCfg service.Config, tweak fu
 			ts.Close()
 		})
 	}
+	retry := fastRetry
+	if tweak != nil {
+		tweak(&retry)
+	}
 	for _, id := range ids {
-		cfg := fastConfig()
-		cfg.Self = id
-		cfg.Nodes = urls
-		cfg.Recorder = f.nodes[id].svc.MetricsRecorder()
-		if tweak != nil {
-			tweak(id, &cfg)
-		}
-		rt, err := New(f.nodes[id].svc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := newTestRouter(t, f.nodes[id].svc, id, urls, retry)
 		f.nodes[id].rt = rt
 		f.nodes[id].sw.set(rt.Handler())
 	}
@@ -587,5 +588,30 @@ func TestNewConfigValidation(t *testing.T) {
 	}
 	if rt.nodeForJob("j00000001") != "" || rt.nodeForJob("x-y") != "" || rt.nodeForJob("q-j1") != "" {
 		t.Error("nodeForJob resolves IDs it should treat as local")
+	}
+}
+
+// TestAttemptTimeoutFollowsMaxBudget pins the derived per-attempt timeout:
+// a forwarded attempt may run the fronted service's MaxBudget plus 30 s,
+// so a peer planning to its budget is neither cut off nor retried.
+func TestAttemptTimeoutFollowsMaxBudget(t *testing.T) {
+	for _, c := range []struct{ maxBudget, want time.Duration }{
+		{0, 2*time.Minute + 30*time.Second}, // the service's default budget
+		{50 * time.Millisecond, 30*time.Second + 50*time.Millisecond},
+		{5 * time.Minute, 5*time.Minute + 30*time.Second},
+	} {
+		svc := service.New(service.Config{Workers: 1, MaxBudget: c.maxBudget})
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			svc.Shutdown(ctx)
+		})
+		rt, err := New(svc, Config{Self: "a", Nodes: map[string]string{"a": "", "b": "http://127.0.0.1:1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.attemptTimeout != c.want {
+			t.Errorf("MaxBudget %v: attempt timeout %v, want %v", c.maxBudget, rt.attemptTimeout, c.want)
+		}
 	}
 }

@@ -67,7 +67,7 @@ func (rt *Router) Saturated(ctx context.Context, node string) bool {
 		}
 		return sat
 	}
-	actx, cancel := context.WithTimeout(ctx, rt.cfg.AdmissionTimeout)
+	actx, cancel := context.WithTimeout(ctx, admissionTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, rt.cfg.Nodes[node]+"/queuez", nil)
 	if err != nil {
@@ -91,14 +91,12 @@ func (rt *Router) Saturated(ctx context.Context, node string) bool {
 	return rt.admission.note(node, qi.Depth, qi.Capacity, qi.Draining, rt.now())
 }
 
-// admissionCache remembers each peer's last advertised queue state for a
-// TTL. Entries arrive two ways: passively, from the QueueDepthHeader on
+// admissionCache remembers each peer's last advertised queue state for
+// admissionTTL. Entries arrive two ways: passively, from the QueueDepthHeader on
 // any forwarded response (backpressure answers always carry it), and
 // actively, from /queuez probes. Within the TTL a saturated peer is
 // skipped before dialing; after it, the peer gets another chance.
 type admissionCache struct {
-	ttl time.Duration
-
 	mu      sync.Mutex
 	entries map[string]admissionEntry
 }
@@ -114,8 +112,8 @@ func (e admissionEntry) saturated() bool {
 	return e.draining || (e.capacity > 0 && e.depth >= e.capacity)
 }
 
-func newAdmissionCache(ttl time.Duration) *admissionCache {
-	return &admissionCache{ttl: ttl, entries: make(map[string]admissionEntry)}
+func newAdmissionCache() *admissionCache {
+	return &admissionCache{entries: make(map[string]admissionEntry)}
 }
 
 // note records a peer's advertised state and returns its saturation.
@@ -144,7 +142,7 @@ func (a *admissionCache) cached(node string, now time.Time) (sat, fresh bool) {
 	a.mu.Lock()
 	e, ok := a.entries[node]
 	a.mu.Unlock()
-	if !ok || now.Sub(e.at) > a.ttl {
+	if !ok || now.Sub(e.at) > admissionTTL {
 		return false, false
 	}
 	return e.saturated(), true

@@ -41,14 +41,7 @@ func newSweepFleet(t *testing.T, ids []string, workers int) *testFleet {
 		})
 	}
 	for _, id := range ids {
-		cfg := fastConfig()
-		cfg.Self = id
-		cfg.Nodes = urls
-		cfg.Recorder = f.nodes[id].svc.MetricsRecorder()
-		rt, err := New(f.nodes[id].svc, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := newTestRouter(t, f.nodes[id].svc, id, urls, fastRetry)
 		f.nodes[id].rt = rt
 		f.nodes[id].sw.set(rt.Handler())
 	}
@@ -398,7 +391,7 @@ func TestAdmissionCacheTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ac := newAdmissionCache(time.Second)
+			ac := newAdmissionCache()
 			if got := ac.note("b", tc.depth, tc.capacity, tc.draining, now); got != tc.sat {
 				t.Errorf("note(%d/%d draining=%v) = %v, want %v", tc.depth, tc.capacity, tc.draining, got, tc.sat)
 			}
@@ -412,7 +405,7 @@ func TestAdmissionCacheTable(t *testing.T) {
 		})
 	}
 
-	ac := newAdmissionCache(time.Second)
+	ac := newAdmissionCache()
 	if _, fresh := ac.cached("zzz", now); fresh {
 		t.Error("unknown node reported fresh")
 	}

@@ -96,19 +96,3 @@ func (f *Floorplan) ApplyTo(g *power.GridSpec) error {
 	g.CurrentMap = cm
 	return nil
 }
-
-// TotalRelativePower integrates the relative density over the die (in
-// density·µm² units), useful for normalizing the absolute draw when
-// comparing floorplans.
-func (f *Floorplan) TotalRelativePower(nx, ny int) (float64, error) {
-	cm, err := f.Rasterize(nx, ny)
-	if err != nil {
-		return 0, err
-	}
-	cell := (f.Die.W() / float64(nx-1)) * (f.Die.H() / float64(ny-1))
-	var sum float64
-	for _, v := range cm {
-		sum += v * cell
-	}
-	return sum, nil
-}

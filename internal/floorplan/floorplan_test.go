@@ -1,7 +1,6 @@
 package floorplan
 
 import (
-	"math"
 	"testing"
 
 	"copack/internal/geom"
@@ -99,25 +98,5 @@ func TestApplyTo(t *testing.T) {
 	i, j := sol.WorstNode()
 	if i > 12 || j > 12 {
 		t.Errorf("worst node (%d,%d) not pulled toward the hot block", i, j)
-	}
-}
-
-func TestTotalRelativePower(t *testing.T) {
-	// Uniform floorplan: total = background · area (up to the node-grid
-	// cell approximation, exact for uniform fields).
-	f := &Floorplan{Die: geom.R(0, 0, 10, 10), Background: 2}
-	got, err := f.TotalRelativePower(11, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2.0 * 10 * 10
-	if math.Abs(got-want)/want > 0.25 {
-		t.Errorf("total = %v, want ≈ %v", got, want)
-	}
-	// Adding a hot block increases the total.
-	f.Blocks = []Block{{Name: "hot", Rect: geom.R(0, 0, 5, 5), Density: 10}}
-	got2, _ := f.TotalRelativePower(11, 11)
-	if got2 <= got {
-		t.Errorf("hot block did not increase power: %v vs %v", got2, got)
 	}
 }

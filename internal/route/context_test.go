@@ -2,9 +2,11 @@ package route
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"copack/internal/assign"
+	"copack/internal/bga"
 	"copack/internal/gen"
 )
 
@@ -45,23 +47,20 @@ func TestImproveViasAllContextUncancelledMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, s1, err := ImproveViasAll(p, a, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, s2, stopped, err := ImproveViasAllContext(context.Background(), p, a, 8)
+	plans, st, stopped, err := ImproveViasAllContext(context.Background(), p, a, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stopped {
 		t.Error("uncancelled run reported stopped")
 	}
-	if s1.MaxDensity != s2.MaxDensity || s1.Wirelength != s2.Wirelength {
-		t.Errorf("stats diverge: %+v vs %+v", s1, s2)
-	}
-	for side := range p1 {
-		if len(p1[side]) != len(p2[side]) {
-			t.Errorf("side %d: plans diverge", side)
+	for _, side := range bga.Sides() {
+		plan, qs, err := ImproveVias(p, side, a.Slots[side], 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan, plans[side]) || !reflect.DeepEqual(qs, st.Quadrants[side]) {
+			t.Errorf("side %v: diverges from ImproveVias", side)
 		}
 	}
 }

@@ -15,7 +15,6 @@ package route
 
 import (
 	"fmt"
-	"math"
 
 	"copack/internal/bga"
 	"copack/internal/core"
@@ -383,13 +382,4 @@ func (r *Routing) TotalLength() float64 {
 		t += p.Length()
 	}
 	return t
-}
-
-// DensityRatio returns b's max density divided by a's, a convenience for the
-// paper's normalized comparisons (guarding division by zero).
-func DensityRatio(a, b *Stats) float64 {
-	if a.MaxDensity == 0 {
-		return math.Inf(1)
-	}
-	return float64(b.MaxDensity) / float64(a.MaxDensity)
 }

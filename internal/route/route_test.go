@@ -235,17 +235,6 @@ func TestRealizeMatchesEvaluateOnTable1(t *testing.T) {
 	}
 }
 
-func TestDensityRatio(t *testing.T) {
-	a := &Stats{MaxDensity: 10}
-	b := &Stats{MaxDensity: 4}
-	if got := DensityRatio(a, b); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("DensityRatio = %v", got)
-	}
-	if !math.IsInf(DensityRatio(&Stats{}, b), 1) {
-		t.Error("zero base should give +Inf")
-	}
-}
-
 func TestBallOrderAlwaysLegalProperty(t *testing.T) {
 	// Property: for any instance, the "ball order" assignment (nets
 	// listed line by line) is monotonic-legal and evaluates cleanly.

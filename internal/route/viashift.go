@@ -174,15 +174,9 @@ func shove(q *bga.Quadrant, plan ViaPlan, id netlist.ID, dir int) (ViaPlan, bool
 	}
 }
 
-// ImproveViasAll runs ImproveVias on every quadrant of an assignment and
-// returns the per-side plans and the resulting package-wide stats.
-func ImproveViasAll(p *core.Problem, a *core.Assignment, maxPasses int) ([bga.NumSides]ViaPlan, *Stats, error) {
-	plans, out, _, err := ImproveViasAllContext(context.Background(), p, a, maxPasses)
-	return plans, out, err
-}
-
-// ImproveViasAllContext is ImproveViasAll with cancellation. After ctx
-// expires each remaining quadrant stops improving immediately (its default
+// ImproveViasAllContext runs ImproveViasContext on every quadrant of an
+// assignment and returns the per-side plans and the resulting package-wide
+// stats. After ctx expires each remaining quadrant stops improving immediately (its default
 // plan is still evaluated, so the stats stay complete and package-wide);
 // stopped=true reports that at least one quadrant was cut short.
 func ImproveViasAllContext(ctx context.Context, p *core.Problem, a *core.Assignment, maxPasses int) ([bga.NumSides]ViaPlan, *Stats, bool, error) {

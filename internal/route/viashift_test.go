@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -191,7 +192,7 @@ func TestImproveViasAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans, st, err := ImproveViasAll(p, a, 4)
+	plans, st, _, err := ImproveViasAllContext(context.Background(), p, a, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,13 @@ type testServer struct {
 
 func newTestServer(t *testing.T, cfg Config) *testServer {
 	t.Helper()
-	svc := New(cfg)
+	return newTestServerLimits(t, cfg, defaultLimits)
+}
+
+// newTestServerLimits is newTestServer with the fixed limits replaced.
+func newTestServerLimits(t *testing.T, cfg Config, lim limits) *testServer {
+	t.Helper()
+	svc := newServer(cfg, lim)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -374,7 +380,7 @@ func TestJobLifecycleAndCancel(t *testing.T) {
 // first, or the job map grows without limit under repeated submissions.
 func TestCachedAsyncJobsArePruned(t *testing.T) {
 	const retained, extra = 4, 3
-	s := newTestServer(t, Config{Workers: 1, MaxJobsRetained: retained})
+	s := newTestServerLimits(t, Config{Workers: 1}, limits{jobsRetained: retained, retryAfter: time.Second})
 	body := planBody(t, testDesign(t, 16, 7), RequestOptions{Seed: 5, SkipExchange: true})
 	if resp, data := s.post(t, "/plan", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm plan: %d: %s", resp.StatusCode, data)

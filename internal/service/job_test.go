@@ -231,10 +231,11 @@ func TestJobAndSweepRoutesDoNotCross(t *testing.T) {
 }
 
 // TestPlansAndSweepsShareOneRetentionList finishes plans and sweeps in
-// turn under MaxJobsRetained 3 and checks they age out of one list,
+// turn while 3 are retained and checks they age out of one list,
 // oldest first.
 func TestPlansAndSweepsShareOneRetentionList(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, MaxJobsRetained: 3, SweepHeartbeat: time.Hour})
+	s := newTestServerLimits(t, Config{Workers: 1, QueueDepth: 8, SweepHeartbeat: time.Hour},
+		limits{jobsRetained: 3, retryAfter: time.Second})
 	design := testDesign(t, 16, 3)
 	var paths []string // status path of each finished job, in finish order
 	for i := int64(1); i <= 5; i++ {

@@ -69,7 +69,7 @@ func TestRequestBodyCapOverHTTP(t *testing.T) {
 // TestRetryAfterScalesWithQueueDepth checks the 429 hint grows with queue
 // pressure: base at idle, 5× base when the queue is full.
 func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
-	s := &Server{cfg: Config{QueueDepth: 8, RetryAfter: 2 * time.Second}.withDefaults()}
+	s := &Server{cfg: Config{QueueDepth: 8}.withDefaults(), lim: limits{retryAfter: 2 * time.Second}}
 	s.queue = make(chan func(), s.cfg.QueueDepth)
 
 	fill := func(n int) {
@@ -96,7 +96,7 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	}
 
 	// Sub-second bases round up to 1 so the header is never "0".
-	s2 := &Server{cfg: Config{QueueDepth: 8, RetryAfter: 100 * time.Millisecond}.withDefaults()}
+	s2 := &Server{cfg: Config{QueueDepth: 8}.withDefaults(), lim: limits{retryAfter: 100 * time.Millisecond}}
 	s2.queue = make(chan func(), s2.cfg.QueueDepth)
 	if got := s2.retryAfterSeconds(); got != "1" {
 		t.Errorf("sub-second base: Retry-After %s, want 1", got)

@@ -88,14 +88,6 @@ type Config struct {
 	// no budget_ms plans under MaxBudget, so no plan runs unbounded.
 	// Default 2 minutes.
 	MaxBudget time.Duration
-	// MaxJobsRetained bounds the finished-job history kept for polling,
-	// plans and sweeps in one list; the oldest finished jobs are
-	// forgotten first. Default 1024.
-	MaxJobsRetained int
-	// RetryAfter is the base Retry-After hint attached to 429 responses;
-	// the rendered hint scales up with current queue depth (see
-	// retryAfterSeconds). Default 1 second.
-	RetryAfter time.Duration
 	// NodeID, when set, prefixes job IDs ("a-j00000042") so a fleet
 	// router (internal/fleet) can route job polls to the node that owns
 	// the state. Must not contain '-'. Empty means standalone: plain
@@ -128,23 +120,33 @@ func (c Config) withDefaults() Config {
 	if c.MaxBudget <= 0 {
 		c.MaxBudget = 2 * time.Minute
 	}
-	if c.MaxJobsRetained <= 0 {
-		c.MaxJobsRetained = 1024
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.SweepHeartbeat <= 0 {
 		c.SweepHeartbeat = 15 * time.Second
 	}
 	return c
 }
 
+// limits are the server's fixed retention and backpressure settings. New
+// uses defaultLimits; in-package tests shrink them through newServer.
+type limits struct {
+	// jobsRetained bounds the finished-job history kept for polling,
+	// plans and sweeps in one list; the oldest finished jobs are
+	// forgotten first.
+	jobsRetained int
+	// retryAfter is the base Retry-After hint attached to 429 responses;
+	// the rendered hint scales up with current queue depth (see
+	// retryAfterSeconds).
+	retryAfter time.Duration
+}
+
+var defaultLimits = limits{jobsRetained: 1024, retryAfter: time.Second}
+
 // Server is the planning service. Create one with New, mount Handler on an
 // http.Server, and call Shutdown to drain. All methods are safe for
 // concurrent use.
 type Server struct {
 	cfg   Config
+	lim   limits
 	cache *lru[string, []byte]            // canonical key → rendered body
 	memo  *lru[[sha256.Size]byte, string] // sha256(raw body) → canonical key
 
@@ -175,11 +177,14 @@ type Server struct {
 
 // New builds a Server and starts its worker pool. The caller owns the
 // returned server and must Shutdown it to release the workers.
-func New(cfg Config) *Server {
+func New(cfg Config) *Server { return newServer(cfg, defaultLimits) }
+
+func newServer(cfg Config, lim limits) *Server {
 	cfg = cfg.withDefaults()
 	col := obs.NewCollector()
 	s := &Server{
 		cfg:      cfg,
+		lim:      lim,
 		metrics:  col,
 		rec:      obs.WithPrefix(col, "service/"),
 		sweepRec: obs.WithPrefix(col, "sweep/"),
@@ -331,7 +336,7 @@ func (s *Server) finish(j *job, state JobState, status int, body []byte, msg str
 // without limit under sustained traffic. Caller holds s.mu.
 func (s *Server) retain(j *job) {
 	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.cfg.MaxJobsRetained {
+	for len(s.finished) > s.lim.jobsRetained {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}
@@ -487,11 +492,11 @@ var (
 )
 
 // retryAfterSeconds renders the Retry-After hint (whole seconds, min 1).
-// The configured base scales with current queue pressure — an idle queue
-// hints the base, a full queue hints 5× it — so clients back off hardest
-// exactly when the server is deepest in work.
+// The base (limits.retryAfter) scales with current queue pressure — an
+// idle queue hints the base, a full queue hints 5× it — so clients back
+// off hardest exactly when the server is deepest in work.
 func (s *Server) retryAfterSeconds() string {
-	base := int(s.cfg.RetryAfter / time.Second)
+	base := int(s.lim.retryAfter / time.Second)
 	if base < 1 {
 		base = 1
 	}
@@ -501,6 +506,10 @@ func (s *Server) retryAfterSeconds() string {
 	}
 	return fmt.Sprintf("%d", secs)
 }
+
+// MaxBudget returns the cap on a request's planning budget, which is also
+// the budget of a request that sets none (Config.MaxBudget, defaulted).
+func (s *Server) MaxBudget() time.Duration { return s.cfg.MaxBudget }
 
 // MetricsRecorder returns a Recorder writing into the collector /metrics
 // serves. The fleet router threads its counters through it so

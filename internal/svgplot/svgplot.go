@@ -7,7 +7,6 @@ package svgplot
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 
 	"copack/internal/geom"
@@ -111,12 +110,6 @@ func (c *Canvas) Bytes() []byte {
 	out := make([]byte, c.buf.Len(), c.buf.Len()+7)
 	copy(out, c.buf.Bytes())
 	return append(out, []byte("</svg>\n")...)
-}
-
-// WriteTo writes the finalized document.
-func (c *Canvas) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(c.Bytes())
-	return int64(n), err
 }
 
 // HeatColor maps t ∈ [0,1] onto a blue→green→red ramp (0 = cool/no drop,

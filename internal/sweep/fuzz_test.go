@@ -15,11 +15,11 @@ const fuzzMaxSeeds = 64
 // FuzzSweepRequest throws arbitrary bytes at the POST /sweeps front half —
 // strict decode, then Normalize under the seed cap — and checks what the
 // HTTP layer relies on: every rejection is a typed *HTTPError with a 4xx
-// status, every accepted body is exactly one JSON value, every accepted
-// spec respects the seed and random_tries caps, and its wire form (what a
-// coordinator ships in shard requests) survives a JSON round trip and
-// re-normalizes to an equal spec with equal unit keys, so both ends of a
-// shard hop agree on every unit.
+// status, every accepted body is exactly one JSON value with no negative
+// num_seeds, every accepted spec respects the seed and random_tries caps,
+// and its wire form (what a coordinator ships in shard requests) survives
+// a JSON round trip and re-normalizes to an equal spec with equal unit
+// keys, so both ends of a shard hop agree on every unit.
 func FuzzSweepRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"kind":"table2","num_seeds":3}`,
@@ -52,6 +52,9 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		requireOneValue(t, data)
 		requireWithinCaps(t, sp, data)
+		if req.NumSeeds < 0 {
+			t.Fatalf("input %q: accepted num_seeds %d", data, req.NumSeeds)
+		}
 		wire, err := json.Marshal(sp.Wire())
 		if err != nil {
 			t.Fatalf("input %q: marshaling the wire form: %v", data, err)

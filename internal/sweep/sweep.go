@@ -129,6 +129,8 @@ func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
 		return nil, errf(http.StatusBadRequest, "unknown sweep kind %q (want table2 or table3)", r.Kind)
 	}
 	switch {
+	case r.NumSeeds < 0:
+		return nil, errf(http.StatusBadRequest, "num_seeds must be >= 0, got %d", r.NumSeeds)
 	case len(r.Seeds) > 0 && r.NumSeeds > 0:
 		return nil, errf(http.StatusBadRequest, "seeds and num_seeds are mutually exclusive")
 	case len(r.Seeds) > 0:
@@ -138,8 +140,6 @@ func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
 		return nil, errf(http.StatusBadRequest, "%d seeds exceed the %d-unit cap", r.NumSeeds, maxSeeds)
 	case r.NumSeeds > 0:
 		sp.Seeds = exp.Seeds(r.NumSeeds)
-	case r.NumSeeds < 0:
-		return nil, errf(http.StatusBadRequest, "num_seeds must be >= 0, got %d", r.NumSeeds)
 	default:
 		return nil, errf(http.StatusBadRequest, "a sweep needs seeds or num_seeds")
 	}

@@ -101,6 +101,7 @@ func TestNormalizeTable(t *testing.T) {
 		{"both seed forms", Request{Kind: "table2", Seeds: []int64{1}, NumSeeds: 2}, "mutually exclusive"},
 		{"no seeds", Request{Kind: "table2"}, "needs seeds or num_seeds"},
 		{"negative num_seeds", Request{Kind: "table2", NumSeeds: -3}, "num_seeds must be"},
+		{"negative num_seeds beside seeds", Request{Kind: "table3", Seeds: []int64{1, 2}, NumSeeds: -5}, "num_seeds must be"},
 		{"over cap", Request{Kind: "table2", NumSeeds: 65}, "exceed the 64-unit cap"},
 		{"num_seeds far over cap", Request{Kind: "table2", NumSeeds: math.MaxInt32}, "exceed the 64-unit cap"},
 	}
