@@ -91,6 +91,18 @@ func parsePeers(self, spec string) (map[string]string, error) {
 	return nodes, nil
 }
 
+// httpWriteTimeout is the http.Server WriteTimeout: the -write-timeout
+// flag when positive, otherwise the service's budget cap plus a minute,
+// long enough for the slowest in-budget plan, including a forwarded one,
+// to finish writing. The cap is the service's, not the -max-budget
+// flag's: the service turns a non-positive flag into its 2 min default.
+func httpWriteTimeout(flag time.Duration, svc *service.Server) time.Duration {
+	if flag > 0 {
+		return flag
+	}
+	return svc.MaxBudget() + time.Minute
+}
+
 // realMain parses args on a private FlagSet, serves until ctx is
 // canceled, then drains. It prints "listening on http://<addr>" once the
 // listener is up so scripts (and CI) can scrape the bound port when -addr
@@ -103,7 +115,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		queue     = fs.Int("queue", 64, "async job queue depth; beyond it submissions get 429")
 		workers   = fs.Int("workers", 0, "jobs that run at once (0 = one per CPU); a job's own fan-out still uses every CPU")
 		syncConc  = fs.Int("sync", 0, "max concurrent synchronous /plan requests (0 = same as -workers)")
-		cache     = fs.Int("cache", 128, "entries in each of three LRUs: plan results, raw-body keys, sweep units (negative disables all three)")
+		cache     = fs.Int("cache", 128, "entries in each of four LRUs: plan results, fleet peers' cached plans, raw-body keys, sweep units (negative disables all four)")
 		maxBody   = fs.Int64("max-body", 1<<20, "request body size cap in bytes")
 		maxBudget = fs.Duration("max-budget", 2*time.Minute,
 			"cap on the per-request planning budget (budget_ms), and the budget of a request that sets none")
@@ -118,7 +130,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		readTimeout = fs.Duration("read-timeout", time.Minute,
 			"http.Server ReadTimeout: full request read deadline")
 		writeTimeout = fs.Duration("write-timeout", 0,
-			"http.Server WriteTimeout (0 = max-budget plus a minute; also bounds sweep event streams)")
+			"http.Server WriteTimeout (0 = the effective max-budget plus a minute; also bounds sweep event streams)")
 		sweepSeeds     = fs.Int("sweep-seeds", 64, "max units (seeds) per sweep")
 		sweepHeartbeat = fs.Duration("sweep-heartbeat", 15*time.Second,
 			"keep-alive interval on idle sweep event streams")
@@ -182,17 +194,11 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		drain()
 		return 1
 	}
-	wt := *writeTimeout
-	if wt <= 0 {
-		// Long enough for the slowest in-budget plan, including a
-		// forwarded one, to finish writing.
-		wt = *maxBudget + time.Minute
-	}
 	httpSrv := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: *readHeaderTimeout,
 		ReadTimeout:       *readTimeout,
-		WriteTimeout:      wt,
+		WriteTimeout:      httpWriteTimeout(*writeTimeout, svc),
 	}
 	fmt.Fprintf(stdout, "fpserved: listening on http://%s\n", ln.Addr())
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"copack"
+	"copack/internal/service"
 )
 
 // syncBuffer is a bytes.Buffer safe for the cross-goroutine writes
@@ -359,5 +360,27 @@ func TestRealMainDeadPeerDegradesLocal(t *testing.T) {
 		if got := resp.Header.Get("X-Copack-Node"); got != "a" {
 			t.Errorf("seed %d answered by %q, want a", seed, got)
 		}
+	}
+}
+
+// TestWriteTimeoutFollowsServiceBudget: without -write-timeout the HTTP
+// write timeout is the service's budget cap plus a minute. The service
+// turns a non-positive -max-budget into its 2 min default, so
+// -max-budget 0 gives 3 min, not the 1 min the raw flag would.
+func TestWriteTimeoutFollowsServiceBudget(t *testing.T) {
+	for _, c := range []struct{ flag, maxBudget, want time.Duration }{
+		{0, 0, 3 * time.Minute},
+		{0, -59 * time.Second, 3 * time.Minute},
+		{0, 50 * time.Millisecond, time.Minute + 50*time.Millisecond},
+		{-time.Second, 5 * time.Minute, 6 * time.Minute},
+		{5 * time.Second, 0, 5 * time.Second},
+	} {
+		svc := service.New(service.Config{Workers: 1, MaxBudget: c.maxBudget})
+		if got := httpWriteTimeout(c.flag, svc); got != c.want {
+			t.Errorf("-write-timeout %v -max-budget %v: %v, want %v", c.flag, c.maxBudget, got, c.want)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		svc.Shutdown(ctx)
+		cancel()
 	}
 }

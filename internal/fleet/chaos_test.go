@@ -32,26 +32,18 @@ func TestChaosKillOneOfThreeMidLoad(t *testing.T) {
 	})
 	design := fleetDesign(t)
 
-	// Two request bodies owned by each node, plus each body's golden bytes
-	// from a standalone (fleetless) server.
-	var bodies []string
+	// Four request bodies owned by each node, plus each body's golden
+	// bytes from a standalone (fleetless) server. Phase 1 sends the first
+	// two of each through every node, after which the entries hold them
+	// and answer them without a hop; the kill phase sends the other two.
+	var bodies, fresh []string
 	golden := map[string][]byte{}
 	for _, owner := range []string{"a", "b", "c"} {
-		seen := 0
-		for seed := int64(0); seed < 1000 && seen < 2; seed++ {
-			body := planBody(t, design, seed)
-			key, err := f.nodes["a"].svc.SpecKey([]byte(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.nodes["a"].rt.ring.owner(key) == owner {
-				bodies = append(bodies, body)
-				golden[body] = goldenBody(t, body)
-				seen++
-			}
-		}
-		if seen != 2 {
-			t.Fatalf("could not find 2 bodies owned by %s", owner)
+		owned := f.bodiesOwnedBy(t, design, owner, 4)
+		bodies = append(bodies, owned[:2]...)
+		fresh = append(fresh, owned[2:]...)
+		for _, body := range owned {
+			golden[body] = goldenBody(t, body)
 		}
 	}
 
@@ -71,7 +63,7 @@ func TestChaosKillOneOfThreeMidLoad(t *testing.T) {
 
 	// Phase 2 — kill b mid-load: every connection to b is refused from
 	// here on. Clients keep hitting the survivors with concurrent sync and
-	// async traffic for every body, including the ones b owns.
+	// async traffic for every fresh body, including the ones b owns.
 	faultinject.Arm(faultinject.Fault{Point: faultinject.FleetDial("b"), Repeat: true})
 
 	type planRes struct {
@@ -91,7 +83,7 @@ func TestChaosKillOneOfThreeMidLoad(t *testing.T) {
 		plans []planRes
 		jobs  []jobRes
 	)
-	for _, body := range bodies {
+	for _, body := range fresh {
 		for _, node := range []string{"a", "c"} {
 			wg.Add(2)
 			go func(node, body string) {
@@ -177,16 +169,18 @@ func TestChaosKillOneOfThreeMidLoad(t *testing.T) {
 	}
 
 	// Phase 3 — restart b (clear the fault) and watch the fleet heal:
-	// within the polling deadline a's forwarding reaches b again, still
-	// answering golden bytes on every intermediate attempt.
+	// within a few probes a's forwarding reaches b again, still answering
+	// golden bytes on every intermediate attempt. Each probe is a b-owned
+	// body a never held; the breaker's 1 ms cooldown has passed by the
+	// second.
 	faultinject.Reset()
 	if resp, _ := f.get(t, "b", "/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("restarted b healthz: %d", resp.StatusCode)
 	}
-	healBody := f.bodyOwnedBy(t, design, "b")
-	deadline := time.Now().Add(10 * time.Second)
+	var healBody string
 	healed := false
-	for time.Now().Before(deadline) {
+	for _, healBody = range f.bodiesOwnedBy(t, design, "b", 12)[4:] {
+		golden[healBody] = goldenBody(t, healBody)
 		resp, data := f.post(t, "a", "/plan", healBody)
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, golden[healBody]) {
 			t.Fatalf("post-restart plan via a: %d", resp.StatusCode)

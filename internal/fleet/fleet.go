@@ -4,7 +4,8 @@
 // plan keys assigns every request an owner node, so the fleet shares one
 // logical result cache: whichever node a client happens to hit, the
 // request is forwarded to the node most likely to already hold its
-// bytes.
+// bytes. The entry node keeps a copy of each cached plan it relays, so
+// the next request for that key is answered where it arrives.
 //
 // The forwarding proxy is built to degrade, not to fail:
 //
@@ -61,6 +62,9 @@ import (
 const (
 	hopHeader  = "X-Copack-Fleet-Hop"
 	nodeHeader = "X-Copack-Node"
+	// cacheHeader is the service's cache-status header: "hit" on a body
+	// replayed from a cache.
+	cacheHeader = "X-Copack-Cache"
 )
 
 // Config describes one node's view of the fleet. Membership is static:
@@ -245,9 +249,11 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // routeKeyed handles POST /plan and POST /jobs: buffer the body, derive
-// its content address, and walk the ring's preference list — owner
-// first, failover successors next, local computation whenever the walk
-// reaches this node.
+// its content address, serve it here when this node already holds the
+// answer, and otherwise walk the ring's preference list — owner first,
+// failover successors next, local computation whenever the walk reaches
+// this node. A plan a peer answered from its cache is kept as a copy, so
+// the next request for it through this node needs no hop.
 func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(hopHeader) != "" {
 		// A peer already routed this request to us; serve it locally no
@@ -273,6 +279,13 @@ func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request) {
 		// Unroutable bodies are invalid bodies; let the local service
 		// render its canonical (deterministic) error response.
 		rt.rec.Add("requests/unroutable", 1)
+		rt.serveLocal(w, r, body)
+		return
+	}
+	if rt.local.Holds(key) {
+		// A cached plan is the same bytes on every node: answer it here,
+		// from this node's result cache or its copy of a peer's.
+		rt.rec.Add("serve/local-held", 1)
 		rt.serveLocal(w, r, body)
 		return
 	}
@@ -304,6 +317,11 @@ func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request) {
 			rt.rec.Add("serve/forwarded-owner", 1)
 		} else {
 			rt.rec.Add("serve/forwarded-failover", 1)
+		}
+		if res.status == http.StatusOK && res.header.Get(cacheHeader) == "hit" {
+			// Only /plan answers 200, and a hit is a complete plan: misses,
+			// partial plans, errors and job handles are never kept.
+			rt.local.KeepCopy(key, res.body)
 		}
 		rt.writePeer(w, node, res)
 		return
@@ -377,7 +395,7 @@ type peerResponse struct {
 
 // writePeer relays a peer's response to the client.
 func (rt *Router) writePeer(w http.ResponseWriter, node string, res *peerResponse) {
-	for _, h := range []string{"Content-Type", "X-Copack-Cache", "Location", "Retry-After", queueDepthHeader} {
+	for _, h := range []string{"Content-Type", cacheHeader, "Location", "Retry-After", queueDepthHeader} {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

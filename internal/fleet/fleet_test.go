@@ -133,19 +133,31 @@ func planBody(t testing.TB, design string, seed int64) string {
 // (membership, body), so the search is deterministic.
 func (f *testFleet) bodyOwnedBy(t *testing.T, design, want string) string {
 	t.Helper()
+	return f.bodiesOwnedBy(t, design, want, 1)[0]
+}
+
+// bodiesOwnedBy returns the first n request bodies, in seed order, whose
+// plan keys the ring assigns to want. A test that must reach a peer
+// again sends a body the entry never held, since a held key is answered
+// locally.
+func (f *testFleet) bodiesOwnedBy(t *testing.T, design, want string, n int) []string {
+	t.Helper()
 	any := f.nodes[f.order[0]]
-	for seed := int64(0); seed < 1000; seed++ {
+	var bodies []string
+	for seed := int64(0); seed < 1000 && len(bodies) < n; seed++ {
 		body := planBody(t, design, seed)
 		key, err := any.svc.SpecKey([]byte(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if any.rt.ring.owner(key) == want {
-			return body
+			bodies = append(bodies, body)
 		}
 	}
-	t.Fatalf("no seed below 1000 hashes to node %s", want)
-	return ""
+	if len(bodies) < n {
+		t.Fatalf("fewer than %d seeds below 1000 hash to node %s", n, want)
+	}
+	return bodies
 }
 
 // goldenBody computes the reference response on a standalone (fleetless)
@@ -397,7 +409,10 @@ func TestConnectionRefusedFailsOverAndOpensBreaker(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	f := newTestFleet(t, []string{"a", "b"}, nil)
 	design := fleetDesign(t)
-	body := f.bodyOwnedBy(t, design, "b")
+	// Three b-owned bodies: a computes the first itself while b is dead
+	// and then holds it, so each later probe of b sends a fresh one.
+	bodies := f.bodiesOwnedBy(t, design, "b", 3)
+	body := bodies[0]
 	golden := goldenBody(t, body)
 
 	// Kill b: every connection to it is refused, deterministically.
@@ -422,8 +437,8 @@ func TestConnectionRefusedFailsOverAndOpensBreaker(t *testing.T) {
 
 	// The breaker is now open (threshold 2, both attempts failed): the
 	// next b-owned request skips b without burning attempts.
-	resp, data = f.post(t, "a", "/plan", body)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, golden) {
+	resp, data = f.post(t, "a", "/plan", bodies[1])
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, goldenBody(t, bodies[1])) {
 		t.Fatalf("second plan: %d", resp.StatusCode)
 	}
 	c2 := f.counters(t, "a")
@@ -440,8 +455,8 @@ func TestConnectionRefusedFailsOverAndOpensBreaker(t *testing.T) {
 	f.nodes["a"].rt.breakers["b"].mu.Lock()
 	f.nodes["a"].rt.breakers["b"].until = time.Now().Add(-time.Second)
 	f.nodes["a"].rt.breakers["b"].mu.Unlock()
-	resp, data = f.post(t, "a", "/plan", body)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, golden) {
+	resp, data = f.post(t, "a", "/plan", bodies[2])
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, goldenBody(t, bodies[2])) {
 		t.Fatalf("post-restart plan: %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get(nodeHeader); got != "b" {

@@ -430,7 +430,10 @@ func TestAdmissionCacheTable(t *testing.T) {
 func TestRouteKeyedSkipsSaturatedPeer(t *testing.T) {
 	f := newTestFleet(t, []string{"a", "b"}, nil)
 	design := fleetDesign(t)
-	body := f.bodyOwnedBy(t, design, "b")
+	// a computes the first body itself and then holds it, so the
+	// post-expiry probe sends a second one.
+	bodies := f.bodiesOwnedBy(t, design, "b", 2)
+	body := bodies[0]
 	golden := goldenBody(t, body)
 	rt := f.nodes["a"].rt
 
@@ -456,8 +459,8 @@ func TestRouteKeyedSkipsSaturatedPeer(t *testing.T) {
 
 	// Expire the advertisement: the walk dials b again.
 	rt.now = func() time.Time { return time.Now().Add(time.Hour) }
-	resp, data = f.post(t, "a", "/plan", body)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, golden) {
+	resp, data = f.post(t, "a", "/plan", bodies[1])
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, goldenBody(t, bodies[1])) {
 		t.Fatalf("post-expiry plan: %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get(nodeHeader); got != "b" {

@@ -37,17 +37,6 @@ func (p Pt) Norm() float64 { return math.Hypot(p.X, p.Y) }
 // Dist returns the Euclidean distance between p and q.
 func (p Pt) Dist(q Pt) float64 { return p.Sub(q).Norm() }
 
-// ManhattanDist returns |dx| + |dy| between p and q.
-func (p Pt) ManhattanDist(q Pt) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
-// Lerp returns the point at parameter t on the segment p→q (t in [0,1]
-// interpolates; values outside extrapolate).
-func (p Pt) Lerp(q Pt, t float64) Pt {
-	return Pt{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
-}
-
 // String implements fmt.Stringer.
 func (p Pt) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }
 

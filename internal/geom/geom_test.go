@@ -29,24 +29,8 @@ func TestDistances(t *testing.T) {
 	if d := P(0, 0).Dist(P(3, 4)); !almostEq(d, 5) {
 		t.Errorf("Dist = %v, want 5", d)
 	}
-	if d := P(0, 0).ManhattanDist(P(3, -4)); !almostEq(d, 7) {
-		t.Errorf("ManhattanDist = %v, want 7", d)
-	}
 	if n := P(-3, 4).Norm(); !almostEq(n, 5) {
 		t.Errorf("Norm = %v, want 5", n)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a, b := P(0, 0), P(10, 20)
-	if got := a.Lerp(b, 0); got != a {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Errorf("Lerp(1) = %v", got)
-	}
-	if got := a.Lerp(b, 0.5); got != P(5, 10) {
-		t.Errorf("Lerp(0.5) = %v", got)
 	}
 }
 

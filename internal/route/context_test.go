@@ -55,12 +55,12 @@ func TestImproveViasAllContextUncancelledMatches(t *testing.T) {
 		t.Error("uncancelled run reported stopped")
 	}
 	for _, side := range bga.Sides() {
-		plan, qs, err := ImproveVias(p, side, a.Slots[side], 8)
+		plan, qs, _, err := ImproveViasContext(context.Background(), p, side, a.Slots[side], 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plan, plans[side]) || !reflect.DeepEqual(qs, st.Quadrants[side]) {
-			t.Errorf("side %v: diverges from ImproveVias", side)
+			t.Errorf("side %v: diverges from ImproveViasContext", side)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestQuickViaImprovementLegal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, side := range bga.Sides() {
-			plan, qs, err := ImproveVias(p, side, a.Slots[side], 3)
+			plan, qs, _, err := ImproveViasContext(context.Background(), p, side, a.Slots[side], 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,22 +71,15 @@ func checkViaPlan(q *bga.Quadrant, order []netlist.ID, plan ViaPlan) error {
 	return nil
 }
 
-// ImproveVias greedily shifts vias, one site at a time, while that strictly
-// lowers the quadrant's maximum density (the iterative-improvement idea of
-// the paper's reference [10]). It returns the final plan and stats. The
-// move set per pass: every net may try its left and right neighbor site;
-// the first strictly improving legal shift is taken; passes repeat until a
-// fixed point or maxPasses.
-func ImproveVias(p *core.Problem, side bga.Side, order []netlist.ID, maxPasses int) (ViaPlan, QuadrantStats, error) {
-	plan, qs, _, err := ImproveViasContext(context.Background(), p, side, order, maxPasses)
-	return plan, qs, err
-}
-
-// ImproveViasContext is ImproveVias with cancellation: the pass loop polls
-// ctx (and the fault-injection site) between passes, and on cancellation
-// returns the best plan reached so far with stopped=true. Because the
-// improvement is strictly monotone, a stopped result is never worse than
-// the default plan.
+// ImproveViasContext greedily shifts vias, one site at a time, while that
+// strictly lowers the quadrant's maximum density (the iterative-improvement
+// idea of the paper's reference [10]). It returns the final plan and stats.
+// The move set per pass: every net may try its left and right neighbor
+// site; the first strictly improving legal shift is taken; passes repeat
+// until a fixed point or maxPasses. The pass loop polls ctx (and the
+// fault-injection site) between passes, and on cancellation returns the
+// best plan reached so far with stopped=true. Because the improvement is
+// strictly monotone, a stopped result is never worse than the default plan.
 func ImproveViasContext(ctx context.Context, p *core.Problem, side bga.Side, order []netlist.ID, maxPasses int) (ViaPlan, QuadrantStats, bool, error) {
 	if maxPasses <= 0 {
 		maxPasses = 16

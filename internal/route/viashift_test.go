@@ -60,11 +60,11 @@ func TestViaShiftFig5IsAlreadyOptimal(t *testing.T) {
 	// On the Fig 5 random order no via plan can beat density 4 (the left
 	// region needs the first pin at site >= 2 while the right region
 	// needs the last pin <= 3, and three increasing pins cannot satisfy
-	// both on a 4-site line). ImproveVias must not worsen anything and
+	// both on a 4-site line). ImproveViasContext must not worsen anything and
 	// must stop at 4.
 	p := gen.Fig5()
 	order := gen.Fig5RandomOrder()
-	_, improved, err := ImproveVias(p, bga.Bottom, order, 0)
+	_, improved, _, err := ImproveViasContext(context.Background(), p, bga.Bottom, order, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestViaShiftChangesDensity(t *testing.T) {
 	if base.MaxDensity != 2 {
 		t.Fatalf("baseline density = %d, want 2", base.MaxDensity)
 	}
-	plan, improved, err := ImproveVias(p, bga.Bottom, order, 0)
+	plan, improved, _, err := ImproveViasContext(context.Background(), p, bga.Bottom, order, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestImproveViasNeverWorsens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, improved, err := ImproveVias(p, side, a.Slots[side], 4)
+			plan, improved, _, err := ImproveViasContext(context.Background(), p, side, a.Slots[side], 4)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,9 +9,10 @@ import (
 	"copack/internal/obs"
 )
 
-// lru is a bounded least-recently-used map. The service keeps three: the
+// lru is a bounded least-recently-used map. The service keeps four: the
 // content-addressed result cache (canonical request key → rendered body),
-// the key memo in front of it (sha256 of the raw request bytes →
+// the copy LRU beside it (canonical request key → a fleet peer's cached
+// body), the key memo in front of both (sha256 of the raw request bytes →
 // canonical key) and the sweep unit cache (sweep.UnitKey → the unit's
 // canonical RunUnit JSON; it is the sweep manager's sweep.UnitCache).
 // Values are stored and returned as-is — a hit replays the exact bytes of
@@ -48,6 +49,13 @@ func newResultCache(max int, rec obs.Recorder) *lru[string, []byte] {
 	return newLRU[string, []byte](max, rec, "cache/")
 }
 
+// newCopyCache builds the copy LRU, bounded like the result cache but
+// separate from it, so copies never evict the node's own results
+// (service/copies/hits, service/copies/misses).
+func newCopyCache(max int, rec obs.Recorder) *lru[string, []byte] {
+	return newLRU[string, []byte](max, rec, "copies/")
+}
+
 // newKeyMemo builds the key memo, bounded like the result cache
 // (service/keymemo/hits, service/keymemo/misses).
 func newKeyMemo(max int, rec obs.Recorder) *lru[[sha256.Size]byte, string] {
@@ -77,6 +85,18 @@ func (c *lru[K, V]) Get(key K) (V, bool) {
 	c.order.MoveToFront(el)
 	c.rec.Add("hits", 1)
 	return el.Value.(*lruEntry[K, V]).val, true
+}
+
+// has reports whether key is present, without counting a hit or a miss
+// and without refreshing its recency.
+func (c *lru[K, V]) has(key K) bool {
+	if c.max < 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
 }
 
 // Put inserts (or refreshes) a value, evicting the least recently used

@@ -98,10 +98,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // decodeSpec runs the shared front half of both plan entry points: read
 // the body once under the byte cap, resolve its cache key (from the key
 // memo when these exact bytes were seen before) and probe the result
-// cache exactly once. A hit returns the cached body and no spec; a miss
-// returns the full spec. A memo hit whose result was evicted re-parses the
-// buffered bytes instead of probing again, so service/cache/hits+misses
-// count validated requests one to one.
+// cache exactly once, then, on a miss, the copy LRU. A hit in either
+// returns the cached body and no spec; a miss returns the full spec. A
+// memo hit whose result was evicted re-parses the buffered bytes instead
+// of probing again, so service/cache/hits+misses count validated requests
+// one to one.
 func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planSpec, cached []byte, ok bool) {
 	s.rec.Add("requests/"+r.URL.Path[1:], 1)
 	raw, err := s.ReadBody(w, r)
@@ -115,6 +116,9 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planS
 		return nil, nil, false
 	}
 	if body, hit := s.cache.Get(key); hit {
+		return nil, body, true
+	}
+	if body, hit := s.copies.Get(key); hit {
 		return nil, body, true
 	}
 	if spec == nil {

@@ -20,8 +20,9 @@
 //     explicit option values) share one cache entry. Partial results are
 //     never cached — they depend on wall-clock timing. A key memo keyed
 //     by the raw body's sha256 lets byte-identical repeats skip the
-//     decode and canonicalization that derive the key, and a unit cache
-//     keyed by sweep.UnitKey answers sweep units computed before.
+//     decode and canonicalization that derive the key, a copy LRU holds
+//     plan bodies a fleet router relayed from a peer's cache, and a unit
+//     cache keyed by sweep.UnitKey answers sweep units computed before.
 //
 //   - Determinism survives the service layer. A plan is a pure function
 //     of (canonical design, normalized options); the queue order, worker
@@ -75,10 +76,11 @@ type Config struct {
 	// SyncConcurrency bounds how many synchronous /plan requests may be
 	// planning at once; excess requests get 429. Default: Workers.
 	SyncConcurrency int
-	// CacheEntries bounds each of three LRUs: the content-addressed
-	// result cache, the raw-body key memo in front of it, and the sweep
-	// unit cache (completed sweep units by content address). Default 128;
-	// negative disables all three.
+	// CacheEntries bounds each of four LRUs: the content-addressed
+	// result cache, the copy LRU of plan bodies a fleet router relayed
+	// from a peer's cache (see KeepCopy), the raw-body key memo in front
+	// of both, and the sweep unit cache (completed sweep units by content
+	// address). Default 128; negative disables all four.
 	CacheEntries int
 	// MaxBodyBytes bounds the request body (and so the design text).
 	// Default 1 MiB.
@@ -145,10 +147,11 @@ var defaultLimits = limits{jobsRetained: 1024, retryAfter: time.Second}
 // http.Server, and call Shutdown to drain. All methods are safe for
 // concurrent use.
 type Server struct {
-	cfg   Config
-	lim   limits
-	cache *lru[string, []byte]            // canonical key → rendered body
-	memo  *lru[[sha256.Size]byte, string] // sha256(raw body) → canonical key
+	cfg    Config
+	lim    limits
+	cache  *lru[string, []byte]            // canonical key → rendered body
+	copies *lru[string, []byte]            // canonical key → a peer's cached body
+	memo   *lru[[sha256.Size]byte, string] // sha256(raw body) → canonical key
 
 	metrics  *obs.Collector
 	rec      obs.Recorder // metrics under the service/ prefix
@@ -194,6 +197,7 @@ func newServer(cfg Config, lim limits) *Server {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.cache = newResultCache(cfg.CacheEntries, s.rec)
+	s.copies = newCopyCache(cfg.CacheEntries, s.rec)
 	s.memo = newKeyMemo(cfg.CacheEntries, s.rec)
 	s.sweeps = sweep.NewManager(sweep.Config{
 		MaxSeeds: cfg.SweepMaxSeeds,
@@ -505,6 +509,20 @@ func (s *Server) retryAfterSeconds() string {
 		secs = base * (1 + 4*len(s.queue)/s.cfg.QueueDepth)
 	}
 	return fmt.Sprintf("%d", secs)
+}
+
+// KeepCopy stores body, the answer a fleet peer gave for key from its
+// cache, so this server answers later requests for key itself. A cached
+// plan is a pure function of its key and every node renders the same
+// bytes for it, so a copy never goes stale. Copies live in their own LRU
+// and never evict the server's own results.
+func (s *Server) KeepCopy(key string, body []byte) { s.copies.Put(key, body) }
+
+// Holds reports whether this server answers a plan request for key from
+// its result cache or its copies, so a fleet router can serve it here
+// without a hop. A draining server holds nothing: it answers 503.
+func (s *Server) Holds(key string) bool {
+	return (s.cache.has(key) || s.copies.has(key)) && !s.draining()
 }
 
 // MaxBudget returns the cap on a request's planning budget, which is also

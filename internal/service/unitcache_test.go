@@ -74,7 +74,7 @@ func TestSweepResubmissionBypassesQueue(t *testing.T) {
 }
 
 // TestSweepUnitCacheDisabled: with CacheEntries -1 the unit cache is off
-// like the other two LRUs, so a resubmission computes every unit again.
+// like the other three LRUs, so a resubmission computes every unit again.
 func TestSweepUnitCacheDisabled(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheEntries: -1, SweepHeartbeat: time.Hour})
 	body := sweepBody("table2", []int64{1, 2}, 2)
