@@ -17,7 +17,6 @@ import (
 	"copack/internal/exchange"
 	"copack/internal/exp"
 	"copack/internal/gen"
-	"copack/internal/portfolio"
 	"copack/internal/power"
 	"copack/internal/route"
 )
@@ -433,7 +432,7 @@ var workerCounts = []int{1, 2, 4, 8}
 
 // benchExchange runs one exchange sub-benchmark per worker count. The
 // result is the same at every count (TestMultiStartDeterministicAcrossWorkers
-// and the portfolio replay tests check that); only the wall clock changes.
+// checks that); only the wall clock changes.
 func benchExchange(b *testing.B, p *copack.Problem, initial *copack.Assignment, opt exchange.Options) {
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
@@ -448,26 +447,20 @@ func benchExchange(b *testing.B, p *copack.Problem, initial *copack.Assignment, 
 }
 
 // BenchmarkParallelSpeedup measures the parallelized surfaces at 1, 2, 4
-// and 8 workers: multi-start exchange, the Table 2 harness, the four-way
-// engine comparison, the MCMF warm start and the adaptive portfolio —
-// plus one row for a 96×96 IR solve, which runs in sequence. Every variant
-// returns byte-identical results; only the wall clock may change (and only
-// on multi-core hosts: with GOMAXPROCS=1 all worker counts degenerate to
-// sequential execution).
+// and 8 workers: multi-start exchange, the Table 2 harness and the
+// four-way engine comparison — plus one row for a 96×96 IR solve, which
+// runs in sequence. Every variant returns byte-identical results; only the
+// wall clock may change (and only on multi-core hosts: with GOMAXPROCS=1
+// all worker counts degenerate to sequential execution).
 func BenchmarkParallelSpeedup(b *testing.B) {
-	// Circuit 3 at ψ = 4, from its DFA order: the instance of every
-	// exchange surface here.
-	exchangeStart := func(b *testing.B) (*copack.Problem, *copack.Assignment) {
+	b.Run("exchange", func(b *testing.B) {
+		// Circuit 3 at ψ = 4 from its DFA order: four restarts, each
+		// annealed warm from the MCMF order (exchange.Options.Restarts).
 		p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1, Tiers: 4})
 		dfaA, err := assign.DFA(p, assign.DFAOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return p, dfaA
-	}
-
-	b.Run("exchange", func(b *testing.B) {
-		p, dfaA := exchangeStart(b)
 		benchExchange(b, p, dfaA, exchange.Options{Seed: 1, Restarts: 4})
 	})
 
@@ -512,19 +505,6 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 				}
 			})
 		}
-	})
-
-	b.Run("warmstart", func(b *testing.B) {
-		// Four restarts, each annealed from the MCMF order.
-		p, dfaA := exchangeStart(b)
-		benchExchange(b, p, dfaA, exchange.Options{Seed: 1, Portfolio: &portfolio.Config{Budget: 4,
-			Arms: []portfolio.Arm{{Name: "mcmf", Engine: portfolio.EngineMCMF}}}})
-	})
-
-	b.Run("portfolio", func(b *testing.B) {
-		// The adaptive bandit over the default arm set, budget 8.
-		p, dfaA := exchangeStart(b)
-		benchExchange(b, p, dfaA, exchange.Options{Seed: 1, Portfolio: portfolio.Default(8)})
 	})
 }
 

@@ -44,8 +44,7 @@ func realMain(args []string) int {
 		irPath       = fs.String("irmap", "", "write the IR-drop heat map to this SVG file")
 		timeout      = fs.Duration("timeout", 0, "planning time budget (e.g. 30s); on expiry the best-so-far plan is reported (0 = none)")
 		metricsPath  = fs.String("metrics", "", "write the run's telemetry snapshot (counters, gauges, phase timings) to this JSON file")
-		portBudget   = fs.Int("portfolio", 0, "adaptive annealing portfolio: restart budget allocated across the default arm set by a deterministic bandit (0 = off, fixed single-schedule exchange)")
-		portConfig   = fs.String("portfolio-config", "", "JSON portfolio declaration (arms/budget/explore); overrides -portfolio")
+		restarts     = fs.Int("restarts", 0, "independently seeded exchange anneals, best Eq 3 kept; above 1 at ψ ≥ 2 they start warm (0 or 1 = the paper's single anneal)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -56,7 +55,7 @@ func realMain(args []string) int {
 		alg: *alg, tiers: *tiers, seed: *seed, skipExchange: *skipExchange,
 		improveVias: *improveVias, runDRC: *runDRC, svgPath: *svgPath, irPath: *irPath,
 		timeout: *timeout, metricsPath: *metricsPath,
-		portBudget: *portBudget, portConfig: *portConfig,
+		restarts: *restarts,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "fpassign:", err)
@@ -79,8 +78,7 @@ type config struct {
 	svgPath, irPath string
 	timeout         time.Duration
 	metricsPath     string
-	portBudget      int
-	portConfig      string
+	restarts        int
 }
 
 func run(cfg config) error {
@@ -125,17 +123,7 @@ func run(cfg config) error {
 		SkipExchange: skipExchange,
 		Seed:         seed,
 		Budget:       cfg.timeout,
-	}
-	if cfg.portConfig != "" {
-		data, err := os.ReadFile(cfg.portConfig)
-		if err != nil {
-			return err
-		}
-		if planOpt.Exchange.Portfolio, err = copack.ParsePortfolioConfig(data); err != nil {
-			return err
-		}
-	} else if cfg.portBudget > 0 {
-		planOpt.Exchange.Portfolio = copack.DefaultPortfolio(cfg.portBudget)
+		Exchange:     copack.ExchangeOptions{Restarts: cfg.restarts},
 	}
 	var collector *copack.MetricsCollector
 	if cfg.metricsPath != "" {
@@ -180,10 +168,9 @@ func run(cfg config) error {
 	if res.Exchange != nil {
 		fmt.Printf("anneal        : %d proposed, %d accepted, %d uphill\n",
 			res.Exchange.Stats.Proposed, res.Exchange.Stats.Accepted, res.Exchange.Stats.Uphill)
-		if out := res.Exchange.Portfolio; out != nil {
-			winner := planOpt.Exchange.Portfolio.Arms[out.BestArm]
-			fmt.Printf("portfolio     : %d restarts over %d arms; winner %q (%d pulls), trace %#016x\n",
-				out.Total, len(out.Arms), winner.Name, out.Arms[out.BestArm].Pulls, out.TraceHash())
+		if n := len(res.Exchange.RestartCosts); n > 1 {
+			fmt.Printf("restarts      : %d; winner restart %d (Eq 3 cost %.4f)\n",
+				n, res.Exchange.Restart, res.Exchange.RestartCosts[res.Exchange.Restart])
 		}
 	}
 

@@ -172,32 +172,43 @@ func TestRealMainUnwritableOutputs(t *testing.T) {
 	}
 }
 
-func TestRunPortfolio(t *testing.T) {
-	// -portfolio N swaps the exchange's fixed restart loop for the default
-	// adaptive arm set; the run must complete and print the winner arm.
-	cfg := config{circuit: 1, alg: "dfa", tiers: 1, seed: 1, portBudget: 6}
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
+// TestRunRestarts: -restarts N runs N seeded anneals and keeps the best.
+// They start cold at ψ = 1 and warm at ψ = 4, which the run's telemetry
+// shows as the temperature the first restart entered at.
+func TestRunRestarts(t *testing.T) {
+	for _, c := range []struct {
+		tiers int
+		temp  float64
+	}{{1, 1}, {4, 0.05}} {
+		metrics := filepath.Join(t.TempDir(), "metrics.json")
+		cfg := config{circuit: 1, alg: "dfa", tiers: c.tiers, seed: 1, restarts: 6, metricsPath: metrics}
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap copack.MetricsSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Gauges["exchange/restarts"]; got != 6 {
+			t.Errorf("ψ=%d: exchange/restarts = %v, want 6", c.tiers, got)
+		}
+		if got := snap.Gauges["anneal/restart0/temp_initial"]; got != c.temp {
+			t.Errorf("ψ=%d: restart 0 entered at %v, want %v", c.tiers, got, c.temp)
+		}
 	}
 }
 
-func TestRunPortfolioConfigFile(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "port.json")
-	if err := os.WriteFile(good, []byte(`{"arms":[{"name":"a"},{"name":"b","move_scale":0.5}],"budget":4}`), 0o644); err != nil {
-		t.Fatal(err)
+// TestRunRestartsAboveCap: a restart count above the exchange's 4096 cap
+// fails the run, and the command exits 1.
+func TestRunRestartsAboveCap(t *testing.T) {
+	if err := run(config{circuit: 1, alg: "dfa", tiers: 1, seed: 1, restarts: 5000}); err == nil {
+		t.Error("5000 restarts accepted")
 	}
-	if err := run(config{circuit: 1, alg: "dfa", tiers: 1, seed: 1, portConfig: good}); err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"arms":[{"name":"a"},{"name":"a"}],"budget":4}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(config{circuit: 1, alg: "dfa", tiers: 1, seed: 1, portConfig: bad}); err == nil {
-		t.Error("duplicate-arm portfolio config accepted")
-	}
-	if err := run(config{circuit: 1, alg: "dfa", tiers: 1, seed: 1, portConfig: filepath.Join(dir, "missing.json")}); err == nil {
-		t.Error("missing portfolio config file accepted")
+	if code := realMain([]string{"-circuit", "1", "-restarts", "5000"}); code != 1 {
+		t.Errorf("-restarts 5000: exit code %d, want 1", code)
 	}
 }

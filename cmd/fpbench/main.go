@@ -8,7 +8,7 @@
 //	fpbench -fig 6 -out plots/  # Fig 6: IR maps (writes SVGs)
 //	fpbench -all -out plots/
 //	fpbench -sweep 20 -workers 4   # Table 2 over 20 seeds on 4 workers
-//	fpbench -compare            # four-way engine table + warm-start comparison
+//	fpbench -compare            # four-way engine table + restart-policy table
 //	fpbench -table 3 -cpuprofile cpu.out -memprofile mem.out   # pprof evidence
 //
 // -workers bounds the pool used by tables and sweeps; every output is
@@ -49,7 +49,7 @@ func realMain(args []string) int {
 		sweep    = fs.Int("sweep", 0, "re-run Table 2 over this many seeds and report ratio distributions")
 		sweep3   = fs.Int("sweep3", 0, "re-run Table 3 over this many seeds and report improvement distributions")
 		flipchip = fs.Bool("flipchip", false, "compare wire-bond vs flip-chip IR-drop (the paper's §2.4 motivation)")
-		compare  = fs.Bool("compare", false, "compare the four assignment engines (Table 2 + MCMF) and cold vs MCMF-warm-started exchange")
+		compare  = fs.Bool("compare", false, "compare the four assignment engines (Table 2 + MCMF) and the exchange's restart policy (one cold pull vs the start rule)")
 		workers  = fs.Int("workers", runtime.NumCPU(), "worker pool size for tables and sweeps (results are identical for any value)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
@@ -246,12 +246,12 @@ func realMain(args []string) int {
 			}
 			fmt.Println("== Assignment engines: random / IFA / DFA / MCMF ==")
 			fmt.Println(res.Format())
-			ws, err := exp.WarmStart(*seed, harness)
+			pol, err := exp.RestartPolicy([]int64{*seed}, harness)
 			if err != nil {
 				return err
 			}
-			fmt.Println("== Exchange warm start: cold (DFA) vs MCMF-seeded, shared Eq 3 baseline ==")
-			fmt.Println(ws.Format())
+			fmt.Printf("== Restart policy: one cold pull vs the start rule at Restarts %d (cold at ψ = 1, warm at ψ ≥ 2), shared Eq 3 baseline ==\n", exp.PolicyRestarts)
+			fmt.Println(pol.Format())
 			return nil
 		})
 	}

@@ -89,14 +89,14 @@ func TestFig13(t *testing.T) {
 
 func TestCompareFlag(t *testing.T) {
 	if testing.Short() {
-		t.Skip("-compare runs twenty annealers; skipped with -short")
+		t.Skip("-compare runs 180 annealers; skipped with -short")
 	}
 	var code int
 	out := captureStdout(t, func() { code = realMain([]string{"-compare"}) })
 	if code != 0 {
 		t.Fatalf("realMain(-compare) = %d, want 0", code)
 	}
-	for _, want := range []string{"MCMF", "warm start", "avg cost delta"} {
+	for _, want := range []string{"MCMF", "Restart policy", "eq3Rule", "mean"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -43,7 +43,6 @@ import (
 	"copack/internal/netlist"
 	"copack/internal/obs"
 	"copack/internal/parallel"
-	"copack/internal/portfolio"
 	"copack/internal/power"
 	"copack/internal/route"
 	"copack/internal/stack"
@@ -111,22 +110,6 @@ type (
 	// MetricsSnapshot is a Collector's state: counters, gauges, timers
 	// and pipeline phase events, JSON-marshalable with stable key order.
 	MetricsSnapshot = obs.Snapshot
-	// PortfolioConfig declares an adaptive annealing portfolio: an arm
-	// set, a restart budget and the bandit's exploration coefficient (see
-	// ExchangeOptions.Portfolio and internal/portfolio).
-	PortfolioConfig = portfolio.Config
-	// PortfolioArm is one portfolio member: a schedule variant, a
-	// move-range knob and a warm-start engine.
-	PortfolioArm = portfolio.Arm
-	// PortfolioEngine names an arm's warm-start engine ("", "ifa", "dfa",
-	// "mcmf" or "auto").
-	PortfolioEngine = portfolio.Engine
-	// PortfolioOutcome is the bandit's replay log: the full arm-allocation
-	// trace plus per-arm summaries (ExchangeResult.Portfolio).
-	PortfolioOutcome = portfolio.Outcome
-	// PortfolioFeatures are the cheap deterministic circuit features the
-	// bandit's auto engine selection reads.
-	PortfolioFeatures = portfolio.Features
 )
 
 // Net classes.
@@ -156,9 +139,10 @@ const (
 	RandomAssign
 	// MCMF is the min-cost max-flow engine: an exact bipartite
 	// net-to-slot matching under congestion- and IR-aware edge costs,
-	// uncrossed into a monotonic-legal order. It doubles as a warm start
-	// for the exchange step: a portfolio arm with Engine "mcmf" anneals
-	// from its order (see PortfolioArm).
+	// uncrossed into a monotonic-legal order. It doubles as the exchange
+	// step's warm start: the restarts of a multi-restart run of a
+	// stacking IC with at most 512 nets anneal from its order (see
+	// ExchangeOptions.Restarts).
 	MCMF
 )
 
@@ -243,23 +227,6 @@ type Options struct {
 // Options.Recorder.
 func NewMetricsCollector() *MetricsCollector { return obs.NewCollector() }
 
-// DefaultPortfolio returns the standard adaptive-portfolio arm set for a
-// restart budget: the legacy schedule as control, faster/slower cooling
-// variants, a half-plateau move-range arm and a feature-selected warm-start
-// arm (see internal/portfolio).
-func DefaultPortfolio(budget int) *PortfolioConfig { return portfolio.Default(budget) }
-
-// ParsePortfolioConfig decodes and validates a JSON portfolio declaration
-// (the format fpassign's -portfolio-config flag reads). Unknown fields,
-// trailing data, duplicate arm names and non-positive budgets are rejected.
-func ParsePortfolioConfig(data []byte) (*PortfolioConfig, error) {
-	return portfolio.ParseConfig(data)
-}
-
-// ComputeFeatures extracts the cheap deterministic circuit features the
-// portfolio's auto engine selection reads.
-func ComputeFeatures(p *Problem) PortfolioFeatures { return portfolio.Compute(p) }
-
 // SolveOptions re-exports the IR-drop solver's tuning knobs.
 type SolveOptions = power.SolveOptions
 
@@ -286,15 +253,19 @@ type Result struct {
 	// Partial reports that the run was cut short — deadline, caller
 	// cancellation or a starved IR solver — and every field above holds
 	// the best-so-far state: the Assignment is always monotonic-legal
-	// and never worse (by the exchange cost) than the initial one, and
+	// and never worse (by the exchange cost) than the order the exchange
+	// started from, and
 	// the IR-drop numbers are the solver's best available estimate (its
 	// current iterate, or the previous stage's solve when the cut came
 	// before the first iteration). The exchange cost's minimum is the
 	// initial order itself, and an anneal cut part-way nearly always
-	// stands above it, so the exchange then falls back to the initial
+	// stands above it, so the exchange then falls back to its start
 	// order: a Budget that cuts the exchange returns Initial, with none
 	// of the exchange's IR-drop or bonding gain (see DESIGN.md, "What the
-	// exchange's objective ranks").
+	// exchange's objective ranks"). A multi-restart run of a stacking IC
+	// (ψ ≥ 2) starts warm, so a cut one falls back to the warm start
+	// order instead, which the exchange cost may score above Initial
+	// (see ExchangeOptions.Restarts).
 	Partial bool
 	// Stopped says where and why a Partial run stopped (for example
 	// "exchange: context deadline exceeded"); empty for a complete run.

@@ -29,8 +29,9 @@ import (
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/core"
+	"copack/internal/netlist"
 	"copack/internal/obs"
-	"copack/internal/portfolio"
+	"copack/internal/parallel"
 	"copack/internal/power"
 	"copack/internal/route"
 	"copack/internal/stack"
@@ -59,12 +60,19 @@ type Options struct {
 	// Restarts runs this many independently seeded anneals (restart k
 	// gets seed Seed+k, per anneal.SplitSeed) and keeps the one whose
 	// final order scores the lowest Eq 3 cost, breaking ties toward the
-	// lower restart index. 0 or 1 means a single anneal — the paper's
-	// method exactly. The restarts run as a one-arm portfolio (a cold arm
-	// with no overrides and Budget = Restarts, so at most the portfolio's
-	// 4096 cap). The outcome is a pure function of (problem, initial,
-	// Options): it does not depend on Workers. Ignored when Portfolio is
-	// set.
+	// lower restart index; above 4096 the run fails. 0 or 1 means a
+	// single anneal — the paper's method exactly. A single anneal, and
+	// every restart at ψ = 1, starts cold from the initial order on
+	// Schedule. Several restarts at ψ ≥ 2 all start warm from the
+	// congestion-driven order the instance suits (see warmStart), on
+	// Schedule entered at temperature 0.05 with half its plateau length.
+	// Every Eq 3 baseline — the Eq 2 section counts, the Δ_IR and ω
+	// normalizers, the Before metrics — stays anchored to the initial
+	// argument, so warm and cold costs compare directly. A restart cut
+	// short falls back to its start order when Eq 3 scores that lower:
+	// the initial order, or, for a multi-restart run at ψ ≥ 2, the warm
+	// start order. The outcome is a pure function of (problem, initial,
+	// Options): it does not depend on Workers.
 	Restarts int
 	// Workers bounds how many restarts anneal concurrently (0 means one
 	// per available CPU). It only changes the wall clock, never the
@@ -78,18 +86,6 @@ type Options struct {
 	// recorded run is bit-identical to an unrecorded one (enforced by the
 	// golden tests).
 	Recorder obs.Recorder
-	// Portfolio, when non-nil, declares the arms the restarts run on (see
-	// internal/portfolio): Portfolio.Budget restarts are allocated across
-	// them by a deterministic successive-halving bandit, reported in
-	// Result.Portfolio. An arm's engine is the only warm start: a restart
-	// of an {Engine: "mcmf"} arm anneals from the MCMF order while every
-	// Eq 3 baseline — the Eq 2 section counts, the Δ_IR and ω normalizers,
-	// the Before metrics — stays anchored to the initial argument, so its
-	// cost is comparable with a cold run's (see Score). A single arm with
-	// no overrides is exactly Restarts = Budget, which is how a nil
-	// Portfolio runs. Portfolio.Seed is overwritten with Options.Seed so
-	// one seed drives the whole run.
-	Portfolio *portfolio.Config
 }
 
 // Metrics captures the quality of an assignment before/after exchanging.
@@ -123,22 +119,18 @@ type Result struct {
 	// Interrupted reports that the anneal was cut short (context
 	// cancellation or an injected fault; see Stats.Stopped for the
 	// reason). Assignment then holds the annealed-so-far order — or the
-	// restart's start order, when the cut caught the anneal in a state
-	// Eq 3 scores worse than the start — so a partial answer is always
-	// legal under the range constraint and never loses ground.
+	// restart's start order (see Options.Restarts), when the cut caught
+	// the anneal in a state Eq 3 scores worse than the start — so a
+	// partial answer is always legal under the range constraint and never
+	// loses ground.
 	Interrupted bool
 	// Restart is the index of the winning restart (0 for single-start
 	// runs); Stats describes that restart's anneal.
 	Restart int
 	// RestartCosts lists every restart's final Eq 3 cost (recomputed
 	// from scratch, so incremental-cache drift cannot skew the
-	// selection), indexed by restart. Length Options.Restarts (min 1),
-	// or Portfolio.Budget for portfolio runs.
+	// selection), indexed by restart. Length Options.Restarts (min 1).
 	RestartCosts []float64
-	// Portfolio is the bandit's outcome — the full arm-allocation trace
-	// and per-arm summaries — for runs with Options.Portfolio set; nil
-	// otherwise.
-	Portfolio *portfolio.Outcome
 }
 
 // state is the annealing target.
@@ -244,137 +236,154 @@ func Run(p *core.Problem, initial *core.Assignment, opt Options) (*Result, error
 	return RunContext(context.Background(), p, initial, opt)
 }
 
+// maxRestarts bounds Options.Restarts, so a hostile caller cannot make a
+// run allocate per-restart state without limit. 4096 restarts is far
+// beyond any useful count.
+const maxRestarts = 4096
+
 // RunContext is Run with cancellation: when ctx expires mid-anneal the
 // exchange stops, evaluates whatever order the annealer had reached and
 // returns it as a normal Result with Interrupted set — never an error. An
 // uncancelled run is identical to Run for the same seed.
 //
-// Every run has one restart loop: the bandit in internal/portfolio. Plain
-// Restarts run as a one-arm portfolio, whose single round gives pull k
-// restart index k, so all budget lands on the arm in index order. Each
-// pull builds its own state, anneals it with a fresh rng seeded
-// anneal.SplitSeed(Seed, k), and is scored from scratch; the winner is
-// the lowest cost, ties to the lower restart index.
+// Every run has one restart loop. Restart k builds its own state from the
+// start order Options.Restarts describes, anneals it with a fresh rng
+// seeded anneal.SplitSeed(Seed, k), and is scored from scratch; the winner
+// is the lowest cost, ties to the lower restart index.
 func RunContext(ctx context.Context, p *core.Problem, initial *core.Assignment, opt Options) (*Result, error) {
 	if err := core.CheckMonotonic(p, initial); err != nil {
 		return nil, fmt.Errorf("exchange: initial assignment: %v", err)
 	}
+	if opt.Restarts > maxRestarts {
+		return nil, fmt.Errorf("exchange: %d restarts above the %d cap", opt.Restarts, maxRestarts)
+	}
 	opt = opt.withDefaults(p)
-	cfg := portfolio.Config{Budget: max(opt.Restarts, 1), Arms: []portfolio.Arm{{Name: "fixed"}}}
-	if opt.Portfolio != nil {
-		cfg = *opt.Portfolio
-	}
-	cfg.Seed = opt.Seed // one seed drives the whole run
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+	n := max(opt.Restarts, 1)
 
-	// Resolve each arm's start order and schedule up front, so a bad arm
-	// fails the run before any budget is spent. An engine's order is a
-	// pure function of the problem, so arms sharing an engine share it.
-	starts := make([]*core.Assignment, len(cfg.Arms)) // nil: the initial argument
-	scheds := make([]anneal.Schedule, len(cfg.Arms))
-	warm := map[portfolio.Engine]*core.Assignment{portfolio.EngineCold: nil}
-	for i, arm := range cfg.Arms {
-		e := arm.Engine
-		if e == portfolio.EngineAuto {
-			e = portfolio.Compute(p).SelectEngine()
+	// The start order and schedule are resolved up front, so a bad
+	// schedule fails the run before any anneal. warm stays nil for a
+	// cold run, whose restarts start from the initial argument.
+	var warm *core.Assignment
+	start, sched := initial, opt.Schedule
+	if n > 1 && p.Tiers > 1 {
+		var err error
+		if warm, err = warmStart(p); err != nil {
+			return nil, err
 		}
-		w, ok := warm[e]
-		if !ok {
-			var err error
-			if w, err = warmStart(p, e); err != nil {
-				return nil, err
-			}
-			warm[e] = w
-		}
-		starts[i] = w
-		scheds[i] = arm.ApplyTo(opt.Schedule).WithDefaults()
-		if err := scheds[i].Validate(); err != nil {
-			return nil, fmt.Errorf("exchange: arm %q: %v", arm.Name, err)
-		}
+		start, sched = warm, warmSchedule(sched)
 	}
-
+	sched = sched.WithDefaults()
+	if err := sched.Validate(); err != nil {
+		return nil, fmt.Errorf("exchange: %v", err)
+	}
 	before, err := measure(p, initial)
 	if err != nil {
 		return nil, err
 	}
 
-	// Each pull lands at its global restart index, so the reduction
-	// below is scheduling-independent.
-	runs := make([]restart, cfg.Budget)
-	outcome, err := portfolio.Run(ctx, cfg, opt.Workers, func(ctx context.Context, arm, k int) (float64, anneal.Stats, error) {
-		start := starts[arm]
-		st := newState(p, initial, opt, start)
+	// Each restart lands at its index, so the reduction below is
+	// scheduling-independent.
+	runs := make([]restart, n)
+	err = parallel.ForEachErr(ctx, n, opt.Workers, func(ctx context.Context, k int) error {
+		st := newState(p, initial, opt, warm)
 		cost0 := st.cost()
-		rng := rand.New(rand.NewSource(anneal.SplitSeed(cfg.Seed, k)))
-		s, err := anneal.MinimizeContext(ctx, st, cost0, scheds[arm], rng)
+		rng := rand.New(rand.NewSource(anneal.SplitSeed(opt.Seed, k)))
+		s, err := anneal.MinimizeContext(ctx, st, cost0, sched, rng)
 		if err != nil {
-			return 0, s, err
+			return err
 		}
 		st.trk.resyncProxy() // clear bounded drift before scoring
 		if s.Interrupted && st.cost() > cost0 {
 			// The cut caught this anneal in a state Eq 3 scores worse
 			// than its start. The start order is the better answer — an
 			// interrupted exchange must never lose ground.
-			if start == nil {
-				start = initial
-			}
 			st.a = start.Clone()
 		}
-		runs[k] = restart{st: st, arm: arm, stats: s, terms: eq3Terms(p, st)}
-		return runs[k].terms.Total, s, nil
+		runs[k] = restart{st: st, stats: s, terms: eq3Terms(p, st)}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	costs := make([]float64, outcome.Total)
-	for k := range costs {
+	// Reduce in index order: the strict < breaks ties toward the lower
+	// index, and restart 0 names a winner even when every cost is +Inf
+	// or NaN.
+	costs := make([]float64, n)
+	win := 0
+	for k := range runs {
 		costs[k] = runs[k].terms.Total
+		if costs[k] < costs[win] {
+			win = k
+		}
 	}
-	res, err := finishResult(p, runs[outcome.BestRestart], before, outcome.BestRestart, costs)
+	res, err := finishResult(p, runs[win], before, win, costs)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Portfolio != nil {
-		res.Portfolio = outcome
-	}
-	recordRun(opt, scheds, runs, res)
+	recordRun(opt, sched, runs, res)
 	return res, nil
 }
 
-// restart is one pull of a run: its annealed state, the arm that ran it,
-// the annealer's stats and the from-scratch Eq 3 terms of its final order.
+// restart is one anneal of a run: its annealed state, the annealer's stats
+// and the from-scratch Eq 3 terms of its final order.
 type restart struct {
 	st    *state
-	arm   int
 	stats anneal.Stats
 	terms eq3Breakdown
 }
 
-// warmStart builds the start order of a warm-start engine and checks that
-// it is monotonic-legal.
-func warmStart(p *core.Problem, e portfolio.Engine) (*core.Assignment, error) {
+// warmStart builds the start order of a warm multi-restart run with the
+// congestion-driven engine the instance's size suits, and checks that it
+// is monotonic-legal:
+//
+//   - Tiny rings (< 8 nets) go to IFA: at that size the insertion
+//     heuristic is near-optimal and the flow machinery buys nothing.
+//   - Instances the dense flow can afford (≤ 512 nets) with any supply
+//     net to ladder go to MCMF: its congestion-exact matching plus the
+//     Eq 3 IR ladder give the anneal the best-known starting basin.
+//   - Everything else goes to DFA, the paper's best scalable engine.
+func warmStart(p *core.Problem) (*core.Assignment, error) {
 	var (
 		w   *core.Assignment
 		err error
 	)
-	switch e {
-	case portfolio.EngineIFA:
+	switch nets := p.Circuit.NumNets(); {
+	case nets < 8:
 		w, err = assign.IFA(p)
-	case portfolio.EngineDFA:
-		w, err = assign.DFA(p, assign.DFAOptions{})
-	case portfolio.EngineMCMF:
+	case nets <= 512 && hasSupplyNet(p.Circuit):
 		w, err = assign.MCMF(p, assign.MCMFOptions{})
+	default:
+		w, err = assign.DFA(p, assign.DFAOptions{})
 	}
 	if err == nil {
 		err = core.CheckMonotonic(p, w)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("exchange: warm start %q: %v", e, err)
+		return nil, fmt.Errorf("exchange: warm start: %v", err)
 	}
 	return w, nil
+}
+
+// hasSupplyNet reports whether the circuit has a power or ground net.
+func hasSupplyNet(c *netlist.Circuit) bool {
+	for id := netlist.ID(0); int(id) < c.NumNets(); id++ {
+		if c.Net(id).Class.SupplyClass() {
+			return true
+		}
+	}
+	return false
+}
+
+// warmSchedule is the schedule of a warm restart: s entered at temperature
+// 0.05 with half its plateau length (never below one move). A warm start
+// already lands near a good basin, so its budget belongs in the
+// low-temperature tail of the cooling ramp.
+func warmSchedule(s anneal.Schedule) anneal.Schedule {
+	s.InitialTemp = 0.05
+	s = s.WithDefaults()
+	s.MovesPerTemp = max(s.MovesPerTemp/2, 1)
+	return s
 }
 
 // finishResult evaluates the winning restart's final order and assembles the
@@ -479,25 +488,6 @@ func eq3Terms(p *core.Problem, st *state) eq3Breakdown {
 		b.Total += b.Omega
 	}
 	return b
-}
-
-// Score recomputes the Eq 3 cost of order a in the frame anchored at
-// baseline — the quantity RunContext reports in RestartCosts when baseline
-// is that run's initial argument. Two runs that share a baseline (for
-// example a cold DFA-seeded run and an MCMF-warm-started run whose Options
-// passed the same initial) therefore get directly comparable scores, which
-// Eq 3's initial-relative ID term and Δ_IR/ω normalizers otherwise forbid.
-// Both orders must be monotonic-legal for the problem.
-func Score(p *core.Problem, baseline, a *core.Assignment, opt Options) (float64, error) {
-	if err := core.CheckMonotonic(p, baseline); err != nil {
-		return 0, fmt.Errorf("exchange: score baseline: %v", err)
-	}
-	if err := core.CheckMonotonic(p, a); err != nil {
-		return 0, fmt.Errorf("exchange: score order: %v", err)
-	}
-	opt = opt.withDefaults(p)
-	st := newState(p, baseline, opt, a)
-	return eq3Terms(p, st).Total, nil
 }
 
 // measure evaluates the initial order's Metrics. Its Eq 2 ID is 0 by

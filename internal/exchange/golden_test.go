@@ -11,7 +11,6 @@ import (
 	"copack/internal/bga"
 	"copack/internal/gen"
 	"copack/internal/obs"
-	"copack/internal/portfolio"
 )
 
 // TestGoldenResults pins the exchange output bit for bit. The expected
@@ -63,11 +62,15 @@ func TestGoldenResults(t *testing.T) {
 			anneal.Stats{Plateaus: 111, Proposed: 72513, Infeasible: 19839, Accepted: 55520, Uphill: 8346,
 				FinalCost: math.Float64frombits(0x40258349c6578b02), BestCost: math.Float64frombits(0x3ff6666666666666)},
 			0, []uint64{0x40258349c6578b01}},
+		// Several restarts at ψ ≥ 2 start warm from the MCMF order on the
+		// warm schedule (Options.Restarts): these are the bits the retired
+		// restart bandit produced with its one warm arm alone (auto engine,
+		// move scale 0.5, entry temperature 0.05) at a budget of 4.
 		{"c2_t4_restarts4", 2, 1, 4, Options{Seed: 1, Restarts: 4},
-			0xd17ae8002bde605d,
-			anneal.Stats{Plateaus: 111, Proposed: 72739, Infeasible: 19613, Accepted: 55984, Uphill: 8311,
-				FinalCost: math.Float64frombits(0x402076f2841fb743), BestCost: math.Float64frombits(0x3ff6666666666666)},
-			2, []uint64{0x40258349c6578b01, 0x4025822b42062e5d, 0x402076f2841fb73d, 0x402579f83ce4dfa5}},
+			0xd9de2256c5546953,
+			anneal.Stats{Plateaus: 75, Proposed: 24583, Infeasible: 6617, Accepted: 16166, Uphill: 1895,
+				FinalCost: math.Float64frombits(0x40209178abdc8980), BestCost: math.Float64frombits(0x40209178abdc8980)},
+			2, []uint64{0x40209c38a9ea64aa, 0x4020a2633dc1f790, 0x40209178abdc897e, 0x4020a11605fcb7cd}},
 		{"c2_t4_topline", 2, 1, 4, Options{Seed: 1, TopLineOnly: true},
 			0x142618cb07be5ad7,
 			anneal.Stats{Plateaus: 111, Proposed: 71697, Infeasible: 20655, Accepted: 55696, Uphill: 8029,
@@ -153,122 +156,6 @@ func TestGoldenResults(t *testing.T) {
 						}
 						if got := snap.Gauges["exchange/winner_restart"]; got != float64(res.Restart) {
 							t.Errorf("%s: snapshot winner_restart = %v, want %d", cell, got, res.Restart)
-						}
-						js, err := snap.MarshalIndent()
-						if err != nil {
-							t.Fatalf("%s: marshal snapshot: %v", cell, err)
-						}
-						snapshots = append(snapshots, js)
-					}
-				}
-			}
-			for i := 1; i < len(snapshots); i++ {
-				if string(snapshots[i]) != string(snapshots[0]) {
-					t.Errorf("instrumented snapshot %d differs from snapshot 0:\n%s\nvs\n%s",
-						i, snapshots[i], snapshots[0])
-				}
-			}
-		})
-	}
-}
-
-// TestGoldenPortfolioResults extends the golden matrix with portfolio-on
-// cells: two pinned configs, each run at workers 1 and 4 with and without a
-// Recorder. Every run goes through the one restart loop: the Restarts cells
-// above run as a one-arm portfolio with no overrides and these cells
-// declare their own arms, so together the two tests pin both kinds of arm
-// set bit-stable through the same bandit.
-func TestGoldenPortfolioResults(t *testing.T) {
-	quick := anneal.Schedule{InitialTemp: 0.5, FinalTemp: 1e-3, Cooling: 0.85, MovesPerTemp: 200}
-	cases := []struct {
-		name      string
-		circuit   int
-		genSeed   int64
-		tiers     int
-		opt       Options
-		cfg       portfolio.Config
-		wantHash  uint64
-		wantTrace uint64
-		restart   int
-		costs     []uint64 // math.Float64bits of RestartCosts
-	}{
-		{"c0_t1_two_arm", 0, 4, 1, Options{Seed: 9, Schedule: quick},
-			portfolio.Config{Budget: 5, Arms: []portfolio.Arm{
-				{Name: "legacy"},
-				{Name: "fast", Schedule: anneal.Schedule{Cooling: 0.7}},
-			}},
-			0x508f750d86c46401, 0x2bdbcc502a40d57e,
-			0, []uint64{0x3ffc8408cd63069a, 0x4005e9fe886f7ee6, 0x3ffc9b81d574a160, 0x3ffc9b81d574a160, 0x3ffc9b81d574a160}},
-		{"c1_t4_warm_mix", 1, 3, 4, Options{Seed: 2, Schedule: quick},
-			portfolio.Config{Budget: 6, Arms: []portfolio.Arm{
-				{Name: "cold"},
-				{Name: "half", MoveScale: 0.5},
-				{Name: "warm-mcmf", Engine: portfolio.EngineMCMF, MoveScale: 0.5,
-					Schedule: anneal.Schedule{InitialTemp: 0.05}},
-			}},
-			0x8fe985adcc3dc10d, 0x9a1b2e9e978426b1,
-			4, []uint64{0x400be848acf524b3, 0x400cb33d57ed44ea, 0x4017d5b27801c962, 0x40210a885134919c, 0x3ff6666666666666, 0x4017e8f609613c11}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			p := gen.MustBuild(gen.Table1()[tc.circuit], gen.Options{Seed: tc.genSeed, Tiers: tc.tiers})
-			a, err := assign.DFA(p, assign.DFAOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var snapshots [][]byte
-			for _, workers := range []int{1, 4} {
-				for _, instrumented := range []bool{false, true} {
-					cell := fmt.Sprintf("workers=%d recorder=%v", workers, instrumented)
-					opt := tc.opt
-					opt.Workers = workers
-					cfg := tc.cfg
-					opt.Portfolio = &cfg
-					var col *obs.Collector
-					if instrumented {
-						col = obs.NewCollector()
-						opt.Recorder = col
-					}
-					res, err := Run(p, a, opt)
-					if err != nil {
-						t.Fatalf("%s: %v", cell, err)
-					}
-					h := fnv.New64a()
-					for _, side := range bga.Sides() {
-						for _, id := range res.Assignment.Slots[side] {
-							fmt.Fprintf(h, "%d,", id)
-						}
-						fmt.Fprint(h, ";")
-					}
-					if got := h.Sum64(); got != tc.wantHash {
-						t.Errorf("%s: assignment hash = %#016x, want %#016x", cell, got, tc.wantHash)
-					}
-					if got := res.Portfolio.TraceHash(); got != tc.wantTrace {
-						t.Errorf("%s: trace hash = %#016x, want %#016x", cell, got, tc.wantTrace)
-					}
-					if res.Restart != tc.restart {
-						t.Errorf("%s: Restart = %d, want %d", cell, res.Restart, tc.restart)
-					}
-					if len(res.RestartCosts) != len(tc.costs) {
-						t.Fatalf("%s: %d restart costs, want %d", cell, len(res.RestartCosts), len(tc.costs))
-					}
-					for k, rc := range res.RestartCosts {
-						if math.Float64bits(rc) != tc.costs[k] {
-							t.Errorf("%s: RestartCosts[%d] = %#016x, want %#016x",
-								cell, k, math.Float64bits(rc), tc.costs[k])
-						}
-					}
-					if col != nil {
-						snap := col.Snapshot()
-						if got := snap.Gauges["portfolio/winner_restart"]; got != float64(res.Restart) {
-							t.Errorf("%s: snapshot winner_restart = %v, want %d", cell, got, res.Restart)
-						}
-						if got := snap.Gauges["portfolio/budget"]; got != float64(tc.cfg.Budget) {
-							t.Errorf("%s: snapshot budget = %v, want %d", cell, got, tc.cfg.Budget)
-						}
-						if got := snap.Counters["portfolio/trace_hash"]; got != int64(tc.wantTrace) {
-							t.Errorf("%s: snapshot trace_hash = %#016x, want %#016x", cell, uint64(got), tc.wantTrace)
 						}
 						js, err := snap.MarshalIndent()
 						if err != nil {

@@ -13,8 +13,8 @@ import (
 // minimum is the start order: the start scores ID = 0 by definition, and
 // no annealed state has been seen to score below it. A full run returns
 // its final state, as the paper's Fig 14 does, not the best one seen. An
-// interrupted pull that Eq 3 scores worse than its start falls back to
-// the start, so a cut exchange returns the DFA order.
+// interrupted restart that Eq 3 scores worse than its start falls back to
+// the start, so a cut single-anneal exchange returns the DFA order.
 
 // TestBestSeenIsTheStart: at default options, over the Table 1 circuits,
 // ψ ∈ {1, 4} and seeds 1–3, the lowest Eq 3 cost the winning anneal ever
@@ -33,7 +33,7 @@ func TestBestSeenIsTheStart(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				start, err := Score(p, dfaA, dfaA, Options{Seed: seed})
+				start, err := score(p, dfaA, dfaA, Options{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,7 +15,6 @@ import (
 //	exchange/restart<k>/tracker_resyncs                           counter
 //	exchange/restart<k>/cost_ir|cost_id|cost_omega|cost_total     Eq 3 gauges
 //	anneal/restart<k>/...                                         anneal.Stats.Record
-//	portfolio/...                                                 bandit gauges, only when Options.Portfolio is set
 //
 // Everything is emitted once, after the anneals finish, iterating restarts
 // in index order on the calling goroutine — so the recording is
@@ -25,8 +24,9 @@ import (
 // concurrently.
 
 // recordRun emits the whole run's telemetry to opt.Recorder (no-op when
-// nil). Each restart's anneal is recorded against its arm's schedule.
-func recordRun(opt Options, scheds []anneal.Schedule, runs []restart, res *Result) {
+// nil). Every restart's anneal is recorded against sched, the schedule
+// the restarts ran.
+func recordRun(opt Options, sched anneal.Schedule, runs []restart, res *Result) {
 	rec := obs.OrNop(opt.Recorder)
 	if _, nop := rec.(obs.NopRecorder); nop {
 		return
@@ -52,30 +52,7 @@ func recordRun(opt Options, scheds []anneal.Schedule, runs []restart, res *Resul
 		kr.Set("cost_id", r.terms.ID)
 		kr.Set("cost_omega", r.terms.Omega)
 		kr.Set("cost_total", r.terms.Total)
-		s.Record(obs.WithPrefix(rec, fmt.Sprintf("anneal/restart%d/", k)), scheds[r.arm])
-	}
-	out := res.Portfolio
-	if out == nil {
-		return
-	}
-	// The bandit's own keys: budget, winner, trace hash and per-arm pull /
-	// cost / elimination summaries.
-	pr := obs.WithPrefix(rec, "portfolio/")
-	pr.Set("arms", float64(len(out.Arms)))
-	pr.Set("budget", float64(out.Total))
-	pr.Set("winner_arm", float64(out.BestArm))
-	pr.Set("winner_restart", float64(out.BestRestart))
-	pr.Set("best_cost", out.BestCost)
-	pr.Add("trace_hash", int64(out.TraceHash()))
-	for _, as := range out.Arms {
-		ar := obs.WithPrefix(pr, fmt.Sprintf("arm%d/", as.Arm))
-		ar.Set("pulls", float64(as.Pulls))
-		if as.Pulls > 0 {
-			// A never-pulled arm's best cost is +Inf — meaningless as a
-			// gauge and unrepresentable in a JSON snapshot.
-			ar.Set("best_cost", as.BestCost)
-		}
-		ar.Set("eliminated_round", float64(as.EliminatedRound))
+		s.Record(obs.WithPrefix(rec, fmt.Sprintf("anneal/restart%d/", k)), sched)
 	}
 }
 

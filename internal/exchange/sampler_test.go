@@ -126,7 +126,12 @@ func TestPickSlotUniformOverPowerPads(t *testing.T) {
 				}
 			}
 			checkLocate(t, st, draws)
-			power := st.p.Circuit.IDsOfClass(netlist.Power)
+			var power []netlist.ID
+			for id := netlist.ID(0); int(id) < st.p.Circuit.NumNets(); id++ {
+				if st.p.Circuit.Net(id).Class == netlist.Power {
+					power = append(power, id)
+				}
+			}
 			want := float64(draws) / float64(len(power))
 			chi2 := 0.0
 			for _, id := range power {

@@ -8,7 +8,7 @@ import (
 	"copack/internal/assign"
 	"copack/internal/exchange"
 	"copack/internal/gen"
-	"copack/internal/portfolio"
+	"copack/internal/obs"
 	"copack/internal/route"
 )
 
@@ -93,96 +93,202 @@ func (r *CompareResult) Format() string {
 	return b.String()
 }
 
-// --- Warm-start comparison (Table 3 + MCMF-seeded exchange) ------------------
+// --- Restart policy (one cold pull vs the multi-restart start rule) ---------
 
-// WarmStartRow compares, for one (circuit, ψ) instance, the exchange run
-// cold (annealing from the DFA order) against the run warm-started from the
-// MCMF order. Both runs share the DFA order as the Eq 3 baseline, so their
-// costs are directly comparable.
-type WarmStartRow struct {
-	Circuit string
-	Psi     int
-	// ColdCost and WarmCost are the runs' final Eq 3 costs against the
-	// shared DFA baseline (Result.RestartCosts of the winning restart).
-	ColdCost, WarmCost float64
-	// ColdMoves and WarmMoves count the winning anneal's proposed moves.
-	ColdMoves, WarmMoves int
-	// ColdDensity and WarmDensity are the final max package densities.
-	ColdDensity, WarmDensity int
-	// ColdIRPct and WarmIRPct are the solved IR-drop improvements versus
-	// the DFA order, as in Table 3.
-	ColdIRPct, WarmIRPct float64
+// PolicyRestarts is the restart count the restart-policy table runs the
+// exchange's multi-restart start rule at.
+const PolicyRestarts = 8
+
+// PolicyRun is one exchange run of a restart-policy cell, measured on the
+// paper's metrics. The fields are floats so that a ψ's mean has the same
+// shape.
+type PolicyRun struct {
+	// DensityGrowth is the max package density after the exchange minus
+	// the DFA order's.
+	DensityGrowth float64
+	// IRPct is the solved IR-drop improvement over the DFA order on Table
+	// 3's grid, in percent.
+	IRPct float64
+	// BondPct is the bonding improvement, Δω over the net count, in
+	// percent (0 at ψ = 1).
+	BondPct float64
+	// Cost is the winning restart's final Eq 3 cost against the DFA
+	// baseline.
+	Cost float64
+	// Moves is the proposed moves summed over every restart.
+	Moves float64
 }
 
-// WarmStartResult is the full warm-start comparison.
-type WarmStartResult struct {
-	Rows []WarmStartRow
-	// AvgCostDelta is the mean of (warm − cold) final cost: negative means
-	// the flow warm start ends in a better Eq 3 state for the same anneal
-	// budget.
-	AvgCostDelta float64
+func (r *PolicyRun) add(x PolicyRun) {
+	r.DensityGrowth += x.DensityGrowth
+	r.IRPct += x.IRPct
+	r.BondPct += x.BondPct
+	r.Cost += x.Cost
+	r.Moves += x.Moves
 }
 
-// warmStartRow runs one (ψ, circuit) instance of Table 3 and, from the
-// same DFA order, the MCMF-warm-started exchange.
-func warmStartRow(it table3Item, seed int64) (WarmStartRow, error) {
+func (r *PolicyRun) div(n float64) {
+	r.DensityGrowth /= n
+	r.IRPct /= n
+	r.BondPct /= n
+	r.Cost /= n
+	r.Moves /= n
+}
+
+// PolicyRow is one (ψ, circuit, seed) cell of the restart-policy table:
+// the paper's one cold pull (Table 3's exchange) against Restarts:
+// PolicyRestarts under the exchange's start rule — cold restarts at ψ = 1,
+// warm ones at ψ ≥ 2 (see exchange.Options.Restarts) — both from the DFA
+// order.
+type PolicyRow struct {
+	Circuit    string
+	Psi        int
+	Seed       int64
+	Cold, Rule PolicyRun
+}
+
+// PolicyMean averages one ψ's cells.
+type PolicyMean struct {
+	Psi, Cells int
+	Cold, Rule PolicyRun
+}
+
+// PolicyResult is the restart-policy table: its cells ψ-major, then by
+// circuit, then by seed, and one mean per ψ.
+type PolicyResult struct {
+	Rows  []PolicyRow
+	Means []PolicyMean
+}
+
+// policyPsis are the tier counts of the restart-policy table.
+var policyPsis = []int{1, 2, 3, 4}
+
+// policyCell is one cell's row and the rule run it measured.
+type policyCell struct {
+	row  PolicyRow
+	rule *exchange.Result
+}
+
+// runPolicyCell runs Table 3's instance for (it, seed), then the start
+// rule from the same DFA order. The rule's moves over all its restarts
+// come from the exchange's per-restart telemetry.
+func runPolicyCell(it table3Item, seed int64) (policyCell, error) {
 	in, err := runInstance(it, seed)
 	if err != nil {
-		return WarmStartRow{}, err
+		return policyCell{}, err
 	}
-	warm, err := exchange.Run(in.p, in.dfa, exchange.Options{Seed: seed, Portfolio: &portfolio.Config{
-		Budget: 1, Arms: []portfolio.Arm{{Name: "mcmf", Engine: portfolio.EngineMCMF}}}})
+	col := obs.NewCollector()
+	rule, err := exchange.Run(in.p, in.dfa, exchange.Options{Seed: seed, Restarts: PolicyRestarts, Recorder: col})
 	if err != nil {
-		return WarmStartRow{}, err
+		return policyCell{}, err
 	}
-	cold := in.cold
-	row := WarmStartRow{
-		Circuit: it.tc.Name, Psi: it.psi,
-		ColdCost: cold.RestartCosts[cold.Restart], WarmCost: warm.RestartCosts[warm.Restart],
-		ColdMoves: cold.Stats.Proposed, WarmMoves: warm.Stats.Proposed,
-		ColdDensity: cold.After.MaxDensity, WarmDensity: warm.After.MaxDensity,
+	moves := 0
+	snap := col.Snapshot()
+	for k := range rule.RestartCosts {
+		moves += int(snap.Counters[fmt.Sprintf("exchange/restart%d/moves_priced", k)])
 	}
-	if row.ColdIRPct, err = in.irPct(cold.Assignment); err != nil {
-		return WarmStartRow{}, err
+	c := policyCell{row: PolicyRow{Circuit: it.tc.Name, Psi: it.psi, Seed: seed}, rule: rule}
+	if c.row.Cold, err = in.policyRun(in.cold, in.cold.Stats.Proposed); err != nil {
+		return policyCell{}, err
 	}
-	if row.WarmIRPct, err = in.irPct(warm.Assignment); err != nil {
-		return WarmStartRow{}, err
+	if c.row.Rule, err = in.policyRun(rule, moves); err != nil {
+		return policyCell{}, err
 	}
-	return row, nil
+	return c, nil
 }
 
-// WarmStart compares cold and MCMF-warm-started exchange runs over Table
-// 3's (ψ, circuit) instances, one instance per work unit.
-func WarmStart(seed int64, h Harness) (*WarmStartResult, error) {
-	items := table3Items()
-	rows, _, err := fanOut(context.Background(), h, len(items), func(i int) (WarmStartRow, error) {
-		return warmStartRow(items[i], seed)
-	}, func(_, _ int, row WarmStartRow) string {
-		return fmt.Sprintf("warmstart %s ψ=%d: cost cold %.4f warm %.4f",
-			row.Circuit, row.Psi, row.ColdCost, row.WarmCost)
+// policyRun measures one exchange result of the instance.
+func (in *instance) policyRun(res *exchange.Result, moves int) (PolicyRun, error) {
+	ir, err := in.irPct(res.Assignment)
+	if err != nil {
+		return PolicyRun{}, err
+	}
+	r := PolicyRun{
+		DensityGrowth: float64(res.After.MaxDensity - res.Before.MaxDensity),
+		IRPct:         ir,
+		Cost:          res.RestartCosts[res.Restart],
+		Moves:         float64(moves),
+	}
+	if in.p.Tiers > 1 {
+		r.BondPct = float64(res.Before.Omega-res.After.Omega) / float64(in.p.Circuit.NumNets()) * 100
+	}
+	return r, nil
+}
+
+// policyCells runs every cell of the restart-policy table for seeds, one
+// cell per work unit, in the table's row order.
+func policyCells(seeds []int64, h Harness) ([]policyCell, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("exp: restart policy needs at least one seed")
+	}
+	var items []table3Item
+	for _, psi := range policyPsis {
+		for _, tc := range gen.Table1() {
+			items = append(items, table3Item{tc: tc, psi: psi})
+		}
+	}
+	cells, _, err := fanOut(context.Background(), h, len(items)*len(seeds), func(i int) (policyCell, error) {
+		return runPolicyCell(items[i/len(seeds)], seeds[i%len(seeds)])
+	}, func(_, _ int, c policyCell) string {
+		return fmt.Sprintf("policy %s ψ=%d seed %d: Eq 3 cold %.4f rule %.4f",
+			c.row.Circuit, c.row.Psi, c.row.Seed, c.row.Cold.Cost, c.row.Rule.Cost)
 	})
+	return cells, err
+}
+
+// RestartPolicy compares, on every Table 1 circuit at ψ = 1…4 for each
+// seed, the paper's one cold pull against the exchange's multi-restart
+// start rule at PolicyRestarts restarts, and averages each ψ.
+func RestartPolicy(seeds []int64, h Harness) (*PolicyResult, error) {
+	cells, err := policyCells(seeds, h)
 	if err != nil {
 		return nil, err
 	}
-	out := &WarmStartResult{Rows: rows}
-	for _, row := range rows {
-		out.AvgCostDelta += row.WarmCost - row.ColdCost
+	rows := make([]PolicyRow, len(cells))
+	for i, c := range cells {
+		rows[i] = c.row
 	}
-	out.AvgCostDelta /= float64(len(rows))
-	return out, nil
+	return newPolicyResult(rows), nil
 }
 
-// Format renders the warm-start comparison.
-func (r *WarmStartResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %4s | %9s %9s | %8s %8s | %5s %5s | %8s %8s\n",
-		"circuit", "psi", "coldCost", "warmCost", "coldMv", "warmMv", "coldD", "warmD", "coldIR%", "warmIR%")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-10s %4d | %9.4f %9.4f | %8d %8d | %5d %5d | %8.2f %8.2f\n",
-			row.Circuit, row.Psi, row.ColdCost, row.WarmCost,
-			row.ColdMoves, row.WarmMoves, row.ColdDensity, row.WarmDensity,
-			row.ColdIRPct, row.WarmIRPct)
+// newPolicyResult averages rows per ψ, summing in row order.
+func newPolicyResult(rows []PolicyRow) *PolicyResult {
+	out := &PolicyResult{Rows: rows}
+	for _, psi := range policyPsis {
+		m := PolicyMean{Psi: psi}
+		for _, row := range rows {
+			if row.Psi == psi {
+				m.Cells++
+				m.Cold.add(row.Cold)
+				m.Rule.add(row.Rule)
+			}
+		}
+		if m.Cells > 0 {
+			m.Cold.div(float64(m.Cells))
+			m.Rule.div(float64(m.Cells))
+			out.Means = append(out.Means, m)
+		}
 	}
-	fmt.Fprintf(&b, "avg cost delta (warm - cold): %+.4f\n", r.AvgCostDelta)
+	return out
+}
+
+// Format renders the restart-policy table: each cell, then each ψ's mean,
+// with the cold pull's and the rule's value side by side per metric.
+func (r *PolicyResult) Format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s %3s %4s | %6s %6s | %6s %6s | %6s %6s | %8s %8s | %8s %8s\n",
+		"circuit", "psi", "seed", "dCold", "dRule", "irCold", "irRule", "bdCold", "bdRule",
+		"eq3Cold", "eq3Rule", "mvCold", "mvRule")
+	line := func(name string, psi int, seed string, cold, rule PolicyRun) {
+		fmt.Fprintf(&b, "%-10s %3d %4s | %6.2f %6.2f | %6.2f %6.2f | %6.2f %6.2f | %8.4f %8.4f | %8.0f %8.0f\n",
+			name, psi, seed, cold.DensityGrowth, rule.DensityGrowth, cold.IRPct, rule.IRPct,
+			cold.BondPct, rule.BondPct, cold.Cost, rule.Cost, cold.Moves, rule.Moves)
+	}
+	for _, row := range r.Rows {
+		line(row.Circuit, row.Psi, fmt.Sprint(row.Seed), row.Cold, row.Rule)
+	}
+	for _, m := range r.Means {
+		line("mean", m.Psi, fmt.Sprintf("n%d", m.Cells), m.Cold, m.Rule)
+	}
 	return b.String()
 }

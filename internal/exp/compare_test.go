@@ -1,9 +1,16 @@
 package exp
 
 import (
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"copack/internal/bga"
+	"copack/internal/exchange"
 )
 
 func TestCompareAssignShape(t *testing.T) {
@@ -53,30 +60,42 @@ func TestCompareAssignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestWarmStartShape(t *testing.T) {
+func TestRestartPolicyShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("warm-start table runs twenty annealers; skipped with -short")
+		t.Skip("restart-policy table runs 180 annealers; skipped with -short")
 	}
-	res, err := WarmStart(1, Harness{Workers: 1})
+	res, err := RestartPolicy([]int64{1}, Harness{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 10 {
-		t.Fatalf("got %d rows, want 10 (5 circuits x 2 tier counts)", len(res.Rows))
+	if len(res.Rows) != 20 {
+		t.Fatalf("got %d rows, want 20 (5 circuits x 4 tier counts)", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.ColdMoves <= 0 || row.WarmMoves <= 0 {
-			t.Errorf("%s ψ=%d: zero move counts %+v", row.Circuit, row.Psi, row)
+		if row.Cold.Moves <= 0 || row.Rule.Moves <= row.Cold.Moves {
+			t.Errorf("%s ψ=%d: %v cold moves, %v over %d restarts", row.Circuit, row.Psi,
+				row.Cold.Moves, row.Rule.Moves, PolicyRestarts)
 		}
-		if row.ColdDensity <= 0 || row.WarmDensity <= 0 {
-			t.Errorf("%s ψ=%d: non-positive densities", row.Circuit, row.Psi)
+		if (row.Psi > 1) != (row.Cold.BondPct != 0) {
+			t.Errorf("%s ψ=%d: bonding gain %v", row.Circuit, row.Psi, row.Cold.BondPct)
+		}
+	}
+	if len(res.Means) != 4 {
+		t.Fatalf("%d means, want one per ψ", len(res.Means))
+	}
+	for i, m := range res.Means {
+		if m.Psi != i+1 || m.Cells != 5 {
+			t.Errorf("mean %d: ψ=%d over %d cells", i, m.Psi, m.Cells)
 		}
 	}
 	out := res.Format()
-	for _, want := range []string{"warmCost", "avg cost delta"} {
+	for _, want := range []string{"eq3Rule", "mean"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format output missing %q:\n%s", want, out)
 		}
+	}
+	if _, err := RestartPolicy(nil, Harness{}); err == nil {
+		t.Error("restart policy with no seeds accepted")
 	}
 }
 
@@ -106,13 +125,100 @@ func TestCompareAssignSharesTable2(t *testing.T) {
 	}
 }
 
-// WarmStart's cold run is Table 3's exchange: its final density and IR
-// improvement equal Table 3's row for row.
-func TestWarmStartColdIsTable3(t *testing.T) {
-	if testing.Short() {
-		t.Skip("warm-start table runs twenty annealers; skipped with -short")
+// banditMeans are the retired restart bandit's results on the sweep below:
+// its default five-arm set (successive halving over a budget of 8
+// restarts) from the DFA order, averaged per ψ over the 50 cells, as the
+// last commit that had the bandit computed them. The start rule replaced
+// it on this evidence.
+var banditMeans = []struct {
+	psi                 int
+	densityGrowth, cost float64
+}{
+	{1, 1.30, 2.240726},
+	{2, 2.54, 7.776436},
+	{3, 2.60, 7.828479},
+	{4, 2.58, 7.849803},
+}
+
+// policyDigest is the FNV-64a digest (see foldRule) of the rule's 200
+// cells in row order, computed at that same commit from Restarts: 8 at
+// ψ = 1 and, at ψ ≥ 2, from the bandit's one warm arm alone (auto engine,
+// move scale 0.5, entry temperature 0.05) at a budget of 8.
+const policyDigest uint64 = 0xba5b075270f2fe71
+
+// foldRule folds one rule run into h: its winning order quadrant by
+// quadrant, the winning restart's index and every restart's cost bits.
+func foldRule(h hash.Hash64, res *exchange.Result) {
+	for _, side := range bga.Sides() {
+		for _, id := range res.Assignment.Slots[side] {
+			fmt.Fprintf(h, "%d,", id)
+		}
+		fmt.Fprint(h, ";")
 	}
-	ws, err := WarmStart(1, Harness{Workers: 2})
+	fmt.Fprintf(h, "w%d:", res.Restart)
+	for _, c := range res.RestartCosts {
+		fmt.Fprintf(h, "%016x,", math.Float64bits(c))
+	}
+	fmt.Fprint(h, "|")
+}
+
+// TestRestartPolicySweep is the restart policy's evidence and gate: the
+// table over circuits 1–5 × seeds 1–10 × ψ = 1…4. The start rule at
+// Restarts: 8 must reproduce, bit for bit, what the bandit's own cold
+// restarts (ψ = 1) and warm-auto arm (ψ ≥ 2) produced, and per ψ it must
+// end at a mean Eq 3 no higher than the bandit's, with a mean density
+// growth within 0.05 of it. About 13 s on 2 vCPUs.
+func TestRestartPolicySweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restart-policy sweep runs 1800 annealers; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("restart-policy sweep takes minutes under -race; CI runs it without")
+	}
+	var seeds []int64
+	for s := int64(1); s <= 10; s++ {
+		seeds = append(seeds, s)
+	}
+	cells, err := policyCells(seeds, Harness{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	rows := make([]PolicyRow, len(cells))
+	for i, c := range cells {
+		foldRule(h, c.rule)
+		rows[i] = c.row
+	}
+	if got := h.Sum64(); got != policyDigest {
+		t.Errorf("rule digest %#016x, want %#016x", got, policyDigest)
+	}
+	res := newPolicyResult(rows)
+	if len(res.Means) != len(banditMeans) {
+		t.Fatalf("%d means, want %d", len(res.Means), len(banditMeans))
+	}
+	for i, m := range res.Means {
+		b := banditMeans[i]
+		if m.Psi != b.psi || m.Cells != 50 {
+			t.Fatalf("mean %d: ψ=%d over %d cells, want ψ=%d over 50", i, m.Psi, m.Cells, b.psi)
+		}
+		if m.Rule.Cost > b.cost {
+			t.Errorf("ψ=%d: rule mean Eq 3 %.6f above the bandit's %.6f", m.Psi, m.Rule.Cost, b.cost)
+		}
+		if d := m.Rule.DensityGrowth - b.densityGrowth; math.Abs(d) > 0.05 {
+			t.Errorf("ψ=%d: rule mean density growth %.2f, the bandit's %.2f", m.Psi, m.Rule.DensityGrowth, b.densityGrowth)
+		}
+	}
+	t.Logf("per-ψ means:\n%s", (&PolicyResult{Means: res.Means}).Format())
+}
+
+// The restart-policy table's cold pull is Table 3's exchange: at ψ = 1 and
+// 4 its density growth, IR improvement and bonding gain equal Table 3's
+// row for row.
+func TestRestartPolicyColdIsTable3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restart-policy table runs 180 annealers; skipped with -short")
+	}
+	pol, err := RestartPolicy([]int64{1}, Harness{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +226,21 @@ func TestWarmStartColdIsTable3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws.Rows) != len(t3.Rows) {
-		t.Fatalf("%d warm-start rows, %d Table 3 rows", len(ws.Rows), len(t3.Rows))
+	var rows []PolicyRow
+	for _, row := range pol.Rows {
+		if row.Psi == 1 || row.Psi == 4 {
+			rows = append(rows, row)
+		}
 	}
-	for i, w := range ws.Rows {
+	if len(rows) != len(t3.Rows) {
+		t.Fatalf("%d policy rows at ψ = 1 and 4, %d Table 3 rows", len(rows), len(t3.Rows))
+	}
+	for i, p := range rows {
 		r := t3.Rows[i]
-		if w.Circuit != r.Circuit || w.Psi != r.Psi ||
-			w.ColdDensity != r.DensityAfterExchange || w.ColdIRPct != r.IRImprovedPct {
-			t.Errorf("row %d: warm start %s ψ=%d cold density %d IR %v, Table 3 %s ψ=%d density %d IR %v",
-				i, w.Circuit, w.Psi, w.ColdDensity, w.ColdIRPct, r.Circuit, r.Psi, r.DensityAfterExchange, r.IRImprovedPct)
+		if p.Circuit != r.Circuit || p.Psi != r.Psi ||
+			p.Cold.DensityGrowth != float64(r.DensityAfterExchange-r.DensityAfterDFA) ||
+			p.Cold.IRPct != r.IRImprovedPct || p.Cold.BondPct != r.BondImprovedPct {
+			t.Errorf("row %d: policy %s ψ=%d cold %+v, Table 3 %+v", i, p.Circuit, p.Psi, p.Cold, r)
 		}
 	}
 }

@@ -143,8 +143,7 @@ type table3Item struct {
 }
 
 // table3Items lists Table 3's instances in its row order: every Table 1
-// circuit at ψ = 1, then every one at ψ = 4. The warm-start comparison
-// runs the same list.
+// circuit at ψ = 1, then every one at ψ = 4.
 func table3Items() []table3Item {
 	var items []table3Item
 	for _, psi := range []int{1, 4} {

@@ -111,12 +111,15 @@ func TestOnlyRelayedHitsAreCopied(t *testing.T) {
 		t.Error("202 job handle copied")
 	}
 
-	// A partial plan: budget_ms cuts a schedule that would anneal for
-	// hours. b never caches it, so it is a miss every time.
-	runaway := &copack.PortfolioConfig{Budget: 2, Arms: []copack.PortfolioArm{{Name: "a",
-		Schedule: copack.Schedule{MovesPerTemp: 1_000_000_000_000, Cooling: 0.9999999}}}}
-	partial, err := json.Marshal(service.PlanRequest{Design: design,
-		Options: service.RequestOptions{Seed: 1, BudgetMS: 20, Portfolio: runaway}})
+	// A partial plan: budget_ms cuts 64 restarts of a 96-net design that
+	// take far longer. b never caches it, so it is a miss every time.
+	big, err := copack.BuildCircuit(copack.TestCircuit{Name: "fleet", Fingers: 96,
+		BallSpace: 1.2, FingerW: 0.1, FingerH: 0.2, FingerSpace: 0.12}, copack.BuildOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := json.Marshal(service.PlanRequest{Design: copack.FormatDesign(big),
+		Options: service.RequestOptions{Seed: 1, BudgetMS: 1, Restarts: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestBuildClasses(t *testing.T) {
 	}
 
 	noPower := MustBuild(Table1()[0], Options{Seed: 1, PowerEvery: -1, GroundEvery: -1})
-	if len(noPower.Circuit.SupplyIDs()) != 0 {
+	if byClass := noPower.Circuit.CountByClass(); byClass[netlist.Power]+byClass[netlist.Ground] != 0 {
 		t.Error("disabled supply classes still produced supply nets")
 	}
 }

@@ -138,28 +138,6 @@ func (c *Circuit) Nets() []Net {
 	return out
 }
 
-// IDsOfClass returns the IDs of all nets with the given class, in ID order.
-func (c *Circuit) IDsOfClass(cl NetClass) []ID {
-	var out []ID
-	for i, n := range c.nets {
-		if n.Class == cl {
-			out = append(out, ID(i))
-		}
-	}
-	return out
-}
-
-// SupplyIDs returns the IDs of all Power and Ground nets, in ID order.
-func (c *Circuit) SupplyIDs() []ID {
-	var out []ID
-	for i, n := range c.nets {
-		if n.Class.SupplyClass() {
-			out = append(out, ID(i))
-		}
-	}
-	return out
-}
-
 // CountByClass returns the number of nets per class.
 func (c *Circuit) CountByClass() map[NetClass]int {
 	m := make(map[NetClass]int, 3)

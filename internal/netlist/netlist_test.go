@@ -70,12 +70,10 @@ func TestByName(t *testing.T) {
 
 func TestClassQueries(t *testing.T) {
 	c := mk(t, "s1 signal", "p1 power", "s2 signal", "g1 ground", "p2 power")
-	if got := c.IDsOfClass(Power); len(got) != 2 || got[0] != 1 || got[1] != 4 {
-		t.Errorf("IDsOfClass(Power) = %v", got)
-	}
-	sup := c.SupplyIDs()
-	if len(sup) != 3 {
-		t.Errorf("SupplyIDs = %v", sup)
+	for id, want := range []NetClass{Signal, Power, Signal, Ground, Power} {
+		if got := c.Net(ID(id)).Class; got != want {
+			t.Errorf("net %d class %v, want %v", id, got, want)
+		}
 	}
 	byc := c.CountByClass()
 	if byc[Signal] != 2 || byc[Power] != 2 || byc[Ground] != 1 {

@@ -54,15 +54,15 @@ func TestQuickRoundTrip(t *testing.T) {
 // Property: class partitions cover the circuit exactly once.
 func TestQuickClassPartition(t *testing.T) {
 	f := func(rc randomCircuit) bool {
-		total := len(rc.c.IDsOfClass(Signal)) + len(rc.c.IDsOfClass(Power)) + len(rc.c.IDsOfClass(Ground))
-		if total != rc.c.NumNets() {
-			return false
-		}
-		if len(rc.c.SupplyIDs()) != len(rc.c.IDsOfClass(Power))+len(rc.c.IDsOfClass(Ground)) {
-			return false
+		want := map[NetClass]int{}
+		for i := 0; i < rc.c.NumNets(); i++ {
+			want[rc.c.Net(ID(i)).Class]++
 		}
 		byc := rc.c.CountByClass()
-		return byc[Signal] == len(rc.c.IDsOfClass(Signal))
+		if byc[Signal]+byc[Power]+byc[Ground] != rc.c.NumNets() {
+			return false
+		}
+		return byc[Signal] == want[Signal] && byc[Power] == want[Power] && byc[Ground] == want[Ground]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -1,7 +1,6 @@
 // Package parallel is the repo's bounded worker pool. Every concurrent hot
-// path (the exchange's restarts through internal/portfolio, the experiment
-// harness) fans out through ForEachErr, so the concurrency rules live in
-// one place:
+// path (the exchange's restarts, the experiment harness) fans out through
+// ForEachErr, so the concurrency rules live in one place:
 //
 //   - Work is identified by index. Results must be written into
 //     caller-owned, index-addressed storage, never appended, so the output

@@ -25,8 +25,8 @@ func table1Problem(t *testing.T) (*core.Problem, *core.Assignment) {
 func TestRingPositionsSortedAndCounted(t *testing.T) {
 	p, a := table1Problem(t)
 	ts := RingPositions(p, a)
-	if len(ts) != len(p.Circuit.IDsOfClass(netlist.Power)) {
-		t.Errorf("%d positions, want %d power nets", len(ts), len(p.Circuit.IDsOfClass(netlist.Power)))
+	if len(ts) != p.Circuit.CountByClass()[netlist.Power] {
+		t.Errorf("%d positions, want %d power nets", len(ts), p.Circuit.CountByClass()[netlist.Power])
 	}
 	if !sort.Float64sAreSorted(ts) {
 		t.Error("positions not sorted")
@@ -75,8 +75,8 @@ func TestPadsForAssignmentOnBoundary(t *testing.T) {
 	p, a := table1Problem(t)
 	g := DefaultChipGrid(p)
 	pads := PadsForAssignment(p, a, g)
-	if len(pads) != len(p.Circuit.IDsOfClass(netlist.Power)) {
-		t.Fatalf("%d pads, want %d", len(pads), len(p.Circuit.IDsOfClass(netlist.Power)))
+	if len(pads) != p.Circuit.CountByClass()[netlist.Power] {
+		t.Fatalf("%d pads, want %d", len(pads), p.Circuit.CountByClass()[netlist.Power])
 	}
 	for _, pad := range pads {
 		onBoundary := pad.I == 0 || pad.I == g.Nx-1 || pad.J == 0 || pad.J == g.Ny-1

@@ -37,13 +37,24 @@ func FuzzPlanRequest(f *testing.F) {
 		`{"design": "x", "options": {"seed": "one"}}`,
 		`{"design": "x", "options": {"budget_ms": -1}}`,
 		`{"design": "x", "options": {"restarts": 1000000}}`,
-		`{"design": ` + quoteJSON(design) + `, "options": {"portfolio": {"arms": [{"name": "a"}], "budget": 65}}}`,
-		`{"design": ` + quoteJSON(design) + `, "options": {"portfolio": {"arms": [{"name": "a", "schedule": {"MovesPerTemp": 1000000000000, "Cooling": 0.9999999}}], "budget": 2}}}`,
 		`{"design": "x", "options": {"algorithm": "greedy"}}`,
 		`{"design": "` + strings.Repeat("x", 5000) + `"}`,
 		`{"design": "circuit c"} {"design": "trailing"}`,
 	}
-	for _, s := range seeds {
+	// Bodies of the retired options.portfolio must be rejected with a
+	// 400 that names restarts, its replacement.
+	retired := []string{
+		`{"design": ` + quoteJSON(design) + `, "options": {"portfolio": {"arms": [{"name": "a"}], "budget": 65}}}`,
+		`{"design": ` + quoteJSON(design) + `, "options": {"portfolio": {"arms": [{"name": "a", "schedule": {"MovesPerTemp": 1000000000000, "Cooling": 0.9999999}}], "budget": 2}}}`,
+	}
+	for _, s := range retired {
+		_, err := decodePlanRequest(strings.NewReader(s))
+		var he *httpError
+		if !errors.As(err, &he) || he.status != 400 || !strings.Contains(he.msg, "restarts") {
+			f.Fatalf("retired portfolio body: %v, want a 400 naming restarts", err)
+		}
+	}
+	for _, s := range append(seeds, retired...) {
 		f.Add([]byte(s))
 	}
 
@@ -61,9 +72,6 @@ func FuzzPlanRequest(f *testing.F) {
 		}
 		if spec.key == "" || spec.canonical == "" || spec.problem == nil {
 			t.Fatalf("accepted spec with empty parts: %+v (input %q)", spec, data)
-		}
-		if pc := spec.opts.portfolio; pc != nil && pc.Budget > maxRestarts {
-			t.Fatalf("accepted portfolio budget %d above the cap of %d (input %q)", pc.Budget, maxRestarts, data)
 		}
 		// Same request → same key.
 		again, err := srv.canonicalize(req)

@@ -572,8 +572,8 @@ func TestPlanRequestValidationOverHTTP(t *testing.T) {
 		{"bad algorithm", "{\"design\": \"x\", \"options\": {\"algorithm\": \"greedy\"}}", http.StatusBadRequest},
 		{"oversized", planBody(t, design+strings.Repeat("#pad\n", 4096), RequestOptions{}), http.StatusRequestEntityTooLarge},
 		{"budget over cap", planBody(t, design, RequestOptions{BudgetMS: 1 << 40}), http.StatusBadRequest},
-		{"portfolio budget over cap", planBody(t, design, RequestOptions{Portfolio: &copack.PortfolioConfig{
-			Budget: maxRestarts + 1, Arms: []copack.PortfolioArm{{Name: "a"}}}}), http.StatusBadRequest},
+		{"retired portfolio", fmt.Sprintf(`{"design": %q, "options": {"portfolio": {"arms": [{"name": "a"}], "budget": 8}}}`, design),
+			http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		for _, path := range []string{"/plan", "/jobs"} {
@@ -584,6 +584,9 @@ func TestPlanRequestValidationOverHTTP(t *testing.T) {
 			var e map[string]string
 			if err := json.Unmarshal(data, &e); err != nil || e["error"] == "" {
 				t.Errorf("%s %s: error body %q not JSON {error}", c.name, path, data)
+			}
+			if c.name == "retired portfolio" && !strings.Contains(e["error"], "restarts") {
+				t.Errorf("%s %s: error %q does not name restarts", c.name, path, e["error"])
 			}
 		}
 	}
@@ -671,13 +674,12 @@ func TestBudgetedPlanReportsPartialAndSkipsCache(t *testing.T) {
 }
 
 // A request with no budget_ms still plans under the server's MaxBudget.
-// An arm whose schedule would anneal for hours answers 200 with a partial
-// plan once MaxBudget runs out, and that partial result is not cached.
+// A plan of 64 restarts that MaxBudget is far too short for answers 200
+// with a partial plan once MaxBudget runs out, and that partial result is
+// not cached.
 func TestRunawayScheduleStopsAtMaxBudget(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxBudget: 50 * time.Millisecond})
-	runaway := &copack.PortfolioConfig{Budget: 2, Arms: []copack.PortfolioArm{{Name: "a",
-		Schedule: copack.Schedule{MovesPerTemp: 1_000_000_000_000, Cooling: 0.9999999}}}}
-	body := planBody(t, testDesign(t, 24, 7), RequestOptions{Portfolio: runaway})
+	s := newTestServer(t, Config{Workers: 1, MaxBudget: time.Millisecond})
+	body := planBody(t, testDesign(t, 96, 7), RequestOptions{Restarts: maxRestarts})
 	for i := 0; i < 2; i++ {
 		resp, data := s.post(t, "/plan", body)
 		if resp.StatusCode != http.StatusOK {

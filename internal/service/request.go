@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"copack"
@@ -37,31 +38,28 @@ type RequestOptions struct {
 	// Seed drives every random choice (default 0: the library default).
 	Seed int64 `json:"seed,omitempty"`
 	// Restarts runs this many independently seeded anneals and keeps the
-	// best (default 1; capped at maxRestarts).
+	// best (default 1; capped at maxRestarts). Above 1 on a stacking
+	// design (ψ ≥ 2) every restart starts warm (see
+	// copack.ExchangeOptions.Restarts).
 	Restarts int `json:"restarts,omitempty"`
 	// BudgetMS bounds the planning wall clock in milliseconds; on expiry
 	// the response carries the best-so-far plan with "partial": true.
 	// Capped by the server's Config.MaxBudget, which is also the budget of
 	// a request that sets none. A cut exchange returns the congestion-
-	// driven order (see copack.Result.Partial). A partial result depends on
-	// timing, so it is never cached and carries no byte-identity
-	// guarantee; a run that finishes inside its budget is cached as usual.
+	// driven order, or, with restarts above 1 on a stacking design, the
+	// warm start order (see copack.Result.Partial). A partial result
+	// depends on timing, so it is never cached and carries no
+	// byte-identity guarantee; a run that finishes inside its budget is
+	// cached as usual.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
 	// Metrics asks for the run's obs telemetry snapshot in the response.
 	// Snapshot durations are wall-clock measurements, so a metrics=true
 	// body is only byte-stable when it is served from the cache.
 	Metrics bool `json:"metrics,omitempty"`
-	// Portfolio declares an adaptive annealing portfolio for the exchange
-	// step (arms + restart budget; see copack.PortfolioConfig). When set,
-	// restarts is ignored and the portfolio's bandit owns the restart
-	// loop; its budget has the same cap as restarts. The config's seed field is ignored — the run's seed drives
-	// the bandit, so one seed governs the whole plan.
-	Portfolio *copack.PortfolioConfig `json:"portfolio,omitempty"`
 }
 
-// maxRestarts caps the per-request anneal fan-out, restarts or a
-// portfolio's budget, so one request cannot monopolize the box. The
-// server's MaxBudget bounds each anneal's length.
+// maxRestarts caps the per-request anneal fan-out, so one request cannot
+// monopolize the box. The server's MaxBudget bounds each anneal's length.
 const maxRestarts = 64
 
 // httpError carries the status a request-layer failure maps to.
@@ -80,14 +78,13 @@ func httpErrf(status int, format string, args ...any) *httpError {
 // form that feeds both copack.Options and the cache key. Fields that
 // cannot change the result (worker counts) are deliberately absent.
 type normOptions struct {
-	alg       copack.Algorithm
-	cut       int
-	skip      bool
-	seed      int64
-	restarts  int
-	budget    time.Duration
-	metrics   bool
-	portfolio *copack.PortfolioConfig
+	alg      copack.Algorithm
+	cut      int
+	skip     bool
+	seed     int64
+	restarts int
+	budget   time.Duration
+	metrics  bool
 }
 
 // planSpec is a fully validated, canonicalized plan request: the parsed
@@ -157,6 +154,11 @@ func classifyDecodeError(err error) error {
 		return httpErrf(http.StatusBadRequest, "empty request body")
 	case errors.Is(err, io.ErrUnexpectedEOF):
 		return httpErrf(http.StatusBadRequest, "truncated JSON body")
+	case strings.Contains(err.Error(), `unknown field "portfolio"`):
+		// The adaptive portfolio was retired: its budget is restarts now,
+		// and multi-restart runs pick their start from the tier count.
+		return httpErrf(http.StatusBadRequest,
+			"options.portfolio was removed: send restarts instead (a multi-restart run at ψ ≥ 2 starts warm)")
 	default:
 		// Unknown-field errors and other decoder complaints about the
 		// input shape are client errors; genuine transport failures
@@ -214,24 +216,6 @@ func (o RequestOptions) normalize(maxBudget time.Duration) (normOptions, error) 
 			"budget_ms %d exceeds the server cap of %dms", o.BudgetMS, maxBudget.Milliseconds())
 	}
 	n.metrics = o.Metrics
-	if o.Portfolio != nil && !n.skip {
-		cfg := *o.Portfolio
-		// The exchange layer overwrites the config seed with the run's
-		// seed, so a request-supplied value cannot change the result —
-		// zero it here so it cannot split cache entries either.
-		cfg.Seed = 0
-		if err := cfg.Validate(); err != nil {
-			return n, httpErrf(http.StatusBadRequest, "invalid portfolio: %v", err)
-		}
-		if cfg.Budget > maxRestarts {
-			return n, httpErrf(http.StatusBadRequest, "portfolio budget %d exceeds the cap of %d", cfg.Budget, maxRestarts)
-		}
-		n.portfolio = &cfg
-		// The bandit owns the restart loop; normalize restarts away so
-		// "portfolio + restarts 8" and plain "portfolio" share a cache
-		// entry (skip_exchange already normalizes the same way).
-		n.restarts = 1
-	}
 	return n, nil
 }
 

@@ -47,12 +47,10 @@ package service
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -448,10 +446,7 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 		SkipExchange: spec.opts.skip,
 		Seed:         spec.opts.seed,
 		Budget:       budget,
-		Exchange: copack.ExchangeOptions{
-			Restarts:  spec.opts.restarts,
-			Portfolio: spec.opts.portfolio,
-		},
+		Exchange:     copack.ExchangeOptions{Restarts: spec.opts.restarts},
 	}
 	var col *obs.Collector
 	if spec.opts.metrics {
@@ -472,15 +467,6 @@ func (s *Server) plan(ctx context.Context, spec *planSpec) (body []byte, status 
 	body, err = renderResponse(spec, res, col)
 	if err != nil {
 		return nil, 500, fmt.Sprintf("rendering response: %v", err)
-	}
-	if res.Exchange != nil && res.Exchange.Portfolio != nil {
-		// Surface the bandit's replay identity: the trace hash pins the
-		// full arm-allocation trace, split across two gauges because a
-		// float64 cannot hold 64 bits of hash losslessly.
-		h := res.Exchange.Portfolio.TraceHash()
-		s.rec.Add("portfolio/plans", 1)
-		s.rec.Set("portfolio/last_trace_hash_hi", float64(h>>32))
-		s.rec.Set("portfolio/last_trace_hash_lo", float64(h&0xffffffff))
 	}
 	if !res.Partial {
 		s.cache.Put(spec.key, body)
@@ -536,24 +522,13 @@ func (s *Server) MetricsRecorder() obs.Recorder { return s.metrics }
 
 // version tag folded into every cache key so a change to the response
 // schema or the planning semantics invalidates old entries wholesale.
-// v2: the portfolio fragment joined the key.
-const cacheKeyVersion = "copack-plan-v2"
+// v3: restarts above 1 at ψ ≥ 2 start warm, so they plan differently
+// than under v2.
+const cacheKeyVersion = "copack-plan-v3"
 
 // optionsKey renders normalized options into the canonical cache-key
 // fragment. Workers is deliberately absent: it never changes the result.
-// The portfolio fragment is the config's canonical JSON ("-" when unset):
-// struct fields marshal in declaration order, so equal configs render
-// equal fragments.
 func (o normOptions) optionsKey() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "alg=%s cut=%d skip=%t seed=%d restarts=%d budget_ms=%d metrics=%t",
+	return fmt.Sprintf("alg=%s cut=%d skip=%t seed=%d restarts=%d budget_ms=%d metrics=%t",
 		o.alg, o.cut, o.skip, o.seed, o.restarts, o.budget.Milliseconds(), o.metrics)
-	sb.WriteString(" portfolio=")
-	if o.portfolio == nil {
-		sb.WriteString("-")
-	} else {
-		pj, _ := json.Marshal(o.portfolio)
-		sb.Write(pj)
-	}
-	return sb.String()
 }

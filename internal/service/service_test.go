@@ -106,8 +106,6 @@ func TestNormalizeOptions(t *testing.T) {
 		{"restarts over cap", RequestOptions{Restarts: maxRestarts + 1}, normOptions{}, false},
 		{"negative budget", RequestOptions{BudgetMS: -5}, normOptions{}, false},
 		{"budget over cap", RequestOptions{BudgetMS: maxBudget.Milliseconds() + 1}, normOptions{}, false},
-		{"portfolio budget over cap", RequestOptions{Portfolio: &copack.PortfolioConfig{Budget: maxRestarts + 1,
-			Arms: []copack.PortfolioArm{{Name: "a"}}}}, normOptions{}, false},
 	}
 	for _, c := range cases {
 		got, err := c.in.normalize(maxBudget)

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
@@ -338,75 +337,44 @@ func TestQueuezAndBackpressureHeaders(t *testing.T) {
 	release()
 }
 
-func TestPlanPortfolioOption(t *testing.T) {
+// TestPlanRestartsSplitCacheKey: the restart count is part of a plan's
+// content address. On a stacking design, where several restarts start
+// warm, re-posting the same restarts hits, restarts 0 and 1 share one
+// entry, and a different count misses and plans a different body.
+func TestPlanRestartsSplitCacheKey(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
-	design := testDesign(t, 24, 7)
-
-	// Invalid portfolios are client faults, rejected before any work.
-	for _, opts := range []RequestOptions{
-		{Seed: 5, Portfolio: &copack.PortfolioConfig{Budget: 2}},                                  // no arms
-		{Seed: 5, Portfolio: &copack.PortfolioConfig{Arms: []copack.PortfolioArm{{Name: "a"}}}},   // no budget
-		{Seed: 5, Portfolio: &copack.PortfolioConfig{Arms: []copack.PortfolioArm{{}}, Budget: 2}}, // unnamed arm
-	} {
-		resp, data := s.post(t, "/plan", planBody(t, design, opts))
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("invalid portfolio %+v: %d (%s), want 400", opts.Portfolio, resp.StatusCode, data)
+	tc := copack.TestCircuit{Name: "svc", Fingers: 24,
+		BallSpace: 1.2, FingerW: 0.1, FingerH: 0.2, FingerSpace: 0.12}
+	p, err := copack.BuildCircuit(tc, copack.BuildOptions{Seed: 7, Tiers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := copack.FormatDesign(p)
+	post := func(restarts int) ([]byte, string) {
+		t.Helper()
+		resp, data := s.post(t, "/plan", planBody(t, design, RequestOptions{Seed: 5, Restarts: restarts}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("restarts %d: %d: %s", restarts, resp.StatusCode, data)
 		}
+		return data, resp.Header.Get(cacheHeader)
 	}
-	// Unknown fields inside the portfolio object are typos, not defaults.
-	resp, _ := s.post(t, "/plan", fmt.Sprintf(
-		`{"design":%q,"options":{"seed":5,"portfolio":{"arms":[{"name":"a"}],"budget":2,"bogus":1}}}`, design))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown portfolio field: %d, want 400", resp.StatusCode)
+	warm, h := post(3)
+	if h != "miss" {
+		t.Errorf("first restarts-3 plan: %s = %q, want miss", cacheHeader, h)
 	}
-
-	cfg := &copack.PortfolioConfig{
-		Arms:   []copack.PortfolioArm{{Name: "cold"}, {Name: "long", MoveScale: 2}},
-		Budget: 2,
+	again, h := post(3)
+	if h != "hit" || !bytes.Equal(warm, again) {
+		t.Errorf("repeat restarts-3 plan: %s = %q, identical %v", cacheHeader, h, bytes.Equal(warm, again))
 	}
-	body := planBody(t, design, RequestOptions{Seed: 5, Portfolio: cfg})
-	resp1, data1 := s.post(t, "/plan", body)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("portfolio plan: %d: %s", resp1.StatusCode, data1)
+	single, h := post(1)
+	if h != "miss" {
+		t.Errorf("restarts-1 plan: %s = %q, want miss", cacheHeader, h)
 	}
-
-	snap := s.svc.MetricsSnapshot()
-	if snap.Counters["service/portfolio/plans"] != 1 {
-		t.Errorf("portfolio/plans = %d, want 1", snap.Counters["service/portfolio/plans"])
+	if bytes.Equal(single, warm) {
+		t.Error("a single anneal and three warm restarts planned the same body")
 	}
-	hi, hiOK := snap.Gauges["service/portfolio/last_trace_hash_hi"]
-	lo, loOK := snap.Gauges["service/portfolio/last_trace_hash_lo"]
-	if !hiOK || !loOK {
-		t.Fatal("portfolio trace hash gauges missing from metrics")
-	}
-	if hi == 0 && lo == 0 {
-		t.Error("portfolio trace hash is zero")
-	}
-
-	// The canonicalized portfolio splits the cache key: re-posting the
-	// same portfolio hits, dropping it misses.
-	resp2, data2 := s.post(t, "/plan", body)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("repeat portfolio plan: %d", resp2.StatusCode)
-	}
-	if !bytes.Equal(data1, data2) {
-		t.Error("identical portfolio requests answered differently")
-	}
-	after := s.svc.MetricsSnapshot()
-	if hits := after.Counters["service/cache/hits"] - snap.Counters["service/cache/hits"]; hits != 1 {
-		t.Errorf("repeat request produced %d cache hits, want 1", hits)
-	}
-	resp3, _ := s.post(t, "/plan", planBody(t, design, RequestOptions{Seed: 5}))
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("plain plan: %d", resp3.StatusCode)
-	}
-	final := s.svc.MetricsSnapshot()
-	if hits := final.Counters["service/cache/hits"] - after.Counters["service/cache/hits"]; hits != 0 {
-		t.Error("portfolio-less request hit the portfolio entry: cache key not split")
-	}
-	// Trace-hash gauges only move on portfolio plans.
-	if final.Counters["service/portfolio/plans"] != 1 {
-		t.Errorf("portfolio/plans after plain plan = %d, want 1", final.Counters["service/portfolio/plans"])
+	if _, h := post(0); h != "hit" {
+		t.Errorf("restarts-0 plan: %s = %q, want the restarts-1 entry's hit", cacheHeader, h)
 	}
 }
 
