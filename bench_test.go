@@ -152,7 +152,7 @@ func BenchmarkAssign(b *testing.B) {
 	})
 	b.Run("mcmf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := assign.MCMF(p, assign.MCMFOptions{}); err != nil {
+			if _, err := assign.MCMF(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -415,7 +415,7 @@ func BenchmarkDRC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := copack.CheckDesignRules(p, a, copack.DRCRules{})
+		rep, err := copack.CheckDesignRules(p, a)
 		if err != nil {
 			b.Fatal(err)
 		}

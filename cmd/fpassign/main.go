@@ -182,7 +182,7 @@ func run(cfg config) error {
 		fmt.Printf("via improve   : density %d -> %d\n", res.FinalStats.MaxDensity, st.MaxDensity)
 	}
 	if cfg.runDRC {
-		rep, err := copack.CheckDesignRules(p, res.Assignment, copack.DRCRules{})
+		rep, err := copack.CheckDesignRules(p, res.Assignment)
 		if err != nil {
 			return err
 		}

@@ -88,8 +88,6 @@ type (
 	BuildOptions = gen.Options
 	// BondSpec is the stacked-die bonding-wire geometry.
 	BondSpec = stack.BondSpec
-	// DRCRules are the routing design rules (wire width/space).
-	DRCRules = drc.Rules
 	// DRCReport lists design-rule violations.
 	DRCReport = drc.Report
 	// ViaPlan overrides default via sites (the [10]-style improvement).
@@ -196,16 +194,6 @@ type Options struct {
 	// Seed drives every random choice (baseline assignment and
 	// annealing).
 	Seed int64
-	// Grid is the IR-drop model used for reporting; the zero value uses
-	// a default sized to the package. The exchange ranks pad moves with
-	// the uniform ring-gap proxy (power.ProxyCost), which never reads
-	// Grid.CurrentMap: a hot-spot map changes only the reported IR drops.
-	Grid GridSpec
-	// Solve tunes the IR-drop solver used for reporting; the zero value
-	// uses the power package defaults. A deliberately starved solver
-	// (tight MaxIter) does not fail the plan: the run completes with
-	// Result.Partial set and the solver's best iterate reported.
-	Solve SolveOptions
 	// Budget bounds the planning wall-clock. When it elapses the pipeline
 	// stops at the next stage checkpoint and returns the best-so-far
 	// state as a Partial result. Zero means no budget; combine freely
@@ -226,9 +214,6 @@ type Options struct {
 // NewMetricsCollector returns an empty MetricsCollector ready to be set as
 // Options.Recorder.
 func NewMetricsCollector() *MetricsCollector { return obs.NewCollector() }
-
-// SolveOptions re-exports the IR-drop solver's tuning knobs.
-type SolveOptions = power.SolveOptions
 
 // ExchangeOptions re-exports the exchange step's tuning knobs.
 type ExchangeOptions = exchange.Options
@@ -383,7 +368,7 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 	case RandomAssign:
 		initial, err = assign.Random(p, rand.New(rand.NewSource(opt.Seed)))
 	case MCMF:
-		initial, err = assign.MCMF(p, assign.MCMFOptions{})
+		initial, err = assign.MCMF(p)
 	default:
 		err = fmt.Errorf("copack: unknown algorithm %v", opt.Algorithm)
 	}
@@ -397,17 +382,11 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 	endAssign()
 	res.FinalStats = res.InitialStats
 
-	grid := opt.Grid
-	if grid.Nx == 0 || grid.Ny == 0 {
-		grid = power.DefaultChipGrid(p)
-	}
+	grid := power.DefaultChipGrid(p)
 	solveDrop := func(a *Assignment, stage string, prev float64) (float64, error) {
 		defer obs.StartPhase(rec, stage)()
-		stageOpt := opt.Solve
-		if stageOpt.Recorder == nil {
-			stageOpt.Recorder = obs.WithPrefix(rec, "power/"+stage+"/")
-		}
-		sol, err := power.SolveAssignmentContext(ctx, p, a, grid, stageOpt)
+		sol, err := power.SolveAssignmentContext(ctx, p, a, grid,
+			power.SolveOptions{Recorder: obs.WithPrefix(rec, "power/"+stage+"/")})
 		if err != nil {
 			return 0, err
 		}
@@ -544,8 +523,8 @@ func DefaultBondSpec(p *Problem) BondSpec { return stack.DefaultBondSpec(p) }
 
 // CheckDesignRules runs the full design-rule check: static spec rules,
 // monotonic routability and per-segment wire capacity.
-func CheckDesignRules(p *Problem, a *Assignment, rules DRCRules) (*DRCReport, error) {
-	return drc.Check(p, a, rules)
+func CheckDesignRules(p *Problem, a *Assignment) (*DRCReport, error) {
+	return drc.Check(p, a)
 }
 
 // ReadDesign parses a complete problem (circuit + package + ball map) from

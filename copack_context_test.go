@@ -134,9 +134,12 @@ func TestPlanContextCancelledBeforeStart(t *testing.T) {
 
 func TestPlanStarvedSolverIsPartialNotSilent(t *testing.T) {
 	p := buildTest(t, 1)
-	opt := quickOpts()
-	opt.Solve = SolveOptions{MaxIter: 2}
-	res, err := Plan(p, opt)
+	// Starve every solve from its third iteration on: ir-before stops
+	// after two, ir-after before its first.
+	defer faultinject.Reset()
+	faultinject.Reset()
+	faultinject.Arm(faultinject.Fault{Point: faultinject.PowerIteration, After: 3, Repeat: true})
+	res, err := Plan(p, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func ExampleCheckDesignRules() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := copack.CheckDesignRules(p, res.Assignment, copack.DRCRules{})
+	rep, err := copack.CheckDesignRules(p, res.Assignment)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func main() {
 		res.IRDropBefore*1000, res.IRDropAfter*1000)
 
 	// Sign off against the substrate design rules.
-	rep, err := copack.CheckDesignRules(p, res.Assignment, copack.DRCRules{})
+	rep, err := copack.CheckDesignRules(p, res.Assignment)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -259,7 +259,7 @@ row irq scl sda en vdd_pll vss_pll -
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := copack.CheckDesignRules(p, res.Assignment, copack.DRCRules{})
+		rep, err := copack.CheckDesignRules(p, res.Assignment)
 		if err != nil {
 			t.Fatal(err)
 		}

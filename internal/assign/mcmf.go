@@ -9,7 +9,6 @@
 package assign
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -27,19 +26,18 @@ const mcmfScale = 1024
 // int64 overflow once potentials shift it.
 const mcmfInf = int64(1) << 50
 
-// MCMFOptions tunes the min-cost max-flow assignment.
-type MCMFOptions struct {
-	// Lambda and Rho blend the two edge-cost terms, mirroring the Eq 3
-	// weights: Rho scales the congestion pressure (lines crossed ×
-	// lateral displacement, both in slot units — the displacement is how
-	// far the slot sits from the ball's proportional position along the
-	// ring, which is the number of sections the wire sweeps sideways and
-	// hence the pressure Eq 2's sections accumulate) and Lambda the IR
-	// term (distance from a power net's slot to the nearest
-	// evenly-spread ring target, the configuration the compact pad-gap
-	// proxy scores best). Zero means the default weight 1; negative
-	// values disable the term.
-	Lambda, Rho float64
+// mcmfOptions blends the two edge-cost terms, mirroring the Eq 3 weights:
+// rho scales the congestion pressure (lines crossed × lateral displacement,
+// both in slot units — the displacement is how far the slot sits from the
+// ball's proportional position along the ring, which is the number of
+// sections the wire sweeps sideways and hence the pressure Eq 2's sections
+// accumulate) and lambda the IR term (distance from a power net's slot to the
+// nearest evenly-spread ring target, the configuration the compact pad-gap
+// proxy scores best). Zero means the default weight 1; negative values
+// disable the term. Every program runs the zero value; the tests pin the
+// single-term blends against the oracle.
+type mcmfOptions struct {
+	lambda, rho float64
 }
 
 // MCMFScratch is reusable working memory for MCMFQuadrantScratch. The zero
@@ -49,9 +47,9 @@ type MCMFOptions struct {
 type MCMFScratch struct {
 	fx   []float64    // fx[j]: finger slot j position, in slot units (1-based)
 	vx   []float64    // vx[i]: rank-i ball's lateral fraction mapped to slot units
-	mul  []float64    // mul[i]: Rho·mcmfScale·(lines crossed)
+	mul  []float64    // mul[i]: rho·mcmfScale·(lines crossed)
 	sup  []bool       // sup[i]: rank i carries a power net
-	ir   []int64      // ir[j]: Lambda·mcmfScale·(slot j → nearest spread target)
+	ir   []int64      // ir[j]: lambda·mcmfScale·(slot j → nearest spread target)
 	line []int32      // line[i]: ball line of rank i
 	nets []netlist.ID // nets[i]: net of rank i (ball order, grouped by line)
 	next []int32      // per-line rank cursor during uncrossing
@@ -74,10 +72,10 @@ func grow[T any](s []T, n int) []T {
 }
 
 // prepare fills the per-net and per-slot cost tables for one quadrant.
-func (s *MCMFScratch) prepare(p *core.Problem, q *bga.Quadrant, opt MCMFOptions) {
+func (s *MCMFScratch) prepare(p *core.Problem, q *bga.Quadrant, opt mcmfOptions) {
 	m := q.NumNets()
 	s.m = m
-	lambda, rho := opt.Lambda, opt.Rho
+	lambda, rho := opt.lambda, opt.rho
 	if lambda == 0 {
 		lambda = 1
 	} else if lambda < 0 {
@@ -252,7 +250,7 @@ func (s *MCMFScratch) solve() {
 // congestion cost is a sum of |fx − vx| terms sharing one lines-crossed
 // factor, so this sorted re-pairing never increases it (the L1 exchange
 // inequality); the matching cost therefore upper-bounds the returned
-// order's congestion cost, and at Lambda ≤ 0 the order is exactly optimal
+// order's congestion cost, and at lambda ≤ 0 the order is exactly optimal
 // over all monotonic-legal orders (the oracle test pins this).
 func (s *MCMFScratch) uncross(order []netlist.ID) {
 	// nets is grouped by line (line n first), so each line's nets occupy
@@ -269,21 +267,19 @@ func (s *MCMFScratch) uncross(order []netlist.ID) {
 	}
 }
 
-// MCMFQuadrantScratch is MCMFQuadrant with caller-owned scratch memory; see
-// MCMFScratch. The result is identical to MCMFQuadrant's.
-func MCMFQuadrantScratch(p *core.Problem, side bga.Side, opt MCMFOptions, s *MCMFScratch) []netlist.ID {
-	q := p.Pkg.Quadrant(side)
-	s.prepare(p, q, opt)
+// MCMFQuadrantScratch runs the min-cost max-flow assignment on one quadrant
+// with caller-owned scratch memory (see MCMFScratch), returning a
+// monotonic-legal finger order.
+func MCMFQuadrantScratch(p *core.Problem, side bga.Side, s *MCMFScratch) []netlist.ID {
+	return s.quadrant(p, side, mcmfOptions{})
+}
+
+func (s *MCMFScratch) quadrant(p *core.Problem, side bga.Side, opt mcmfOptions) []netlist.ID {
+	s.prepare(p, p.Pkg.Quadrant(side), opt)
 	s.solve()
 	order := make([]netlist.ID, s.m)
 	s.uncross(order)
 	return order
-}
-
-// MCMFQuadrant runs the min-cost max-flow assignment on one quadrant,
-// returning a monotonic-legal finger order.
-func MCMFQuadrant(p *core.Problem, side bga.Side, opt MCMFOptions) []netlist.ID {
-	return MCMFQuadrantScratch(p, side, opt, &MCMFScratch{})
 }
 
 // mcmfScratchPool recycles solver arenas across MCMF calls, so repeated
@@ -293,39 +289,10 @@ var mcmfScratchPool = sync.Pool{New: func() any { return new(MCMFScratch) }}
 
 // MCMF runs the min-cost max-flow assignment on every quadrant. One scratch
 // arena (pooled across calls) is shared by the four solves.
-func MCMF(p *core.Problem, opt MCMFOptions) (*core.Assignment, error) {
+func MCMF(p *core.Problem) (*core.Assignment, error) {
 	s := mcmfScratchPool.Get().(*MCMFScratch)
 	defer mcmfScratchPool.Put(s)
 	return perQuadrant(p, func(q *bga.Quadrant) []netlist.ID {
-		return MCMFQuadrantScratch(p, q.Side, opt, s)
+		return MCMFQuadrantScratch(p, q.Side, s)
 	})
-}
-
-// MCMFOrderCost scores an explicit quadrant order under the same
-// integerized edge costs MCMFQuadrant minimizes: Σ_j edge(net at slot j, j).
-// This is the oracle hook: enumerate the legal orders, score each with this,
-// and the minimum equals MCMFQuadrant's achieved cost when the IR term is
-// disabled (with Lambda active the flow solution is an upper-bound
-// heuristic — uncrossing may re-pair supply nets within a line).
-func MCMFOrderCost(p *core.Problem, side bga.Side, order []netlist.ID, opt MCMFOptions) (int64, error) {
-	q := p.Pkg.Quadrant(side)
-	s := &MCMFScratch{}
-	s.prepare(p, q, opt)
-	if len(order) != s.m {
-		return 0, fmt.Errorf("assign: order has %d nets, %v quadrant has %d", len(order), side, s.m)
-	}
-	rank := make(map[netlist.ID]int, s.m)
-	for i := 1; i <= s.m; i++ {
-		rank[s.nets[i]] = i
-	}
-	var total int64
-	for j := 1; j <= s.m; j++ {
-		i, ok := rank[order[j-1]]
-		if !ok {
-			return 0, fmt.Errorf("assign: net %d not in %v quadrant (or repeated)", order[j-1], side)
-		}
-		delete(rank, order[j-1])
-		total += s.edge(i, j)
-	}
-	return total, nil
 }

@@ -25,16 +25,16 @@ func tinyCircuit() gen.TestCircuit {
 // monotonic-legal — for the default blend, a congestion-only blend and an
 // IR-only blend.
 func TestMCMFFeasibleLegal(t *testing.T) {
-	opts := []MCMFOptions{
+	opts := []mcmfOptions{
 		{},
-		{Lambda: -1}, // congestion only
-		{Rho: -1},    // IR only
+		{lambda: -1}, // congestion only
+		{rho: -1},    // IR only
 	}
 	for _, tc := range gen.Table1() {
 		for _, seed := range []int64{1, 7} {
 			p := gen.MustBuild(tc, gen.Options{Seed: seed})
 			for oi, opt := range opts {
-				a, err := MCMF(p, opt)
+				a, err := mcmfBlend(p, opt)
 				if err != nil {
 					t.Fatalf("%s seed %d opt %d: %v", tc.Name, seed, oi, err)
 				}
@@ -67,17 +67,17 @@ func TestMCMFFeasibleLegal(t *testing.T) {
 // congestion cost over every monotonic-legal order (the L1 exchange
 // inequality makes uncrossing lossless for the congestion-only blend).
 func TestMCMFMatchesOracle(t *testing.T) {
-	opt := MCMFOptions{Lambda: -1}
+	opt := mcmfOptions{lambda: -1}
 	for _, seed := range []int64{1, 2, 3, 5} {
 		p := gen.MustBuild(tinyCircuit(), gen.Options{Seed: seed})
 		for _, side := range bga.Sides() {
-			order := MCMFQuadrant(p, side, opt)
-			got, err := MCMFOrderCost(p, side, order, opt)
+			order := new(MCMFScratch).quadrant(p, side, opt)
+			got, err := mcmfOrderCost(p, side, order, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			best, err := optimal.MinOrderCost(p, side, 0, func(o []netlist.ID) (int64, error) {
-				return MCMFOrderCost(p, side, o, opt)
+				return mcmfOrderCost(p, side, o, opt)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -94,16 +94,16 @@ func TestMCMFMatchesOracle(t *testing.T) {
 // never worse than the oracle by more than the uncrossing slack, and never
 // better (the oracle minimum is a true lower bound for any legal order).
 func TestMCMFBlendUpperBound(t *testing.T) {
-	opt := MCMFOptions{}
+	opt := mcmfOptions{}
 	p := gen.MustBuild(tinyCircuit(), gen.Options{Seed: 4})
 	for _, side := range bga.Sides() {
-		order := MCMFQuadrant(p, side, opt)
-		got, err := MCMFOrderCost(p, side, order, opt)
+		order := MCMFQuadrantScratch(p, side, new(MCMFScratch))
+		got, err := mcmfOrderCost(p, side, order, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		best, err := optimal.MinOrderCost(p, side, 0, func(o []netlist.ID) (int64, error) {
-			return MCMFOrderCost(p, side, o, opt)
+			return mcmfOrderCost(p, side, o, opt)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -112,6 +112,41 @@ func TestMCMFBlendUpperBound(t *testing.T) {
 			t.Errorf("%v: MCMF cost %d beats the exhaustive minimum %d — oracle or cost bug", side, got, best.Cost)
 		}
 	}
+}
+
+// mcmfBlend is MCMF under a custom blend.
+func mcmfBlend(p *core.Problem, opt mcmfOptions) (*core.Assignment, error) {
+	s := new(MCMFScratch)
+	return perQuadrant(p, func(q *bga.Quadrant) []netlist.ID { return s.quadrant(p, q.Side, opt) })
+}
+
+// mcmfOrderCost scores an explicit quadrant order under the same integerized
+// edge costs the flow minimizes: Σ_j edge(net at slot j, j). This is the
+// oracle hook: enumerate the legal orders, score each with this, and the
+// minimum equals the flow's achieved cost when the IR term is disabled (with
+// lambda active the flow solution is an upper-bound heuristic — uncrossing
+// may re-pair supply nets within a line).
+func mcmfOrderCost(p *core.Problem, side bga.Side, order []netlist.ID, opt mcmfOptions) (int64, error) {
+	q := p.Pkg.Quadrant(side)
+	s := &MCMFScratch{}
+	s.prepare(p, q, opt)
+	if len(order) != s.m {
+		return 0, fmt.Errorf("assign: order has %d nets, %v quadrant has %d", len(order), side, s.m)
+	}
+	rank := make(map[netlist.ID]int, s.m)
+	for i := 1; i <= s.m; i++ {
+		rank[s.nets[i]] = i
+	}
+	var total int64
+	for j := 1; j <= s.m; j++ {
+		i, ok := rank[order[j-1]]
+		if !ok {
+			return 0, fmt.Errorf("assign: net %d not in %v quadrant (or repeated)", order[j-1], side)
+		}
+		delete(rank, order[j-1])
+		total += s.edge(i, j)
+	}
+	return total, nil
 }
 
 func hashAssignment(a *core.Assignment) string {
@@ -136,7 +171,7 @@ func TestMCMFDeterministic(t *testing.T) {
 	for _, procs := range []int{1, 2, prev} {
 		runtime.GOMAXPROCS(procs)
 		for run := 0; run < 2; run++ {
-			a, err := MCMF(p, MCMFOptions{})
+			a, err := MCMF(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,9 +191,9 @@ func TestMCMFWarmScratchAllocs(t *testing.T) {
 	}
 	p := gen.MustBuild(gen.Table1()[2], gen.Options{Seed: 1})
 	s := &MCMFScratch{}
-	MCMFQuadrantScratch(p, bga.Bottom, MCMFOptions{}, s) // prime the arena
+	MCMFQuadrantScratch(p, bga.Bottom, s) // prime the arena
 	allocs := testing.AllocsPerRun(20, func() {
-		MCMFQuadrantScratch(p, bga.Bottom, MCMFOptions{}, s)
+		MCMFQuadrantScratch(p, bga.Bottom, s)
 	})
 	if allocs > 1 {
 		t.Errorf("warm MCMFQuadrantScratch allocates %.1f objects/run, want ≤ 1 (the order slice)", allocs)
@@ -173,8 +208,8 @@ func TestMCMFScratchReuseIdentical(t *testing.T) {
 	for _, tc := range []gen.TestCircuit{gen.Table1()[4], tinyCircuit(), gen.Table1()[0]} {
 		p := gen.MustBuild(tc, gen.Options{Seed: 1})
 		for _, side := range bga.Sides() {
-			warm := MCMFQuadrantScratch(p, side, MCMFOptions{}, s)
-			fresh := MCMFQuadrant(p, side, MCMFOptions{})
+			warm := MCMFQuadrantScratch(p, side, s)
+			fresh := MCMFQuadrantScratch(p, side, new(MCMFScratch))
 			if len(warm) != len(fresh) {
 				t.Fatalf("%s %v: length %d vs %d", tc.Name, side, len(warm), len(fresh))
 			}

@@ -101,13 +101,6 @@ func WriteSolution(w io.Writer, p *core.Problem, a *core.Assignment) error {
 	return bw.Flush()
 }
 
-// FormatSolution renders a problem plus assignment as a design-file string.
-func FormatSolution(p *core.Problem, a *core.Assignment) string {
-	var sb strings.Builder
-	_ = WriteSolution(&sb, p, a)
-	return sb.String()
-}
-
 // IOError reports that the underlying io.Reader failed while Read was
 // scanning the design text. It is distinct from a parse error — the input
 // was never fully seen, so nothing can be said about its validity — which
@@ -435,11 +428,6 @@ func (ps *parser) finish() (*core.Problem, error) {
 
 // Parse parses a problem from a string.
 func Parse(s string) (*core.Problem, error) { return Read(strings.NewReader(s)) }
-
-// ParseSolution parses a problem plus optional assignment from a string.
-func ParseSolution(s string) (*core.Problem, *core.Assignment, error) {
-	return ReadSolution(strings.NewReader(s))
-}
 
 func parseSide(s string) (bga.Side, error) {
 	switch strings.ToLower(s) {

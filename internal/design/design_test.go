@@ -147,14 +147,23 @@ func TestErrorsCarryLineNumbers(t *testing.T) {
 	}
 }
 
+func solutionText(t *testing.T, p *core.Problem, a *core.Assignment) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := WriteSolution(&sb, p, a); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestSolutionRoundTrip(t *testing.T) {
 	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 6, Tiers: 2})
 	a, err := assign.DFA(p, assign.DFAOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := FormatSolution(p, a)
-	p2, a2, err := ParseSolution(text)
+	text := solutionText(t, p, a)
+	p2, a2, err := ReadSolution(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("%v\n%s", err, text)
 	}
@@ -180,7 +189,7 @@ func TestSolutionRoundTrip(t *testing.T) {
 
 func TestReadSolutionWithoutOrders(t *testing.T) {
 	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 6})
-	_, a, err := ParseSolution(Format(p))
+	_, a, err := ReadSolution(strings.NewReader(Format(p)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,21 +204,21 @@ func TestSolutionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := FormatSolution(p, a)
+	text := solutionText(t, p, a)
 
 	// Missing one side's order.
 	mutated := strings.Replace(text, "order left", "# order left", 1)
-	if _, _, err := ParseSolution(mutated); err == nil {
+	if _, _, err := ReadSolution(strings.NewReader(mutated)); err == nil {
 		t.Error("partial order set accepted")
 	}
 	// Unknown net in order.
 	mutated = strings.Replace(text, "order bottom ", "order bottom zz ", 1)
-	if _, _, err := ParseSolution(mutated); err == nil {
+	if _, _, err := ReadSolution(strings.NewReader(mutated)); err == nil {
 		t.Error("unknown net in order accepted")
 	}
 	// Duplicate order directive.
 	mutated = text + "order bottom N0\n"
-	if _, _, err := ParseSolution(mutated); err == nil {
+	if _, _, err := ReadSolution(strings.NewReader(mutated)); err == nil {
 		t.Error("duplicate order accepted")
 	}
 	// Read (non-solution) still validates order lines.

@@ -15,28 +15,29 @@ import (
 	"copack/internal/route"
 )
 
-// Rules carries the routing design rules. Zero values take defaults
-// derived from the package spec (wire width = via diameter / 2, spacing =
-// wire width), which matches typical substrate technology files where the
-// via land is about twice the trace width.
-type Rules struct {
-	// WireWidth and WireSpace are the substrate trace width and minimal
+// rules carries the routing design rules. Zero values take defaults derived
+// from the package spec (wire width = via diameter / 2, spacing = wire
+// width), which matches typical substrate technology files where the via
+// land is about twice the trace width. Every program checks the defaults;
+// the tests also check custom widths.
+type rules struct {
+	// wireWidth and wireSpace are the substrate trace width and minimal
 	// spacing in µm.
-	WireWidth, WireSpace float64
+	wireWidth, wireSpace float64
 }
 
-func (r Rules) withDefaults(spec bga.Spec) Rules {
-	if r.WireWidth == 0 {
-		r.WireWidth = spec.ViaDiameter / 2
+func (r rules) withDefaults(spec bga.Spec) rules {
+	if r.wireWidth == 0 {
+		r.wireWidth = spec.ViaDiameter / 2
 	}
-	if r.WireSpace == 0 {
-		r.WireSpace = r.WireWidth
+	if r.wireSpace == 0 {
+		r.wireSpace = r.wireWidth
 	}
 	return r
 }
 
-// WirePitch is the center-to-center spacing routed wires need.
-func (r Rules) WirePitch() float64 { return r.WireWidth + r.WireSpace }
+// wirePitch is the center-to-center spacing routed wires need.
+func (r rules) wirePitch() float64 { return r.wireWidth + r.wireSpace }
 
 // Kind classifies a violation.
 type Kind string
@@ -81,12 +82,12 @@ func (r *Report) add(kind Kind, where, format string, args ...interface{}) {
 	r.Violations = append(r.Violations, Violation{Kind: kind, Where: where, Msg: fmt.Sprintf(format, args...)})
 }
 
-// CheckSpec verifies the static geometry rules of a package spec under the
+// checkSpec verifies the static geometry rules of a package spec under the
 // routing rules: the via must fit between balls with wire clearance, and a
 // gap must carry at least one wire.
-func CheckSpec(spec bga.Spec, rules Rules) *Report {
-	rules = rules.withDefaults(spec)
-	rep := &Report{SegmentCapacity: SegmentCapacity(spec, rules)}
+func checkSpec(spec bga.Spec, r rules) *Report {
+	r = r.withDefaults(spec)
+	rep := &Report{SegmentCapacity: segmentCapacity(spec, r)}
 	if err := spec.Validate(); err != nil {
 		rep.add(KindSpec, spec.Name, "%v", err)
 		return rep
@@ -97,33 +98,37 @@ func CheckSpec(spec bga.Spec, rules Rules) *Report {
 	}
 	if rep.SegmentCapacity < 1 {
 		rep.add(KindSpec, spec.Name,
-			"segment gap %g µm cannot carry a single wire of pitch %g µm", gap, rules.WirePitch())
+			"segment gap %g µm cannot carry a single wire of pitch %g µm", gap, r.wirePitch())
 	}
-	if spec.FingerPitch() < rules.WireWidth {
+	if spec.FingerPitch() < r.wireWidth {
 		rep.add(KindSpec, spec.Name,
-			"finger pitch %g below wire width %g", spec.FingerPitch(), rules.WireWidth)
+			"finger pitch %g below wire width %g", spec.FingerPitch(), r.wireWidth)
 	}
 	return rep
 }
 
-// SegmentCapacity returns how many wires fit between two adjacent via
+// segmentCapacity returns how many wires fit between two adjacent via
 // sites: the free width of the gap divided by the wire pitch.
-func SegmentCapacity(spec bga.Spec, rules Rules) int {
-	rules = rules.withDefaults(spec)
-	free := spec.BallPitch() - spec.ViaDiameter - rules.WireSpace
+func segmentCapacity(spec bga.Spec, r rules) int {
+	r = r.withDefaults(spec)
+	free := spec.BallPitch() - spec.ViaDiameter - r.wireSpace
 	if free <= 0 {
 		return 0
 	}
-	return int(free / rules.WirePitch())
+	return int(free / r.wirePitch())
 }
 
-// Check runs the full design-rule check of an assignment: static spec
-// rules, monotonic routability, and per-segment wire capacity on every via
-// line of every quadrant.
-func Check(p *core.Problem, a *core.Assignment, rules Rules) (*Report, error) {
+// Check runs the full design-rule check of an assignment under the default
+// rules: static spec rules, monotonic routability, and per-segment wire
+// capacity on every via line of every quadrant.
+func Check(p *core.Problem, a *core.Assignment) (*Report, error) {
+	return check(p, a, rules{})
+}
+
+func check(p *core.Problem, a *core.Assignment, r rules) (*Report, error) {
 	spec := p.Pkg.Spec
-	rules = rules.withDefaults(spec)
-	rep := CheckSpec(spec, rules)
+	r = r.withDefaults(spec)
+	rep := checkSpec(spec, r)
 
 	if err := core.CheckMonotonic(p, a); err != nil {
 		rep.add(KindLegality, "assignment", "%v", err)
@@ -143,7 +148,7 @@ func Check(p *core.Problem, a *core.Assignment, rules Rules) (*Report, error) {
 				if load > cap {
 					rep.add(KindCapacity,
 						fmt.Sprintf("%v line %d segment %d", side, ls.Y, seg),
-						"%d wires in a gap that fits %d (pitch %g µm)", load, cap, rules.WirePitch())
+						"%d wires in a gap that fits %d (pitch %g µm)", load, cap, r.wirePitch())
 				}
 			}
 		}

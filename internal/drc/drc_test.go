@@ -16,49 +16,49 @@ func spec() bga.Spec {
 }
 
 func TestRulesDefaults(t *testing.T) {
-	r := Rules{}.withDefaults(spec())
-	if r.WireWidth != 0.05 || r.WireSpace != 0.05 {
+	r := rules{}.withDefaults(spec())
+	if r.wireWidth != 0.05 || r.wireSpace != 0.05 {
 		t.Errorf("defaults = %+v", r)
 	}
-	if r.WirePitch() != 0.1 {
-		t.Errorf("pitch = %v", r.WirePitch())
+	if r.wirePitch() != 0.1 {
+		t.Errorf("pitch = %v", r.wirePitch())
 	}
-	custom := Rules{WireWidth: 0.2, WireSpace: 0.1}.withDefaults(spec())
-	if custom.WireWidth != 0.2 || custom.WireSpace != 0.1 {
+	custom := rules{wireWidth: 0.2, wireSpace: 0.1}.withDefaults(spec())
+	if custom.wireWidth != 0.2 || custom.wireSpace != 0.1 {
 		t.Errorf("custom rules overridden: %+v", custom)
 	}
 }
 
 func TestSegmentCapacity(t *testing.T) {
 	s := spec() // pitch 1.4, via 0.1 → free 1.4-0.1-0.05 = 1.25; wire pitch 0.1 → 12
-	if got := SegmentCapacity(s, Rules{}); got != 12 {
+	if got := segmentCapacity(s, rules{}); got != 12 {
 		t.Errorf("capacity = %d, want 12", got)
 	}
 	// Fat wires shrink capacity.
-	if got := SegmentCapacity(s, Rules{WireWidth: 0.5, WireSpace: 0.5}); got != 0 {
+	if got := segmentCapacity(s, rules{wireWidth: 0.5, wireSpace: 0.5}); got != 0 {
 		t.Errorf("fat wire capacity = %d, want 0", got)
 	}
 	// Giant via leaves nothing.
 	s2 := s
 	s2.ViaDiameter = 1.39
-	if got := SegmentCapacity(s2, Rules{WireWidth: 0.05, WireSpace: 0.05}); got != 0 {
+	if got := segmentCapacity(s2, rules{wireWidth: 0.05, wireSpace: 0.05}); got != 0 {
 		t.Errorf("giant-via capacity = %d", got)
 	}
 }
 
 func TestCheckSpecCleanAndDirty(t *testing.T) {
-	if rep := CheckSpec(spec(), Rules{}); !rep.OK() {
+	if rep := checkSpec(spec(), rules{}); !rep.OK() {
 		t.Errorf("clean spec flagged: %v", rep.Violations)
 	}
 	bad := spec()
 	bad.Rows = 0
-	rep := CheckSpec(bad, Rules{})
+	rep := checkSpec(bad, rules{})
 	if rep.OK() {
 		t.Error("invalid spec passed")
 	}
 	// A spec whose gap fits no wire is a spec violation.
 	tight := spec()
-	rep = CheckSpec(tight, Rules{WireWidth: 2, WireSpace: 2})
+	rep = checkSpec(tight, rules{wireWidth: 2, wireSpace: 2})
 	if rep.OK() {
 		t.Error("zero-capacity spec passed")
 	}
@@ -79,7 +79,7 @@ func TestCheckCleanAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Check(p, a, Rules{})
+	rep, err := Check(p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestCheckFlagsOverloadedSegments(t *testing.T) {
 	}
 	// Capacity 6 at ball pitch 1.4: above DFA's max density (4) but far
 	// below a random order's (~13).
-	rules := Rules{WireWidth: 0.1, WireSpace: 0.1}
-	rep, err := Check(p, a, rules)
+	wide := rules{wireWidth: 0.1, wireSpace: 0.1}
+	rep, err := check(p, a, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCheckFlagsOverloadedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfaRep, err := Check(p, dfaA, rules)
+	dfaRep, err := check(p, dfaA, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCheckFlagsIllegalAssignment(t *testing.T) {
 	_, si, _ := a.SlotOf(first)
 	_, sj, _ := a.SlotOf(second)
 	a.Swap(bga.Bottom, si, sj)
-	rep, err := Check(p, a, Rules{})
+	rep, err := Check(p, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,7 +352,7 @@ func warmStart(p *core.Problem) (*core.Assignment, error) {
 	case nets < 8:
 		w, err = assign.IFA(p)
 	case nets <= 512 && hasSupplyNet(p.Circuit):
-		w, err = assign.MCMF(p, assign.MCMFOptions{})
+		w, err = assign.MCMF(p)
 	default:
 		w, err = assign.DFA(p, assign.DFAOptions{})
 	}

@@ -253,8 +253,3 @@ func (tr *tracker) commitTierSwap(gi, gj, omega int) {
 	tr.tiers[gi], tr.tiers[gj] = tr.tiers[gj], tr.tiers[gi]
 	tr.omega = omega
 }
-
-// verify recomputes everything from scratch (test hook).
-func (tr *tracker) verify(p *core.Problem, a *core.Assignment) (proxy float64, omega int) {
-	return power.ProxyForAssignment(p, a), stack.OmegaAssignment(p, a)
-}

@@ -9,8 +9,11 @@ import (
 	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/bga"
+	"copack/internal/core"
 	"copack/internal/gen"
 	"copack/internal/netlist"
+	"copack/internal/power"
+	"copack/internal/stack"
 )
 
 // Drive the tracker with 30k random legal adjacent swaps, priced and
@@ -165,4 +168,9 @@ func TestTrackerRevertible(t *testing.T) {
 			t.Fatalf("step %d: proxy drifted %v -> %v", k, proxy0, st.trk.proxy)
 		}
 	}
+}
+
+// verify recomputes the tracker's caches from scratch.
+func (tr *tracker) verify(p *core.Problem, a *core.Assignment) (proxy float64, omega int) {
+	return power.ProxyForAssignment(p, a), stack.OmegaAssignment(p, a)
 }

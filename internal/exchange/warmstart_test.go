@@ -26,7 +26,7 @@ func warmProblem(t *testing.T, tiers int) (*core.Problem, *core.Assignment, *cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcmfA, err := assign.MCMF(p, assign.MCMFOptions{})
+	mcmfA, err := assign.MCMF(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func TestWarmStartPicksEngine(t *testing.T) {
 			BallSpace: 1.2, FingerW: 0.1, FingerH: 0.2, FingerSpace: 0.12}, gen.Options{Seed: 1, Tiers: 2})
 	}
 	engines := []func(*core.Problem) (*core.Assignment, error){
-		func(p *core.Problem) (*core.Assignment, error) { return assign.IFA(p) },
-		func(p *core.Problem) (*core.Assignment, error) { return assign.MCMF(p, assign.MCMFOptions{}) },
+		assign.IFA,
+		assign.MCMF,
 		func(p *core.Problem) (*core.Assignment, error) { return assign.DFA(p, assign.DFAOptions{}) },
 	}
 	const ifa, mcmf, dfa = 0, 1, 2

@@ -44,7 +44,7 @@ func CompareAssign(seed int64, randomTries int, h Harness) (*CompareResult, erro
 		if err != nil {
 			return CompareRow{}, err
 		}
-		a, err := assign.MCMF(p, assign.MCMFOptions{})
+		a, err := assign.MCMF(p)
 		if err != nil {
 			return CompareRow{}, err
 		}

@@ -129,14 +129,6 @@ func Reset() {
 	armed.Store(false)
 }
 
-// Calls returns how many times Fire has run at p since the last Reset
-// (0 while disarmed — counting only happens with faults armed).
-func Calls(p Point) int {
-	mu.Lock()
-	defer mu.Unlock()
-	return calls[p]
-}
-
 // Fire is called by production code at injection site p. With no fault
 // armed anywhere it returns nil at the cost of one atomic load. With
 // faults armed it increments p's call counter and returns the error of

@@ -109,3 +109,11 @@ func TestFleetPointsArePerPeer(t *testing.T) {
 		t.Errorf("fleet points collide: %v", names)
 	}
 }
+
+// Calls returns how many times Fire has run at p since the last Reset
+// (0 while disarmed — counting only happens with faults armed).
+func Calls(p Point) int {
+	mu.Lock()
+	defer mu.Unlock()
+	return calls[p]
+}

@@ -73,10 +73,3 @@ func (b *breaker) failure() bool {
 	}
 	return false
 }
-
-// isOpen reports the breaker's current state (for tests and metrics).
-func (b *breaker) isOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}

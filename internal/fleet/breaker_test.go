@@ -86,3 +86,10 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 		t.Error("third consecutive failure must open")
 	}
 }
+
+// isOpen reports the breaker's current state.
+func (b *breaker) isOpen() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.open
+}

@@ -53,9 +53,6 @@ func keyHash(key string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// owner returns the node that owns key.
-func (r *ring) owner(key string) string { return r.preference(key)[0] }
-
 // preference returns every node ordered by ring distance from key: the
 // owner first, then the failover successors in the order the proxy
 // should try them. The slice is freshly allocated and always a

@@ -76,3 +76,6 @@ func TestRingStableUnderNodeRemoval(t *testing.T) {
 		}
 	}
 }
+
+// owner returns the node that owns key.
+func (r *ring) owner(key string) string { return r.preference(key)[0] }

@@ -11,8 +11,6 @@
 package gen
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 
@@ -52,32 +50,6 @@ func Table1() []TestCircuit {
 // constants, dominate. Build it with a seeded Options like any Table 1 row.
 func Large() TestCircuit {
 	return TestCircuit{Name: "large", Fingers: 102400, BallSpace: 1.2, FingerW: 0.1, FingerH: 0.2, FingerSpace: 0.12}
-}
-
-// Fingerprint returns a hex SHA-256 over a canonical encoding of a problem:
-// the netlist in its text format followed by every quadrant's ball rows in
-// order. Two problems fingerprint equal iff the assignment pipeline sees
-// identical inputs, which is what the large-tier determinism tests and the
-// bench harness pin across runs and GOMAXPROCS settings.
-func Fingerprint(p *core.Problem) string {
-	h := sha256.New()
-	if err := netlist.Write(h, p.Circuit); err != nil {
-		// sha256.digest never errors; a failure means the circuit is
-		// structurally broken, which NewProblem has already excluded.
-		panic(err)
-	}
-	for _, side := range bga.Sides() {
-		q := p.Pkg.Quadrant(side)
-		fmt.Fprintf(h, "quadrant %v rows=%d\n", side, q.NumRows())
-		for y := q.NumRows(); y >= 1; y-- {
-			for _, id := range q.Row(y).Nets {
-				fmt.Fprintf(h, " %d", id)
-			}
-			fmt.Fprintln(h)
-		}
-	}
-	fmt.Fprintf(h, "tiers=%d\n", p.Tiers)
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Options controls instance construction.

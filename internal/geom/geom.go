@@ -117,36 +117,6 @@ func orientation(a, b, c Pt) int {
 	}
 }
 
-func onSegment(a, b, p Pt) bool {
-	return math.Min(a.X, b.X)-1e-12 <= p.X && p.X <= math.Max(a.X, b.X)+1e-12 &&
-		math.Min(a.Y, b.Y)-1e-12 <= p.Y && p.Y <= math.Max(a.Y, b.Y)+1e-12
-}
-
-// Intersects reports whether segments s and t share any point, including
-// touching endpoints and collinear overlap.
-func (s Seg) Intersects(t Seg) bool {
-	o1 := orientation(s.A, s.B, t.A)
-	o2 := orientation(s.A, s.B, t.B)
-	o3 := orientation(t.A, t.B, s.A)
-	o4 := orientation(t.A, t.B, s.B)
-	if o1 != o2 && o3 != o4 {
-		return true
-	}
-	if o1 == 0 && onSegment(s.A, s.B, t.A) {
-		return true
-	}
-	if o2 == 0 && onSegment(s.A, s.B, t.B) {
-		return true
-	}
-	if o3 == 0 && onSegment(t.A, t.B, s.A) {
-		return true
-	}
-	if o4 == 0 && onSegment(t.A, t.B, s.B) {
-		return true
-	}
-	return false
-}
-
 // CrossesProperly reports whether s and t intersect at exactly one interior
 // point of both segments (shared endpoints and collinear touches do not
 // count). This is the test routers use for true wire crossings.

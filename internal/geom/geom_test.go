@@ -92,23 +92,21 @@ func TestRectExpand(t *testing.T) {
 	}
 }
 
+// TestSegIntersects checks which intersections count as proper crossings:
+// only an interior X, never a touch or an overlap.
 func TestSegIntersects(t *testing.T) {
 	x := Seg{P(0, 0), P(10, 10)}
 	cases := []struct {
 		s      Seg
-		inter  bool
 		proper bool
 	}{
-		{Seg{P(0, 10), P(10, 0)}, true, true},    // X crossing
-		{Seg{P(10, 10), P(20, 0)}, true, false},  // endpoint touch
-		{Seg{P(5, 5), P(20, 5)}, true, false},    // T touch at interior
-		{Seg{P(11, 0), P(20, -5)}, false, false}, // disjoint
-		{Seg{P(2, 2), P(8, 8)}, true, false},     // collinear overlap
+		{Seg{P(0, 10), P(10, 0)}, true},   // X crossing
+		{Seg{P(10, 10), P(20, 0)}, false}, // endpoint touch
+		{Seg{P(5, 5), P(20, 5)}, false},   // T touch at interior
+		{Seg{P(11, 0), P(20, -5)}, false}, // disjoint
+		{Seg{P(2, 2), P(8, 8)}, false},    // collinear overlap
 	}
 	for i, c := range cases {
-		if got := x.Intersects(c.s); got != c.inter {
-			t.Errorf("case %d: Intersects = %v, want %v", i, got, c.inter)
-		}
 		if got := x.CrossesProperly(c.s); got != c.proper {
 			t.Errorf("case %d: CrossesProperly = %v, want %v", i, got, c.proper)
 		}
@@ -182,20 +180,14 @@ func TestDistMetricProperties(t *testing.T) {
 	}
 }
 
-// Property: segment intersection is symmetric.
+// Property: a proper crossing is symmetric.
 func TestSegIntersectSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		s := Seg{P(rng.Float64()*10, rng.Float64()*10), P(rng.Float64()*10, rng.Float64()*10)}
 		u := Seg{P(rng.Float64()*10, rng.Float64()*10), P(rng.Float64()*10, rng.Float64()*10)}
-		if s.Intersects(u) != u.Intersects(s) {
-			t.Fatalf("Intersects not symmetric for %v %v", s, u)
-		}
 		if s.CrossesProperly(u) != u.CrossesProperly(s) {
 			t.Fatalf("CrossesProperly not symmetric for %v %v", s, u)
-		}
-		if s.CrossesProperly(u) && !s.Intersects(u) {
-			t.Fatalf("proper crossing must imply intersection: %v %v", s, u)
 		}
 	}
 }

@@ -108,8 +108,8 @@ func (c *Circuit) AddNet(n Net) (ID, error) {
 // MustAddNet is AddNet for programmatic construction where the inputs are
 // known valid; it panics on error. It must never sit on a path fed by user
 // input (parsers and public constructors use AddNet and return the error);
-// the remaining callers are fixed test fixtures and Clone, whose inputs a
-// valid circuit already vouches for.
+// the remaining callers are fixed fixtures (the generator's figure circuits
+// and tests) whose inputs are known valid.
 func (c *Circuit) MustAddNet(n Net) ID {
 	id, err := c.AddNet(n)
 	if err != nil {
@@ -190,13 +190,4 @@ func (c *Circuit) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the circuit.
-func (c *Circuit) Clone() *Circuit {
-	out := New(c.Name)
-	for _, n := range c.nets {
-		out.MustAddNet(n)
-	}
-	return out
 }

@@ -122,18 +122,6 @@ func TestValidateRejectsEmpty(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	c := mk(t, "a signal", "b power")
-	d := c.Clone()
-	d.MustAddNet(Net{Name: "c", Class: Ground, Tier: 1})
-	if c.NumNets() != 2 || d.NumNets() != 3 {
-		t.Errorf("clone aliases original: %d %d", c.NumNets(), d.NumNets())
-	}
-	if id, ok := d.ByName("b"); !ok || d.Net(id).Class != Power {
-		t.Error("clone lost lookup index")
-	}
-}
-
 func TestParseNetClass(t *testing.T) {
 	for tok, want := range map[string]NetClass{
 		"signal": Signal, "s": Signal,

@@ -46,7 +46,7 @@ func TestStarvedSolveReportsNonConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := Solve(g, corners(g), SolveOptions{MaxIter: 2})
+		sol, err := Solve(g, corners(g), SolveOptions{maxIter: 2})
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
 		}

@@ -13,7 +13,7 @@ func TestStarvedSolversReportResidual(t *testing.T) {
 	even.Nx, even.Ny = 20, 20 // Jacobi CG fallback
 	pads := []Pad{{I: 0, J: 0}}
 	for name, g := range map[string]GridSpec{"mgcg": odd, "cg": even} {
-		sol, err := Solve(g, pads, SolveOptions{MaxIter: 1})
+		sol, err := Solve(g, pads, SolveOptions{maxIter: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -36,9 +36,9 @@ func TestBadSolveOptionsRejected(t *testing.T) {
 	g := baseSpec()
 	pads := []Pad{{I: 0, J: 0}}
 	bad := []SolveOptions{
-		{Tol: -1},
-		{Tol: math.NaN()},
-		{MaxIter: -5},
+		{tol: -1},
+		{tol: math.NaN()},
+		{maxIter: -5},
 	}
 	for i, opt := range bad {
 		if _, err := Solve(g, pads, opt); err == nil {

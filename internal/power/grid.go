@@ -98,12 +98,13 @@ type Pad struct {
 // iteration (MGCG, see multigrid.go) on grids that coarsen, and Jacobi CG on
 // grids that cannot (an even side, or fewer than 5 nodes a side).
 type SolveOptions struct {
-	// Tol is the relative residual target ‖r‖₂ ≤ Tol·‖b‖₂ on the
+	// tol is the relative residual target ‖r‖₂ ≤ tol·‖b‖₂ on the
 	// pad-eliminated system (default 1e-9).
-	Tol float64
-	// MaxIter bounds the CG iteration count (default 20·(Nx+Ny)); under
-	// MGCG each iteration is one V-cycle.
-	MaxIter int
+	tol float64
+	// maxIter bounds the CG iteration count (default 20·(Nx+Ny)); under
+	// MGCG each iteration is one V-cycle. Programs run the defaults; the
+	// tests set both to pin starvation and convergence.
+	maxIter int
 	// Workers is ignored: every solve runs in sequence on the caller's
 	// goroutine.
 	//
@@ -119,11 +120,11 @@ type SolveOptions struct {
 }
 
 func (o SolveOptions) withDefaults(g GridSpec) SolveOptions {
-	if o.Tol == 0 {
-		o.Tol = 1e-9
+	if o.tol == 0 {
+		o.tol = 1e-9
 	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 20 * (g.Nx + g.Ny)
+	if o.maxIter == 0 {
+		o.maxIter = 20 * (g.Nx + g.Ny)
 	}
 	return o
 }
@@ -135,7 +136,7 @@ type Solution struct {
 	Iterations int
 	Residual   float64
 	// Converged reports that the iteration met its tolerance. When false
-	// — the solver ran out of MaxIter (starvation) or was cancelled — V
+	// — the solver ran out of iterations (starvation) or was cancelled — V
 	// is the current iterate and Residual quantifies how far it is from a
 	// solution; callers must treat the voltages as an estimate, not a
 	// sign-off answer.

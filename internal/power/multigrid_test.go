@@ -163,7 +163,7 @@ func TestMGSingleLevelFallback(t *testing.T) {
 }
 
 // The large solves keep their bits: 65×65 (MGCG) and the even 70×70
-// (Jacobi CG) with ringPads, converged and starved at MaxIter 3, and the
+// (Jacobi CG) with ringPads, converged and starved at maxIter 3, and the
 // 513×513 solve BenchmarkLargeTier times (outside -short).
 func TestLargeGridFingerprints(t *testing.T) {
 	const n = 513
@@ -190,7 +190,7 @@ func TestLargeGridFingerprints(t *testing.T) {
 		if c.g.Nx == n && testing.Short() {
 			continue
 		}
-		sol, err := Solve(c.g, c.pads, SolveOptions{MaxIter: c.maxIter})
+		sol, err := Solve(c.g, c.pads, SolveOptions{maxIter: c.maxIter})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestMGOddCoordinatePads(t *testing.T) {
 			t.Fatalf("level %d has no spring; the coarse system is singular", l+1)
 		}
 	}
-	mg, err := Solve(g, pads, SolveOptions{Tol: 1e-10})
+	mg, err := Solve(g, pads, SolveOptions{tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,8 @@ func (ws *workspace) solve(ctx context.Context, g GridSpec, pads []Pad, opt Solv
 		ws.isPad[p.J*g.Nx+p.I] = true
 	}
 	opt = opt.withDefaults(g)
-	if !(opt.Tol >= 0) || opt.MaxIter < 1 {
-		return nil, fmt.Errorf("power: invalid solve options (tol %g, maxIter %d)", opt.Tol, opt.MaxIter)
+	if !(opt.tol >= 0) || opt.maxIter < 1 {
+		return nil, fmt.Errorf("power: invalid solve options (tol %g, maxIter %d)", opt.tol, opt.maxIter)
 	}
 	ws.eliminate(g)
 	method := "cg"
@@ -128,7 +128,7 @@ func (ws *workspace) eliminate(g GridSpec) {
 }
 
 // cg runs preconditioned conjugate gradients on the eliminated system from a
-// flat Vdd start until ‖r‖₂ ≤ Tol·‖b‖₂. The preconditioner is one V-cycle
+// flat Vdd start until ‖r‖₂ ≤ tol·‖b‖₂. The preconditioner is one V-cycle
 // when the level stack is built, else the Jacobi diagonal.
 func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solution {
 	m := len(ws.unknowns)
@@ -163,8 +163,8 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 	var it int
 	converged := false
 	stopped := "max iterations"
-	for it = 0; it < opt.MaxIter; it++ {
-		if math.Sqrt(dot(r, r)) <= opt.Tol*bnorm {
+	for it = 0; it < opt.maxIter; it++ {
+		if math.Sqrt(dot(r, r)) <= opt.tol*bnorm {
 			converged = true
 			break
 		}
@@ -187,8 +187,8 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 		}
 	}
 	if !converged {
-		// MaxIter may have landed exactly on a converged iterate.
-		converged = math.Sqrt(dot(r, r)) <= opt.Tol*bnorm
+		// maxIter may have landed exactly on a converged iterate.
+		converged = math.Sqrt(dot(r, r)) <= opt.tol*bnorm
 	}
 	for k, i := range ws.idx {
 		if i < 0 {

@@ -186,7 +186,7 @@ func TestSolveWarmAllocs(t *testing.T) {
 		var counts []uint64
 		for _, tol := range []float64{1e-6, 1e-12} {
 			opt := c.opt
-			opt.Tol = tol
+			opt.tol = tol
 			solve := func() {
 				sol, err := Solve(c.g, c.pads, opt)
 				if err != nil || !sol.Converged {

@@ -117,7 +117,7 @@ func TestQuickRealizeInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := r.CrossingCount(); c != 0 {
+		if c := crossingCount(r); c != 0 {
 			t.Fatalf("seed %d: %d crossings", seed, c)
 		}
 		if r.TotalLength() < r.Stats.Wirelength-1e-9 {

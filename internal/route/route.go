@@ -343,38 +343,6 @@ func realizeQuadrant(p *core.Problem, side bga.Side, order []netlist.ID) ([]Path
 	return paths, nil
 }
 
-// CrossingCount returns the number of proper Layer-1 wire crossings in a
-// realized routing; a correct monotonic realization has zero within each
-// quadrant.
-func (r *Routing) CrossingCount() int {
-	count := 0
-	for i := 0; i < len(r.Paths); i++ {
-		for j := i + 1; j < len(r.Paths); j++ {
-			a, b := r.Paths[i].Layer1, r.Paths[j].Layer1
-			ra, okA := a.Bounds()
-			rb, okB := b.Bounds()
-			if !okA || !okB || !ra.Intersects(rb) {
-				continue
-			}
-			crossed := false
-			a.Segments(func(sa geom.Seg) {
-				if crossed {
-					return
-				}
-				b.Segments(func(sb geom.Seg) {
-					if !crossed && sa.CrossesProperly(sb) {
-						crossed = true
-					}
-				})
-			})
-			if crossed {
-				count++
-			}
-		}
-	}
-	return count
-}
-
 // TotalLength returns the summed realized length of all paths.
 func (r *Routing) TotalLength() float64 {
 	var t float64

@@ -124,10 +124,3 @@ func (c *lru[K, V]) Put(key K, val V) {
 	}
 	c.rec.Set("entries", float64(c.order.Len()))
 }
-
-// len reports the current entry count.
-func (c *lru[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

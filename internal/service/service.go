@@ -210,11 +210,6 @@ func newServer(cfg Config, lim limits) *Server {
 	return s
 }
 
-// MetricsSnapshot returns the server's current metrics (counters and
-// gauges under the service/ prefix). The JSON form is what /metrics
-// serves.
-func (s *Server) MetricsSnapshot() obs.Snapshot { return s.metrics.Snapshot() }
-
 // Shutdown drains the server: new submissions are rejected with 503 and
 // the base context is canceled, which reaches every job. Running plans
 // finish promptly with their best-so-far Partial results, still-queued

@@ -299,3 +299,10 @@ func TestRenderResponseDeterministic(t *testing.T) {
 		t.Error("body must end in newline")
 	}
 }
+
+// len reports the cache's current entry count.
+func (c *lru[K, V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}

@@ -38,14 +38,6 @@ func (c *Canvas) xy(p geom.Pt) (float64, float64) {
 	return sx, sy
 }
 
-// Line draws a straight segment.
-func (c *Canvas) Line(a, b geom.Pt, stroke string, width float64) {
-	x1, y1 := c.xy(a)
-	x2, y2 := c.xy(b)
-	fmt.Fprintf(&c.buf, `<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="%.2f"/>`+"\n",
-		x1, y1, x2, y2, stroke, width)
-}
-
 // Polyline draws an open chain.
 func (c *Canvas) Polyline(pl geom.Polyline, stroke string, width float64) {
 	if len(pl) < 2 {
