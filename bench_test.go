@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"copack"
 	"copack/internal/anneal"
@@ -59,6 +60,28 @@ func BenchmarkTable3(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := exchange.Run(p, dfaA, exchange.Options{Seed: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPlan runs one plan per Table 1 circuit and tier count as the
+// planning service runs a request: PlanContext with the request's seed, the
+// default exchange options and the service's default two-minute budget, so
+// the IR solves use DefaultChipGrid. It is the in-process number beside the
+// end-to-end plan-miss benchmark (bench/).
+func BenchmarkPlan(b *testing.B) {
+	for _, psi := range []int{1, 4} {
+		for _, tc := range gen.Table1() {
+			b.Run(fmt.Sprintf("%s/psi%d", tc.Name, psi), func(b *testing.B) {
+				p := gen.MustBuild(tc, gen.Options{Seed: 1, Tiers: psi})
+				opt := copack.Options{Seed: 1, Budget: 2 * time.Minute}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := copack.PlanContext(context.Background(), p, opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -213,8 +236,10 @@ func BenchmarkPowerSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkProxy measures the compact IR estimate the annealer calls twice
-// per move.
+// BenchmarkProxy measures the compact IR estimate of one order from
+// scratch, as the exchange computes it to score its start and final
+// orders. A move's proxy change is priced in O(1) by the exchange's
+// incremental tracker instead.
 func BenchmarkProxy(b *testing.B) {
 	p := benchProblem(b, 4)
 	a, err := assign.DFA(p, assign.DFAOptions{})

@@ -188,8 +188,9 @@ type Options struct {
 	SkipExchange bool
 	// Exchange tunes the annealing step; the zero value uses the
 	// defaults of the exchange package. Exchange.Workers bounds how many
-	// restarts anneal at once (0 means one per CPU), the plan's only
-	// concurrency; it never changes the result.
+	// restarts anneal at once (0 means one per CPU); it never changes the
+	// result. The plan's other concurrency needs no setting: with a
+	// second CPU, the ir-before solve runs beside the exchange.
 	Exchange ExchangeOptions
 	// Seed drives every random choice (baseline assignment and
 	// annealing).
@@ -278,9 +279,9 @@ func (e *PanicError) Error() string {
 func recoverStage(stage string, err *error) {
 	if r := recover(); r != nil {
 		pe := &PanicError{Stage: stage, Value: r, Stack: debug.Stack()}
-		// A panic in a pooled item (a restart on its own goroutine) comes
-		// back re-raised by the pool: report the item's value and stack,
-		// as a run on this goroutine would.
+		// A panic in a pooled item (a restart, or the ir-before solve,
+		// on its own goroutine) comes back re-raised by the pool: report
+		// the item's value and stack, as a run on this goroutine would.
 		if p, ok := r.(parallel.Panic); ok {
 			pe.Value, pe.Stack = p.Value, p.Stack
 		}
@@ -330,11 +331,11 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 		ctx, cancel = context.WithTimeout(ctx, opt.Budget)
 		defer cancel()
 	}
-	// stop records the first reason the run degraded to a partial result;
-	// later stages still run (fast, on best-so-far state) so the report
-	// stays complete.
+	// stop records the first reason the run degraded to a partial result
+	// (an empty reason is none); later stages still run (fast, on
+	// best-so-far state) so the report stays complete.
 	stop := func(res *Result, reason string) {
-		if !res.Partial {
+		if reason != "" && !res.Partial {
 			res.Partial = true
 			res.Stopped = reason
 		}
@@ -383,46 +384,32 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 	res.FinalStats = res.InitialStats
 
 	grid := power.DefaultChipGrid(p)
-	solveDrop := func(a *Assignment, stage string, prev float64) (float64, error) {
-		defer obs.StartPhase(rec, stage)()
+	// solveDrop solves the grid under an order's power pads. It records
+	// the solver's telemetry but no phase or stop reason: its caller
+	// records those in pipeline order. stopped says why a solve that did
+	// not converge ended.
+	solveDrop := func(a *Assignment, stage string, prev float64) (drop float64, stopped string, err error) {
 		sol, err := power.SolveAssignmentContext(ctx, p, a, grid,
 			power.SolveOptions{Recorder: obs.WithPrefix(rec, "power/"+stage+"/")})
 		if err != nil {
-			return 0, err
+			return 0, "", err
 		}
 		if !sol.Converged {
-			stop(res, fmt.Sprintf("%s: IR solver stopped after %d iterations (%s; residual %.3g)",
-				stage, sol.Iterations, sol.Stopped, sol.Residual))
+			stopped = fmt.Sprintf("%s: IR solver stopped after %d iterations (%s; residual %.3g)",
+				stage, sol.Iterations, sol.Stopped, sol.Residual)
 			if sol.Iterations == 0 {
 				// The solve was cut before its first iteration: the
 				// iterate is the flat initial guess (zero drop), which
 				// would misreport as a perfect grid. Keep the previous
 				// estimate instead.
-				return prev, nil
+				return prev, stopped, nil
 			}
 		}
-		return sol.MaxDrop(), nil
+		return sol.MaxDrop(), stopped, nil
 	}
-	if err := checkpoint("ir-before"); err != nil {
-		return nil, err
-	}
-	if res.IRDropBefore, err = solveDrop(initial, "ir-before", 0); err != nil {
-		return nil, err
-	}
-	res.IRDropAfter = res.IRDropBefore
 	res.OmegaBefore = stack.OmegaAssignment(p, initial)
 	res.OmegaAfter = res.OmegaBefore
-
-	if opt.SkipExchange {
-		return res, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		// The deadline already passed: the initial assignment is the
-		// best-so-far answer.
-		stop(res, fmt.Sprintf("exchange skipped: %v", cerr))
-		return res, nil
-	}
-	if err := checkpoint("exchange"); err != nil {
+	if err := checkpoint("ir-before"); err != nil {
 		return nil, err
 	}
 
@@ -434,26 +421,90 @@ func PlanContext(ctx context.Context, p *Problem, opt Options) (res *Result, err
 		// exchange self-namespaces under exchange/ and anneal/.
 		exOpt.Recorder = opt.Recorder
 	}
-	endExchange := obs.StartPhase(rec, "exchange")
-	ex, err := exchange.RunContext(ctx, p, initial, exOpt)
+	// The ir-before solve and the exchange read only the initial order, so
+	// they run as the two items of one pool: side by side when a second CPU
+	// is free, and in pipeline order on this goroutine at GOMAXPROCS 1.
+	// Each stage times itself and keeps its outcome in its own variables;
+	// the phases and stop reasons are recorded after the join, in pipeline
+	// order. exCtx cancels the exchange when ir-before fails or panics, so
+	// a failed plan does not wait out an anneal.
+	var (
+		dropBefore               float64
+		stopBefore, skipped      string
+		ex                       *ExchangeResult
+		final                    *RouteStats
+		tookBefore, tookExchange time.Duration
+	)
+	exCtx, cancelExchange := context.WithCancel(ctx)
+	defer cancelExchange()
+	stages := 2
+	if opt.SkipExchange {
+		stages = 1
+	}
+	err = parallel.ForEachErr(ctx, stages, 0, func(_ context.Context, stage int) error {
+		start := time.Now()
+		if stage == 0 {
+			solved := false
+			defer func() {
+				if !solved {
+					cancelExchange()
+				}
+			}()
+			var err error
+			if dropBefore, stopBefore, err = solveDrop(initial, "ir-before", 0); err != nil {
+				return err
+			}
+			solved, tookBefore = true, time.Since(start)
+			return nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			// The deadline already passed: the initial assignment is the
+			// best-so-far answer.
+			skipped = fmt.Sprintf("exchange skipped: %v", cerr)
+			return nil
+		}
+		if err := checkpoint("exchange"); err != nil {
+			return err
+		}
+		var err error
+		if ex, err = exchange.RunContext(exCtx, p, initial, exOpt); err != nil {
+			return err
+		}
+		if final, err = route.EvaluateObserved(p, ex.Assignment, obs.WithPrefix(rec, "route/final/")); err != nil {
+			return err
+		}
+		tookExchange = time.Since(start)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	rec.Phase("ir-before", tookBefore)
+	stop(res, stopBefore)
+	res.IRDropBefore, res.IRDropAfter = dropBefore, dropBefore
+	if opt.SkipExchange {
+		return res, nil
+	}
+	if skipped != "" {
+		stop(res, skipped)
+		return res, nil
+	}
+	rec.Phase("exchange", tookExchange)
 	if ex.Interrupted {
 		stop(res, fmt.Sprintf("exchange: %s", ex.Stats.Stopped))
 	}
-	res.Exchange = ex
-	res.Assignment = ex.Assignment
-	if res.FinalStats, err = route.EvaluateObserved(p, ex.Assignment, obs.WithPrefix(rec, "route/final/")); err != nil {
-		return nil, err
-	}
-	endExchange()
+	res.Exchange, res.Assignment, res.FinalStats = ex, ex.Assignment, final
 	if err := checkpoint("ir-after"); err != nil {
 		return nil, err
 	}
-	if res.IRDropAfter, err = solveDrop(ex.Assignment, "ir-after", res.IRDropBefore); err != nil {
+	endAfter := obs.StartPhase(rec, "ir-after")
+	dropAfter, stopped, err := solveDrop(ex.Assignment, "ir-after", res.IRDropBefore)
+	if err != nil {
 		return nil, err
 	}
+	endAfter()
+	stop(res, stopped)
+	res.IRDropAfter = dropAfter
 	res.OmegaAfter = ex.After.Omega
 	return res, nil
 }

@@ -65,7 +65,8 @@ type Options struct {
 	// every restart at ψ = 1, starts cold from the initial order on
 	// Schedule. Several restarts at ψ ≥ 2 all start warm from the
 	// congestion-driven order the instance suits (see warmStart), on
-	// Schedule entered at temperature 0.05 with half its plateau length.
+	// Schedule entered at temperature 0.05 (or at its FinalTemp, when
+	// that is higher) with half its plateau length.
 	// Every Eq 3 baseline — the Eq 2 section counts, the Δ_IR and ω
 	// normalizers, the Before metrics — stays anchored to the initial
 	// argument, so warm and cold costs compare directly. A restart cut
@@ -142,10 +143,17 @@ type state struct {
 	sections [bga.NumSides]sectionData
 	// idCache[side] is sections[side].id(...) for the current order,
 	// maintained from the O(1) section deltas (see sections.go) so cost
-	// stays O(1) per move.
-	idCache [bga.NumSides]int
+	// stays O(1) per move. idOther[side] is the largest idCache entry of
+	// the other three sides (0 at least), so pricing a move on one side
+	// finds the worst Eq 2 ID without a loop.
+	idCache, idOther [bga.NumSides]int
 	// sides with at least 2 slots, for stacking-IC move sampling.
 	sides []bga.Side
+	// The move samplers, fixed per state (see pickSlot): drawPad over the
+	// supply list (ψ = 1), drawSide over sides and drawSlot over each
+	// side's slots (ψ ≥ 2).
+	drawPad, drawSide fixedIntn
+	drawSlot          [bga.NumSides]fixedIntn
 
 	proxy0, omega0   float64
 	lambda, rho, phi float64
@@ -167,6 +175,19 @@ type state struct {
 // method (and ours) returns the *final* annealed state, which trades a
 // little ID for the proxy and ω gains the cooling schedule locked in.
 
+// setIDOther recomputes idOther from idCache.
+func (s *state) setIDOther() {
+	for side := range s.idOther {
+		worst := 0
+		for k, v := range s.idCache {
+			if k != side && v > worst {
+				worst = v
+			}
+		}
+		s.idOther[side] = worst
+	}
+}
+
 func (s *state) cost() float64 {
 	idWorst := 0
 	for _, v := range s.idCache {
@@ -186,21 +207,22 @@ func (s *state) cost() float64 {
 // draw over the tracker's supply list, mapped back to (side, slot). A pad
 // on a side with fewer than 2 slots has no neighbor, so drawing one is an
 // infeasible proposal. For stacking ICs any pad moves: a uniform side with
-// at least 2 slots, then a uniform slot on it.
+// at least 2 slots, then a uniform slot on it. Every draw goes through one
+// of the state's fixed-n samplers, which draw what rng.Intn would.
 func (s *state) pickSlot(rng *rand.Rand) (bga.Side, int, bool) {
 	if s.p.Tiers == 1 {
 		sup := s.trk.supplyIdx
 		if len(sup) == 0 {
 			return 0, 0, false
 		}
-		side, i := s.trk.locate(sup[rng.Intn(len(sup))])
+		side, i := s.trk.locate(sup[s.drawPad.draw(rng)])
 		return side, i, len(s.a.Slots[side]) >= 2
 	}
 	if len(s.sides) == 0 {
 		return 0, 0, false
 	}
-	side := s.sides[rng.Intn(len(s.sides))]
-	return side, 1 + rng.Intn(len(s.a.Slots[side])), true
+	side := s.sides[s.drawSide.draw(rng)]
+	return side, 1 + s.drawSlot[side].draw(rng), true
 }
 
 // withDefaults resolves the zero-value option defaults for a problem.
@@ -375,13 +397,15 @@ func hasSupplyNet(c *netlist.Circuit) bool {
 	return false
 }
 
-// warmSchedule is the schedule of a warm restart: s entered at temperature
-// 0.05 with half its plateau length (never below one move). A warm start
-// already lands near a good basin, so its budget belongs in the
-// low-temperature tail of the cooling ramp.
+// warmSchedule is the schedule of a warm restart: s with its defaults
+// resolved, entered at temperature 0.05 with half its plateau length (never
+// below one move). A warm start already lands near a good basin, so its
+// budget belongs in the low-temperature tail of the cooling ramp. A floor
+// above 0.05 is the entry temperature instead, so such a schedule runs its
+// last plateau rather than failing validation.
 func warmSchedule(s anneal.Schedule) anneal.Schedule {
-	s.InitialTemp = 0.05
 	s = s.WithDefaults()
+	s.InitialTemp = max(0.05, s.FinalTemp)
 	s.MovesPerTemp = max(s.MovesPerTemp/2, 1)
 	return s
 }
@@ -449,6 +473,16 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 		}
 	}
 	st.trk = newTracker(p, st.a)
+	st.setIDOther()
+	if n := len(st.trk.supplyIdx); n > 0 {
+		st.drawPad = newFixedIntn(n)
+	}
+	if len(st.sides) > 0 {
+		st.drawSide = newFixedIntn(len(st.sides))
+		for _, side := range st.sides {
+			st.drawSlot[side] = newFixedIntn(len(st.a.Slots[side]))
+		}
+	}
 	st.proxy0 = power.ProxyForAssignment(p, initial)
 	if st.proxy0 <= 0 {
 		st.proxy0 = 1

@@ -162,9 +162,16 @@ func (tr *tracker) priceSupplyMove(gFrom, gTo int, sp *supplyPend) {
 		return
 	}
 	// An adjacent move cannot cross another supply pad, so only the two
-	// gaps around the moving pad change.
-	prev := tr.supplyIdx[(r-1+n)%n]
-	next := tr.supplyIdx[(r+1)%n]
+	// gaps around the moving pad change. Its neighbours' ranks wrap
+	// around the ring.
+	rPrev, rNext := r-1, r+1
+	if rPrev < 0 {
+		rPrev = n - 1
+	}
+	if rNext == n {
+		rNext = 0
+	}
+	prev, next := tr.supplyIdx[rPrev], tr.supplyIdx[rNext]
 	tOld, tNew := tr.tGlobal[gFrom], tr.tGlobal[gTo]
 	tPrev, tNext := tr.tGlobal[prev], tr.tGlobal[next]
 	oldCost := sq(circGap(tPrev, tOld)) + sq(circGap(tOld, tNext))

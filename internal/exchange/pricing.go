@@ -1,6 +1,9 @@
 package exchange
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"copack/internal/bga"
@@ -34,7 +37,8 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 		return 0, false
 	}
 	j := i + 1
-	if (rng.Intn(2) == 0 && i > 1) || j > len(s.a.Slots[side]) {
+	// The partner's direction is rng.Intn(2)'s one masked Int31 draw.
+	if (rng.Int31()&1 == 0 && i > 1) || j > len(s.a.Slots[side]) {
 		j = i - 1
 	}
 	slots := s.a.Slots[side]
@@ -94,7 +98,10 @@ func (s *state) price(side bga.Side, i, j int) float64 {
 func (s *state) CommitMove() {
 	p := &s.pend
 	s.sections[p.side].commitSwap(&p.sec)
-	s.idCache[p.side] = p.idAcc
+	if s.idCache[p.side] != p.idAcc {
+		s.idCache[p.side] = p.idAcc
+		s.setIDOther()
+	}
 	s.a.Swap(p.side, p.i, p.j)
 	resynced := s.trk.commitSupply(&p.sup)
 	s.trk.commitTierSwap(p.gi, p.gj, p.omega)
@@ -110,20 +117,59 @@ func (s *state) RejectMove() {}
 
 // costWith is cost() with one side's Eq 2 term, the proxy and ω replaced
 // by priced values — the identical arithmetic, so a priced after-cost is
-// bit-equal to what cost() would return after a commit.
+// bit-equal to what cost() would return after a commit. The worst Eq 2 ID
+// is an integer maximum, so taking it from idOther changes no bit.
 func (s *state) costWith(side bga.Side, idSide int, proxy float64, omega int) float64 {
-	idWorst := 0
-	for k, v := range s.idCache {
-		if bga.Side(k) == side {
-			v = idSide
-		}
-		if v > idWorst {
-			idWorst = v
-		}
-	}
+	idWorst := max(s.idOther[side], idSide)
 	c := s.lambda*proxy/s.proxy0 + s.rho*float64(idWorst)
 	if s.p.Tiers > 1 {
 		c += s.phi * float64(omega) / s.omega0
 	}
 	return c
+}
+
+// fixedIntn draws uniformly from [0, n) for one n fixed in advance. It makes
+// exactly the Int31 draws rand.Rand.Intn(n) makes, so it returns the same
+// values and leaves the source at the same stream position, but works out
+// the power-of-two test, the rejection bound and a reciprocal for the final
+// remainder once instead of dividing per draw.
+type fixedIntn struct {
+	mask int32 // n−1 when n is a power of two (Intn masks), else −1
+	max  int32 // the largest Int31 draw Intn accepts when it does not mask
+	n, m uint64
+}
+
+// newFixedIntn returns the sampler for n, which must lie in [1, 2³¹−1],
+// where rand.Rand.Intn(n) draws through Int31n.
+func newFixedIntn(n int) fixedIntn {
+	if n < 1 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("exchange: sampler size %d outside [1, 2^31-1]", n))
+	}
+	s := fixedIntn{mask: -1, n: uint64(n), m: math.MaxUint64/uint64(n) + 1}
+	if n&(n-1) == 0 {
+		s.mask = int32(n - 1)
+	} else {
+		s.max = int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	}
+	return s
+}
+
+// draw returns what rng.Intn(n) would.
+func (s fixedIntn) draw(rng *rand.Rand) int {
+	if s.mask >= 0 {
+		return int(rng.Int31() & s.mask)
+	}
+	v := rng.Int31()
+	for v > s.max {
+		v = rng.Int31()
+	}
+	return s.rem(v)
+}
+
+// rem returns v mod n without dividing: with m = ⌈2⁶⁴/n⌉, the high word of
+// (m·v mod 2⁶⁴)·n is the remainder for every 32-bit v and n (Lemire, Kaser
+// and Kurz, "Faster remainder by direct computation", 2019).
+func (s fixedIntn) rem(v int32) int {
+	hi, _ := bits.Mul64(s.m*uint64(v), s.n)
+	return int(hi)
 }

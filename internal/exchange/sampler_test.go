@@ -166,3 +166,48 @@ func TestPickSlotNoWatchedPad(t *testing.T) {
 		t.Fatalf("the rng was consumed: next value %d, fresh stream %d", got, want)
 	}
 }
+
+// TestFixedIntnMatchesIntn: a fixed-n sampler returns what rand.Rand.Intn(n)
+// returns, draw for draw, and leaves the source where Intn leaves it — for
+// powers of two (one masked draw), for sizes whose rejection bound almost
+// never bites, and for 2³⁰+1, where about half the draws are rejected.
+func TestFixedIntnMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 24, 89, 112, 1<<20 + 1, 1<<30 + 1, 1<<31 - 1} {
+		s := newFixedIntn(n)
+		for seed := int64(1); seed <= 3; seed++ {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for k := 0; k < 2000; k++ {
+				if g, w := s.draw(got), want.Intn(n); g != w {
+					t.Fatalf("n=%d seed %d draw %d: %d, Intn gives %d", n, seed, k, g, w)
+				}
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("n=%d seed %d: the source is at a different position after 2000 draws", n, seed)
+			}
+		}
+		// The remainder without a division, at the edges of its range.
+		n32 := int32(n)
+		for _, v := range []int32{0, 1, n32 - 1, n32, n32 + 1, 2*n32 - 1, s.max, math.MaxInt32 - 1, math.MaxInt32} {
+			if v < 0 {
+				continue // 2n or n+1 overflowed int32
+			}
+			if got, want := s.rem(v), int(v%n32); got != want {
+				t.Fatalf("n=%d: rem(%d) = %d, want %d", n, v, got, want)
+			}
+		}
+	}
+}
+
+// newFixedIntn refuses the sizes Intn does not draw through Int31n.
+func TestFixedIntnRejectsSizes(t *testing.T) {
+	for _, n := range []int{0, -1, 1 << 31} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("newFixedIntn(%d) did not panic", n)
+				}
+			}()
+			newFixedIntn(n)
+		}()
+	}
+}

@@ -349,8 +349,9 @@ func checkPinned(t *testing.T, name string, cost float64, moves int, wantCost fl
 
 // TestRunRejectsBadSchedule: a schedule that cannot terminate, or a
 // restart count above the 4096 cap, fails the run before any anneal, for
-// one restart and for several. So does a warm run whose schedule floor
-// lies above the warm entry temperature 0.05, which a cold run accepts.
+// one restart and for several. A schedule whose floor lies above the warm
+// entry temperature 0.05 is valid for a cold run and for a warm one, which
+// enters at the floor and runs that one plateau.
 func TestRunRejectsBadSchedule(t *testing.T) {
 	p, dfaA, _ := warmProblem(t, 1)
 	for _, restarts := range []int{1, 2} {
@@ -367,7 +368,11 @@ func TestRunRejectsBadSchedule(t *testing.T) {
 	if _, err := Run(p4, dfa4, Options{Seed: 1, Schedule: high}); err != nil {
 		t.Errorf("cold run with floor 0.1: %v", err)
 	}
-	if _, err := Run(p4, dfa4, Options{Seed: 1, Restarts: 2, Schedule: high}); err == nil {
-		t.Error("warm run accepted a floor above its 0.05 entry temperature")
+	res, err := Run(p4, dfa4, Options{Seed: 1, Restarts: 2, Schedule: high})
+	if err != nil {
+		t.Fatalf("warm run with floor 0.1: %v", err)
+	}
+	if res.Stats.Plateaus != 1 || res.Stats.LastTemp != 0.1 {
+		t.Errorf("warm run with floor 0.1: %d plateaus, last at %g; want one at 0.1", res.Stats.Plateaus, res.Stats.LastTemp)
 	}
 }

@@ -110,7 +110,13 @@ func ForEachErr(ctx context.Context, n, workers int, fn func(ctx context.Context
 	run := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				record(i, nil, &Panic{Index: i, Value: r, Stack: debug.Stack()})
+				p := &Panic{Index: i, Value: r, Stack: debug.Stack()}
+				if inner, ok := r.(Panic); ok {
+					// A nested pool re-raised its item's panic: keep the
+					// value and stack of the goroutine that panicked.
+					p.Value, p.Stack = inner.Value, inner.Stack
+				}
+				record(i, nil, p)
 			}
 		}()
 		record(i, fn(ctx, i), nil)

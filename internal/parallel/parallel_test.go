@@ -176,6 +176,34 @@ func TestForEachRethrowsPanics(t *testing.T) {
 	}
 }
 
+// A panic inside a nested pool comes back once wrapped, not twice: the
+// outer pool keeps the inner item's value and the stack of the goroutine
+// that panicked.
+func TestForEachNestedPanicKeepsOrigin(t *testing.T) {
+	defer func() {
+		p, ok := recover().(Panic)
+		if !ok || p.Index != 1 || p.Value != "deep" {
+			t.Fatalf("recovered %+v, want outer index 1 with the inner value", p)
+		}
+		if !strings.Contains(string(p.Stack), "panicDeep") {
+			t.Errorf("Stack lacks the panicking frames:\n%s", p.Stack)
+		}
+	}()
+	_ = ForEachErr(context.Background(), 2, 2, func(_ context.Context, i int) error {
+		if i == 1 {
+			return ForEachErr(context.Background(), 2, 2, func(_ context.Context, j int) error {
+				if j == 1 {
+					panicDeep()
+				}
+				return nil
+			})
+		}
+		return nil
+	})
+}
+
+func panicDeep() { panic("deep") }
+
 // When several items panic, the lowest index is reported, deterministically.
 func TestForEachPanicLowestIndex(t *testing.T) {
 	defer func() {

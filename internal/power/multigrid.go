@@ -56,6 +56,7 @@ type mgLevel struct {
 	gx, gy float64
 	isPad  []bool    // level 0: the real pads; deeper levels: surviving (coincident) pads
 	spring []float64 // diagonal Dirichlet coupling; level 0: all zero (pads are pinned directly)
+	diag   []float64 // each node's spring plus its branch conductances (setDiag)
 	v      []float64 // correction: the preconditioned z (level 0) / coarse corrections
 	rhs    []float64 // the CG residual r (level 0) / restricted residuals
 	res    []float64 // residual scratch
@@ -152,12 +153,15 @@ func (ws *workspace) buildHierarchy(g GridSpec) bool {
 		ws.levels = ws.levels[:0]
 		return false
 	}
+	for _, lv := range ws.levels {
+		lv.setDiag()
+	}
 	return true
 }
 
 // addLevel appends an (nx, ny) level to ws.levels, reusing the buffers an
-// earlier solve left at that depth. The caller sets isPad and spring; v,
-// rhs and res are written before they are read.
+// earlier solve left at that depth. The caller sets isPad and spring; diag
+// (setDiag), v, rhs and res are written before they are read.
 func (ws *workspace) addLevel(nx, ny int) *mgLevel {
 	l := len(ws.levels)
 	ws.levels = slices.Grow(ws.levels, 1)[:l+1] // keeps the pointers past len
@@ -169,6 +173,7 @@ func (ws *workspace) addLevel(nx, ny int) *mgLevel {
 	n := nx * ny
 	lv.nx, lv.ny, lv.gx, lv.gy = nx, ny, ws.gx, ws.gy
 	lv.spring = resize(lv.spring, n)
+	lv.diag = resize(lv.diag, n)
 	lv.v = resize(lv.v, n)
 	lv.rhs = resize(lv.rhs, n)
 	lv.res = resize(lv.res, n)
@@ -212,69 +217,134 @@ func gatherFW(src []float64, fnx, fny, I, J int) float64 {
 // to kill high-frequency error, over-relaxation only helps the low
 // frequencies the coarse grids already handle) over the given color. A node
 // of one color reads only the opposite color, so the half-sweep's result
-// does not depend on the order it visits nodes in.
+// does not depend on the order it visits nodes in: the boundary ring takes
+// the general per-node path (rbNode), and each interior row runs over row
+// subslices, where every neighbour exists and the only branch left is the
+// pad test. Both divide by the level's precomputed diagonal (setDiag).
 func rbSweep(lv *mgLevel, color int) {
 	nx, ny, gx, gy := lv.nx, lv.ny, lv.gx, lv.gy
-	v, rhs, isPad, spring := lv.v, lv.rhs, lv.isPad, lv.spring
 	for j := 0; j < ny; j++ {
-		for i := (color + j) % 2; i < nx; i += 2 {
-			k := j*nx + i
-			if isPad[k] {
+		first := (color + j) % 2 // the row's first column of this color
+		if j == 0 || j == ny-1 {
+			for i := first; i < nx; i += 2 {
+				rbNode(lv, i, j)
+			}
+			continue
+		}
+		if first == 0 {
+			rbNode(lv, 0, j)
+		}
+		if (nx-1-first)%2 == 0 {
+			rbNode(lv, nx-1, j)
+		}
+		k := j * nx
+		v, down, up := lv.v[k:k+nx], lv.v[k-nx:k], lv.v[k+nx:k+2*nx]
+		rhs, isPad, diag := lv.rhs[k:k+nx], lv.isPad[k:k+nx], lv.diag[k:k+nx]
+		for i := 2 - first; i < nx-1; i += 2 {
+			if isPad[i] {
 				continue
 			}
-			sumG := spring[k]
 			var sumGV float64
-			if i > 0 {
-				sumG += gx
-				sumGV += gx * v[k-1]
-			}
-			if i < nx-1 {
-				sumG += gx
-				sumGV += gx * v[k+1]
-			}
-			if j > 0 {
-				sumG += gy
-				sumGV += gy * v[k-nx]
-			}
-			if j < ny-1 {
-				sumG += gy
-				sumGV += gy * v[k+nx]
-			}
-			v[k] = (sumGV + rhs[k]) / sumG
+			sumGV += gx * v[i-1]
+			sumGV += gx * v[i+1]
+			sumGV += gy * down[i]
+			sumGV += gy * up[i]
+			v[i] = (sumGV + rhs[i]) / diag[i]
 		}
 	}
 }
 
-// computeResidual fills lv.res with rhs - A·v (zero at pads).
+// rbNode is rbSweep's update of one node of the boundary ring.
+func rbNode(lv *mgLevel, i, j int) {
+	k := j*lv.nx + i
+	if !lv.isPad[k] {
+		lv.v[k] = (lv.neighbourSum(i, j) + lv.rhs[k]) / lv.diag[k]
+	}
+}
+
+// computeResidual fills lv.res with rhs - A·v (zero at pads), the boundary
+// ring node by node and the interior over row subslices, as rbSweep does.
 func computeResidual(lv *mgLevel) {
 	nx, ny, gx, gy := lv.nx, lv.ny, lv.gx, lv.gy
-	v, rhs, res, isPad, spring := lv.v, lv.rhs, lv.res, lv.isPad, lv.spring
+	for j := 0; j < ny; j++ {
+		if j == 0 || j == ny-1 {
+			for i := 0; i < nx; i++ {
+				residualNode(lv, i, j)
+			}
+			continue
+		}
+		residualNode(lv, 0, j)
+		residualNode(lv, nx-1, j)
+		k := j * nx
+		v, down, up := lv.v[k:k+nx], lv.v[k-nx:k], lv.v[k+nx:k+2*nx]
+		rhs, res, isPad, diag := lv.rhs[k:k+nx], lv.res[k:k+nx], lv.isPad[k:k+nx], lv.diag[k:k+nx]
+		for i := 1; i < nx-1; i++ {
+			if isPad[i] {
+				res[i] = 0
+				continue
+			}
+			var sumGV float64
+			sumGV += gx * v[i-1]
+			sumGV += gx * v[i+1]
+			sumGV += gy * down[i]
+			sumGV += gy * up[i]
+			res[i] = rhs[i] + sumGV - diag[i]*v[i]
+		}
+	}
+}
+
+// residualNode is computeResidual's update of one node of the boundary ring.
+func residualNode(lv *mgLevel, i, j int) {
+	k := j*lv.nx + i
+	if lv.isPad[k] {
+		lv.res[k] = 0
+		return
+	}
+	lv.res[k] = lv.rhs[k] + lv.neighbourSum(i, j) - lv.diag[k]*lv.v[k]
+}
+
+// neighbourSum is Σ g·v over the neighbours node (i, j) has, added in the
+// order setDiag adds their conductances.
+func (lv *mgLevel) neighbourSum(i, j int) float64 {
+	k := j*lv.nx + i
+	var sumGV float64
+	if i > 0 {
+		sumGV += lv.gx * lv.v[k-1]
+	}
+	if i < lv.nx-1 {
+		sumGV += lv.gx * lv.v[k+1]
+	}
+	if j > 0 {
+		sumGV += lv.gy * lv.v[k-lv.nx]
+	}
+	if j < lv.ny-1 {
+		sumGV += lv.gy * lv.v[k+lv.nx]
+	}
+	return sumGV
+}
+
+// setDiag fills lv.diag with each node's diagonal: its spring plus the
+// conductances of the branches it has, summed in that order, so the
+// sweeps divide by the same bits a per-node sum would give.
+func (lv *mgLevel) setDiag() {
+	nx, ny, gx, gy := lv.nx, lv.ny, lv.gx, lv.gy
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			k := j*nx + i
-			if isPad[k] {
-				res[k] = 0
-				continue
-			}
-			sumG := spring[k]
-			var sumGV float64
+			d := lv.spring[k]
 			if i > 0 {
-				sumG += gx
-				sumGV += gx * v[k-1]
+				d += gx
 			}
 			if i < nx-1 {
-				sumG += gx
-				sumGV += gx * v[k+1]
+				d += gx
 			}
 			if j > 0 {
-				sumG += gy
-				sumGV += gy * v[k-nx]
+				d += gy
 			}
 			if j < ny-1 {
-				sumG += gy
-				sumGV += gy * v[k+nx]
+				d += gy
 			}
-			res[k] = rhs[k] + sumGV - sumG*v[k]
+			lv.diag[k] = d
 		}
 	}
 }
@@ -295,28 +365,34 @@ func restrict(fine, coarse *mgLevel) {
 
 // prolong adds the bilinear interpolation of the coarse correction into the
 // fine iterate, skipping fine pads (pinned Dirichlet values): each fine
-// node gathers from its 1, 2 or 4 parent coarse nodes.
+// node gathers from its 1, 2 or 4 parent coarse nodes. An even fine row
+// lies on coarse row J and an odd one between rows J and J+1; along a row,
+// the even node of each pair sits on a coarse node and the odd one between
+// two.
 func prolong(coarse, fine *mgLevel) {
 	cnx, nx := coarse.nx, fine.nx
-	cv, v, isPad := coarse.v, fine.v, fine.isPad
 	for j := 0; j < fine.ny; j++ {
-		J := j / 2
-		for i := 0; i < nx; i++ {
-			k := j*nx + i
-			if isPad[k] {
-				continue
+		J, k := j/2, j*nx
+		v, isPad := fine.v[k:k+nx], fine.isPad[k:k+nx]
+		c0 := coarse.v[J*cnx : (J+1)*cnx]
+		if j%2 == 0 {
+			for i, I := 0, 0; i < nx; i, I = i+2, I+1 {
+				if !isPad[i] {
+					v[i] += c0[I]
+				}
+				if i+1 < nx && !isPad[i+1] {
+					v[i+1] += 0.5 * (c0[I] + c0[I+1])
+				}
 			}
-			I := i / 2
-			ck := J*cnx + I
-			switch {
-			case i%2 == 0 && j%2 == 0:
-				v[k] += cv[ck]
-			case i%2 == 1 && j%2 == 0:
-				v[k] += 0.5 * (cv[ck] + cv[ck+1])
-			case i%2 == 0 && j%2 == 1:
-				v[k] += 0.5 * (cv[ck] + cv[ck+cnx])
-			default:
-				v[k] += 0.25 * (cv[ck] + cv[ck+1] + cv[ck+cnx] + cv[ck+cnx+1])
+			continue
+		}
+		c1 := coarse.v[(J+1)*cnx : (J+2)*cnx]
+		for i, I := 0, 0; i < nx; i, I = i+2, I+1 {
+			if !isPad[i] {
+				v[i] += 0.5 * (c0[I] + c1[I])
+			}
+			if i+1 < nx && !isPad[i+1] {
+				v[i+1] += 0.25 * (c0[I] + c0[I+1] + c1[I] + c1[I+1])
 			}
 		}
 	}

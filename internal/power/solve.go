@@ -204,26 +204,33 @@ func (ws *workspace) cg(ctx context.Context, g GridSpec, opt SolveOptions) *Solu
 	return sol
 }
 
-// mul computes y = A·x for the eliminated Laplacian.
+// mul computes y = A·x for the eliminated Laplacian, walking the grid's
+// nodes in order so no unknown needs a division to find its (i, j).
 func (ws *workspace) mul(x, y []float64) {
 	nx, ny, gx, gy := ws.nx, ws.ny, ws.gx, ws.gy
 	idx, diag := ws.idx, ws.diag
-	for u, k := range ws.unknowns {
-		i, j := k%nx, k/nx
-		acc := diag[u] * x[u]
-		if i > 0 && idx[k-1] >= 0 {
-			acc -= gx * x[idx[k-1]]
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			k := j*nx + i
+			u := idx[k]
+			if u < 0 {
+				continue
+			}
+			acc := diag[u] * x[u]
+			if i > 0 && idx[k-1] >= 0 {
+				acc -= gx * x[idx[k-1]]
+			}
+			if i < nx-1 && idx[k+1] >= 0 {
+				acc -= gx * x[idx[k+1]]
+			}
+			if j > 0 && idx[k-nx] >= 0 {
+				acc -= gy * x[idx[k-nx]]
+			}
+			if j < ny-1 && idx[k+nx] >= 0 {
+				acc -= gy * x[idx[k+nx]]
+			}
+			y[u] = acc
 		}
-		if i < nx-1 && idx[k+1] >= 0 {
-			acc -= gx * x[idx[k+1]]
-		}
-		if j > 0 && idx[k-nx] >= 0 {
-			acc -= gy * x[idx[k-nx]]
-		}
-		if j < ny-1 && idx[k+nx] >= 0 {
-			acc -= gy * x[idx[k+nx]]
-		}
-		y[u] = acc
 	}
 }
 
