@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"copack/internal/faultinject"
 )
@@ -33,7 +32,7 @@ type Target interface {
 	// would cause. ok=false means no move was sampled (for example, the
 	// sampled move was illegal); the engine counts it as infeasible,
 	// resolves nothing and tries again.
-	PriceMove(rng *rand.Rand) (delta float64, ok bool)
+	PriceMove(rng *Rand) (delta float64, ok bool)
 	// CommitMove applies the last priced move.
 	CommitMove()
 	// RejectMove abandons the last priced move.
@@ -128,7 +127,7 @@ type Stats struct {
 // The target is left in its final state (cost FinalCost); a target that
 // implements Snapshotter additionally receives a Snapshot call at every new
 // best, so it can restore the BestCost state afterwards.
-func Minimize(t Target, initialCost float64, s Schedule, rng *rand.Rand) (Stats, error) {
+func Minimize(t Target, initialCost float64, s Schedule, rng *Rand) (Stats, error) {
 	return MinimizeContext(context.Background(), t, initialCost, s, rng)
 }
 
@@ -145,8 +144,9 @@ const checkEvery = 16
 // state and any Snapshotter best is already captured — cancellation never
 // loses work, it only cuts the schedule short. An uncancelled run is
 // move-for-move identical to Minimize with the same seed: the polls never
-// touch the rng.
-func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Schedule, rng *rand.Rand) (Stats, error) {
+// touch the rng. A poll is a non-blocking receive on ctx.Done(), taken
+// once per run, so it takes no lock.
+func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Schedule, rng *Rand) (Stats, error) {
 	if err := s.Validate(); err != nil {
 		return Stats{}, err
 	}
@@ -163,21 +163,27 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 		stats.FinalCost = cost
 		return stats
 	}
+	done := ctx.Done()
 	stall := 0
 	for temp := s.InitialTemp; temp >= s.FinalTemp; temp *= s.Cooling {
 		if err := faultinject.Fire(faultinject.AnnealPlateau); err != nil {
 			return interrupt(err), nil
 		}
-		if err := ctx.Err(); err != nil {
-			return interrupt(err), nil
+		select {
+		case <-done:
+			return interrupt(ctx.Err()), nil
+		default:
 		}
 		stats.Plateaus++
 		stats.LastTemp = temp
+		invT := invTemp(temp)
 		acceptedHere := 0
 		for move := 0; move < s.MovesPerTemp; move++ {
 			if move%checkEvery == checkEvery-1 {
-				if err := ctx.Err(); err != nil {
-					return interrupt(err), nil
+				select {
+				case <-done:
+					return interrupt(ctx.Err()), nil
+				default:
 				}
 			}
 			delta, ok := t.PriceMove(rng)
@@ -186,7 +192,7 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 				continue
 			}
 			stats.Proposed++
-			accept := delta <= 0 || metropolis(rng.Float64(), -delta/temp)
+			accept := delta <= 0 || accepts(rng.Float64(), delta, temp, invT)
 			if !accept {
 				t.RejectMove()
 				continue
@@ -220,7 +226,7 @@ func MinimizeContext(ctx context.Context, t Target, initialCost float64, s Sched
 
 // expCut is where the Metropolis test stops needing math.Exp: exp(−44) ≈
 // 7.8e−20 lies below 2⁻⁶³ ≈ 1.08e−19, the smallest nonzero draw of
-// rand.Rand.Float64 (an Int63 over 2⁶³), so below the cut every nonzero
+// Rand.Float64 (an Int63 over 2⁶³), so below the cut every nonzero
 // draw u exceeds exp(x).
 const expCut = -44
 
@@ -237,8 +243,74 @@ func metropolis(u, x float64) bool {
 	return u < math.Exp(x)
 }
 
+// The bracket around the Metropolis test. An uphill move's exponent is
+// taken as x = −Δ·invT, with invT = 1/T once per plateau; it differs from
+// −Δ/T by a few ulps, a relative error below 1e−14 in exp for x ≥ −46.
+// approxExp(x) is within 4e−11 of exp(x). So e = approxExp(x) lies within
+// 1e−10 of math.Exp(−Δ/T), far inside the 2⁻²⁸ ≈ 3.7e−9 band: a draw
+// below e·bracketLo is below math.Exp(−Δ/T), and one above e·bracketHi
+// is above it.
+const (
+	bracketCut = -46 // exp(−46) ≈ 1.05e−20 < 2⁻⁶³, with room for the rounding of x
+	bracketLo  = 1 - 0x1p-28
+	bracketHi  = 1 + 0x1p-28
+)
+
+// invTemp is a plateau's 1/temp for accepts, or NaN where that overflows
+// (a subnormal temp), which sends every uphill test to the exact path.
+func invTemp(temp float64) float64 {
+	if inv := 1 / temp; inv <= math.MaxFloat64 {
+		return inv
+	}
+	return math.NaN()
+}
+
+// accepts reports u < math.Exp(−delta/temp), the Metropolis test of an
+// uphill move with draw u, for invT = 1/temp (or NaN). Where the draw lies
+// clear of the bracket, approxExp decides; below bracketCut every nonzero
+// draw rejects, as in metropolis. The rest — a draw inside the band, a
+// zero draw, a NaN delta or invT — take metropolis itself, so the answer
+// equals the exact test for every draw Float64 returns (0 or at least
+// 2⁻⁶³).
+func accepts(u, delta, temp, invT float64) bool {
+	x := -delta * invT
+	if x >= bracketCut {
+		e := approxExp(x)
+		if u < e*bracketLo {
+			return true
+		}
+		if u > e*bracketHi {
+			return false
+		}
+	} else if x < bracketCut && u != 0 {
+		return false
+	}
+	return metropolis(u, -delta/temp)
+}
+
+// expTable[j] is 2^(j/64).
+var expTable = func() (t [64]float64) {
+	for j := range t {
+		t[j] = math.Exp2(float64(j) / 64)
+	}
+	return t
+}()
+
+// approxExp returns exp(x) for x in [−46, 0] within a relative error of
+// 4e−11. With k the integer nearest x·64/ln2 and r = x − k·ln2/64
+// (|r| ≤ ln2/128), exp(x) = 2^⌊k/64⌋ · 2^((k mod 64)/64) · exp(r): a power
+// of two built from its exponent bits, a table entry and the cubic Taylor
+// polynomial of exp(r), whose remainder is below r⁴/24 < 4e−11.
+func approxExp(x float64) float64 {
+	k := int(x*(64/math.Ln2) - 0.5) // round to nearest; x ≤ 0
+	r := x - float64(k)*(math.Ln2/64)
+	p := 1 + r*(1+r*(0.5+r*(1.0/6)))
+	return math.Float64frombits(uint64(1023+k>>6)<<52) * expTable[k&63] * p
+}
+
 // SplitSeed derives the seed of restart k from a base seed. Restart 0 keeps
 // the base seed itself, so a single-restart run is move-for-move identical
 // to a plain Minimize with that seed; higher restarts take consecutive
-// seeds, which rand.NewSource scrambles into unrelated streams.
+// seeds, which NewRand (through rand.NewSource) scrambles into unrelated
+// streams.
 func SplitSeed(base int64, k int) int64 { return base + int64(k) }

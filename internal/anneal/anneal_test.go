@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -22,7 +21,7 @@ func (q *quadratic) cost() float64 {
 	return c
 }
 
-func (q *quadratic) PriceMove(rng *rand.Rand) (float64, bool) {
+func (q *quadratic) PriceMove(rng *Rand) (float64, bool) {
 	i := rng.Intn(len(q.x))
 	d := 1
 	if rng.Intn(2) == 0 {
@@ -38,7 +37,7 @@ func (q *quadratic) RejectMove() {}
 
 func TestMinimizeConverges(t *testing.T) {
 	q := &quadratic{x: []int{9, -7, 5, 12, -3}}
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRand(1)
 	st, err := Minimize(q, q.cost(), Schedule{InitialTemp: 50, FinalTemp: 1e-3, Cooling: 0.9, MovesPerTemp: 200}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestMinimizeConverges(t *testing.T) {
 
 func TestUphillMovesHappenWhenHot(t *testing.T) {
 	q := &quadratic{x: []int{0, 0, 0}} // at the optimum: any move is uphill
-	rng := rand.New(rand.NewSource(2))
+	rng := NewRand(2)
 	st, err := Minimize(q, 0, Schedule{InitialTemp: 100, FinalTemp: 50, Cooling: 0.99, MovesPerTemp: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +72,7 @@ func TestColdRunIsGreedy(t *testing.T) {
 	// At near-zero temperature the engine must behave greedily: from the
 	// optimum, no uphill move is ever accepted.
 	q := &quadratic{x: []int{0, 0}}
-	rng := rand.New(rand.NewSource(3))
+	rng := NewRand(3)
 	st, err := Minimize(q, 0, Schedule{InitialTemp: 1e-9, FinalTemp: 1e-10, Cooling: 0.5, MovesPerTemp: 500}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +88,12 @@ func TestColdRunIsGreedy(t *testing.T) {
 // rejector never offers a feasible move.
 type rejector struct{}
 
-func (rejector) PriceMove(*rand.Rand) (float64, bool) { return 0, false }
-func (rejector) CommitMove()                          { panic("commit without a priced move") }
-func (rejector) RejectMove()                          { panic("reject without a priced move") }
+func (rejector) PriceMove(*Rand) (float64, bool) { return 0, false }
+func (rejector) CommitMove()                     { panic("commit without a priced move") }
+func (rejector) RejectMove()                     { panic("reject without a priced move") }
 
 func TestInfeasibleProposalsCounted(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	rng := NewRand(4)
 	st, err := Minimize(rejector{}, 5, Schedule{InitialTemp: 1, FinalTemp: 0.5, Cooling: 0.9, MovesPerTemp: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +107,7 @@ func TestInfeasibleProposalsCounted(t *testing.T) {
 }
 
 func TestStallStopsEarly(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := NewRand(5)
 	long := Schedule{InitialTemp: 1, FinalTemp: 1e-12, Cooling: 0.99, MovesPerTemp: 5, StallPlateaus: 3}
 	st, err := Minimize(rejector{}, 1, long, rng)
 	if err != nil {
@@ -135,7 +134,7 @@ func TestScheduleValidate(t *testing.T) {
 	if err := (Schedule{}).Validate(); err != nil {
 		t.Errorf("zero schedule (defaults) rejected: %v", err)
 	}
-	if _, err := Minimize(rejector{}, 0, Schedule{InitialTemp: -5}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Minimize(rejector{}, 0, Schedule{InitialTemp: -5}, NewRand(1)); err == nil {
 		t.Error("Minimize accepted invalid schedule")
 	}
 }
@@ -143,7 +142,7 @@ func TestScheduleValidate(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	run := func(seed int64) (Stats, []int) {
 		q := &quadratic{x: []int{4, -6, 2}}
-		st, err := Minimize(q, q.cost(), Schedule{}, rand.New(rand.NewSource(seed)))
+		st, err := Minimize(q, q.cost(), Schedule{}, NewRand(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package anneal
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -15,7 +14,7 @@ type stubbornPricer struct {
 	resolved int
 }
 
-func (q *stubbornPricer) PriceMove(rng *rand.Rand) (float64, bool) {
+func (q *stubbornPricer) PriceMove(rng *Rand) (float64, bool) {
 	if q.refused < q.refuse {
 		q.refused++
 		rng.Intn(2) // consume something so the stream advances
@@ -30,7 +29,7 @@ func (q *stubbornPricer) RejectMove() { q.resolved++ }
 func TestDeltaPricerInfeasible(t *testing.T) {
 	q := &stubbornPricer{refuse: 10}
 	q.x = []int{3, -2}
-	st, err := Minimize(q, q.cost(), Schedule{InitialTemp: 1, FinalTemp: 0.5, Cooling: 0.5, MovesPerTemp: 20}, rand.New(rand.NewSource(2)))
+	st, err := Minimize(q, q.cost(), Schedule{InitialTemp: 1, FinalTemp: 0.5, Cooling: 0.5, MovesPerTemp: 20}, NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}

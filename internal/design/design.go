@@ -89,6 +89,12 @@ func WriteSolution(w io.Writer, p *core.Problem, a *core.Assignment) error {
 	if err := Write(w, p); err != nil {
 		return err
 	}
+	return WriteOrders(w, p, a)
+}
+
+// WriteOrders writes a planned assignment's order lines, one per side:
+// what WriteSolution appends to the problem's design text.
+func WriteOrders(w io.Writer, p *core.Problem, a *core.Assignment) error {
 	bw := bufio.NewWriter(w)
 	for _, side := range bga.Sides() {
 		fields := make([]string, 0, len(a.Slots[side])+2)
@@ -193,7 +199,9 @@ func (ps *parser) assignment(p *core.Problem) (*core.Assignment, error) {
 
 func parse(r io.Reader) (*parser, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// Designs run 2–12 KB; the buffer starts small and grows to the 1 MiB
+	// line cap only for a line that needs it.
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
 	ps := &parser{
 		tiers:    1,
 		rows:     make(map[bga.Side][]bga.Row),

@@ -282,3 +282,35 @@ func TestReadDistinguishesIOErrors(t *testing.T) {
 		t.Errorf("unexpected EOF not reported as *IOError: %v", err)
 	}
 }
+
+// TestReadLineLengths: the scanner's buffer starts small and grows to the
+// 1 MiB line cap. A design whose net line and row line run past 64 KiB
+// (one net renamed to a 70 000-byte name) parses and keeps the name; one
+// whose lines run past 1 MiB fails with a line-numbered parse error, not
+// an IOError.
+func TestReadLineLengths(t *testing.T) {
+	p := gen.MustBuild(gen.Table1()[0], gen.Options{Seed: 5})
+	text := Format(p)
+	old := p.Circuit.Net(0).Name
+	for _, size := range []int{70000, 1<<20 + 1} {
+		name := strings.Repeat("n", size)
+		long := strings.Replace(strings.Replace(text, "net "+old+" ", "net "+name+" ", 1), " "+old+" ", " "+name+" ", 1)
+		if len(long) < len(text)+2*(size-len(old)) {
+			t.Fatalf("size %d: the name was not replaced on both lines", size)
+		}
+		got, err := Parse(long)
+		if size < 1<<20 {
+			if err != nil {
+				t.Fatalf("%d-byte lines: %v", size, err)
+			}
+			if got.Circuit.Net(0).Name != name {
+				t.Fatalf("%d-byte lines: net 0 lost its name", size)
+			}
+			continue
+		}
+		var ioErr *IOError
+		if err == nil || errors.As(err, &ioErr) || !strings.Contains(err.Error(), "token too long") {
+			t.Fatalf("%d-byte lines: err = %v, want a too-long parse error", size, err)
+		}
+	}
+}

@@ -3,9 +3,9 @@ package exchange
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/gen"
 )
@@ -32,7 +32,7 @@ const proposeTemp = 1.0
 // proposeOnce is one hot-loop proposal without an annealer: sample and
 // price a move, then commit or reject it by the Metropolis rule at
 // proposeTemp. It reports whether the move committed.
-func proposeOnce(st *state, rng *rand.Rand) bool {
+func proposeOnce(st *state, rng *anneal.Rand) bool {
 	delta, ok := st.PriceMove(rng)
 	if !ok {
 		return false
@@ -55,7 +55,7 @@ func TestPricedMoveZeroAllocs(t *testing.T) {
 	}
 	for _, tiers := range []int{1, 4} {
 		st := hotLoopState(t, tiers)
-		rng := rand.New(rand.NewSource(1))
+		rng := anneal.NewRand(1)
 		// Warm up past lazy initialization and across a resync boundary.
 		for k := 0; k < 2*resyncInterval; k++ {
 			proposeOnce(st, rng)
@@ -75,7 +75,7 @@ func BenchmarkMovePricing(b *testing.B) {
 	for _, tiers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("psi%d", tiers), func(b *testing.B) {
 			st := hotLoopState(b, tiers)
-			rng := rand.New(rand.NewSource(1))
+			rng := anneal.NewRand(1)
 			commits := 0
 			b.ReportAllocs()
 			b.ResetTimer()

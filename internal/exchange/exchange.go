@@ -23,7 +23,6 @@ package exchange
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"copack/internal/anneal"
 	"copack/internal/assign"
@@ -141,6 +140,10 @@ type state struct {
 	opt Options
 
 	sections [bga.NumSides]sectionData
+	// rows[side][i] is the ball line of the net at 0-based slot i, so the
+	// range check and the Eq 2 pricing read a slot's line without going
+	// through its net ID.
+	rows [bga.NumSides][]int32
 	// idCache[side] is sections[side].id(...) for the current order,
 	// maintained from the O(1) section deltas (see sections.go) so cost
 	// stays O(1) per move. idOther[side] is the largest idCache entry of
@@ -209,7 +212,7 @@ func (s *state) cost() float64 {
 // infeasible proposal. For stacking ICs any pad moves: a uniform side with
 // at least 2 slots, then a uniform slot on it. Every draw goes through one
 // of the state's fixed-n samplers, which draw what rng.Intn would.
-func (s *state) pickSlot(rng *rand.Rand) (bga.Side, int, bool) {
+func (s *state) pickSlot(rng *anneal.Rand) (bga.Side, int, bool) {
 	if s.p.Tiers == 1 {
 		sup := s.trk.supplyIdx
 		if len(sup) == 0 {
@@ -309,7 +312,7 @@ func RunContext(ctx context.Context, p *core.Problem, initial *core.Assignment, 
 	err = parallel.ForEachErr(ctx, n, opt.Workers, func(ctx context.Context, k int) error {
 		st := newState(p, initial, opt, warm)
 		cost0 := st.cost()
-		rng := rand.New(rand.NewSource(anneal.SplitSeed(opt.Seed, k)))
+		rng := anneal.NewRand(anneal.SplitSeed(opt.Seed, k))
 		s, err := anneal.MinimizeContext(ctx, st, cost0, sched, rng)
 		if err != nil {
 			return err
@@ -457,6 +460,7 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 	}
 	st := &state{p: p, a: start.Clone(), opt: opt,
 		lambda: opt.Lambda, rho: opt.Rho, phi: opt.Phi}
+	rows := make([]int32, 0, p.Circuit.NumNets())
 	for _, side := range bga.Sides() {
 		// The section baseline always comes from the initial argument;
 		// for a warm start the live caches are then repointed at the
@@ -468,6 +472,11 @@ func newState(p *core.Problem, initial *core.Assignment, opt Options, start *cor
 		} else {
 			st.idCache[side] = 0 // the initial assignment scores 0 by definition
 		}
+		n := len(rows)
+		for _, id := range st.a.Slots[side] {
+			rows = append(rows, st.sections[side].row[id])
+		}
+		st.rows[side] = rows[n:len(rows):len(rows)]
 		if len(st.a.Slots[side]) >= 2 {
 			st.sides = append(st.sides, side)
 		}

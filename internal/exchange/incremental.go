@@ -27,9 +27,11 @@ const resyncInterval = 4096
 type tracker struct {
 	// start[side] is the global index of the side's first slot: slots
 	// are numbered along the concatenated ring (bottom, right, top,
-	// left), so four offsets map a slot to its global index and back
-	// (globalOf, locate) with no per-slot table.
-	start [bga.NumSides]int
+	// left), so globalOf maps a slot to its global index. sideOf[g] is
+	// the side holding global index g, so locate maps it back without a
+	// loop.
+	start  [bga.NumSides]int
+	sideOf []uint8
 	// tGlobal[g] is the fixed perimeter position of global index g.
 	tGlobal []float64
 
@@ -43,9 +45,11 @@ type tracker struct {
 	// so a resync inside the hot loop allocates nothing.
 	tsBuf []float64
 
-	// Tier bookkeeping (stacking only; psi <= 1 disables it).
+	// Tier bookkeeping (stacking only; psi <= 1 disables it). tiers
+	// and group are by global index; group[g] is g's ω group, g/psi.
 	psi    int
-	tiers  []int // by global index
+	tiers  []int
+	group  []int32
 	omega  int
 	groups int
 
@@ -70,6 +74,7 @@ func newTracker(p *core.Problem, a *core.Assignment) *tracker {
 			net := p.Circuit.Net(id)
 			tr.tGlobal = append(tr.tGlobal, float64(side)+(float64(i+1)-0.5)/float64(n))
 			tr.tiers = append(tr.tiers, net.Tier)
+			tr.sideOf = append(tr.sideOf, uint8(side))
 			if net.Class == netlist.Power {
 				tr.supplyIdx = append(tr.supplyIdx, g)
 			}
@@ -88,6 +93,10 @@ func newTracker(p *core.Problem, a *core.Assignment) *tracker {
 	if tr.psi > 1 {
 		tr.groups = (len(tr.tiers) + tr.psi - 1) / tr.psi
 		tr.omega = stack.Omega(tr.tiers, tr.psi)
+		tr.group = make([]int32, len(tr.tiers))
+		for g := range tr.group {
+			tr.group[g] = int32(g / tr.psi)
+		}
 	}
 	return tr
 }
@@ -96,14 +105,9 @@ func newTracker(p *core.Problem, a *core.Assignment) *tracker {
 func (tr *tracker) globalOf(side bga.Side, i int) int { return tr.start[side] + i - 1 }
 
 // locate is globalOf's inverse: the side and 1-based slot of global index
-// g. Sides are contiguous and in ring order, so g lies on the last side
-// whose start does not exceed it (an empty side shares its successor's
-// start and is stepped over).
+// g.
 func (tr *tracker) locate(g int) (bga.Side, int) {
-	side := bga.Side(0)
-	for side+1 < bga.NumSides && g >= tr.start[side+1] {
-		side++
-	}
+	side := bga.Side(tr.sideOf[g])
 	return side, g - tr.start[side] + 1
 }
 
@@ -243,7 +247,7 @@ func (tr *tracker) priceTierSwap(gi, gj int) int {
 	if tr.psi <= 1 || tr.tiers[gi] == tr.tiers[gj] {
 		return tr.omega
 	}
-	ga, gb := gi/tr.psi, gj/tr.psi
+	ga, gb := int(tr.group[gi]), int(tr.group[gj])
 	if ga == gb {
 		return tr.omega
 	}

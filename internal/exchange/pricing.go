@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
+	"copack/internal/anneal"
 	"copack/internal/bga"
 )
 
@@ -31,7 +31,7 @@ type pendMove struct {
 // PriceMove implements anneal.Target: it samples a move and prices it
 // without mutating the state. CommitMove or RejectMove must resolve it
 // before the next call.
-func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
+func (s *state) PriceMove(rng *anneal.Rand) (float64, bool) {
 	side, i, ok := s.pickSlot(rng)
 	if !ok {
 		return 0, false
@@ -41,9 +41,7 @@ func (s *state) PriceMove(rng *rand.Rand) (float64, bool) {
 	if (rng.Int31()&1 == 0 && i > 1) || j > len(s.a.Slots[side]) {
 		j = i - 1
 	}
-	slots := s.a.Slots[side]
-	sd := &s.sections[side]
-	if !s.opt.DisableRangeConstraint && sd.row[slots[i-1]] == sd.row[slots[j-1]] {
+	if rows := s.rows[side]; !s.opt.DisableRangeConstraint && rows[i-1] == rows[j-1] {
 		// Same horizontal line: swapping would invert the via order
 		// (range constraint).
 		return 0, false
@@ -60,8 +58,8 @@ func (s *state) price(side bga.Side, i, j int) float64 {
 	pm.side, pm.i, pm.j = side, i, j
 
 	// Eq 2: the swap perturbs at most two sections of one line.
-	lo := min(i, j)
-	s.sections[side].priceSwap(slots[lo-1], slots[lo], &pm.sec)
+	lo, rows := min(i, j), s.rows[side]
+	s.sections[side].priceSwap(slots[lo-1], slots[lo], rows[lo-1], rows[lo], &pm.sec)
 	pm.idAcc = s.idCache[side]
 	if pm.sec.kind == secDC {
 		pm.idAcc = max(pm.sec.newMax, 0)
@@ -103,6 +101,8 @@ func (s *state) CommitMove() {
 		s.setIDOther()
 	}
 	s.a.Swap(p.side, p.i, p.j)
+	rows := s.rows[p.side]
+	rows[p.i-1], rows[p.j-1] = rows[p.j-1], rows[p.i-1]
 	resynced := s.trk.commitSupply(&p.sup)
 	s.trk.commitTierSwap(p.gi, p.gj, p.omega)
 	s.cur = p.cost
@@ -155,7 +155,7 @@ func newFixedIntn(n int) fixedIntn {
 }
 
 // draw returns what rng.Intn(n) would.
-func (s fixedIntn) draw(rng *rand.Rand) int {
+func (s fixedIntn) draw(rng *anneal.Rand) int {
 	if s.mask >= 0 {
 		return int(rng.Int31() & s.mask)
 	}

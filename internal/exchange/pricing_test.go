@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/bga"
 	"copack/internal/core"
@@ -201,9 +202,9 @@ func TestRejectedMovesAreInvisible(t *testing.T) {
 	for _, tiers := range []int{1, 4} {
 		plain := newTestState(t, 2, 1, tiers, Options{})
 		noisy := newTestState(t, 2, 1, tiers, Options{})
-		rng1 := rand.New(rand.NewSource(17))
-		rng2 := rand.New(rand.NewSource(17))
-		extra := rand.New(rand.NewSource(99)) // the rejected moves
+		rng1 := anneal.NewRand(17)
+		rng2 := anneal.NewRand(17)
+		extra := anneal.NewRand(99) // the rejected moves
 		rejected := 0
 		for k := 0; plain.trk.applies <= resyncInterval+64; k++ {
 			if k > 100*resyncInterval {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"copack/internal/anneal"
 	"copack/internal/assign"
 	"copack/internal/design"
 	"copack/internal/netlist"
@@ -101,8 +102,8 @@ func TestPickSlotUniformOverPowerPads(t *testing.T) {
 					}
 				}
 			}
-			rng := rand.New(rand.NewSource(5))
-			moves := rand.New(rand.NewSource(6))
+			rng := anneal.NewRand(5)
+			moves := anneal.NewRand(6)
 			const draws = 200000
 			counts := make(map[netlist.ID]int)
 			for k := 0; k < draws; k++ {
@@ -156,26 +157,27 @@ func TestPickSlotNoWatchedPad(t *testing.T) {
 	if n := len(st.trk.supplyIdx); n != 0 {
 		t.Fatalf("supply list holds %d pads, want 0", n)
 	}
-	rng := rand.New(rand.NewSource(3))
+	rng := anneal.NewRand(3)
 	for k := 0; k < 100; k++ {
 		if _, ok := st.PriceMove(rng); ok {
 			t.Fatalf("proposal %d priced with no watched pad", k)
 		}
 	}
-	if got, want := rng.Int63(), rand.New(rand.NewSource(3)).Int63(); got != want {
+	if got, want := rng.Int63(), anneal.NewRand(3).Int63(); got != want {
 		t.Fatalf("the rng was consumed: next value %d, fresh stream %d", got, want)
 	}
 }
 
-// TestFixedIntnMatchesIntn: a fixed-n sampler returns what rand.Rand.Intn(n)
-// returns, draw for draw, and leaves the source where Intn leaves it — for
-// powers of two (one masked draw), for sizes whose rejection bound almost
-// never bites, and for 2³⁰+1, where about half the draws are rejected.
+// TestFixedIntnMatchesIntn: a fixed-n sampler drawing from anneal.Rand
+// returns what math/rand's rand.Rand.Intn(n) returns over the same seed,
+// draw for draw, and leaves the stream where Intn leaves it — for powers
+// of two (one masked draw), for sizes whose rejection bound almost never
+// bites, and for 2³⁰+1, where about half the draws are rejected.
 func TestFixedIntnMatchesIntn(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 24, 89, 112, 1<<20 + 1, 1<<30 + 1, 1<<31 - 1} {
 		s := newFixedIntn(n)
 		for seed := int64(1); seed <= 3; seed++ {
-			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, want := anneal.NewRand(seed), rand.New(rand.NewSource(seed))
 			for k := 0; k < 2000; k++ {
 				if g, w := s.draw(got), want.Intn(n); g != w {
 					t.Fatalf("n=%d seed %d draw %d: %d, Intn gives %d", n, seed, k, g, w)

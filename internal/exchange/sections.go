@@ -205,11 +205,10 @@ type secPend struct {
 }
 
 // priceSwap prices the swap of the adjacent nets na (earlier finger slot)
-// and nb (the next slot) against the watched sections into sp, in place.
-// It sets the fields commitSwap reads for sp.kind and leaves the rest
-// stale. O(1), no other mutation.
-func (sd *sectionData) priceSwap(na, nb netlist.ID, sp *secPend) {
-	ra, rb := sd.row[na], sd.row[nb]
+// and nb (the next slot), on ball lines ra and rb, against the watched
+// sections into sp, in place. It sets the fields commitSwap reads for
+// sp.kind and leaves the rest stale. O(1), no other mutation.
+func (sd *sectionData) priceSwap(na, nb netlist.ID, ra, rb int32, sp *secPend) {
 	if ra == rb {
 		// Same line: both delimit, the section between two adjacent
 		// delimiters is empty, so only their ordinals trade places.

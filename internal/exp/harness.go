@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"copack/internal/assign"
@@ -229,16 +230,28 @@ func table3Row(it table3Item, seed int64) (Table3Row, error) {
 // Table3 reproduces Table 3: for every test circuit and ψ ∈ {1, 4}, run
 // DFA, then the finger/pad exchange, and report the density before/after,
 // the solved IR-drop improvement and (for ψ=4) the bonding improvement,
-// one (ψ, circuit) instance per work unit.
+// one (ψ, circuit) instance per work unit. The units are dispatched
+// largest first (descending Fingers, ties by row index), so the pool does
+// not end on a large instance running alone; each row still lands at its
+// index.
 func Table3(seed int64, h Harness) (*Table3Result, error) {
 	items := table3Items()
-	rows, _, err := fanOut(context.Background(), h, len(items), func(i int) (Table3Row, error) {
-		return table3Row(items[i], seed)
+	order := make([]int, len(items))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return items[b].tc.Fingers - items[a].tc.Fingers })
+	got, _, err := fanOut(context.Background(), h, len(items), func(k int) (Table3Row, error) {
+		return table3Row(items[order[k]], seed)
 	}, func(_, _ int, row Table3Row) string {
 		return fmt.Sprintf("table3 %s ψ=%d: IR improved %.2f%%", row.Circuit, row.Psi, row.IRImprovedPct)
 	})
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]Table3Row, len(items))
+	for k, i := range order {
+		rows[i] = got[k]
 	}
 	out := &Table3Result{Rows: rows, AvgIRPct: make(map[int]float64)}
 	counts := make(map[int]int)

@@ -45,7 +45,9 @@ func (c *Circuit) String() string {
 // numbers.
 func Read(r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// The buffer starts small and grows to the 1 MiB line cap only for a
+	// line that needs it.
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
 	var c *Circuit
 	lineno := 0
 	for sc.Scan() {

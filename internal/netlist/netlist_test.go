@@ -205,3 +205,22 @@ func TestParseReportsLineNumbers(t *testing.T) {
 		t.Errorf("want line 3 in error, got %v", err)
 	}
 }
+
+// TestReadLineLengths: the scanner's buffer starts small and grows to the
+// 1 MiB line cap, so a net line past 64 KiB parses and one past 1 MiB
+// fails.
+func TestReadLineLengths(t *testing.T) {
+	for _, size := range []int{70000, 1<<20 + 1} {
+		name := strings.Repeat("n", size)
+		c, err := Parse("circuit demo\nnet " + name + " power\n")
+		if size < 1<<20 {
+			if err != nil || c.Net(0).Name != name {
+				t.Fatalf("%d-byte net line: %v", size, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "token too long") {
+			t.Fatalf("%d-byte net line: err = %v, want token too long", size, err)
+		}
+	}
+}

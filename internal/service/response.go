@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"copack"
+	"copack/internal/design"
 	"copack/internal/obs"
 )
 
@@ -52,9 +53,16 @@ type RouteSummary struct {
 // come from encoding/json over a fixed struct, so field order is the
 // declaration order and float formatting is Go's deterministic
 // shortest-round-trip form — no map iteration, no timestamps.
+//
+// The solution is the canonical design text, formatted once by
+// canonicalize, followed by the order lines: the bytes WriteSolution
+// writes, without formatting the design a second time.
 func renderResponse(spec *planSpec, res *copack.Result, col *obs.Collector) ([]byte, error) {
 	var sb strings.Builder
-	if err := copack.WriteSolution(&sb, spec.problem, res.Assignment); err != nil {
+	// Room for the order lines too: a short name and a space per net.
+	sb.Grow(len(spec.canonical) + 16*spec.problem.Circuit.NumNets())
+	sb.WriteString(spec.canonical)
+	if err := design.WriteOrders(&sb, spec.problem, res.Assignment); err != nil {
 		return nil, err
 	}
 	resp := PlanResponse{
