@@ -238,20 +238,18 @@ type Result struct {
 	OmegaBefore, OmegaAfter int
 	// Partial reports that the run was cut short — deadline, caller
 	// cancellation or a starved IR solver — and every field above holds
-	// the best-so-far state: the Assignment is always monotonic-legal
-	// and never worse (by the exchange cost) than the order the exchange
-	// started from, and
+	// the best-so-far state: the Assignment is always monotonic-legal,
+	// and the exchange cost never scores it above the initial order, and
 	// the IR-drop numbers are the solver's best available estimate (its
 	// current iterate, or the previous stage's solve when the cut came
 	// before the first iteration). The exchange cost's minimum is the
 	// initial order itself, and an anneal cut part-way nearly always
-	// stands above it, so the exchange then falls back to its start
-	// order: a Budget that cuts the exchange returns Initial, with none
-	// of the exchange's IR-drop or bonding gain (see DESIGN.md, "What the
-	// exchange's objective ranks"). A multi-restart run of a stacking IC
-	// (ψ ≥ 2) starts warm, so a cut one falls back to the warm start
-	// order instead, which the exchange cost may score above Initial
-	// (see ExchangeOptions.Restarts).
+	// stands above it, so a cut exchange returns the lowest-cost of the
+	// order it reached, its start order and Initial: a Budget that cuts
+	// the exchange returns Initial, with none of the exchange's IR-drop
+	// or bonding gain (see DESIGN.md, "What the exchange's objective
+	// ranks"). That holds for a warm multi-restart run of a stacking IC
+	// (ψ ≥ 2) too (see ExchangeOptions.Restarts).
 	Partial bool
 	// Stopped says where and why a Partial run stopped (for example
 	// "exchange: context deadline exceeded"); empty for a complete run.

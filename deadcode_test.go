@@ -46,6 +46,9 @@ var deadAllowed = map[string]string{
 	"copack/internal/geom.Rect.Intersects":      "route's crossingCount",
 	"copack/internal/geom.Seg.CrossesProperly":  "route's crossingCount",
 
+	// Fields only tests read.
+	"copack/internal/exp.policyCell.rule": "the rule run behind a policy cell: TestRestartPolicySweep's digest folds it in",
+
 	// Terminal event types: the service emits EventType(state), and
 	// service's sweep event tests and fleet's TestSweepGoldenAcrossFleetShapes
 	// match on these names.
@@ -79,8 +82,9 @@ var settingsStructs = []string{
 // TestNoDeadCode type-checks the module, bench/ and examples/ from source and
 // fails on (a) a non-test function, method, constant or type in internal/ or
 // cmd/, or unexported in the root package, that no non-test file references,
-// and (b) an exported field of a settings struct that no non-test file outside
-// its package sets. bench/ and examples/ count as callers only.
+// (b) an unexported field of a struct type declared there that no non-test
+// file reads, and (c) an exported field of a settings struct that no non-test
+// file outside its package sets. bench/ and examples/ count as callers only.
 func TestNoDeadCode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("static check; about 6× slower instrumented, and CI runs it without -race")
@@ -111,8 +115,8 @@ func TestNoDeadCode(t *testing.T) {
 
 // TestDeadCodeFindsPlanted runs the checker on the planted module in
 // testdata/deadcode. Of its cases only an unreferenced function, an
-// unreferenced method and a field that only its own package's defaults set
-// are dead. The others each exercise one exemption: a method reached through
+// unreferenced method, an unexported field that is assigned but never read
+// and a field that only its own package's defaults set are dead. The others each exercise one exemption: a method reached through
 // a program interface, one through fmt.Stringer, an Unwrap reached through
 // errors.Is, a generic method called on an instantiation, and a field set
 // from another package. A method that shares an interface method's name but
@@ -134,6 +138,7 @@ func TestDeadCodeFindsPlanted(t *testing.T) {
 		"field deadcode/internal/lib.Options.Local",
 		"func deadcode/internal/lib.Orphan",
 		"method deadcode/internal/lib.Box.Name",
+		"unread field deadcode/internal/lib.tally.hits",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -149,8 +154,11 @@ type deadFinding struct{ kind, pkg, name string }
 func (f deadFinding) String() string { return f.kind + " " + f.pkg + "." + f.name }
 
 func (f deadFinding) verb() string {
-	if f.kind == "field" {
+	switch f.kind {
+	case "field":
 		return "outside its package sets"
+	case "unread field":
+		return "reads"
 	}
 	return "references"
 }
@@ -197,6 +205,7 @@ func findDeadCode(mod deadModule, callers []deadModule, settings []string) ([]de
 	type span struct{ pos, end token.Pos }
 	judged := map[types.Object]span{}
 	recvIdents := map[*ast.Ident]bool{}
+	fields := map[*types.Var]deadFinding{} // the judged unexported struct fields
 	for path, files := range l.files {
 		whole := strings.HasPrefix(path, mod.path+"/internal/") || strings.HasPrefix(path, mod.path+"/cmd/")
 		if !whole && path != mod.path {
@@ -228,6 +237,15 @@ func findDeadCode(mod deadModule, callers []deadModule, settings []string) ([]de
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							judge(s.Name, "", span{s.Pos(), s.End()})
+							if st, ok := s.Type.(*ast.StructType); ok {
+								for _, fl := range st.Fields.List {
+									for _, id := range fl.Names {
+										if v, ok := l.info.Defs[id].(*types.Var); ok && !id.IsExported() && id.Name != "_" {
+											fields[v] = deadFinding{"unread field", path, s.Name.Name + "." + id.Name}
+										}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							if d.Tok == token.CONST {
 								for _, id := range s.Names {
@@ -272,6 +290,13 @@ func findDeadCode(mod deadModule, callers []deadModule, settings []string) ([]de
 		case *types.TypeName:
 			f.kind = "type"
 		}
+		found = append(found, f)
+	}
+
+	for v := range l.readFields() {
+		delete(fields, v)
+	}
+	for _, f := range fields {
 		found = append(found, f)
 	}
 
@@ -411,6 +436,34 @@ type (
 		ts = append(ts, pkg.Scope().Lookup(name).Type())
 	}
 	return ts
+}
+
+// readFields returns the struct fields some non-test file reads: every field
+// a selector names, unless the selector is the whole left side of a plain
+// assignment. A field of a generic type counts through its origin.
+func (l *deadLoader) readFields() map[*types.Var]bool {
+	assigned := map[*ast.SelectorExpr]bool{}
+	for _, files := range l.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
+					for _, e := range as.Lhs {
+						if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+							assigned[sel] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := map[*types.Var]bool{}
+	for e, sel := range l.info.Selections {
+		if sel.Kind() == types.FieldVal && !assigned[e] {
+			read[sel.Obj().(*types.Var).Origin()] = true
+		}
+	}
+	return read
 }
 
 // unsetFields returns the exported fields of the named settings structs that

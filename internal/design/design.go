@@ -3,7 +3,9 @@
 // line-oriented text format, so real designs can be fed to the tools
 // instead of generated ones.
 //
-// The format extends the netlist format with package directives:
+// The format is the netlist format's circuit block, read and written by
+// internal/netlist's one parser and writer, followed by package
+// directives:
 //
 //	# anything after '#' is a comment
 //	circuit <name>
@@ -40,16 +42,12 @@ import (
 	"copack/internal/netlist"
 )
 
-// Write serializes a problem in the design file format.
+// Write serializes a problem in the design file format. The circuit
+// block is netlist.Write's.
 func Write(w io.Writer, p *core.Problem) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "circuit %s\n", p.Circuit.Name)
-	for _, n := range p.Circuit.Nets() {
-		if n.Tier == 1 {
-			fmt.Fprintf(bw, "net %s %s\n", n.Name, n.Class)
-		} else {
-			fmt.Fprintf(bw, "net %s %s %d\n", n.Name, n.Class, n.Tier)
-		}
+	if err := netlist.Write(bw, p.Circuit); err != nil {
+		return err
 	}
 	spec := p.Pkg.Spec
 	fmt.Fprintf(bw, "package %s\n", spec.Name)
@@ -61,16 +59,18 @@ func Write(w io.Writer, p *core.Problem) error {
 		q := p.Pkg.Quadrant(side)
 		fmt.Fprintf(bw, "quadrant %s\n", side)
 		for y := q.NumRows(); y >= 1; y-- {
-			row := q.Row(y)
-			fields := make([]string, 0, row.Sites())
-			for _, id := range row.Nets {
+			bw.WriteString("row ")
+			for i, id := range q.Row(y).Nets {
+				if i > 0 {
+					bw.WriteByte(' ')
+				}
 				if id == bga.NoNet {
-					fields = append(fields, "-")
+					bw.WriteByte('-')
 				} else {
-					fields = append(fields, p.Circuit.Net(id).Name)
+					bw.WriteString(p.Circuit.Net(id).Name)
 				}
 			}
-			fmt.Fprintf(bw, "row %s\n", strings.Join(fields, " "))
+			bw.WriteByte('\n')
 		}
 	}
 	return bw.Flush()
@@ -84,27 +84,45 @@ func Format(p *core.Problem) string {
 }
 
 // WriteSolution serializes a problem together with a planned assignment
-// (appending one order line per side).
+// (appending one order line per side), through one buffer.
 func WriteSolution(w io.Writer, p *core.Problem, a *core.Assignment) error {
-	if err := Write(w, p); err != nil {
+	bw := bufio.NewWriter(w)
+	if err := Write(bw, p); err != nil {
 		return err
 	}
-	return WriteOrders(w, p, a)
+	if err := WriteOrders(bw, p, a); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // WriteOrders writes a planned assignment's order lines, one per side:
-// what WriteSolution appends to the problem's design text.
+// what WriteSolution appends to the problem's design text. Each token
+// goes straight to w, unbuffered.
 func WriteOrders(w io.Writer, p *core.Problem, a *core.Assignment) error {
-	bw := bufio.NewWriter(w)
+	tw := textWriter{w: w}
 	for _, side := range bga.Sides() {
-		fields := make([]string, 0, len(a.Slots[side])+2)
-		fields = append(fields, "order", side.String())
+		tw.str("order ")
+		tw.str(side.String())
 		for _, id := range a.Slots[side] {
-			fields = append(fields, p.Circuit.Net(id).Name)
+			tw.str(" ")
+			tw.str(p.Circuit.Net(id).Name)
 		}
-		fmt.Fprintln(bw, strings.Join(fields, " "))
+		tw.str("\n")
 	}
-	return bw.Flush()
+	return tw.err
+}
+
+// textWriter writes strings to w and keeps the first error.
+type textWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (t *textWriter) str(s string) {
+	if t.err == nil {
+		_, t.err = io.WriteString(t.w, s)
+	}
 }
 
 // IOError reports that the underlying io.Reader failed while Read was
@@ -239,37 +257,16 @@ func parse(r io.Reader) (*parser, error) {
 
 func (ps *parser) directive(fields []string) error {
 	switch fields[0] {
-	case "circuit":
-		if ps.circuit != nil {
-			return ps.errf("duplicate circuit")
-		}
-		if len(fields) != 2 {
-			return ps.errf("want \"circuit <name>\"")
-		}
-		ps.circuit = netlist.New(fields[1])
-	case "net":
-		if ps.circuit == nil {
-			return ps.errf("net before circuit")
-		}
-		if ps.pkgSeen {
+	case "circuit", "net":
+		// The circuit block is the netlist format, read by its one parser.
+		if fields[0] == "net" && ps.pkgSeen {
 			return ps.errf("net after package block")
 		}
-		if len(fields) < 3 || len(fields) > 4 {
-			return ps.errf("want \"net <name> <class> [tier]\"")
-		}
-		class, err := netlist.ParseNetClass(fields[2])
+		c, err := netlist.ApplyLine(ps.circuit, fields)
 		if err != nil {
 			return ps.errf("%v", err)
 		}
-		tier := 1
-		if len(fields) == 4 {
-			if tier, err = strconv.Atoi(fields[3]); err != nil {
-				return ps.errf("bad tier %q", fields[3])
-			}
-		}
-		if _, err := ps.circuit.AddNet(netlist.Net{Name: fields[1], Class: class, Tier: tier}); err != nil {
-			return ps.errf("%v", err)
-		}
+		ps.circuit = c
 	case "package":
 		if ps.pkgSeen {
 			return ps.errf("duplicate package")

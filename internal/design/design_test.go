@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"copack/internal/bga"
 	"copack/internal/core"
 	"copack/internal/gen"
+	"copack/internal/netlist"
 )
 
 func TestRoundTripGenerated(t *testing.T) {
@@ -313,4 +315,64 @@ func TestReadLineLengths(t *testing.T) {
 			t.Fatalf("%d-byte lines: err = %v, want a too-long parse error", size, err)
 		}
 	}
+}
+
+// TestCircuitBlockIsTheNetlistFormat feeds the same circuit blocks to
+// netlist.Parse and, followed by a minimal package, to Parse. The design
+// reader hands its circuit block to netlist's one parser, so every block
+// must give the same circuit, or the same error after the "netlist: " or
+// "design: " prefix.
+func TestCircuitBlockIsTheNetlistFormat(t *testing.T) {
+	for _, block := range []string{
+		"circuit c\nnet a signal\nnet v power\nnet b s\nnet g ground\n",
+		"# header\n\ncircuit c\n  net a s\nnet v vdd 2\n\tnet g gnd 2\nnet d signal 1\nnet e p 3\n",
+		"net a signal\ncircuit c\n",
+		"circuit a\ncircuit b\n",
+		"circuit\n",
+		"circuit a b\n",
+		"circuit c\nnet a\n",
+		"circuit c\nnet a signal 1 extra\n",
+		"circuit c\nnet a banana\n",
+		"circuit c\nnet a signal two\n",
+		"circuit c\nnet a signal 0\n",
+		"circuit c\nnet a signal\nnet a power\n",
+		"circuit c\nnet a signal\nnet b power 3\nnet d s\nnet e s\n",
+		"circuit c\nnet a signal\nfrobnicate\n",
+	} {
+		want, werr := netlist.Parse(block)
+		p, gerr := Parse(block + minimalPackage(block))
+		switch {
+		case werr != nil || gerr != nil:
+			// A circuit-wide check (netlist.Circuit.Validate) reaches the
+			// design reader unprefixed.
+			strip := func(err error) string {
+				return strings.TrimPrefix(strings.TrimPrefix(fmt.Sprint(err), "design: "), "netlist: ")
+			}
+			if werr == nil || gerr == nil || strip(werr) != strip(gerr) {
+				t.Errorf("block %q:\nnetlist: %v\n design: %v", block, werr, gerr)
+			}
+		case !reflect.DeepEqual(p.Circuit, want):
+			t.Errorf("block %q: design read %v, netlist read %v", block, p.Circuit, want)
+		}
+	}
+}
+
+// minimalPackage is a small package block for the nets a circuit block
+// names: one line per quadrant, the nets dealt round the quadrants in
+// order, and room for four tiers.
+func minimalPackage(block string) string {
+	var rows [4][]string
+	n := 0
+	for _, line := range strings.Split(block, "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "net" {
+			rows[n%4] = append(rows[n%4], f[1])
+			n++
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("package p\nspec ball 0.2 1.2 via 0.1\nspec finger 0.1 0.2 0.12\nspec rows 1\ntiers 4\n")
+	for i, side := range bga.Sides() {
+		fmt.Fprintf(&sb, "quadrant %s\nrow %s\n", side, strings.Join(rows[i], " "))
+	}
+	return sb.String()
 }

@@ -69,10 +69,11 @@ type Options struct {
 	// Every Eq 3 baseline — the Eq 2 section counts, the Δ_IR and ω
 	// normalizers, the Before metrics — stays anchored to the initial
 	// argument, so warm and cold costs compare directly. A restart cut
-	// short falls back to its start order when Eq 3 scores that lower:
-	// the initial order, or, for a multi-restart run at ψ ≥ 2, the warm
-	// start order. The outcome is a pure function of (problem, initial,
-	// Options): it does not depend on Workers.
+	// short returns whichever of the order it reached, its start order
+	// and the initial order Eq 3 scores lowest, ties in that order, so a
+	// cut run never returns an order Eq 3 scores above the initial one.
+	// The outcome is a pure function of (problem, initial, Options): it
+	// does not depend on Workers.
 	Restarts int
 	// Workers bounds how many restarts anneal concurrently (0 means one
 	// per available CPU). It only changes the wall clock, never the
@@ -118,11 +119,10 @@ type Result struct {
 	Legal bool
 	// Interrupted reports that the anneal was cut short (context
 	// cancellation or an injected fault; see Stats.Stopped for the
-	// reason). Assignment then holds the annealed-so-far order — or the
-	// restart's start order (see Options.Restarts), when the cut caught
-	// the anneal in a state Eq 3 scores worse than the start — so a
-	// partial answer is always legal under the range constraint and never
-	// loses ground.
+	// reason). Assignment then holds the lowest-Eq 3 of the annealed-so-
+	// far order, the restart's start order and the initial order (see
+	// Options.Restarts), so a partial answer is always legal under the
+	// range constraint and Eq 3 never scores it above the initial order.
 	Interrupted bool
 	// Restart is the index of the winning restart (0 for single-start
 	// runs); Stats describes that restart's anneal.
@@ -318,11 +318,21 @@ func RunContext(ctx context.Context, p *core.Problem, initial *core.Assignment, 
 			return err
 		}
 		st.trk.resyncProxy() // clear bounded drift before scoring
-		if s.Interrupted && st.cost() > cost0 {
-			// The cut caught this anneal in a state Eq 3 scores worse
-			// than its start. The start order is the better answer — an
-			// interrupted exchange must never lose ground.
-			st.a = start.Clone()
+		if s.Interrupted {
+			// A cut anneal returns the lowest Eq 3 of the order it
+			// reached, its start order and the initial order, ties in
+			// that order: an interrupted exchange must never lose ground
+			// on the initial order, even from a warm start.
+			best, fallback := st.cost(), (*core.Assignment)(nil)
+			if cost0 < best {
+				best, fallback = cost0, start
+			}
+			if warm != nil && newState(p, initial, opt, nil).cur < best {
+				fallback = initial
+			}
+			if fallback != nil {
+				st.a = fallback.Clone()
+			}
 		}
 		runs[k] = restart{st: st, stats: s, terms: eq3Terms(p, st)}
 		return nil

@@ -47,11 +47,10 @@ type tracker struct {
 
 	// Tier bookkeeping (stacking only; psi <= 1 disables it). tiers
 	// and group are by global index; group[g] is g's ω group, g/psi.
-	psi    int
-	tiers  []int
-	group  []int32
-	omega  int
-	groups int
+	psi   int
+	tiers []int
+	group []int32
+	omega int
 
 	// applies counts committed supply-pad moves.
 	applies int
@@ -91,7 +90,6 @@ func newTracker(p *core.Problem, a *core.Assignment) *tracker {
 	tr.tsBuf = make([]float64, 0, len(tr.supplyIdx))
 	tr.resyncProxy()
 	if tr.psi > 1 {
-		tr.groups = (len(tr.tiers) + tr.psi - 1) / tr.psi
 		tr.omega = stack.Omega(tr.tiers, tr.psi)
 		tr.group = make([]int32, len(tr.tiers))
 		for g := range tr.group {

@@ -242,16 +242,29 @@ func TestWarmStartRun(t *testing.T) {
 	}
 }
 
-// TestWarmStartInterruptedKeepsWarmOrder: the restarts of a multi-restart
-// run at ψ ≥ 2, cancelled before any move, must hand back the warm start
-// order (never a worse intermediate, and not the cold initial — the
-// fallback is each restart's own start), so every restart scores exactly
-// the MCMF order's cost.
-func TestWarmStartInterruptedKeepsWarmOrder(t *testing.T) {
+// TestWarmStartInterruptedKeepsLowestOrder: a cut restart of a
+// multi-restart run at ψ ≥ 2 returns whichever of the order it reached,
+// its warm start order and the initial order Eq 3 scores lowest. On
+// circuit 1 at ψ = 4 the MCMF start scores 6.50 and the DFA initial order
+// 1.4, so every cut restart hands back the DFA order — never a worse
+// intermediate, and never the warm start that scores above Initial.
+func TestWarmStartInterruptedKeepsLowestOrder(t *testing.T) {
 	p, dfaA, mcmfA := warmProblem(t, 4)
+	opt := Options{Seed: 1, Restarts: 3, Workers: 2}
+	want, err := score(p, dfaA, dfaA, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := score(p, dfaA, mcmfA, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want != 1.4 || !(warm > want) {
+		t.Fatalf("Eq 3 of the DFA order %v, of the MCMF order %v; want 1.4 and more", want, warm)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := Options{Seed: 1, Restarts: 3, Workers: 2}
 	res, err := RunContext(ctx, p, dfaA, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -259,12 +272,8 @@ func TestWarmStartInterruptedKeepsWarmOrder(t *testing.T) {
 	if !res.Interrupted {
 		t.Fatal("pre-cancelled context did not interrupt the run")
 	}
-	if !sameAssignment(res.Assignment, mcmfA) {
-		t.Error("interrupted warm run did not return the warm-start order")
-	}
-	want, err := score(p, dfaA, mcmfA, opt)
-	if err != nil {
-		t.Fatal(err)
+	if !sameAssignment(res.Assignment, dfaA) {
+		t.Error("interrupted warm run did not return the initial DFA order")
 	}
 	if len(res.RestartCosts) != 3 {
 		t.Fatalf("%d restart costs, want 3", len(res.RestartCosts))
@@ -274,13 +283,13 @@ func TestWarmStartInterruptedKeepsWarmOrder(t *testing.T) {
 	}
 	for k, c := range res.RestartCosts {
 		if math.Float64bits(c) != math.Float64bits(want) {
-			t.Errorf("restart %d cost %v, want the MCMF order's %v", k, c, want)
+			t.Errorf("restart %d cost %v, want the DFA order's %v", k, c, want)
 		}
 	}
 
 	// Cut mid-run instead: restart 0 (sequential, Workers 1) stops at its
-	// second plateau, in a state Eq 3 scores above its start, and falls
-	// back to the MCMF order; restart 1 is cut before its first move.
+	// second plateau, in a state Eq 3 scores above the initial order, and
+	// falls back to it; restart 1 is cut before its first move.
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.Fault{Point: faultinject.AnnealPlateau, After: 2, Repeat: true})
 	res, err = Run(p, dfaA, Options{Seed: 1, Restarts: 2, Workers: 1})
@@ -288,12 +297,12 @@ func TestWarmStartInterruptedKeepsWarmOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Interrupted || !sameAssignment(res.Assignment, mcmfA) {
-		t.Errorf("cut warm run: interrupted %v, MCMF order %v", res.Interrupted, sameAssignment(res.Assignment, mcmfA))
+	if !res.Interrupted || !sameAssignment(res.Assignment, dfaA) {
+		t.Errorf("cut warm run: interrupted %v, DFA order %v", res.Interrupted, sameAssignment(res.Assignment, dfaA))
 	}
 	for k, c := range res.RestartCosts {
 		if math.Float64bits(c) != math.Float64bits(want) {
-			t.Errorf("cut restart %d cost %v, want the MCMF order's %v", k, c, want)
+			t.Errorf("cut restart %d cost %v, want the DFA order's %v", k, c, want)
 		}
 	}
 }

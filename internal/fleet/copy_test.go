@@ -32,9 +32,9 @@ func (f *testFleet) copyAt(t *testing.T, entry, owner, body string) {
 		t.Fatalf("plan on owner %s: %d: %s", owner, resp.StatusCode, data)
 	}
 	resp, data := f.post(t, entry, "/plan", body)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(nodeHeader) != owner || resp.Header.Get(cacheHeader) != "hit" {
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(nodeHeader) != owner || resp.Header.Get(service.CacheHeader) != "hit" {
 		t.Fatalf("relayed hit via %s: %d node=%q cache=%q: %s", entry, resp.StatusCode,
-			resp.Header.Get(nodeHeader), resp.Header.Get(cacheHeader), data)
+			resp.Header.Get(nodeHeader), resp.Header.Get(service.CacheHeader), data)
 	}
 	if !f.nodes[entry].svc.Holds(f.key(t, body)) {
 		t.Fatalf("%s kept no copy of %s's hit", entry, owner)
@@ -65,8 +65,8 @@ func TestCopiedHitByteIdenticalAtEveryEntry(t *testing.T) {
 			if !bytes.Equal(data, golden) {
 				t.Errorf("copy via %s differs from golden", entry)
 			}
-			if got := resp.Header.Get(cacheHeader); got != "hit" {
-				t.Errorf("copy via %s: %s = %q, want hit", entry, cacheHeader, got)
+			if got := resp.Header.Get(service.CacheHeader); got != "hit" {
+				t.Errorf("copy via %s: %s = %q, want hit", entry, service.CacheHeader, got)
 			}
 			if got := resp.Header.Get(nodeHeader); got != entry {
 				t.Errorf("copy via %s answered by %q", entry, got)
@@ -95,8 +95,8 @@ func TestOnlyRelayedHitsAreCopied(t *testing.T) {
 
 	// The owner's miss: b plans it, a relays it and keeps nothing.
 	resp, data := f.post(t, "a", "/plan", bodies[0])
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "miss" {
-		t.Fatalf("owner miss: %d cache=%q: %s", resp.StatusCode, resp.Header.Get(cacheHeader), data)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(service.CacheHeader) != "miss" {
+		t.Fatalf("owner miss: %d cache=%q: %s", resp.StatusCode, resp.Header.Get(service.CacheHeader), data)
 	}
 	if held(bodies[0]) {
 		t.Error("owner miss copied")

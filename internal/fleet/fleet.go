@@ -38,7 +38,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,9 +61,6 @@ import (
 const (
 	hopHeader  = "X-Copack-Fleet-Hop"
 	nodeHeader = "X-Copack-Node"
-	// cacheHeader is the service's cache-status header: "hit" on a body
-	// replayed from a cache.
-	cacheHeader = "X-Copack-Cache"
 )
 
 // Config describes one node's view of the fleet. Membership is static:
@@ -239,15 +235,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// writeError mirrors the service's JSON error body shape so clients see
-// one error format whichever layer produced it.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	body, _ := json.Marshal(map[string]string{"error": msg})
-	w.Write(append(body, '\n'))
-}
-
 // routeKeyed handles POST /plan and POST /jobs: buffer the body, derive
 // its content address, serve it here when this node already holds the
 // answer, and otherwise walk the ring's preference list — owner first,
@@ -265,13 +252,7 @@ func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := rt.local.ReadBody(w, r)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+		service.WriteError(w, err)
 		return
 	}
 	key, err := rt.local.SpecKey(body)
@@ -318,7 +299,7 @@ func (rt *Router) routeKeyed(w http.ResponseWriter, r *http.Request) {
 		} else {
 			rt.rec.Add("serve/forwarded-failover", 1)
 		}
-		if res.status == http.StatusOK && res.header.Get(cacheHeader) == "hit" {
+		if res.status == http.StatusOK && res.header.Get(service.CacheHeader) == "hit" {
 			// Only /plan answers 200, and a hit is a complete plan: misses,
 			// partial plans, errors and job handles are never kept.
 			rt.local.KeepCopy(key, res.body)
@@ -350,7 +331,7 @@ func (rt *Router) routeJob(w http.ResponseWriter, r *http.Request) {
 	res, err := rt.forward(r.Context(), node, r.Method, r.URL.Path, nil, "")
 	if err != nil {
 		rt.rec.Add("jobs/peer-unreachable", 1)
-		writeError(w, http.StatusBadGateway,
+		service.ErrorBody(w, http.StatusBadGateway,
 			fmt.Sprintf("job %s lives on node %s, currently unreachable: %v", id, node, err))
 		return
 	}
@@ -395,7 +376,7 @@ type peerResponse struct {
 
 // writePeer relays a peer's response to the client.
 func (rt *Router) writePeer(w http.ResponseWriter, node string, res *peerResponse) {
-	for _, h := range []string{"Content-Type", cacheHeader, "Location", "Retry-After", queueDepthHeader} {
+	for _, h := range []string{"Content-Type", service.CacheHeader, "Location", "Retry-After", service.QueueDepthHeader} {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -468,7 +449,7 @@ func (rt *Router) attempt(ctx context.Context, node, method, path string, body [
 	}
 	// Backpressure responses advertise the peer's queue depth; remember
 	// it so subsequent routing can skip the peer before dialing.
-	if v := resp.Header.Get(queueDepthHeader); v != "" {
+	if v := resp.Header.Get(service.QueueDepthHeader); v != "" {
 		rt.admission.noteHeader(node, v, resp.StatusCode == http.StatusServiceUnavailable, rt.now())
 	}
 	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {

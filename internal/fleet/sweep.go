@@ -31,12 +31,12 @@ func (rt *Router) Self() string { return rt.cfg.Self }
 // key (sweep.Dispatcher).
 func (rt *Router) Preference(key string) []string { return rt.ring.preference(key) }
 
-// RunShard forwards a unit batch to its owner through the breaker-guarded
+// RunShard forwards one unit to its owner through the breaker-guarded
 // retrying proxy (sweep.Dispatcher). Any failure — open breaker, dead
 // node, drain, truncated body, non-200 — surfaces as an error, which the
-// coordinator answers by running the batch locally: zero lost units.
-func (rt *Router) RunShard(ctx context.Context, node string, sr sweep.ShardRequest) (*sweep.ShardResponse, error) {
-	body, err := json.Marshal(sr)
+// coordinator answers by running the unit locally: zero lost units.
+func (rt *Router) RunShard(ctx context.Context, node string, u sweep.Unit) (*sweep.ShardResponse, error) {
+	body, err := json.Marshal(u)
 	if err != nil {
 		return nil, err
 	}
@@ -79,37 +79,32 @@ func (rt *Router) Saturated(ctx context.Context, node string) bool {
 		return false
 	}
 	defer resp.Body.Close()
-	var qi struct {
-		Depth    int  `json:"depth"`
-		Capacity int  `json:"capacity"`
-		Draining bool `json:"draining"`
-	}
+	var qi service.Queuez
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1024)).Decode(&qi); err != nil {
 		return false
 	}
 	rt.rec.Add("admission/probes", 1)
-	return rt.admission.note(node, qi.Depth, qi.Capacity, qi.Draining, rt.now())
+	return rt.admission.note(node, qi, rt.now())
 }
 
 // admissionCache remembers each peer's last advertised queue state for
-// admissionTTL. Entries arrive two ways: passively, from the QueueDepthHeader on
-// any forwarded response (backpressure answers always carry it), and
-// actively, from /queuez probes. Within the TTL a saturated peer is
-// skipped before dialing; after it, the peer gets another chance.
+// admissionTTL. Entries arrive two ways: passively, from the
+// service.QueueDepthHeader on any forwarded response (backpressure
+// answers always carry it), and actively, from /queuez probes. Within the
+// TTL a saturated peer is skipped before dialing; after it, the peer gets
+// another chance.
 type admissionCache struct {
 	mu      sync.Mutex
 	entries map[string]admissionEntry
 }
 
 type admissionEntry struct {
-	depth    int
-	capacity int
-	draining bool
-	at       time.Time
+	service.Queuez
+	at time.Time
 }
 
 func (e admissionEntry) saturated() bool {
-	return e.draining || (e.capacity > 0 && e.depth >= e.capacity)
+	return e.Draining || (e.Capacity > 0 && e.Depth >= e.Capacity)
 }
 
 func newAdmissionCache() *admissionCache {
@@ -117,8 +112,8 @@ func newAdmissionCache() *admissionCache {
 }
 
 // note records a peer's advertised state and returns its saturation.
-func (a *admissionCache) note(node string, depth, capacity int, draining bool, now time.Time) bool {
-	e := admissionEntry{depth: depth, capacity: capacity, draining: draining, at: now}
+func (a *admissionCache) note(node string, q service.Queuez, now time.Time) bool {
+	e := admissionEntry{Queuez: q, at: now}
 	a.mu.Lock()
 	a.entries[node] = e
 	a.mu.Unlock()
@@ -128,11 +123,11 @@ func (a *admissionCache) note(node string, depth, capacity int, draining bool, n
 // noteHeader records a "depth/capacity" advertisement from a response
 // header. Unparseable values are ignored.
 func (a *admissionCache) noteHeader(node, v string, draining bool, now time.Time) {
-	var depth, capacity int
-	if _, err := fmt.Sscanf(v, "%d/%d", &depth, &capacity); err != nil {
+	q := service.Queuez{Draining: draining}
+	if _, err := fmt.Sscanf(v, "%d/%d", &q.Depth, &q.Capacity); err != nil {
 		return
 	}
-	a.note(node, depth, capacity, draining, now)
+	a.note(node, q, now)
 }
 
 // cached returns (saturated, fresh). A missing or expired entry is not
@@ -169,13 +164,13 @@ func (rt *Router) routeSweepEvents(w http.ResponseWriter, r *http.Request) {
 	br := rt.breakers[node]
 	if !br.allow() {
 		rt.rec.Add("breaker/skipped", 1)
-		writeError(w, http.StatusBadGateway,
+		service.ErrorBody(w, http.StatusBadGateway,
 			fmt.Sprintf("sweep %s lives on node %s, currently unreachable (breaker open)", id, node))
 		return
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.cfg.Nodes[node]+r.URL.Path, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		service.ErrorBody(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	req.Header.Set(hopHeader, rt.cfg.Self)
@@ -183,7 +178,7 @@ func (rt *Router) routeSweepEvents(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		br.failure()
 		rt.rec.Add("sweeps/stream-unreachable", 1)
-		writeError(w, http.StatusBadGateway,
+		service.ErrorBody(w, http.StatusBadGateway,
 			fmt.Sprintf("sweep %s lives on node %s, currently unreachable: %v", id, node, err))
 		return
 	}
@@ -214,7 +209,3 @@ func (rt *Router) routeSweepEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
-
-// queueDepthHeader re-exports the service's advertisement header name for
-// the admission plumbing in fleet.go.
-const queueDepthHeader = service.QueueDepthHeader

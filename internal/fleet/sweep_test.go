@@ -392,7 +392,7 @@ func TestAdmissionCacheTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ac := newAdmissionCache()
-			if got := ac.note("b", tc.depth, tc.capacity, tc.draining, now); got != tc.sat {
+			if got := ac.note("b", service.Queuez{Depth: tc.depth, Capacity: tc.capacity, Draining: tc.draining}, now); got != tc.sat {
 				t.Errorf("note(%d/%d draining=%v) = %v, want %v", tc.depth, tc.capacity, tc.draining, got, tc.sat)
 			}
 			sat, fresh := ac.cached("b", now.Add(999*time.Millisecond))
@@ -438,7 +438,7 @@ func TestRouteKeyedSkipsSaturatedPeer(t *testing.T) {
 	rt := f.nodes["a"].rt
 
 	// b advertises a full queue; a's next b-owned request must not dial b.
-	rt.admission.note("b", 16, 16, false, rt.now())
+	rt.admission.note("b", service.Queuez{Depth: 16, Capacity: 16}, rt.now())
 	resp, data := f.post(t, "a", "/plan", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan with b saturated: %d: %s", resp.StatusCode, data)
@@ -530,7 +530,7 @@ func TestSweepDispatchPrefersAdmission(t *testing.T) {
 	}
 	// Make b's saturation advertisement permanent for this test: the TTL
 	// clock is frozen at note time.
-	rt.admission.note("b", 32, 32, false, rt.now())
+	rt.admission.note("b", service.Queuez{Depth: 32, Capacity: 32}, rt.now())
 	frozen := rt.now()
 	rt.now = func() time.Time { return frozen }
 

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -20,7 +21,8 @@ import (
 // one of signal/power/ground (or the short forms s/p/g, vdd/vss). The tier
 // defaults to 1.
 
-// Write serializes c in the circuit file format.
+// Write serializes c in the circuit file format. It is the one writer of
+// the format: the design format's circuit block is written by it too.
 func Write(w io.Writer, c *Circuit) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "circuit %s\n", c.Name)
@@ -59,39 +61,9 @@ func Read(r io.Reader) (*Circuit, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "circuit":
-			if c != nil {
-				return nil, fmt.Errorf("netlist: line %d: duplicate circuit line", lineno)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("netlist: line %d: want \"circuit <name>\"", lineno)
-			}
-			c = New(fields[1])
-		case "net":
-			if c == nil {
-				return nil, fmt.Errorf("netlist: line %d: net before circuit line", lineno)
-			}
-			if len(fields) < 3 || len(fields) > 4 {
-				return nil, fmt.Errorf("netlist: line %d: want \"net <name> <class> [tier]\"", lineno)
-			}
-			class, err := ParseNetClass(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("netlist: line %d: %v", lineno, err)
-			}
-			tier := 1
-			if len(fields) == 4 {
-				tier, err = strconv.Atoi(fields[3])
-				if err != nil {
-					return nil, fmt.Errorf("netlist: line %d: bad tier %q", lineno, fields[3])
-				}
-			}
-			if _, err := c.AddNet(Net{Name: fields[1], Class: class, Tier: tier}); err != nil {
-				return nil, fmt.Errorf("netlist: line %d: %v", lineno, err)
-			}
-		default:
-			return nil, fmt.Errorf("netlist: line %d: unknown directive %q", lineno, fields[0])
+		var err error
+		if c, err = ApplyLine(c, strings.Fields(line)); err != nil {
+			return nil, fmt.Errorf("netlist: line %d: %v", lineno, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -104,6 +76,46 @@ func Read(r io.Reader) (*Circuit, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// ApplyLine applies one line of the circuit format, split into its
+// fields, to c: the circuit the lines before it built, nil before the
+// circuit line. It returns the circuit after the line. It is the one
+// parser of the format's directives: Read and the design format's reader
+// both hand it their circuit-block lines and prefix its errors with
+// their own line numbers.
+func ApplyLine(c *Circuit, fields []string) (*Circuit, error) {
+	switch fields[0] {
+	case "circuit":
+		if c != nil {
+			return nil, errors.New("duplicate circuit line")
+		}
+		if len(fields) != 2 {
+			return nil, errors.New("want \"circuit <name>\"")
+		}
+		return New(fields[1]), nil
+	case "net":
+		if c == nil {
+			return nil, errors.New("net before circuit line")
+		}
+		if len(fields) < 3 || len(fields) > 4 {
+			return nil, errors.New("want \"net <name> <class> [tier]\"")
+		}
+		class, err := ParseNetClass(fields[2])
+		if err != nil {
+			return nil, err
+		}
+		tier := 1
+		if len(fields) == 4 {
+			if tier, err = strconv.Atoi(fields[3]); err != nil {
+				return nil, fmt.Errorf("bad tier %q", fields[3])
+			}
+		}
+		_, err = c.AddNet(Net{Name: fields[1], Class: class, Tier: tier})
+		return c, err
+	default:
+		return nil, fmt.Errorf("unknown directive %q", fields[0])
+	}
 }
 
 // Parse parses a circuit from a string.

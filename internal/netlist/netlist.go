@@ -131,13 +131,6 @@ func (c *Circuit) ByName(name string) (ID, bool) {
 	return id, ok
 }
 
-// Nets returns a copy of the net slice, indexable by ID.
-func (c *Circuit) Nets() []Net {
-	out := make([]Net, len(c.nets))
-	copy(out, c.nets)
-	return out
-}
-
 // CountByClass returns the number of nets per class.
 func (c *Circuit) CountByClass() map[NetClass]int {
 	m := make(map[NetClass]int, 3)

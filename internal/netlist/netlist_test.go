@@ -195,7 +195,7 @@ func TestParseCommentsAndBlank(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.NumNets() != 2 || c.Net(1).Tier != 2 || c.Net(1).Class != Power {
-		t.Errorf("parsed wrong: %v", c.Nets())
+		t.Errorf("parsed wrong: %v", c)
 	}
 }
 

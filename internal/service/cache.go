@@ -13,8 +13,8 @@ import (
 // content-addressed result cache (canonical request key → rendered body),
 // the copy LRU beside it (canonical request key → a fleet peer's cached
 // body), the key memo in front of both (sha256 of the raw request bytes →
-// canonical key) and the sweep unit cache (sweep.UnitKey → the unit's
-// canonical RunUnit JSON; it is the sweep manager's sweep.UnitCache).
+// canonical key) and the sweep unit cache (sweep.Unit.Key → the unit's
+// canonical JSON result; it is the sweep manager's sweep.UnitCache).
 // Values are stored and returned as-is — a hit replays the exact bytes of
 // the original computation — so callers must never mutate what Get
 // returns.

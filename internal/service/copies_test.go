@@ -58,8 +58,8 @@ func TestCopiesNeverEvictOwnResults(t *testing.T) {
 	}
 	for _, i := range []int{0, 3} {
 		resp, data := s.post(t, "/plan", bodies[i])
-		if resp.Header.Get(cacheHeader) != "hit" || !bytes.Equal(data, golden[i]) {
-			t.Errorf("body %d: cache=%q, golden %v", i, resp.Header.Get(cacheHeader), bytes.Equal(data, golden[i]))
+		if resp.Header.Get(CacheHeader) != "hit" || !bytes.Equal(data, golden[i]) {
+			t.Errorf("body %d: cache=%q, golden %v", i, resp.Header.Get(CacheHeader), bytes.Equal(data, golden[i]))
 		}
 	}
 	c := s.metricsCounters(t)
@@ -81,7 +81,7 @@ func TestCopiesDisabledWithCache(t *testing.T) {
 		t.Error("disabled copy LRU holds a key")
 	}
 	resp, data := s.post(t, "/plan", bodies[0])
-	if resp.Header.Get(cacheHeader) != "miss" || !bytes.Equal(data, golden[0]) {
-		t.Errorf("plan with copies disabled: cache=%q, golden %v", resp.Header.Get(cacheHeader), bytes.Equal(data, golden[0]))
+	if resp.Header.Get(CacheHeader) != "miss" || !bytes.Equal(data, golden[0]) {
+		t.Errorf("plan with copies disabled: cache=%q, golden %v", resp.Header.Get(CacheHeader), bytes.Equal(data, golden[0]))
 	}
 }

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
+
+	"copack/internal/sweep"
 )
 
 // FuzzPlanRequest throws arbitrary bytes at the request front half — decode
@@ -48,7 +51,7 @@ func FuzzPlanRequest(f *testing.F) {
 		`{"design": ` + quoteJSON(design) + `, "options": {"portfolio": {"arms": [{"name": "a", "schedule": {"MovesPerTemp": 1000000000000, "Cooling": 0.9999999}}], "budget": 2}}}`,
 	}
 	for _, s := range retired {
-		_, err := decodePlanRequest(strings.NewReader(s))
+		_, err := decodePlanRequest([]byte(s))
 		var he *httpError
 		if !errors.As(err, &he) || he.status != 400 || !strings.Contains(he.msg, "restarts") {
 			f.Fatalf("retired portfolio body: %v, want a 400 naming restarts", err)
@@ -60,7 +63,7 @@ func FuzzPlanRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := specServer(4096) // a fresh memo: the first SpecKey is cold
-		req, err := decodePlanRequest(strings.NewReader(string(data)))
+		req, err := decodePlanRequest(data)
 		var spec *planSpec
 		if err == nil {
 			spec, err = srv.canonicalize(req)
@@ -156,4 +159,133 @@ func quoteJSON(s string) string {
 	}
 	sb.WriteByte('"')
 	return sb.String()
+}
+
+// fuzzMaxSeeds is the seed cap the sweep fuzzers decode under: the
+// server default.
+const fuzzMaxSeeds = 64
+
+// FuzzSweepRequest throws arbitrary bytes at the POST /sweeps front half
+// the handler runs — strict decode, then Normalize under the seed cap —
+// and checks what the HTTP layer relies on: every rejection is a 4xx
+// *httpError, every accepted body is exactly one JSON value, the spec
+// respects the seed and random_tries caps, and each of its units, as the
+// coordinator ships it, comes through the shard hop's own decoder
+// unchanged and keyed as before, so both ends of a shard hop agree on
+// every unit.
+func FuzzSweepRequest(f *testing.F) {
+	for _, s := range []string{
+		`{"kind":"table2","num_seeds":3}`,
+		`{"kind":"table2","seeds":[5,1,5],"random_tries":7}`,
+		`{"kind":"table3","seeds":[1]}`,
+		`{"kind":"table3","num_seeds":2,"random_tries":3}`,
+		`{"kind":"table2","seeds":[1],"random_tries":2000000000}`,
+		`{"kind":"table2","num_seeds":2000000000}`,
+		`{"kind":"table2","seeds":[1],"num_seeds":2}`,
+		`{"kind":"table9","num_seeds":1}`,
+		`{"kind":"table2","num_seeds":-1,"seeds":[3]}`,
+		`{"kind":"table2","typo":1}`,
+		`{"kind":"table2"}{"kind":"table3"}`,
+		`{"kind":"table3","seeds":[1]} garbage`,
+		`{"kind":2}`,
+		`null`,
+		`{`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := decodeSweep(data, fuzzMaxSeeds)
+		if err != nil {
+			requireClientError(t, err, data)
+			return
+		}
+		requireOneValue(t, data)
+		if len(sp.Seeds) == 0 || len(sp.Seeds) > fuzzMaxSeeds {
+			t.Fatalf("input %q: accepted %d seeds (cap %d)", data, len(sp.Seeds), fuzzMaxSeeds)
+		}
+		requireUnitWithinCaps(t, sp.Unit(0), data)
+		for i := range sp.Seeds {
+			wire, err := json.Marshal(sp.Unit(i))
+			if err != nil {
+				t.Fatalf("input %q: marshaling unit %d: %v", data, i, err)
+			}
+			u, err := decodeUnit(wire)
+			if err != nil || u != sp.Unit(i) || u.Key() != sp.UnitKey(i) {
+				t.Fatalf("input %q: unit %d shard body %s decoded to %+v, %v", data, i, wire, u, err)
+			}
+		}
+	})
+}
+
+// FuzzShardUnit throws arbitrary bytes at the POST /sweeps/shard front
+// half — strict decode, then the unit's own check — without ever running
+// a unit. Rejections must be 4xx *httpError values; an accepted body must
+// be exactly one JSON value whose unit respects the caps and comes back
+// through the decoder unchanged, with the same key.
+func FuzzShardUnit(f *testing.F) {
+	for _, s := range []string{
+		`{"kind":"table2","random_tries":2,"seed":1}`,
+		`{"kind":"table3","seed":4}`,
+		`{"kind":"table2","seed":-7}`,
+		`{"kind":"table2","random_tries":-1,"seed":1}`,
+		`{"kind":"table2","random_tries":2000000000,"seed":1}`,
+		`{"kind":"table3","random_tries":2,"seed":1}`,
+		`{"kind":"table9","seed":1}`,
+		`{"seed":1}`,
+		`{"kind":"table3","seed":1,"extra":1}`,
+		`{"kind":"table3","seed":"1"}`,
+		`{"kind":"table3","seed":1}{"seed":9}`,
+		`{"kind":"table3","seed":1} garbage`,
+		`{"spec":{"kind":"table3","seeds":[1]},"units":[0]}`,
+		`{nope`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := decodeUnit(data)
+		if err != nil {
+			requireClientError(t, err, data)
+			return
+		}
+		requireOneValue(t, data)
+		requireUnitWithinCaps(t, u, data)
+		wire, err := json.Marshal(u)
+		if err != nil {
+			t.Fatalf("input %q: marshaling %+v: %v", data, u, err)
+		}
+		back, err := decodeUnit(wire)
+		if err != nil || back != u || back.Key() != u.Key() {
+			t.Fatalf("input %q: unit %+v came back as %+v, %v", data, u, back, err)
+		}
+	})
+}
+
+// requireClientError asserts a rejection is a 4xx *httpError.
+func requireClientError(t *testing.T, err error, input []byte) {
+	t.Helper()
+	var he *httpError
+	if !errors.As(err, &he) || he.status < 400 || he.status >= 500 || he.msg == "" {
+		t.Fatalf("input %q: rejection %v (%T) is not a 4xx *httpError", input, err, err)
+	}
+}
+
+// requireOneValue fails unless an accepted body is exactly one JSON value:
+// the decoder must reject a second value or trailing garbage.
+func requireOneValue(t *testing.T, input []byte) {
+	t.Helper()
+	if !json.Valid(input) {
+		t.Fatalf("input %q: accepted a body that is not exactly one JSON value", input)
+	}
+}
+
+func requireUnitWithinCaps(t *testing.T, u sweep.Unit, input []byte) {
+	t.Helper()
+	if u.RandomTries < 0 || u.RandomTries > sweep.MaxRandomTries || (u.Kind == sweep.KindTable3) != (u.RandomTries == 0) {
+		t.Fatalf("input %q: accepted random_tries %d for %s", input, u.RandomTries, u.Kind)
+	}
+	if u.Kind != sweep.KindTable2 && u.Kind != sweep.KindTable3 {
+		t.Fatalf("input %q: accepted kind %q", input, u.Kind)
+	}
 }

@@ -7,9 +7,10 @@ import (
 	"net/http"
 )
 
-// Cache-status header: "hit" when the body replayed from the
-// content-addressed cache, "miss" when it was computed for this request.
-const cacheHeader = "X-Copack-Cache"
+// CacheHeader is the cache-status header of a plan body: "hit" when the
+// body replayed from a cache, "miss" when it was computed for this
+// request.
+const CacheHeader = "X-Copack-Cache"
 
 // Handler returns the service's HTTP surface:
 //
@@ -29,7 +30,7 @@ const cacheHeader = "X-Copack-Cache"
 //	                           terminal done/failed/canceled event
 //	GET    /sweeps/{id}/result the deterministic reduced sweep body
 //	DELETE /sweeps/{id}        cancel the sweep
-//	POST   /sweeps/shard       internal fleet hop: execute a unit batch
+//	POST   /sweeps/shard       internal fleet hop: run one sweep unit
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -49,36 +50,39 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// errorBody writes a JSON error payload with the given status.
-func errorBody(w http.ResponseWriter, status int, msg string) {
+// ErrorBody writes the JSON error payload, {"error": msg}, with the given
+// status: the one error body of every node, whether the service or the
+// fleet router answers.
+func ErrorBody(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	body, _ := json.Marshal(map[string]string{"error": msg})
 	w.Write(append(body, '\n'))
 }
 
-// writeHTTPError maps an error from the request layer onto the response;
-// *httpError values carry their own status, anything else is a 500.
-func writeHTTPError(w http.ResponseWriter, err error) {
+// WriteError maps an error from the request layer, such as ReadBody's,
+// onto the response; *httpError values carry their own status, anything
+// else is a 500.
+func WriteError(w http.ResponseWriter, err error) {
 	var he *httpError
 	if errors.As(err, &he) {
-		errorBody(w, he.status, he.msg)
+		ErrorBody(w, he.status, he.msg)
 		return
 	}
-	errorBody(w, http.StatusInternalServerError, err.Error())
+	ErrorBody(w, http.StatusInternalServerError, err.Error())
 }
 
 // writeDraining refuses work during a drain: 503 plus the queue
 // advertisement, so fleet peers stop sending work here.
 func (s *Server) writeDraining(w http.ResponseWriter) {
 	s.setQueueHeader(w)
-	errorBody(w, http.StatusServiceUnavailable, "server is shutting down")
+	ErrorBody(w, http.StatusServiceUnavailable, "server is shutting down")
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		s.setQueueHeader(w)
-		errorBody(w, http.StatusServiceUnavailable, "draining")
+		ErrorBody(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -88,7 +92,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	body, err := s.metrics.Snapshot().Marshal()
 	if err != nil {
-		errorBody(w, http.StatusInternalServerError, err.Error())
+		ErrorBody(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -107,12 +111,12 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planS
 	s.rec.Add("requests/"+r.URL.Path[1:], 1)
 	raw, err := s.ReadBody(w, r)
 	if err != nil {
-		writeHTTPError(w, classifyDecodeError(err))
+		WriteError(w, err)
 		return nil, nil, false
 	}
 	key, spec, err := s.resolveKey(raw)
 	if err != nil {
-		writeHTTPError(w, err)
+		WriteError(w, err)
 		return nil, nil, false
 	}
 	if body, hit := s.cache.Get(key); hit {
@@ -123,7 +127,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (spec *planS
 	}
 	if spec == nil {
 		if spec, err = s.parseSpec(raw); err != nil {
-			writeHTTPError(w, err)
+			WriteError(w, err)
 			return nil, nil, false
 		}
 	}
@@ -154,7 +158,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		s.setQueueHeader(w)
-		errorBody(w, http.StatusTooManyRequests, "too many concurrent /plan requests; retry or use POST /jobs")
+		ErrorBody(w, http.StatusTooManyRequests, "too many concurrent /plan requests; retry or use POST /jobs")
 		return
 	}
 	// The plan obeys both the client (request context: disconnect
@@ -166,7 +170,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	body, status, errMsg := s.plan(ctx, spec)
 	if errMsg != "" {
-		errorBody(w, status, errMsg)
+		ErrorBody(w, status, errMsg)
 		return
 	}
 	s.writePlanBody(w, body, false)
@@ -175,9 +179,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writePlanBody(w http.ResponseWriter, body []byte, hit bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if hit {
-		w.Header().Set(cacheHeader, "hit")
+		w.Header().Set(CacheHeader, "hit")
 	} else {
-		w.Header().Set(cacheHeader, "miss")
+		w.Header().Set(CacheHeader, "miss")
 	}
 	w.Write(body)
 }
@@ -211,7 +215,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rec.Add("jobs/rejected", 1)
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		s.setQueueHeader(w)
-		errorBody(w, http.StatusTooManyRequests, "job queue full; retry later")
+		ErrorBody(w, http.StatusTooManyRequests, "job queue full; retry later")
 		return
 	case errors.Is(err, errDraining):
 		s.writeDraining(w)
@@ -245,9 +249,9 @@ func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request, kind jobKin
 	j := s.lookup(r.PathValue("id"), kind)
 	if j == nil {
 		if kind == sweepJob {
-			errorBody(w, http.StatusNotFound, "unknown sweep id")
+			ErrorBody(w, http.StatusNotFound, "unknown sweep id")
 		} else {
-			errorBody(w, http.StatusNotFound, "unknown job id")
+			ErrorBody(w, http.StatusNotFound, "unknown job id")
 		}
 	}
 	return j
@@ -283,9 +287,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case JobDone:
 		s.writePlanBody(w, view.Body, view.CacheHit)
 	case JobFailed, JobCanceled:
-		errorBody(w, view.Status, view.ErrMsg)
+		ErrorBody(w, view.Status, view.ErrMsg)
 	default:
-		errorBody(w, http.StatusConflict, "job not finished; poll /jobs/"+view.ID)
+		ErrorBody(w, http.StatusConflict, "job not finished; poll /jobs/"+view.ID)
 	}
 }
 

@@ -143,13 +143,13 @@ func TestGoldenByteIdenticalAcrossSchedules(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync plan: %d: %s", resp.StatusCode, golden)
 	}
-	if h := resp.Header.Get(cacheHeader); h != "miss" {
+	if h := resp.Header.Get(CacheHeader); h != "miss" {
 		t.Errorf("first plan cache header %q, want miss", h)
 	}
 
 	// The same body again must be a cache hit with the exact bytes.
 	resp, cached := one.post(t, "/plan", req)
-	if h := resp.Header.Get(cacheHeader); h != "hit" {
+	if h := resp.Header.Get(CacheHeader); h != "hit" {
 		t.Errorf("second plan cache header %q, want hit", h)
 	}
 	if !bytes.Equal(golden, cached) {
@@ -224,7 +224,7 @@ func TestConcurrentLoadBackpressure(t *testing.T) {
 	if resp, body := s.post(t, "/plan", warm); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm plan: %d: %s", resp.StatusCode, body)
 	}
-	if resp, _ := s.post(t, "/plan", warm); resp.Header.Get(cacheHeader) != "hit" {
+	if resp, _ := s.post(t, "/plan", warm); resp.Header.Get(CacheHeader) != "hit" {
 		t.Fatal("warm body not served from cache")
 	}
 
@@ -668,7 +668,7 @@ func TestBudgetedPlanReportsPartialAndSkipsCache(t *testing.T) {
 		t.Error("partial response without a stop reason")
 	}
 	// Partial results must not poison the cache.
-	if resp, _ := s.post(t, "/plan", body); resp.Header.Get(cacheHeader) == "hit" {
+	if resp, _ := s.post(t, "/plan", body); resp.Header.Get(CacheHeader) == "hit" {
 		t.Error("partial result was served from cache")
 	}
 }
@@ -692,8 +692,8 @@ func TestRunawayScheduleStopsAtMaxBudget(t *testing.T) {
 		if !pr.Partial {
 			t.Error("runaway schedule finished inside MaxBudget")
 		}
-		if got := resp.Header.Get(cacheHeader); got != "miss" {
-			t.Errorf("post %d: %s = %q, want miss", i+1, cacheHeader, got)
+		if got := resp.Header.Get(CacheHeader); got != "miss" {
+			t.Errorf("post %d: %s = %q, want miss", i+1, CacheHeader, got)
 		}
 	}
 }

@@ -33,13 +33,13 @@ func TestKeyMemoRepeatedBody(t *testing.T) {
 	body := planBody(t, testDesign(t, 24, 7), RequestOptions{Seed: 3, SkipExchange: true})
 
 	resp, first := s.post(t, "/plan", body)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "miss" {
-		t.Fatalf("first plan: %d cache=%q: %s", resp.StatusCode, resp.Header.Get(cacheHeader), first)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(CacheHeader) != "miss" {
+		t.Fatalf("first plan: %d cache=%q: %s", resp.StatusCode, resp.Header.Get(CacheHeader), first)
 	}
 	_, async := s.submitAndAwait(t, body)
 	resp, third := s.post(t, "/plan", body)
-	if resp.Header.Get(cacheHeader) != "hit" {
-		t.Errorf("third plan cache header %q, want hit", resp.Header.Get(cacheHeader))
+	if resp.Header.Get(CacheHeader) != "hit" {
+		t.Errorf("third plan cache header %q, want hit", resp.Header.Get(CacheHeader))
 	}
 	if !bytes.Equal(first, async) || !bytes.Equal(first, third) {
 		t.Error("repeated body answered with different bytes")
@@ -76,8 +76,8 @@ func TestKeyMemoHitAfterEviction(t *testing.T) {
 	s.svc.cache.Put("an-unrelated-key", []byte("x\n")) // evicts the body
 
 	resp, again := s.post(t, "/plan", body)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "miss" {
-		t.Fatalf("replan: %d cache=%q", resp.StatusCode, resp.Header.Get(cacheHeader))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(CacheHeader) != "miss" {
+		t.Fatalf("replan: %d cache=%q", resp.StatusCode, resp.Header.Get(CacheHeader))
 	}
 	if !bytes.Equal(golden, again) {
 		t.Error("recomputed body differs from the original")

@@ -45,9 +45,9 @@ type RequestOptions struct {
 	// BudgetMS bounds the planning wall clock in milliseconds; on expiry
 	// the response carries the best-so-far plan with "partial": true.
 	// Capped by the server's Config.MaxBudget, which is also the budget of
-	// a request that sets none. A cut exchange returns the congestion-
-	// driven order, or, with restarts above 1 on a stacking design, the
-	// warm start order (see copack.Result.Partial). A partial result
+	// a request that sets none. A cut plan never returns an order the
+	// exchange cost scores above the congestion-driven one, with any
+	// restart count (see copack.Result.Partial). A partial result
 	// depends on timing, so it is never cached and carries no
 	// byte-identity guarantee; a run that finishes inside its budget is
 	// cached as usual.
@@ -99,10 +99,11 @@ type planSpec struct {
 
 // ReadBody buffers a request body under the server's MaxBodyBytes cap, in
 // one allocation sized from Content-Length when the client sent one. An
-// oversized body fails with *http.MaxBytesError before anything decodes
-// it. The plan handlers and the fleet router both read plan bodies
-// through it, then hash and decode the same bytes, so a fleet node has
-// one body cap.
+// oversized body fails with a 413 *httpError before anything decodes it;
+// any other read failure is a 400. Plan, sweep and shard bodies all come
+// through here and then through decodeJSON, and the fleet router reads
+// plan bodies through it too, so a fleet node has one body cap and one
+// set of body errors.
 func (s *Server) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	limit := s.cfg.MaxBodyBytes
 	var buf bytes.Buffer
@@ -110,24 +111,40 @@ func (s *Server) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 		// MinRead of slack lets ReadFrom see EOF without growing.
 		buf.Grow(int(min(n, limit)) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return buf.Bytes(), err
-}
-
-// decodePlanRequest reads and validates a PlanRequest from an HTTP body.
-// Failures are *httpError values carrying the right status: malformed or
-// oversized input is the client's fault (400/413), a failing transport
-// is not (502).
-func decodePlanRequest(r io.Reader) (*PlanRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req PlanRequest
-	if err := dec.Decode(&req); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		return nil, classifyDecodeError(err)
 	}
-	// Trailing garbage after the JSON object is malformed input too.
+	return buf.Bytes(), nil
+}
+
+// decodeJSON is the one strict decoder of request bodies: it decodes
+// exactly one JSON value from body into v, rejecting unknown fields and
+// anything after the value. Failures are 400 *httpError values.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return classifyDecodeError(err)
+	}
+	// Trailing garbage after the JSON value is malformed input too.
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return nil, httpErrf(http.StatusBadRequest, "request body holds more than one JSON object")
+		return httpErrf(http.StatusBadRequest, "request body holds more than one JSON object")
+	}
+	return nil
+}
+
+// decodePlanRequest decodes and checks a PlanRequest body.
+func decodePlanRequest(body []byte) (*PlanRequest, error) {
+	var req PlanRequest
+	if err := decodeJSON(body, &req); err != nil {
+		if strings.Contains(err.Error(), `unknown field "portfolio"`) {
+			// The adaptive portfolio was retired: its budget is restarts
+			// now, and multi-restart runs pick their start from the tier
+			// count.
+			return nil, httpErrf(http.StatusBadRequest,
+				"options.portfolio was removed: send restarts instead (a multi-restart run at ψ ≥ 2 starts warm)")
+		}
+		return nil, err
 	}
 	if req.Design == "" {
 		return nil, httpErrf(http.StatusBadRequest, "missing required field \"design\"")
@@ -136,7 +153,7 @@ func decodePlanRequest(r io.Reader) (*PlanRequest, error) {
 }
 
 // classifyDecodeError maps a body read or json.Decoder failure to an
-// httpError.
+// httpError: 413 for a body over the cap, 400 for everything else.
 func classifyDecodeError(err error) error {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
@@ -154,11 +171,6 @@ func classifyDecodeError(err error) error {
 		return httpErrf(http.StatusBadRequest, "empty request body")
 	case errors.Is(err, io.ErrUnexpectedEOF):
 		return httpErrf(http.StatusBadRequest, "truncated JSON body")
-	case strings.Contains(err.Error(), `unknown field "portfolio"`):
-		// The adaptive portfolio was retired: its budget is restarts now,
-		// and multi-restart runs pick their start from the tier count.
-		return httpErrf(http.StatusBadRequest,
-			"options.portfolio was removed: send restarts instead (a multi-restart run at ψ ≥ 2 starts warm)")
 	default:
 		// Unknown-field errors and other decoder complaints about the
 		// input shape are client errors; genuine transport failures
@@ -283,7 +295,7 @@ func (s *Server) resolveKey(body []byte) (key string, spec *planSpec, err error)
 
 // parseSpec decodes and canonicalizes a raw PlanRequest body.
 func (s *Server) parseSpec(body []byte) (*planSpec, error) {
-	req, err := decodePlanRequest(bytes.NewReader(body))
+	req, err := decodePlanRequest(body)
 	if err != nil {
 		return nil, err
 	}

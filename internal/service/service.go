@@ -22,7 +22,7 @@
 //     by the raw body's sha256 lets byte-identical repeats skip the
 //     decode and canonicalization that derive the key, a copy LRU holds
 //     plan bodies a fleet router relayed from a peer's cache, and a unit
-//     cache keyed by sweep.UnitKey answers sweep units computed before.
+//     cache keyed by sweep.Unit.Key answers sweep units computed before.
 //
 //   - Determinism survives the service layer. A plan is a pure function
 //     of (canonical design, normalized options); the queue order, worker
@@ -375,13 +375,13 @@ func (s *Server) enqueueUnit(fn func()) error {
 	return s.enqueueLocked(fn)
 }
 
-// QueueInfo reports the job queue's current depth and capacity plus
+// queuez reports the job queue's current depth and capacity plus
 // whether the server is draining — the admission signal /queuez serves
 // and the X-Copack-Queue-Depth header advertises.
-func (s *Server) QueueInfo() (depth, capacity int, draining bool) {
+func (s *Server) queuez() Queuez {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue), s.cfg.QueueDepth, s.closed
+	return Queuez{Capacity: s.cfg.QueueDepth, Depth: len(s.queue), Draining: s.closed}
 }
 
 // Sweeps exposes the sweep manager so the fleet router can install its

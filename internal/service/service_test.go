@@ -5,8 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -213,7 +213,7 @@ func TestDecodePlanRequestErrors(t *testing.T) {
 		{"wrong option type", "{\"design\": \"x\", \"options\": {\"seed\": \"one\"}}", http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		_, err := decodePlanRequest(strings.NewReader(c.body))
+		_, err := decodePlanRequest([]byte(c.body))
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -225,7 +225,7 @@ func TestDecodePlanRequestErrors(t *testing.T) {
 	}
 
 	// A valid body decodes.
-	req, err := decodePlanRequest(strings.NewReader("{\"design\": \"circuit c\", \"options\": {\"seed\": 9}}"))
+	req, err := decodePlanRequest([]byte("{\"design\": \"circuit c\", \"options\": {\"seed\": 9}}"))
 	if err != nil {
 		t.Fatalf("valid body rejected: %v", err)
 	}
@@ -270,14 +270,23 @@ func TestPlanCanceledContext(t *testing.T) {
 }
 
 func TestMaxBytesReaderIntegration(t *testing.T) {
-	// decodePlanRequest must classify http.MaxBytesReader truncation as
-	// 413, the way the handlers wire it.
-	big := "{\"design\": \"" + strings.Repeat("x", 1024) + "\"}"
-	limited := http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(big)), 64)
-	_, err := decodePlanRequest(limited)
-	var he *httpError
-	if !errors.As(err, &he) || he.status != http.StatusRequestEntityTooLarge {
-		t.Errorf("MaxBytesReader overflow: %v, want 413", err)
+	// ReadBody must classify http.MaxBytesReader truncation as 413 before
+	// anything decodes the body, and a body at the cap reads whole.
+	s := specServer(64)
+	for _, tc := range []struct {
+		size int64
+		want int
+	}{{64, 0}, {65, http.StatusRequestEntityTooLarge}, {1024, http.StatusRequestEntityTooLarge}} {
+		body := strings.Repeat("x", int(tc.size))
+		r := httptest.NewRequest(http.MethodPost, "/plan", strings.NewReader(body))
+		got, err := s.ReadBody(httptest.NewRecorder(), r)
+		var he *httpError
+		switch {
+		case tc.want == 0 && (err != nil || string(got) != body):
+			t.Errorf("%d-byte body: %d bytes read, %v; want it whole", tc.size, len(got), err)
+		case tc.want != 0 && (!errors.As(err, &he) || he.status != tc.want):
+			t.Errorf("%d-byte body: %v, want %d", tc.size, err, tc.want)
+		}
 	}
 }
 

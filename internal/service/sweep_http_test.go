@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"runtime"
 	"strings"
@@ -356,25 +357,25 @@ func TestPlanRestartsSplitCacheKey(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("restarts %d: %d: %s", restarts, resp.StatusCode, data)
 		}
-		return data, resp.Header.Get(cacheHeader)
+		return data, resp.Header.Get(CacheHeader)
 	}
 	warm, h := post(3)
 	if h != "miss" {
-		t.Errorf("first restarts-3 plan: %s = %q, want miss", cacheHeader, h)
+		t.Errorf("first restarts-3 plan: %s = %q, want miss", CacheHeader, h)
 	}
 	again, h := post(3)
 	if h != "hit" || !bytes.Equal(warm, again) {
-		t.Errorf("repeat restarts-3 plan: %s = %q, identical %v", cacheHeader, h, bytes.Equal(warm, again))
+		t.Errorf("repeat restarts-3 plan: %s = %q, identical %v", CacheHeader, h, bytes.Equal(warm, again))
 	}
 	single, h := post(1)
 	if h != "miss" {
-		t.Errorf("restarts-1 plan: %s = %q, want miss", cacheHeader, h)
+		t.Errorf("restarts-1 plan: %s = %q, want miss", CacheHeader, h)
 	}
 	if bytes.Equal(single, warm) {
 		t.Error("a single anneal and three warm restarts planned the same body")
 	}
 	if _, h := post(0); h != "hit" {
-		t.Errorf("restarts-0 plan: %s = %q, want the restarts-1 entry's hit", cacheHeader, h)
+		t.Errorf("restarts-0 plan: %s = %q, want the restarts-1 entry's hit", CacheHeader, h)
 	}
 }
 
@@ -463,13 +464,55 @@ func TestSweepResultFailedState(t *testing.T) {
 	}
 }
 
+// TestSweepAndShardBodiesDecode: a sweep body decodes and normalizes, a
+// shard body decodes into the unit it names and checks, and neither lets
+// a typo, a second value, an empty body or a rule violation through, each
+// a 400 (TestMalformedBodiesAnswerAlike holds every class to one message
+// on every route).
+func TestSweepAndShardBodiesDecode(t *testing.T) {
+	sp, err := decodeSweep([]byte(`{"kind":"table2","num_seeds":2}`), 64)
+	if err != nil || sp.Kind != sweep.KindTable2 || len(sp.Seeds) != 2 || sp.RandomTries != 10 {
+		t.Fatalf("sweep body decoded to %+v, %v", sp, err)
+	}
+	u, err := decodeUnit([]byte(`{"kind":"table3","seed":4}` + "\n"))
+	if err != nil || u != (sweep.Unit{Kind: sweep.KindTable3, Seed: 4}) {
+		t.Fatalf("shard body decoded to %+v, %v", u, err)
+	}
+	reject := func(what, body string, err error) {
+		var he *httpError
+		if !errors.As(err, &he) || he.status != http.StatusBadRequest {
+			t.Errorf("%s body %q: %v, want a 400", what, body, err)
+		}
+	}
+	for _, body := range []string{
+		`{"kind":"table2","num_seeds":2,"typo":1}`,
+		`{"kind":"table2"}{"kind":"table3"}`,
+		``,
+		`{"kind":"table2","num_seeds":65}`,
+	} {
+		_, err := decodeSweep([]byte(body), 64)
+		reject("sweep", body, err)
+	}
+	for _, body := range []string{
+		`{"kind":"table3","seed":1,"x":1}`,
+		`{"kind":"table3","seed":1} garbage`,
+		``,
+		`{"kind":"table9","seed":1}`,
+	} {
+		_, err := decodeUnit([]byte(body))
+		reject("shard", body, err)
+	}
+}
+
 func TestSweepShardEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8, SweepHeartbeat: time.Hour})
-	shard := func(units ...int) string {
-		b, _ := json.Marshal(sweep.ShardRequest{
-			Spec:  sweep.Request{Kind: "table2", Seeds: []int64{1, 2}, RandomTries: 2},
-			Units: units,
-		})
+	req := sweep.Request{Kind: "table2", Seeds: []int64{1, 2}, RandomTries: 2}
+	sp, err := req.Normalize(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := func(i int) string {
+		b, _ := json.Marshal(sp.Unit(i))
 		return string(b)
 	}
 	resp, data := s.post(t, "/sweeps/shard", shard(1))
@@ -480,28 +523,20 @@ func TestSweepShardEndpoint(t *testing.T) {
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Results) != 1 {
-		t.Fatalf("%d results, want 1", len(out.Results))
-	}
-	req := sweep.Request{Kind: "table2", Seeds: []int64{1, 2}, RandomTries: 2}
-	sp, err := req.Normalize(64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := sweep.RunUnit(sp, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Results[0], want) {
-		t.Fatalf("shard result differs from RunUnit:\n got %s\nwant %s", out.Results[0], want)
+	if !bytes.Equal(out.Result, want) || out.Cached {
+		t.Fatalf("shard answered cached=%v\n got %s\nwant RunUnit's %s", out.Cached, out.Result, want)
 	}
 
 	for _, bad := range []struct{ name, body string }{
 		{"malformed json", `{nope`},
-		{"unknown field", `{"spec":{"kind":"table2","seeds":[1],"random_tries":2},"units":[0],"extra":1}`},
-		{"out-of-range unit", shard(5)},
-		{"empty units", shard()},
-		{"random_tries over cap", `{"spec":{"kind":"table2","seeds":[1],"random_tries":2000000000},"units":[0]}`},
+		{"unknown field", `{"kind":"table2","random_tries":2,"seed":1,"extra":1}`},
+		{"a sweep's shard body", `{"spec":{"kind":"table2","seeds":[1],"random_tries":2},"units":[0]}`},
+		{"missing kind", `{"seed":1}`},
+		{"random_tries over cap", `{"kind":"table2","random_tries":2000000000,"seed":1}`},
 	} {
 		resp, data := s.post(t, "/sweeps/shard", bad.body)
 		if resp.StatusCode != http.StatusBadRequest {

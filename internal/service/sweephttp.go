@@ -16,38 +16,56 @@ import (
 // can decide not to forward here before dialing.
 const QueueDepthHeader = "X-Copack-Queue-Depth"
 
+// Queuez is the body of GET /queuez: the job queue's capacity and depth
+// and whether the server is draining. The field order is the body's key
+// order.
+type Queuez struct {
+	Capacity int  `json:"capacity"`
+	Depth    int  `json:"depth"`
+	Draining bool `json:"draining"`
+}
+
 // setQueueHeader advertises the current queue depth on a response.
 func (s *Server) setQueueHeader(w http.ResponseWriter) {
-	depth, capacity, _ := s.QueueInfo()
-	w.Header().Set(QueueDepthHeader, fmt.Sprintf("%d/%d", depth, capacity))
+	q := s.queuez()
+	w.Header().Set(QueueDepthHeader, fmt.Sprintf("%d/%d", q.Depth, q.Capacity))
 }
 
 // handleQueuez serves the admission-control signal: the job queue's
 // depth, capacity and drain state in one cheap GET.
 func (s *Server) handleQueuez(w http.ResponseWriter, r *http.Request) {
-	depth, capacity, draining := s.QueueInfo()
-	w.Header().Set(QueueDepthHeader, fmt.Sprintf("%d/%d", depth, capacity))
+	q := s.queuez()
+	w.Header().Set(QueueDepthHeader, fmt.Sprintf("%d/%d", q.Depth, q.Capacity))
 	w.Header().Set("Content-Type", "application/json")
-	body, _ := json.Marshal(map[string]any{
-		"depth":    depth,
-		"capacity": capacity,
-		"draining": draining,
-	})
+	body, _ := json.Marshal(q)
 	w.Write(append(body, '\n'))
 }
 
-// writeSweepError maps a sweep request failure onto the response;
-// *sweep.HTTPError values carry their own status.
-func (s *Server) writeSweepError(w http.ResponseWriter, err error) {
-	var he *sweep.HTTPError
-	switch {
-	case errors.As(err, &he):
-		errorBody(w, he.Status, he.Msg)
-	case errors.Is(err, sweep.ErrDraining):
-		s.writeDraining(w)
-	default:
-		errorBody(w, http.StatusInternalServerError, err.Error())
+// decodeSweep strictly decodes and normalizes a POST /sweeps body.
+func decodeSweep(body []byte, maxSeeds int) (*sweep.Spec, error) {
+	var req sweep.Request
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, err
 	}
+	sp, err := req.Normalize(maxSeeds)
+	if err != nil {
+		return nil, httpErrf(http.StatusBadRequest, "%v", err)
+	}
+	return sp, nil
+}
+
+// decodeUnit strictly decodes and checks a POST /sweeps/shard body, one
+// sweep unit.
+func decodeUnit(body []byte) (sweep.Unit, error) {
+	var u sweep.Unit
+	if err := decodeJSON(body, &u); err != nil {
+		return u, err
+	}
+	u, err := u.Normalize()
+	if err != nil {
+		return u, httpErrf(http.StatusBadRequest, "%v", err)
+	}
+	return u, nil
 }
 
 // sweepSubmitResponse is the 202 body of POST /sweeps.
@@ -64,20 +82,21 @@ type sweepSubmitResponse struct {
 // the coordinator, answer 202 with the job's URLs.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.rec.Add("requests/sweeps", 1)
-	req, err := sweep.DecodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeSweepError(w, err)
-		return
+	raw, err := s.ReadBody(w, r)
+	var sp *sweep.Spec
+	if err == nil {
+		sp, err = decodeSweep(raw, s.sweeps.MaxSeeds())
 	}
-	sp, err := req.Normalize(s.sweeps.MaxSeeds())
 	if err != nil {
-		s.writeSweepError(w, err)
+		WriteError(w, err)
 		return
 	}
 	j := newJob(s.baseCtx, sweepJob)
 	j.sweep = sp
 	if err := s.submit(j); err != nil {
-		s.writeSweepError(w, err)
+		// A sweep is never queued at submission: the only refusal is
+		// the drain.
+		s.writeDraining(w)
 		return
 	}
 	view := j.snapshot()
@@ -141,11 +160,11 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(view.Body)
 	case JobFailed:
-		errorBody(w, view.Status, view.ErrMsg)
+		ErrorBody(w, view.Status, view.ErrMsg)
 	case JobCanceled:
-		errorBody(w, view.Status, "sweep canceled: "+view.ErrMsg)
+		ErrorBody(w, view.Status, "sweep canceled: "+view.ErrMsg)
 	default:
-		errorBody(w, http.StatusConflict, "sweep not finished; poll /sweeps/"+view.ID+" or stream /sweeps/"+view.ID+"/events")
+		ErrorBody(w, http.StatusConflict, "sweep not finished; poll /sweeps/"+view.ID+" or stream /sweeps/"+view.ID+"/events")
 	}
 }
 
@@ -176,7 +195,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		errorBody(w, http.StatusInternalServerError, "response writer cannot stream")
+		ErrorBody(w, http.StatusInternalServerError, "response writer cannot stream")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -215,18 +234,23 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweepShard executes a forwarded shard (the internal fleet hop):
-// the units run through this node's bounded queue and their canonical
-// JSON results return in request order. Any failure maps to a status the
-// coordinator treats as "run the batch locally instead".
+// the one unit it names runs through this node's bounded queue, or
+// answers from its unit cache, and its canonical JSON result returns. Any
+// failure maps to a status the coordinator treats as "run the unit
+// locally instead".
 func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	s.rec.Add("requests/sweeps-shard", 1)
 	if s.draining() {
 		s.writeDraining(w)
 		return
 	}
-	sr, err := sweep.DecodeShard(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	raw, err := s.ReadBody(w, r)
+	var u sweep.Unit
+	if err == nil {
+		u, err = decodeUnit(raw)
+	}
 	if err != nil {
-		s.writeSweepError(w, err)
+		WriteError(w, err)
 		return
 	}
 	// The shard obeys both the coordinator (request context: its
@@ -237,14 +261,18 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	resp, err := s.sweeps.RunShardLocal(ctx, sr)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.setQueueHeader(w)
-			errorBody(w, http.StatusServiceUnavailable, "shard canceled: "+err.Error())
-			return
-		}
-		s.writeSweepError(w, err)
+	resp, err := s.sweeps.RunShardLocal(ctx, u)
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		s.setQueueHeader(w)
+		ErrorBody(w, http.StatusServiceUnavailable, "shard canceled: "+err.Error())
+		return
+	case errors.Is(err, sweep.ErrDraining):
+		s.writeDraining(w)
+		return
+	default:
+		ErrorBody(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -123,12 +123,12 @@ func TestCachedUnitsSkipTheQueue(t *testing.T) {
 		t.Errorf("units/local %d, units/cached %d; want 3 computed, then 3 cached", c["units/local"], c["units/cached"])
 	}
 
-	resp, err := m.RunShardLocal(context.Background(), &ShardRequest{Spec: sp.Wire(), Units: []int{2, 0}})
+	resp, err := m.RunShardLocal(context.Background(), sp.Unit(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Cached) != 2 || !resp.Cached[0] || !resp.Cached[1] {
-		t.Errorf("shard of cached units reports cached=%v, want [true true]", resp.Cached)
+	if !resp.Cached {
+		t.Error("shard of a cached unit reports cached=false")
 	}
 	if n := offers.Load(); n != 3 {
 		t.Errorf("cached shard offered %d units to the queue, want 0", n-3)
@@ -146,7 +146,7 @@ func TestFailedAndCanceledUnitsAreNotCached(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := m.execUnit(ctx, table2Spec(t, 1), 0, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := m.execUnit(ctx, table2Spec(t, 1).Unit(0), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled unit: %v, want context.Canceled", err)
 	}
 	if entries, _, puts := cache.counts(); entries != 0 || puts != 0 {
@@ -161,8 +161,8 @@ type shardPeer struct{ peer *Manager }
 func (d shardPeer) Self() string                           { return "self" }
 func (d shardPeer) Preference(string) []string             { return []string{"peer", "self"} }
 func (d shardPeer) Saturated(context.Context, string) bool { return false }
-func (d shardPeer) RunShard(ctx context.Context, _ string, sr ShardRequest) (*ShardResponse, error) {
-	return d.peer.RunShardLocal(ctx, &sr)
+func (d shardPeer) RunShard(ctx context.Context, _ string, u Unit) (*ShardResponse, error) {
+	return d.peer.RunShardLocal(ctx, u)
 }
 
 // TestForwardedCacheHitsCountAsCached: when the owner answers a shard

@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -12,14 +10,16 @@ import (
 // default.
 const fuzzMaxSeeds = 64
 
-// FuzzSweepRequest throws arbitrary bytes at the POST /sweeps front half —
-// strict decode, then Normalize under the seed cap — and checks what the
-// HTTP layer relies on: every rejection is a typed *HTTPError with a 4xx
-// status, every accepted body is exactly one JSON value with no negative
-// num_seeds, every accepted spec respects the seed and random_tries caps,
-// and its wire form (what a coordinator ships in shard requests) survives
-// a JSON round trip and re-normalizes to an equal spec with equal unit
-// keys, so both ends of a shard hop agree on every unit.
+// The service decodes sweep and shard bodies strictly and fuzzes that
+// decoder (internal/service's FuzzSweepRequest and FuzzShardUnit). These
+// fuzzers build their values with the lenient json.Unmarshal instead, so
+// arbitrary field values reach this package's own rules.
+
+// FuzzSweepRequest throws arbitrary requests at Normalize and checks what
+// the shard hop relies on: an accepted spec respects the seed and
+// random_tries caps, and each of its units is already canonical — it
+// normalizes to itself, survives a JSON round trip, and keys as
+// Spec.UnitKey does — so both ends of a shard hop agree on every unit.
 func FuzzSweepRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"kind":"table2","num_seeds":3}`,
@@ -41,106 +41,76 @@ func FuzzSweepRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(bytes.NewReader(data))
-		var sp *Spec
-		if err == nil {
-			sp, err = req.Normalize(fuzzMaxSeeds)
-		}
-		if err != nil {
-			requireClientError(t, err, data)
+		var req Request
+		if json.Unmarshal(data, &req) != nil {
 			return
 		}
-		requireOneValue(t, data)
+		sp, err := req.Normalize(fuzzMaxSeeds)
+		if err != nil {
+			return
+		}
 		requireWithinCaps(t, sp, data)
 		if req.NumSeeds < 0 {
 			t.Fatalf("input %q: accepted num_seeds %d", data, req.NumSeeds)
 		}
-		wire, err := json.Marshal(sp.Wire())
-		if err != nil {
-			t.Fatalf("input %q: marshaling the wire form: %v", data, err)
-		}
-		back, err := DecodeRequest(bytes.NewReader(wire))
-		var again *Spec
-		if err == nil {
-			again, err = back.Normalize(fuzzMaxSeeds)
-		}
-		if err != nil {
-			t.Fatalf("input %q: wire form %s rejected: %v", data, wire, err)
-		}
-		if !reflect.DeepEqual(again, sp) {
-			t.Fatalf("input %q: wire round trip changed the spec: %+v -> %+v", data, sp, again)
-		}
 		for i := range sp.Seeds {
-			if again.UnitKey(i) != sp.UnitKey(i) {
+			u := sp.Unit(i)
+			if got, err := u.Normalize(); err != nil || got != u {
+				t.Fatalf("input %q: unit %d %+v normalizes to %+v, %v", data, i, u, got, err)
+			}
+			wire, err := json.Marshal(u)
+			if err != nil {
+				t.Fatalf("input %q: marshaling unit %d: %v", data, i, err)
+			}
+			var back Unit
+			if err := json.Unmarshal(wire, &back); err != nil || back != u {
+				t.Fatalf("input %q: unit %d round trip %s gave %+v, %v", data, i, wire, back, err)
+			}
+			if back.Key() != sp.UnitKey(i) {
 				t.Fatalf("input %q: unit %d key changed across the wire", data, i)
 			}
 		}
 	})
 }
 
-// FuzzShardBatch throws arbitrary bytes at the shard hop's front half —
-// DecodeShard, then the Validate step RunShardLocal makes before it runs
-// anything — without ever running a unit. Rejections must be typed 4xx
-// errors; an accepted body must hold exactly one JSON value, an accepted
-// shard must list at least one unit, every unit must index the spec's
-// seeds, and the spec must respect the caps.
+// FuzzShardBatch throws arbitrary units — a shard's whole body — at
+// Unit.Normalize without ever running one. An accepted unit must carry a
+// kind and random_tries the sweep rule allows, normalize to itself a
+// second time, and keep its key.
 func FuzzShardBatch(f *testing.F) {
 	for _, s := range []string{
-		`{"spec":{"kind":"table2","seeds":[1,2],"random_tries":2},"units":[1,0]}`,
-		`{"spec":{"kind":"table3","seeds":[4]},"units":[0,0]}`,
-		`{"spec":{"kind":"table2","seeds":[1],"random_tries":2},"units":[5]}`,
-		`{"spec":{"kind":"table2","seeds":[1],"random_tries":2},"units":[-1]}`,
-		`{"spec":{"kind":"table2","seeds":[1],"random_tries":2},"units":[]}`,
-		`{"spec":{"kind":"table2","seeds":[1],"random_tries":2000000000},"units":[0]}`,
-		`{"spec":{"kind":"table2","num_seeds":2000000000},"units":[0]}`,
-		`{"spec":{"kind":"table2","seeds":[1]},"units":[0],"extra":1}`,
-		`{"spec":{},"units":[0]}`,
-		`{"units":"0"}`,
-		`{"spec":{"kind":"table3","seeds":[1]},"units":[0]}{"units":[9]}`,
-		`{"spec":{"kind":"table3","seeds":[1]},"units":[0]} garbage`,
+		`{"kind":"table2","random_tries":2,"seed":1}`,
+		`{"kind":"table3","seed":4}`,
+		`{"kind":"table2","seed":-7}`,
+		`{"kind":"table2","random_tries":-1,"seed":1}`,
+		`{"kind":"table2","random_tries":1000,"seed":1}`,
+		`{"kind":"table2","random_tries":2000000000,"seed":1}`,
+		`{"kind":"table3","random_tries":2,"seed":1}`,
+		`{"kind":"table9","seed":1}`,
+		`{"seed":1}`,
+		`{"kind":"table3","seed":"1"}`,
+		`{"kind":"table3","seed":1}{"seed":9}`,
+		`{"spec":{"kind":"table3","seeds":[1]},"units":[0]}`,
 		`{nope`,
 		``,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := DecodeShard(bytes.NewReader(data))
-		var sp *Spec
-		if err == nil {
-			sp, err = sr.Validate(fuzzMaxSeeds)
-		}
-		if err != nil {
-			requireClientError(t, err, data)
+		var u Unit
+		if json.Unmarshal(data, &u) != nil {
 			return
 		}
-		requireOneValue(t, data)
-		requireWithinCaps(t, sp, data)
-		if len(sr.Units) == 0 {
-			t.Fatalf("input %q: accepted a shard with no units", data)
+		got, err := u.Normalize()
+		if err != nil {
+			return
 		}
-		for _, u := range sr.Units {
-			if u < 0 || u >= len(sp.Seeds) {
-				t.Fatalf("input %q: accepted unit %d of a %d-seed sweep", data, u, len(sp.Seeds))
-			}
+		requireWithinCaps(t, &Spec{Kind: got.Kind, Seeds: []int64{got.Seed}, RandomTries: got.RandomTries}, data)
+		again, err := got.Normalize()
+		if err != nil || !reflect.DeepEqual(again, got) || again.Key() != got.Key() {
+			t.Fatalf("input %q: normalizing %+v again gave %+v, %v", data, got, again, err)
 		}
 	})
-}
-
-func requireClientError(t *testing.T, err error, input []byte) {
-	t.Helper()
-	var he *HTTPError
-	if !errors.As(err, &he) || he.Status < 400 || he.Status >= 500 {
-		t.Fatalf("input %q: rejection %v (%T) is not a 4xx *HTTPError", input, err, err)
-	}
-}
-
-// requireOneValue fails unless an accepted body is exactly one JSON value:
-// the decoders must reject a second value or trailing garbage.
-func requireOneValue(t *testing.T, input []byte) {
-	t.Helper()
-	if !json.Valid(input) {
-		t.Fatalf("input %q: accepted a body that is not exactly one JSON value", input)
-	}
 }
 
 func requireWithinCaps(t *testing.T, sp *Spec, input []byte) {

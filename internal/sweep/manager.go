@@ -39,11 +39,10 @@ type Dispatcher interface {
 	// cannot take more work right now — consulted before forwarding a
 	// shard, so admission happens before the hop, not via a 429 after it.
 	Saturated(ctx context.Context, node string) bool
-	// RunShard executes the listed units on node and returns their
-	// results in request order. Any error (dead node, 429/503, truncated
-	// response) means the caller re-runs those units locally — the
+	// RunShard executes unit u on node. Any error (dead node, 4xx/5xx,
+	// truncated response) means the caller runs the unit locally — the
 	// degradation path that makes a mid-sweep node kill lose zero units.
-	RunShard(ctx context.Context, node string, sr ShardRequest) (*ShardResponse, error)
+	RunShard(ctx context.Context, node string, u Unit) (*ShardResponse, error)
 }
 
 // Progress receives a running sweep's completions. Calls arrive
@@ -58,7 +57,7 @@ type Progress interface {
 }
 
 // UnitCache remembers computed unit results by their content address
-// (Spec.UnitKey). A unit's result is a pure function of its key, so a
+// (Unit.Key). A unit's result is a pure function of its key, so a
 // stored result answers every later request for that unit with the same
 // bytes. Implementations must be safe for concurrent use and must not
 // mutate a stored result.
@@ -83,9 +82,9 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
-// localConcurrency bounds how many of one sweep's (or one shard's) units
-// may sit in the local execution queue at once, so one sweep cannot
-// monopolize the queue plans share.
+// localConcurrency bounds how many of one sweep's units may sit in the
+// local execution queue at once, so one sweep cannot monopolize the queue
+// plans share.
 const localConcurrency = 2
 
 // enqueueRetryDelay is how long the coordinator waits before re-offering
@@ -217,8 +216,8 @@ func (r *run) peer(disp Dispatcher, peer string, units []int) {
 			r.local([]int{u})
 			continue
 		}
-		resp, err := disp.RunShard(r.ctx, peer, ShardRequest{Spec: r.sp.Wire(), Units: []int{u}})
-		if err != nil || len(resp.Results) != 1 {
+		resp, err := disp.RunShard(r.ctx, peer, r.sp.Unit(u))
+		if err != nil || len(resp.Result) == 0 {
 			if r.ctx.Err() != nil {
 				return
 			}
@@ -227,12 +226,12 @@ func (r *run) peer(disp Dispatcher, peer string, units []int) {
 			continue
 		}
 		r.m.rec.Add("shards/forwarded", 1)
-		if len(resp.Cached) == 1 && resp.Cached[0] {
+		if resp.Cached {
 			r.m.rec.Add("units/cached", 1)
 		} else {
 			r.m.rec.Add("units/forwarded", 1)
 		}
-		r.results[u] = resp.Results[0]
+		r.results[u] = resp.Result
 		r.progress.Unit(u, peer)
 	}
 }
@@ -242,7 +241,7 @@ func (r *run) peer(disp Dispatcher, peer string, units []int) {
 func (r *run) local(units []int) {
 	bounded(r.ctx, r.sem, len(units), func(k int) {
 		u := units[k]
-		res, cached, err := r.m.execUnit(r.ctx, r.sp, u, r.progress.Log)
+		res, cached, err := r.m.execUnit(r.ctx, r.sp.Unit(u), r.progress.Log)
 		if err != nil {
 			if r.ctx.Err() == nil {
 				r.firstErr.set(fmt.Errorf("unit %d (seed %d): %w", u, r.sp.Seeds[u], err))
@@ -287,8 +286,8 @@ func bounded(ctx context.Context, sem chan struct{}, n int, fn func(k int)) {
 // queue, backs off briefly while the queue is full, waits for the worker
 // to finish it, and caches a successful result. Enqueued closures always
 // run — the host drains its queue on shutdown — so the wait cannot leak.
-func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(string)) (res json.RawMessage, cached bool, err error) {
-	key := sp.UnitKey(u)
+func (m *Manager) execUnit(ctx context.Context, u Unit, progress func(string)) (res json.RawMessage, cached bool, err error) {
+	key := u.Key()
 	if m.cfg.Cache != nil {
 		if hit, ok := m.cfg.Cache.Get(key); ok {
 			return hit, true, nil
@@ -302,7 +301,7 @@ func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(s
 			runErr = err
 			return
 		}
-		res, runErr = RunUnit(sp, u, progress)
+		res, runErr = u.run(progress)
 	}
 	for {
 		err := m.cfg.Enqueue(fn)
@@ -328,37 +327,17 @@ func (m *Manager) execUnit(ctx context.Context, sp *Spec, u int, progress func(s
 	return res, false, nil
 }
 
-// RunShardLocal executes a forwarded shard on this node: validate it
-// (ShardRequest.Validate), answer each listed unit from the unit cache or
-// run it through the bounded queue, and return the canonical results in
-// request order, marking the cached ones. This is the body of the
-// internal POST /sweeps/shard hop.
-func (m *Manager) RunShardLocal(ctx context.Context, sr *ShardRequest) (*ShardResponse, error) {
-	sp, err := sr.Validate(m.cfg.MaxSeeds)
+// RunShardLocal executes a forwarded shard on this node: it answers the
+// unit from the unit cache or runs it through the bounded queue. This is
+// the body of the internal POST /sweeps/shard hop; the host checks the
+// unit (Unit.Normalize) before it calls this.
+func (m *Manager) RunShardLocal(ctx context.Context, u Unit) (*ShardResponse, error) {
+	res, cached, err := m.execUnit(ctx, u, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &ShardResponse{
-		Results: make([]json.RawMessage, len(sr.Units)),
-		Cached:  make([]bool, len(sr.Units)),
-	}
-	var firstErr errOnce
-	bounded(ctx, make(chan struct{}, localConcurrency), len(sr.Units), func(k int) {
-		res, cached, err := m.execUnit(ctx, sp, sr.Units[k], nil)
-		if err != nil {
-			firstErr.set(err)
-			return
-		}
-		out.Results[k], out.Cached[k] = res, cached
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := firstErr.get(); err != nil {
-		return nil, err
-	}
 	m.rec.Add("shards/served", 1)
-	return out, nil
+	return &ShardResponse{Result: res, Cached: cached}, nil
 }
 
 // errOnce keeps the first error set on it.

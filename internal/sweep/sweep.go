@@ -7,9 +7,10 @@
 // seed; a unit is a pure function of the sweep parameters and its seed).
 // The node that accepts a sweep becomes its coordinator: it places every
 // unit on the fleet's consistent-hash ring by the unit's content key,
-// groups the units by owner, forwards each unit to its owner as a
-// one-unit shard (subject to fleet-wide admission control — a peer whose
-// advertised queue depth is saturated is skipped before the hop), and
+// groups the units by owner, forwards each unit to its owner as a shard
+// whose body is the Unit itself (subject to fleet-wide admission control
+// — a peer whose advertised queue depth is saturated is skipped before
+// the hop), and
 // runs whatever remains — unowned units, shards whose owner is dead or
 // saturated — through the local node's bounded service queue. Every node
 // keeps the results it computed in a unit cache under the same content
@@ -27,9 +28,10 @@
 // fleet size, shard placement or worker count. The golden and chaos tests
 // in the service and fleet packages lock this down.
 //
-// The package keeps no job state. Manager.Run computes one sweep and
-// reports each completed unit through a Progress; the host (the service
-// package) owns the sweep's lifecycle, its event log and its ID.
+// The package keeps no job state and reads no HTTP. Manager.Run computes
+// one sweep and reports each completed unit through a Progress; the host
+// (the service package) decodes sweep and shard bodies and owns the
+// sweep's lifecycle, its event log and its ID.
 package sweep
 
 import (
@@ -38,8 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 
 	"copack/internal/exp"
 )
@@ -55,9 +55,9 @@ const (
 	KindTable3 Kind = "table3"
 )
 
-// Request is the JSON body of POST /sweeps and the spec half of a shard
-// request. Unknown fields are rejected (strict decode), so clients
-// discover typos instead of silently sweeping defaults.
+// Request is the JSON body of POST /sweeps. The service decodes it
+// strictly, so clients discover typos instead of silently sweeping
+// defaults.
 type Request struct {
 	// Kind selects the workload: "table2" or "table3".
 	Kind string `json:"kind"`
@@ -78,19 +78,6 @@ type Request struct {
 // how long one unit can pin a queue worker past a DELETE or a drain.
 const MaxRandomTries = 1000
 
-// HTTPError is a request-layer failure carrying the HTTP status it maps
-// to, mirroring the service package's error discipline.
-type HTTPError struct {
-	Status int
-	Msg    string
-}
-
-func (e *HTTPError) Error() string { return e.Msg }
-
-func errf(status int, format string, args ...any) *HTTPError {
-	return &HTTPError{Status: status, Msg: fmt.Sprintf(format, args...)}
-}
-
 // Spec is a validated, normalized sweep: the canonical form that derives
 // unit keys, feeds unit execution and renders into the final body. Two
 // requests that normalize identically (num_seeds 3 vs seeds [1,2,3],
@@ -102,134 +89,128 @@ type Spec struct {
 }
 
 // Normalize validates a Request against the unit cap and produces its
-// Spec. Failures are *HTTPError values with client-fault statuses.
+// Spec. Every failure is the client's.
 func (r *Request) Normalize(maxSeeds int) (*Spec, error) {
-	sp := &Spec{}
-	switch Kind(r.Kind) {
-	case KindTable2:
-		sp.Kind = KindTable2
-		sp.RandomTries = r.RandomTries
-		if sp.RandomTries < 0 {
-			return nil, errf(http.StatusBadRequest, "random_tries must be >= 0, got %d", r.RandomTries)
-		}
-		if sp.RandomTries > MaxRandomTries {
-			return nil, errf(http.StatusBadRequest, "random_tries %d exceeds the cap of %d", r.RandomTries, MaxRandomTries)
-		}
-		if sp.RandomTries == 0 {
-			sp.RandomTries = 10 // the harness default, made explicit for the unit key
-		}
-	case KindTable3:
-		sp.Kind = KindTable3
-		if r.RandomTries != 0 {
-			return nil, errf(http.StatusBadRequest, "random_tries applies only to table2 sweeps")
-		}
-	case "":
-		return nil, errf(http.StatusBadRequest, "missing required field \"kind\" (want table2 or table3)")
-	default:
-		return nil, errf(http.StatusBadRequest, "unknown sweep kind %q (want table2 or table3)", r.Kind)
+	kind, tries, err := canonicalKind(Kind(r.Kind), r.RandomTries)
+	if err != nil {
+		return nil, err
 	}
+	sp := &Spec{Kind: kind, RandomTries: tries}
 	switch {
 	case r.NumSeeds < 0:
-		return nil, errf(http.StatusBadRequest, "num_seeds must be >= 0, got %d", r.NumSeeds)
+		return nil, fmt.Errorf("num_seeds must be >= 0, got %d", r.NumSeeds)
 	case len(r.Seeds) > 0 && r.NumSeeds > 0:
-		return nil, errf(http.StatusBadRequest, "seeds and num_seeds are mutually exclusive")
+		return nil, errors.New("seeds and num_seeds are mutually exclusive")
 	case len(r.Seeds) > 0:
 		sp.Seeds = append([]int64(nil), r.Seeds...)
 	case maxSeeds > 0 && r.NumSeeds > maxSeeds:
 		// Checked before exp.Seeds materializes the list.
-		return nil, errf(http.StatusBadRequest, "%d seeds exceed the %d-unit cap", r.NumSeeds, maxSeeds)
+		return nil, fmt.Errorf("%d seeds exceed the %d-unit cap", r.NumSeeds, maxSeeds)
 	case r.NumSeeds > 0:
 		sp.Seeds = exp.Seeds(r.NumSeeds)
 	default:
-		return nil, errf(http.StatusBadRequest, "a sweep needs seeds or num_seeds")
+		return nil, errors.New("a sweep needs seeds or num_seeds")
 	}
 	if maxSeeds > 0 && len(sp.Seeds) > maxSeeds {
-		return nil, errf(http.StatusBadRequest, "%d seeds exceed the %d-unit cap", len(sp.Seeds), maxSeeds)
+		return nil, fmt.Errorf("%d seeds exceed the %d-unit cap", len(sp.Seeds), maxSeeds)
 	}
 	return sp, nil
 }
 
-// DecodeRequest reads and strictly decodes a Request from an HTTP body.
-func DecodeRequest(r io.Reader) (*Request, error) {
-	var req Request
-	if err := decodeBody(r, &req, "sweep request"); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// decodeBody strictly decodes one JSON value from an HTTP body into v, for
-// sweep and shard bodies alike: unknown fields and anything after the
-// value are rejected, a body over its http.MaxBytesReader cap is a 413,
-// and an empty body says so.
-func decodeBody(r io.Reader, v any, what string) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	decoded := err == nil
-	if decoded {
-		// v is complete; the body must end here.
-		if err = dec.Decode(&struct{}{}); err == io.EOF {
-			return nil
+// canonicalKind is the kind and random_tries rule of every sweep and
+// every unit: table2 takes 0..MaxRandomTries tries, 0 meaning the
+// harness default of 10, made explicit for the unit key; table3 takes
+// none.
+func canonicalKind(kind Kind, tries int) (Kind, int, error) {
+	switch kind {
+	case KindTable2:
+		switch {
+		case tries < 0:
+			return "", 0, fmt.Errorf("random_tries must be >= 0, got %d", tries)
+		case tries > MaxRandomTries:
+			return "", 0, fmt.Errorf("random_tries %d exceeds the cap of %d", tries, MaxRandomTries)
+		case tries == 0:
+			tries = 10
 		}
-	}
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &mbe):
-		return errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-	case decoded:
-		return errf(http.StatusBadRequest, "request body holds more than one JSON object")
-	case errors.Is(err, io.EOF):
-		return errf(http.StatusBadRequest, "empty request body")
+	case KindTable3:
+		if tries != 0 {
+			return "", 0, errors.New("random_tries applies only to table2 sweeps")
+		}
+	case "":
+		return "", 0, errors.New("missing required field \"kind\" (want table2 or table3)")
 	default:
-		return errf(http.StatusBadRequest, "decoding %s: %v", what, err)
+		return "", 0, fmt.Errorf("unknown sweep kind %q (want table2 or table3)", kind)
 	}
+	return kind, tries, nil
 }
 
-// Wire renders the spec back into its canonical Request form — the body a
-// coordinator ships inside shard requests, with every default explicit so
-// both ends derive identical unit keys.
-func (sp *Spec) Wire() Request {
-	return Request{Kind: string(sp.Kind), Seeds: sp.Seeds, RandomTries: sp.RandomTries}
+// Unit is one work unit: exactly what its key hashes, and the JSON body of
+// the internal POST /sweeps/shard hop. A unit is a pure function of these
+// three fields, whichever sweep it belongs to.
+type Unit struct {
+	Kind        Kind  `json:"kind"`
+	RandomTries int   `json:"random_tries,omitempty"`
+	Seed        int64 `json:"seed"`
+}
+
+// Unit returns unit i of the sweep.
+func (sp *Spec) Unit(i int) Unit {
+	return Unit{Kind: sp.Kind, RandomTries: sp.RandomTries, Seed: sp.Seeds[i]}
+}
+
+// Normalize checks a unit received from a peer by the rule Request.Normalize
+// applies and returns its canonical form. Every failure is the client's.
+func (u Unit) Normalize() (Unit, error) {
+	var err error
+	u.Kind, u.RandomTries, err = canonicalKind(u.Kind, u.RandomTries)
+	return u, err
 }
 
 // unitKeyVersion versions the unit content-address so a change to unit
 // semantics or the result schema re-shards cleanly.
 const unitKeyVersion = "copack-sweep-unit-v1"
 
-// UnitKey is unit i's content address: a pure function of the sweep
-// parameters and the unit's seed (NOT its index or the surrounding seed
-// set), so the same logical unit lands on the same ring owner whichever
-// sweep it appears in, and that owner's unit cache answers it.
-func (sp *Spec) UnitKey(i int) string {
+// Key is the unit's content address: a pure function of its kind, tries
+// and seed (NOT its index or the surrounding seed set), so the same
+// logical unit lands on the same ring owner whichever sweep it appears
+// in, and that owner's unit cache answers it.
+func (u Unit) Key() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\nkind=%s tries=%d\nseed=%d\n", unitKeyVersion, sp.Kind, sp.RandomTries, sp.Seeds[i])
+	fmt.Fprintf(h, "%s\nkind=%s tries=%d\nseed=%d\n", unitKeyVersion, u.Kind, u.RandomTries, u.Seed)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// UnitKey is unit i's content address.
+func (sp *Spec) UnitKey(i int) string { return sp.Unit(i).Key() }
+
 // RunUnit executes unit i of the sweep and returns its result as
-// canonical JSON. It is a pure function of (spec, seed). The unit's rows
-// (Table 2's circuits, Table 3's (ψ, circuit) instances) fan out over one
-// worker per CPU, whatever bounds how many units run at once (DESIGN.md,
-// "Nested pools"). progress, when non-nil, receives the harness's per-row
-// progress lines, in completion order.
+// canonical JSON.
 func RunUnit(sp *Spec, i int, progress func(line string)) (json.RawMessage, error) {
+	return sp.Unit(i).run(progress)
+}
+
+// run executes the unit and returns its result as canonical JSON. The
+// unit's rows (Table 2's circuits, Table 3's (ψ, circuit) instances) fan
+// out over one worker per CPU, whatever bounds how many units run at once
+// (DESIGN.md, "Nested pools"). progress, when non-nil, receives the
+// harness's per-row progress lines, in completion order.
+func (u Unit) run(progress func(line string)) (json.RawMessage, error) {
 	h := exp.Harness{Progress: progress}
-	switch sp.Kind {
+	switch u.Kind {
 	case KindTable2:
-		res, err := exp.Table2(sp.Seeds[i], sp.RandomTries, h)
+		res, err := exp.Table2(u.Seed, u.RandomTries, h)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(res)
 	case KindTable3:
-		res, err := exp.Table3(sp.Seeds[i], h)
+		res, err := exp.Table3(u.Seed, h)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(res)
 	default:
-		return nil, fmt.Errorf("sweep: unknown kind %q", sp.Kind)
+		return nil, fmt.Errorf("sweep: unknown kind %q", u.Kind)
 	}
 }
 
@@ -288,49 +269,11 @@ func (sp *Spec) Reduce(results []json.RawMessage) ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// ShardRequest is the JSON body of the internal POST /sweeps/shard hop: a
-// canonical sweep spec plus the unit indices the receiving node should
-// execute. The full seed list rides along so unit keys and results mean
-// the same thing on both ends.
-type ShardRequest struct {
-	Spec  Request `json:"spec"`
-	Units []int   `json:"units"`
-}
-
-// DecodeShard strictly decodes a ShardRequest from an HTTP body, exactly
-// like a top-level sweep request.
-func DecodeShard(r io.Reader) (*ShardRequest, error) {
-	var sr ShardRequest
-	if err := decodeBody(r, &sr, "shard request"); err != nil {
-		return nil, err
-	}
-	return &sr, nil
-}
-
-// Validate normalizes the shard's spec exactly like a top-level
-// submission and checks its unit list against it: everything
-// RunShardLocal checks before it runs a unit.
-func (sr *ShardRequest) Validate(maxSeeds int) (*Spec, error) {
-	sp, err := sr.Spec.Normalize(maxSeeds)
-	if err != nil {
-		return nil, err
-	}
-	if len(sr.Units) == 0 {
-		return nil, errf(http.StatusBadRequest, "shard lists no units")
-	}
-	for _, u := range sr.Units {
-		if u < 0 || u >= len(sp.Seeds) {
-			return nil, errf(http.StatusBadRequest, "unit index %d outside the %d-seed sweep", u, len(sp.Seeds))
-		}
-	}
-	return sp, nil
-}
-
-// ShardResponse carries the executed units' canonical JSON results, in
-// the order the request listed the units. Cached[k] reports that unit k
-// was answered from the receiving node's unit cache instead of computed,
-// so the coordinator can count computed units apart from cached ones.
+// ShardResponse is the reply to a shard: the unit's canonical JSON
+// result, and whether the receiving node answered it from its unit cache
+// instead of computing it, so the coordinator can count computed units
+// apart from cached ones.
 type ShardResponse struct {
-	Results []json.RawMessage `json:"results"`
-	Cached  []bool            `json:"cached"`
+	Result json.RawMessage `json:"result"`
+	Cached bool            `json:"cached"`
 }

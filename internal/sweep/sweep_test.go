@@ -5,10 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,10 +117,6 @@ func TestNormalizeTable(t *testing.T) {
 			if err == nil {
 				t.Fatalf("want error containing %q, got nil", tc.wantErr)
 			}
-			var he *HTTPError
-			if !errors.As(err, &he) || he.Status != 400 {
-				t.Errorf("want *HTTPError with status 400, got %#v", err)
-			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not contain %q", err, tc.wantErr)
 			}
@@ -145,65 +138,6 @@ func TestNormalizeDefaultsAreCanonical(t *testing.T) {
 	for i := range a.Seeds {
 		if a.UnitKey(i) != b.UnitKey(i) {
 			t.Errorf("unit %d: keys differ across equivalent requests", i)
-		}
-	}
-}
-
-func TestDecodeRequestStrict(t *testing.T) {
-	if _, err := DecodeRequest(strings.NewReader(`{"kind":"table2","num_seeds":2,"typo":1}`)); err == nil {
-		t.Error("unknown field was not rejected")
-	}
-	if _, err := DecodeRequest(strings.NewReader(`{"kind":"table2"}{"kind":"table3"}`)); err == nil {
-		t.Error("trailing JSON was not rejected")
-	}
-	if _, err := DecodeRequest(strings.NewReader(``)); err == nil {
-		t.Error("empty body was not rejected")
-	}
-	req, err := DecodeRequest(strings.NewReader(`{"kind":"table2","num_seeds":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind != "table2" || req.NumSeeds != 2 {
-		t.Errorf("decoded %+v", req)
-	}
-}
-
-// TestDecodeShardStrict: a shard body goes through the same strict decoder
-// as a sweep request — unknown fields, a second JSON value and trailing
-// garbage are 400s, an empty body says so, and a body over its
-// MaxBytesReader cap is a 413 on both decoders.
-func TestDecodeShardStrict(t *testing.T) {
-	const valid = `{"spec":{"kind":"table3","seeds":[1]},"units":[0]}`
-	for _, tc := range []struct{ name, body, want string }{
-		{"unknown field", `{"spec":{"kind":"table3","seeds":[1]},"units":[0],"x":1}`, "unknown field"},
-		{"trailing object", valid + `{"units":[9]}`, "more than one JSON object"},
-		{"trailing garbage", valid + ` garbage`, "more than one JSON object"},
-		{"empty body", ``, "empty request body"},
-	} {
-		_, err := DecodeShard(strings.NewReader(tc.body))
-		var he *HTTPError
-		if !errors.As(err, &he) || he.Status != http.StatusBadRequest || !strings.Contains(he.Msg, tc.want) {
-			t.Errorf("%s: got %v, want a 400 naming %q", tc.name, err, tc.want)
-		}
-	}
-	sr, err := DecodeShard(strings.NewReader(valid + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Spec.Kind != "table3" || len(sr.Units) != 1 {
-		t.Errorf("decoded %+v", sr)
-	}
-
-	capped := func(body string) io.Reader {
-		return http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(body)), 16)
-	}
-	for name, decode := range map[string]func(io.Reader) error{
-		"shard": func(r io.Reader) error { _, err := DecodeShard(r); return err },
-		"sweep": func(r io.Reader) error { _, err := DecodeRequest(r); return err },
-	} {
-		var he *HTTPError
-		if err := decode(capped(valid)); !errors.As(err, &he) || he.Status != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: oversized body got %v, want a 413", name, err)
 		}
 	}
 }
@@ -278,7 +212,7 @@ func (d *blockingDispatcher) Saturated(ctx context.Context, node string) bool {
 	return d.sat
 }
 
-func (d *blockingDispatcher) RunShard(ctx context.Context, node string, sr ShardRequest) (*ShardResponse, error) {
+func (d *blockingDispatcher) RunShard(ctx context.Context, node string, u Unit) (*ShardResponse, error) {
 	d.runs++
 	if d.entered != nil {
 		d.entered <- struct{}{}
@@ -293,19 +227,11 @@ func (d *blockingDispatcher) RunShard(ctx context.Context, node string, sr Shard
 	if d.fail {
 		return nil, errors.New("injected shard failure")
 	}
-	out := &ShardResponse{}
-	for _, u := range sr.Units {
-		sp, err := sr.Spec.Normalize(0)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunUnit(sp, u, nil)
-		if err != nil {
-			return nil, err
-		}
-		out.Results = append(out.Results, res)
+	res, err := u.run(nil)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &ShardResponse{Result: res}, nil
 }
 
 func TestShardFailureFallsBackLocalZeroLostUnits(t *testing.T) {
@@ -385,29 +311,42 @@ func TestCancelMidSweepReturnsCanceled(t *testing.T) {
 	}
 }
 
+// TestRunShardLocalValidation: a shard is the unit it names. A unit
+// checks by the rule Request.Normalize applies, its canonical form keys
+// like the sweep's own unit, and the shard answers what RunUnit computes.
 func TestRunShardLocalValidation(t *testing.T) {
+	sp := table2Spec(t, 1, 2)
+	for _, bad := range []Unit{
+		{Seed: 1},
+		{Kind: "table9", Seed: 1},
+		{Kind: KindTable2, RandomTries: -1, Seed: 1},
+		{Kind: KindTable2, RandomTries: MaxRandomTries + 1, Seed: 1},
+		{Kind: KindTable3, RandomTries: 2, Seed: 1},
+	} {
+		if _, err := bad.Normalize(); err == nil {
+			t.Errorf("unit %+v accepted", bad)
+		}
+	}
+	// Table 2's default tries are explicit in the canonical unit.
+	u, err := Unit{Kind: KindTable2, Seed: 2}.Normalize()
+	if err != nil || u.RandomTries != 10 {
+		t.Fatalf("default-tries unit normalized to %+v, %v", u, err)
+	}
+	if got, err := sp.Unit(1).Normalize(); err != nil || got != sp.Unit(1) || got.Key() != sp.UnitKey(1) {
+		t.Fatalf("a sweep's own unit normalized to %+v, %v", got, err)
+	}
+
 	m := newTestManager(t, nil)
-	wire := table2Spec(t, 1, 2).Wire()
-	if _, err := m.RunShardLocal(context.Background(), &ShardRequest{Spec: wire}); err == nil {
-		t.Error("empty unit list accepted")
-	}
-	if _, err := m.RunShardLocal(context.Background(), &ShardRequest{Spec: wire, Units: []int{2}}); err == nil {
-		t.Error("out-of-range unit accepted")
-	}
-	resp, err := m.RunShardLocal(context.Background(), &ShardRequest{Spec: wire, Units: []int{1, 0}})
+	resp, err := m.RunShardLocal(context.Background(), sp.Unit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != 2 {
-		t.Fatalf("%d results, want 2", len(resp.Results))
-	}
-	// Results come back in request order: unit 1 is seed 2.
-	want, err := RunUnit(table2Spec(t, 1, 2), 1, nil)
+	want, err := RunUnit(sp, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resp.Results[0], want) {
-		t.Error("shard results not in request order")
+	if !bytes.Equal(resp.Result, want) || resp.Cached {
+		t.Errorf("shard answered cached=%v, result equal %v; want the computed unit 1", resp.Cached, bytes.Equal(resp.Result, want))
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func Run() string {
 	var s lib.Stack[int]
 	s.Push(1)
-	n := lib.Use(lib.Options{Remote: 2}) + len(s.Items())
+	n := lib.Use(lib.Options{Remote: 2}) + len(s.Items()) + lib.Count(3)
 	eof := errors.Is(lib.WrapError{Err: io.EOF}, io.EOF)
 	return fmt.Sprint(lib.Thing{}, lib.Describe(lib.Thing{}), lib.Box{}, n, eof)
 }

@@ -65,3 +65,16 @@ func Use(o Options) int {
 	o = o.withDefaults()
 	return o.Local + o.Remote
 }
+
+// tally's count is read; hits is only ever assigned: dead.
+type tally struct {
+	count int
+	hits  int
+}
+
+// Count reads a tally's count.
+func Count(n int) int {
+	t := tally{count: n}
+	t.hits = n
+	return t.count
+}
